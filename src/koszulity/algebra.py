@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import EchelonBasis, Matrix
 
 
 class InputError(ValueError):
@@ -216,30 +216,11 @@ class GradedAlgebra:
         """
         if self._gens is not None:
             return self._gens
-        nb = self.dim
-        span_rows = []
-
-        def in_span(vec_dict):
-            if not span_rows:
-                return not vec_dict
-            vec = [Fraction(0)] * nb
-            for k, c in vec_dict.items():
-                vec[k] = c
-            m = Matrix(len(span_rows), nb, span_rows)
-            from .linalg import row_space_contains
-
-            return row_space_contains(m, vec)
-
-        def add_span(vec_dict):
-            vec = [Fraction(0)] * nb
-            for k, c in vec_dict.items():
-                vec[k] = c
-            span_rows.append(vec)
-
+        span = EchelonBasis()
         elements = []  # coefficient dicts currently in the multiplicative closure
         for v in range(self.num_vertices):
             e = {v: Fraction(1)}
-            add_span(e)
+            span.add(e)
             elements.append(e)
         gens = []
 
@@ -251,19 +232,17 @@ class GradedAlgebra:
                 for a in list(elements):
                     for b in list(elements):
                         p = self.mult(a, b)
-                        if p and not in_span(p):
-                            add_span(p)
+                        if p and span.add(p):
                             fresh.append(p)
                             changed = True
                 elements.extend(fresh)
 
         close()
-        for i in range(nb):
+        for i in range(self.dim):
             probe = {i: Fraction(1)}
-            if not in_span(probe):
+            if span.add(probe):
                 gens.append(i)
                 elements.append(probe)
-                add_span(probe)
                 close()
         self._gens = gens
         return gens

@@ -1,8 +1,12 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals on one sparse elimination core.
 
 Every entry is a `fractions.Fraction`, so rank, kernels and solutions are
-exact; there is no tolerance anywhere in the package. Matrices are treated
-as immutable once constructed (no method mutates `self`).
+exact; there is no tolerance anywhere in the package. All elimination runs
+through `EchelonBasis`, which keeps sparse rows ({column: value}) in reduced
+echelon form as vectors are added one at a time, in the manner of
+structured Gaussian elimination. `Matrix` is the dense container the rest of
+the package builds, multiplies and solves with; matrices are treated as
+immutable once constructed (no method mutates `self`).
 """
 
 from __future__ import annotations
@@ -53,11 +57,6 @@ class Matrix:
         if not rows:
             return Matrix(0, 0)
         return Matrix(len(rows), len(rows[0]), rows)
-
-    @staticmethod
-    def column_vector(entries) -> "Matrix":
-        entries = list(entries)
-        return Matrix(len(entries), 1, [[x] for x in entries])
 
     def copy(self) -> "Matrix":
         m = Matrix(self.rows, self.cols)
@@ -183,38 +182,17 @@ class Matrix:
         Returns (R, pivots) where R is the RREF and pivots the strictly
         increasing list of pivot columns. Row space is preserved.
         """
-        data = [row[:] for row in self.data]
-        nr, nc = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            if r == nr:
+        basis = EchelonBasis()
+        for row in self.data:
+            if basis.rank == self.cols:
                 break
-            pr = None
-            for i in range(r, nr):
-                if data[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            if pr != r:
-                data[r], data[pr] = data[pr], data[r]
-            p = data[r][c]
-            if p != 1:
-                inv = ONE / p
-                data[r] = [x * inv for x in data[r]]
-            rowr = data[r]
-            for i in range(nr):
-                if i == r:
-                    continue
-                f = data[i][c]
-                if f:
-                    rowi = data[i]
-                    data[i] = [a - f * b for a, b in zip(rowi, rowr)]
-            pivots.append(c)
-            r += 1
-        out = Matrix(nr, nc)
-        out.data = data
+            basis.add(row)
+        pivots = sorted(basis.rows)
+        out = Matrix(self.rows, self.cols)
+        for r, pc in enumerate(pivots):
+            dense = out.data[r]
+            for c, x in basis.rows[pc].items():
+                dense[c] = x
         return out, pivots
 
     def rank(self) -> int:
@@ -223,7 +201,8 @@ class Matrix:
     def kernel_basis(self):
         """Basis of the right kernel {x : self @ x = 0}, as lists."""
         R, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in set(pivots)]
+        pivot_set = set(pivots)
+        free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
         for fc in free:
             v = [ZERO] * self.cols
@@ -232,9 +211,6 @@ class Matrix:
                 v[pc] = -R.data[r][fc]
             basis.append(v)
         return basis
-
-    def nullity(self) -> int:
-        return self.cols - self.rank()
 
     def solve(self, b):
         """Solve self @ x = b exactly; returns a list or None if inconsistent."""
@@ -279,33 +255,111 @@ class Matrix:
         return self.rows == self.cols and self.rank() == self.rows
 
 
-def row_space_contains(span_rows: Matrix, vec) -> bool:
-    """Is vec in the row space of span_rows?"""
-    if span_rows.rows == 0:
-        return all(x == 0 for x in vec)
-    sol = span_rows.transpose().solve(list(vec))
-    return sol is not None
+def _sparse(vec) -> dict:
+    """{column: Fraction} of the nonzero entries of a dense list or a dict."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {c: frac(x) for c, x in items if x}
 
 
-def complement_basis(sub_rows: Matrix, amb_dim: int):
-    """Extend a row-span to all of Q^amb_dim by standard basis vectors.
+def _axpy(v: dict, f: Fraction, row: dict) -> None:
+    """v -= f * row, in place, dropping the entries that cancel."""
+    for c, x in row.items():
+        y = v.get(c)
+        if y is None:
+            v[c] = -f * x
+        else:
+            y -= f * x
+            if y:
+                v[c] = y
+            else:
+                del v[c]
+
+
+class EchelonBasis:
+    """A row space kept in reduced echelon form while vectors are added.
+
+    Rows are sparse dicts {column: Fraction}, keyed by their pivot column:
+    the row holds 1 there and every other row holds 0 there. Each row also
+    records itself as a combination {k: coefficient} of the accepted
+    vectors, the k-th accepted vector being the k-th one `add` kept, so
+    `coords` reads coordinates off without solving. Vectors are given as
+    dense lists or as sparse dicts.
+    """
+
+    __slots__ = ("rows", "combos")
+
+    def __init__(self, vectors=()):
+        self.rows = {}
+        self.combos = {}
+        for vec in vectors:
+            self.add(vec)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, vec):
+        """(remainder, [(pivot, coefficient)]) of vec against the rows.
+
+        The rows are zero in each other's pivot columns, so one pass over
+        the pivot entries of vec clears them all.
+        """
+        v = _sparse(vec)
+        taken = [(p, x) for p, x in v.items() if p in self.rows]
+        for p, x in taken:
+            _axpy(v, x, self.rows[p])
+        return v, taken
+
+    def add(self, vec) -> bool:
+        """Add vec to the span; True exactly when the rank grows."""
+        v, taken = self._reduce(vec)
+        if not v:
+            return False
+        combo = {self.rank: ONE}
+        for p, x in taken:
+            _axpy(combo, x, self.combos[p])
+        pivot = min(v)
+        lead = v[pivot]
+        if lead != 1:
+            inv = ONE / lead
+            v = {c: x * inv for c, x in v.items()}
+            combo = {k: x * inv for k, x in combo.items()}
+        for p, row in self.rows.items():
+            f = row.get(pivot)
+            if f is not None:
+                _axpy(row, f, v)
+                _axpy(self.combos[p], f, combo)
+        self.rows[pivot] = v
+        self.combos[pivot] = combo
+        return True
+
+    def contains(self, vec) -> bool:
+        return not self._reduce(vec)[0]
+
+    def coords(self, vec):
+        """Coordinates of vec in the accepted vectors, or None outside the span."""
+        v, taken = self._reduce(vec)
+        if v:
+            return None
+        out = {}
+        for p, x in taken:
+            _axpy(out, -x, self.combos[p])
+        return [out.get(k, ZERO) for k in range(self.rank)]
+
+
+def complement_basis(sub_rows, amb_dim: int):
+    """Extend the span of sub_rows to all of Q^amb_dim by standard basis vectors.
 
     Returns indices of standard basis vectors whose addition completes the
     span; deterministic (smallest indices first).
     """
-    rows = [row[:] for row in sub_rows.data]
+    basis = EchelonBasis(sub_rows)
     chosen = []
-    rank = Matrix.from_rows(rows).rank() if rows else 0
     for j in range(amb_dim):
-        if rank == amb_dim:
+        if basis.rank == amb_dim:
             break
-        e = [ZERO] * amb_dim
-        e[j] = ONE
-        r2 = Matrix(len(rows) + 1, amb_dim, rows + [e]).rank()
-        if r2 > rank:
-            rows.append(e)
+        if basis.add({j: ONE}):
             chosen.append(j)
-            rank = r2
     return chosen
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Matrix, frac, random_int_combination
+from .linalg import (EchelonBasis, Matrix, complement_basis, frac,
+                     random_int_combination)
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 
 
@@ -855,15 +856,11 @@ def radical_span(m: GradedModule):
 
 def top_data(m: GradedModule):
     """Generators of M/M.rad: list of (block, lift-vector in M coords)."""
-    from .linalg import complement_basis
-
     spans = radical_span(m)
     gens = []
     for key in m.blocks():
         dimk = m.dims[key]
-        rows = [list(v) for v in spans.get(key, [])]
-        base = Matrix(len(rows), dimk, rows) if rows else Matrix(0, dimk)
-        for j in complement_basis(base, dimk):
+        for j in complement_basis(spans.get(key, []), dimk):
             vec = [Fraction(0)] * dimk
             vec[j] = Fraction(1)
             gens.append((key, vec))
@@ -1126,37 +1123,17 @@ def stable_hom(m: GradedModule, n: GradedModule, prefer=None):
         for u in hom_space(m, P):
             F.append(epi.compose(u))
     layout, total = hom_frame(m, n)
-    fvecs = [hom_flatten(h, layout, total) for h in F]
-    fmat = Matrix(len(fvecs), total, fvecs) if fvecs else Matrix(0, total)
-    R, piv = fmat.rref()
-    frank = len(piv)
-    reps = []
-    rep_vecs = []
-    base_rows = [R.data[i] for i in range(frank)]
-    rank_now = frank
-    for h in (list(prefer) if prefer else []) + H:
-        vec = hom_flatten(h, layout, total)
-        cand = base_rows + rep_vecs + [vec]
-        r2 = Matrix(len(cand), total, cand).rank()
-        if r2 > rank_now:
-            reps.append(h)
-            rep_vecs.append(vec)
-            rank_now = r2
-    qdim = rank_now - frank
-
-    span_rows = base_rows + rep_vecs
-    span_mat = Matrix(len(span_rows), total, span_rows) if span_rows else Matrix(0, total)
+    basis = EchelonBasis(hom_flatten(h, layout, total) for h in F)
+    frank = basis.rank
+    reps = [h for h in (list(prefer) if prefer else []) + H
+            if basis.add(hom_flatten(h, layout, total))]
+    qdim = basis.rank - frank
 
     def reducer(h):
-        vec = hom_flatten(h, layout, total)
-        if span_mat.rows == 0:
-            if any(vec):
-                raise InternalCheckError("hom outside computed span")
-            return [Fraction(0)] * qdim
-        sol = span_mat.transpose().solve(vec)
-        if sol is None:
+        coords = basis.coords(hom_flatten(h, layout, total))
+        if coords is None:
             raise InternalCheckError("hom outside computed span")
-        return sol[frank:]
+        return coords[frank:]
 
     return qdim, reps, reducer
 
@@ -1211,14 +1188,11 @@ def endomorphism_table(m: GradedModule):
     """Basis of End(M) and structure constants of composition."""
     E = hom_space(m, m)
     layout, total = hom_frame(m, m)
-    vecs = [hom_flatten(h, layout, total) for h in E]
-    span = Matrix(len(vecs), total, vecs)
-    spanT = span.transpose()
+    basis = EchelonBasis(hom_flatten(h, layout, total) for h in E)
     table = {}
     for i, hi in enumerate(E):
         for j, hj in enumerate(E):
-            comp = hi.compose(hj)
-            sol = spanT.solve(hom_flatten(comp, layout, total))
+            sol = basis.coords(hom_flatten(hi.compose(hj), layout, total))
             if sol is None:
                 raise InternalCheckError("End(M) not closed under composition")
             table[(i, j)] = {k: c for k, c in enumerate(sol) if c}

@@ -426,54 +426,28 @@ def recover_presentation(alg, max_length: int = 24):
     the path algebra, which are length-homogeneous by construction. The
     result rebuilds an algebra with the same block dimensions.
     """
-    from .linalg import Matrix, row_space_contains
+    from .linalg import EchelonBasis, Matrix
 
     alg.assert_split_basic()
     rad = alg.radical_basis()
     nb = alg.dim
 
-    def span_matrix(vectors):
-        rows = []
-        for vec in vectors:
-            row = [Fraction(0)] * nb
-            for k, c in vec.items():
-                row[k] = c
-            rows.append(row)
-        return Matrix(len(rows), nb, rows) if rows else Matrix(0, nb)
-
-    rad_sq = []
-    for r1 in rad:
-        for r2 in rad:
-            p = alg.mult(r1, r2)
-            if p:
-                rad_sq.append(p)
-    sq_mat = span_matrix(rad_sq)
     # arrow lifts: complete rad^2 to rad, preferring plain basis elements
     arrows = []
     arrow_elems = []
-    current = [list(r) for r in sq_mat.data]
+    current = EchelonBasis(alg.mult(r1, r2) for r1 in rad for r2 in rad)
 
     def try_add(vec_dict, src, tgt, deg, name=None):
-        row = [Fraction(0)] * nb
-        for k, c in vec_dict.items():
-            row[k] = c
-        before = Matrix(len(current), nb, current).rank() if current else 0
-        after = Matrix(len(current) + 1, nb, current + [row]).rank()
-        if after > before:
-            current.append(row)
+        if current.add(vec_dict):
             taken = {a.name for a in arrows}
             if name is None or name in taken or "*" in name or " " in name:
                 name = f"r{len(arrows)}"
             arrows.append(Arrow(name, src, tgt, deg))
             arrow_elems.append(vec_dict)
-            return True
-        return False
 
-    rad_span = span_matrix(rad)
+    rad_span = EchelonBasis(rad)
     for i in range(nb):
-        row = [Fraction(0)] * nb
-        row[i] = Fraction(1)
-        if not row_space_contains(rad_span, row):
+        if not rad_span.contains({i: Fraction(1)}):
             continue
         try_add({i: Fraction(1)}, alg.source[i], alg.target[i], alg.degree[i],
                 name=alg.labels[i])
@@ -484,7 +458,7 @@ def recover_presentation(alg, max_length: int = 24):
                               {})[k] = c
         for (src, tgt, deg), comp in blocks.items():
             try_add(comp, src, tgt, deg)
-    if Matrix(len(current), nb, current).rank() != rad_span.rank():
+    if current.rank != rad_span.rank:
         raise InputError("could not lift a homogeneous arrow basis")
 
     quiver = Quiver(alg.num_vertices, tuple(arrows))
@@ -537,14 +511,9 @@ def recover_presentation(alg, max_length: int = 24):
                    for i, (seq, _t) in enumerate(path_lists[length])}
             implied = _ideal_span_rows(path_lists, rel_data, length, idx,
                                        len(cur))
-            span = [list(r) for r in implied]
-            base_rank = Matrix(len(span), len(cur), span).rank() if span else 0
+            span = EchelonBasis(implied)
             for v in kernel:
-                cand = span + [list(v)]
-                r2 = Matrix(len(cand), len(cur), cand).rank()
-                if r2 > base_rank:
-                    span.append(list(v))
-                    base_rank = r2
+                if span.add(v):
                     terms = tuple((c, cur[i][0]) for i, c in enumerate(v) if c)
                     relations.append(Relation(terms))
         alive = any(any(c for c in p[2].values()) for p in cur)

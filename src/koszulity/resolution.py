@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import EchelonBasis, Matrix
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import modules as mo
 
@@ -289,54 +289,35 @@ class ExtGroup:
     reps: list          # cocycles as coordinate vectors
     layout: list
     total: int
-    _span: Matrix = None
+    _basis: EchelonBasis = None  # coboundaries, then reps
     _brank: int = 0
 
     def reduce(self, vec):
         """Coordinates of a cocycle's class in the chosen basis."""
-        if self._span.rows == 0:
-            if any(vec):
-                raise InternalCheckError("cocycle outside computed span")
-            return [Fraction(0)] * self.dim
-        sol = self._span.transpose().solve(list(vec))
-        if sol is None:
+        coords = self._basis.coords(vec)
+        if coords is None:
             raise InternalCheckError("cocycle outside computed span")
-        return sol[self._brank:]
+        return coords[self._brank:]
 
 
 def ext_group(res: MinimalResolution, n: mo.GradedModule, i: int, j: int) -> ExtGroup:
     res.extend(i + 1)
     layout, total = _hom_complex_frame(res, n, i, j)
     if total == 0:
-        return ExtGroup(i, j, 0, [], layout, 0, Matrix(0, 0), 0)
+        return ExtGroup(i, j, 0, [], layout, 0, EchelonBasis(), 0)
     d_out = delta_matrix(res, n, i, j)
     cocycles = d_out.kernel_basis() if d_out.rows else [
         [Fraction(1) if t == s else Fraction(0) for t in range(total)]
         for s in range(total)
     ]
+    basis = EchelonBasis()
     if i >= 1:
         d_in = delta_matrix(res, n, i - 1, j)
-        bcols = [d_in.column(c) for c in range(d_in.cols)]
-    else:
-        bcols = []
-    brows = []
-    if bcols:
-        bmat = Matrix(len(bcols), total, bcols)
-        R, piv = bmat.rref()
-        brows = [R.data[r] for r in range(len(piv))]
-    brank = len(brows)
-    reps = []
-    span_rows = list(brows)
-    rank_now = brank
-    for z in cocycles:
-        cand = span_rows + [z]
-        r2 = Matrix(len(cand), total, cand).rank()
-        if r2 > rank_now:
-            reps.append(z)
-            span_rows.append(z)
-            rank_now = r2
-    span = Matrix(len(span_rows), total, span_rows) if span_rows else Matrix(0, total)
-    return ExtGroup(i, j, rank_now - brank, reps, layout, total, span, brank)
+        for c in range(d_in.cols):
+            basis.add(d_in.column(c))
+    brank = basis.rank
+    reps = [z for z in cocycles if basis.add(z)]
+    return ExtGroup(i, j, basis.rank - brank, reps, layout, total, basis, brank)
 
 
 def cocycle_values(res: MinimalResolution, eg: ExtGroup, vec):

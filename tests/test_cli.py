@@ -42,13 +42,15 @@ def test_build_missing_file(capsys):
     assert code == 2
 
 
+def tilting_files(flag):
+    return [x for t in ("T1", "T2", "T3", "T4")
+            for x in (flag, data_path(f"{t}.mod"))]
+
+
 def test_ext_table_section6(capsys):
     code, out, _ = run(capsys, "ext", "--algebra", data_path("a4.alg"),
                        "--trivext", "--n", "2", "--i-max", "4",
-                       "--M", data_path("T1.mod"), "--M", data_path("T2.mod"),
-                       "--M", data_path("T3.mod"), "--M", data_path("T4.mod"),
-                       "--N", data_path("T1.mod"), "--N", data_path("T2.mod"),
-                       "--N", data_path("T3.mod"), "--N", data_path("T4.mod"))
+                       *tilting_files("--M"), *tilting_files("--N"))
     assert code == 0
     rows = [line.split("\t") for line in out.strip().splitlines()]
     header = [int(x) for x in rows[0][1:]]
@@ -57,6 +59,21 @@ def test_ext_table_section6(capsys):
         for j, val in zip(header, row[1:]):
             if int(val):
                 assert i == 2 * j
+
+
+def test_ext_table_deep_window(capsys):
+    # The recorded table is the report of the dense elimination that the
+    # sparse echelon core replaced; it must keep matching byte for byte.
+    code, out, _ = run(capsys, "ext", "--algebra", data_path("a4.alg"),
+                       "--trivext", "--n", "2", "--i-max", "12",
+                       *tilting_files("--M"), *tilting_files("--N"))
+    assert code == 0
+    with open(data_path("ext_a4_trivext_T_i12.tsv")) as fh:
+        assert out == fh.read()
+    rows = [line.split("\t") for line in out.strip().splitlines()]
+    header = [int(x) for x in rows[0][1:]]
+    diagonal = [int(rows[1 + 2 * k][1 + header.index(k)]) for k in range(7)]
+    assert diagonal == [10, 22, 42, 54, 74, 86, 106]
 
 
 def test_koszul_command(capsys):

@@ -2,11 +2,40 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from koszulity.linalg import Matrix
+from koszulity.linalg import EchelonBasis, Matrix
 
 
 def M(rows):
     return Matrix.from_rows(rows)
+
+
+def dense_rref(m):
+    """Column-by-column dense Gauss-Jordan: the reference for Matrix.rref."""
+    data = [row[:] for row in m.data]
+    nr, nc = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if data[i][c]), None)
+        if pr is None:
+            continue
+        data[r], data[pr] = data[pr], data[r]
+        inv = 1 / data[r][c]
+        data[r] = [x * inv for x in data[r]]
+        rowr = data[r]
+        for i in range(nr):
+            f = data[i][c]
+            if i != r and f:
+                data[i] = [a - f * b for a, b in zip(data[i], rowr)]
+        pivots.append(c)
+        r += 1
+    return data, pivots
+
+
+def dense_rank(rows, cols):
+    return len(dense_rref(Matrix(len(rows), cols, rows))[1])
 
 
 def test_rref_identity():
@@ -101,7 +130,107 @@ def test_rref_preserves_row_space(m):
     R, piv = m.rref()
     assert R.rank() == m.rank() == len(piv)
     # every original row is in the row space of the reduced matrix
-    from koszulity.linalg import row_space_contains
-
     for row in m.data:
-        assert row_space_contains(R, row)
+        assert EchelonBasis(R.data).contains(row)
+
+
+# Rationals with many zeros, so that zero rows and columns, dependent rows
+# and non-integer pivots all occur.
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+@st.composite
+def rational_matrices(draw, max_dim=6):
+    r = draw(st.integers(min_value=0, max_value=max_dim))
+    c = draw(st.integers(min_value=0, max_value=max_dim))
+    data = draw(st.lists(st.lists(rationals, min_size=c, max_size=c),
+                         min_size=r, max_size=r))
+    return Matrix(r, c, data)
+
+
+@given(rational_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_dense_gauss_jordan(m):
+    R, piv = m.rref()
+    ref, ref_piv = dense_rref(m)
+    assert (R.rows, R.cols) == (m.rows, m.cols)
+    assert R.data == ref
+    assert piv == ref_piv
+    assert all(type(x) is Fraction for row in R.data for x in row)
+
+
+def test_rref_degenerate_shapes():
+    for rows, cols in ((0, 0), (0, 3), (3, 0)):
+        R, piv = Matrix.zero(rows, cols).rref()
+        assert (R.rows, R.cols, R.data, piv) == (rows, cols, [[]] * rows, [])
+
+
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_echelon_add_is_true_exactly_when_rank_grows(m):
+    basis = EchelonBasis()
+    kept = []
+    for k, row in enumerate(m.data):
+        grows = dense_rank(m.data[:k + 1], m.cols) > dense_rank(m.data[:k], m.cols)
+        assert basis.add(row) is grows
+        if grows:
+            kept.append(row)
+    assert basis.rank == len(kept) == m.rank()
+    # every row lies in the span, with coordinates in the kept rows
+    for row in m.data:
+        assert basis.contains(row)
+        coords = basis.coords(row)
+        assert [sum((c * v[j] for c, v in zip(coords, kept)), Fraction(0))
+                for j in range(m.cols)] == row
+
+
+@given(rational_matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_echelon_coords_none_outside_span(m, data):
+    vec = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
+    basis = EchelonBasis(m.data)
+    inside = dense_rank(m.data + [vec], m.cols) == dense_rank(m.data, m.cols)
+    assert basis.contains(vec) is inside
+    assert (basis.coords(vec) is not None) is inside
+
+
+def test_echelon_accepts_sparse_dicts():
+    basis = EchelonBasis([{0: 1, 2: 2}, [0, 1, 0]])
+    assert not basis.add({0: Fraction(2), 1: 3, 2: 4})
+    assert basis.coords({0: 1, 1: 1, 2: 2}) == [Fraction(1), Fraction(1)]
+    assert basis.add({2: 1, 1: 0})
+    assert basis.rank == 3
+
+
+def test_ext_group_reps_match_dense_greedy_selection(delta_a4, t_summands):
+    from koszulity import modules as mo
+    from koszulity import resolution as rs
+
+    T = mo.direct_sum(delta_a4, t_summands)[0]
+    res = rs.MinimalResolution(T)
+    for i in range(5):
+        for j in rs.hom_window(res, T, i):
+            eg = rs.ext_group(res, T, i, j)
+            if eg.total == 0:
+                assert eg.reps == []
+                continue
+            d_out = rs.delta_matrix(res, T, i, j)
+            cocycles = d_out.kernel_basis() if d_out.rows else [
+                [Fraction(int(t == s)) for t in range(eg.total)]
+                for s in range(eg.total)]
+            span = []
+            if i >= 1:
+                d_in = rs.delta_matrix(res, T, i - 1, j)
+                span = [d_in.column(c) for c in range(d_in.cols)]
+            reps = []
+            for z in cocycles:
+                if dense_rank(span + [z], eg.total) > dense_rank(span, eg.total):
+                    reps.append(z)
+                    span.append(z)
+            assert eg.reps == reps
+            assert eg.dim == len(reps)
+            for k, z in enumerate(reps):
+                assert eg.reduce(z) == [Fraction(int(c == k))
+                                        for c in range(len(reps))]

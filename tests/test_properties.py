@@ -40,12 +40,9 @@ def random_module(alg, rng, max_parts=2):
                     if img:
                         keep = False
                         for k2, v2 in img.items():
-                            from koszulity.linalg import Matrix, row_space_contains
+                            from koszulity.linalg import EchelonBasis
 
-                            rows = spans.get(k2, [])
-                            m = (Matrix(len(rows), total.dims[k2], rows)
-                                 if rows else Matrix(0, total.dims[k2]))
-                            if not row_space_contains(m, v2):
+                            if not EchelonBasis(spans.get(k2, [])).contains(v2):
                                 keep = True
                         if keep:
                             stack.append(img)
