@@ -40,8 +40,10 @@ class GradedAlgebra:
     generator_labels: list | None = None
     path_witness: dict | None = None
     vertices: list = field(default=None)
-    _rad0: list = field(default=None, repr=False)
-    _gens: list = field(default=None, repr=False)
+    # Derived data built on first use (radical, generators, projectives,
+    # injectives, socles); not part of the algebra's value.
+    memo: dict = field(default_factory=dict, init=False, compare=False,
+                       repr=False)
 
     def __post_init__(self):
         if self.vertices is None:
@@ -74,9 +76,6 @@ class GradedAlgebra:
             out[d] = out.get(d, 0) + 1
         return out
 
-    def basis_indices_of_degree(self, d):
-        return [i for i, dd in enumerate(self.degree) if dd == d]
-
     def mult_basis(self, i: int, j: int) -> dict:
         return self.table.get((i, j), {})
 
@@ -98,12 +97,6 @@ class GradedAlgebra:
                         else:
                             out.pop(k, None)
         return out
-
-    def element_degree(self, vec: dict):
-        degs = {self.degree[i] for i in vec}
-        if len(degs) > 1:
-            return None
-        return degs.pop() if degs else None
 
     # -- validation --------------------------------------------------------
 
@@ -170,8 +163,9 @@ class GradedAlgebra:
         Characteristic-zero method: the radical is the kernel of the trace
         form (x, y) -> tr(L_{xy}) on the degree-0 part.
         """
-        if self._rad0 is not None:
-            return self._rad0
+        hit = self.memo.get("radical_degree_zero")
+        if hit is not None:
+            return hit
         z = self.degree_zero_indices()
         pos = {b: i for i, b in enumerate(z)}
         n = len(z)
@@ -190,7 +184,7 @@ class GradedAlgebra:
         rad = []
         for v in gram.kernel_basis():
             rad.append({z[i]: c for i, c in enumerate(v) if c})
-        self._rad0 = rad
+        self.memo["radical_degree_zero"] = rad
         return rad
 
     def radical_basis(self):
@@ -214,8 +208,9 @@ class GradedAlgebra:
         The subalgebra generated by the idempotents and the returned elements
         is the whole algebra; homomorphism constraints only need these.
         """
-        if self._gens is not None:
-            return self._gens
+        hit = self.memo.get("generating_set")
+        if hit is not None:
+            return hit
         span = EchelonBasis()
         elements = []  # coefficient dicts currently in the multiplicative closure
         for v in range(self.num_vertices):
@@ -244,7 +239,7 @@ class GradedAlgebra:
                 gens.append(i)
                 elements.append(probe)
                 close()
-        self._gens = gens
+        self.memo["generating_set"] = gens
         return gens
 
     # -- constructions -------------------------------------------------------

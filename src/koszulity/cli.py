@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
-from .algebra import GradedAlgebra, InputError, trivial_extension
+from .algebra import InputError, trivial_extension
 from .frobenius import frobenius_analysis
 from .presentation import parse_algebra_file
 from . import modules as mo
@@ -22,52 +21,35 @@ from . import koszul as ko
 from . import hereditary as hd
 from . import verify as vf
 
-
-@dataclass
-class RunConfig:
-    command: str
-    algebra: str | None = None
-    modules: list = field(default_factory=list)
-    tilting: list = field(default_factory=list)
-    n: int = 1
-    i_max: int = 8
-    degree_max: int = 6
-    depth: int = 6
-    orbit_cap: int = 24
-    l_max: int = 16
-    path_bound: int = 12
-    seed: int = 0
-    json_out: bool = False
-    out: str | None = None
-    trivext: bool = False
-    theorem: str | None = None
-    mode: str = "infinite"
-    r: int = 1
-
-    def validate(self):
-        for name in ("n", "i_max", "degree_max", "depth", "orbit_cap",
-                     "l_max", "path_bound", "r"):
-            if getattr(self, name) < (1 if name in ("n", "path_bound", "r") else 0):
-                raise InputError(f"--{name.replace('_', '-')} must be positive")
+# Smallest accepted value of each integer option, in the order checked.
+MINIMUM = {"n": 1, "i_max": 0, "degree_max": 0, "depth": 0, "orbit_cap": 0,
+           "l_max": 0, "path_bound": 1, "r": 1}
 
 
-def _load_algebra(cfg: RunConfig):
-    if not cfg.algebra:
+def _validate(args):
+    for name, low in MINIMUM.items():
+        if vars(args).get(name, low) < low:
+            bound = "positive" if low else "non-negative"
+            raise InputError(f"--{name.replace('_', '-')} must be {bound}")
+
+
+def _load_algebra(args):
+    if not args.algebra:
         raise InputError("--algebra is required")
-    alg, quiver = parse_algebra_file(cfg.algebra, cfg.path_bound)
+    alg, quiver = parse_algebra_file(args.algebra, args.path_bound)
     base = alg
-    if cfg.trivext:
+    if args.trivext:
         if not alg.is_concentrated_degree_zero():
             raise InputError("--trivext expects an algebra in degree 0")
         alg = trivial_extension(base)
     return alg, base
 
 
-def _load_summands(cfg: RunConfig, alg, base):
-    files = cfg.tilting or cfg.modules
+def _load_summands(args, alg, base):
+    files = args.tilting or args.module
     if files:
         mods = [mo.parse_module_file(p, base) for p in files]
-        if cfg.trivext:
+        if args.trivext:
             mods = [mo.inflate_module(m, alg) for m in mods]
         return mods
     a0 = ko.degree_zero_part(alg)
@@ -75,30 +57,30 @@ def _load_summands(cfg: RunConfig, alg, base):
     return [mo.inflate_module(p, alg) for p in parts]
 
 
-def _emit(cfg: RunConfig, text_lines, payload, exit_code: int) -> int:
-    if cfg.json_out:
+def _emit(args, text_lines, payload, exit_code: int) -> int:
+    if args.json_out:
         body = json.dumps(payload, indent=2, sort_keys=True, default=str)
     else:
         body = "\n".join(text_lines)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body + "\n")
     else:
         print(body)
     return exit_code
 
 
-def cmd_build(cfg: RunConfig, dump_path=None) -> int:
-    alg, base = _load_algebra(cfg)
+def cmd_build(args) -> int:
+    alg, base = _load_algebra(args)
     alg.validate()
-    if dump_path:
+    if args.dump:
         from .presentation import dump_algebra
 
-        with open(dump_path, "w", encoding="utf-8") as fh:
+        with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write(dump_algebra(alg) + "\n")
-    fr = frobenius_analysis(alg, seed=cfg.seed)
+    fr = frobenius_analysis(alg, seed=args.seed)
     a0 = ko.degree_zero_part(alg)
-    gl = rs.gldim_upto(a0, cfg.i_max)
+    gl = rs.gldim_upto(a0, args.i_max)
     dims = alg.dims_by_degree()
     lines = [
         f"algebra {alg.name}",
@@ -127,34 +109,34 @@ def cmd_build(cfg: RunConfig, dump_path=None) -> int:
         "gldim0": str(gl),
         "probabilistic": fr.probabilistic,
     }
-    return _emit(cfg, lines, payload, 0)
+    return _emit(args, lines, payload, 0)
 
 
-def cmd_ext(cfg: RunConfig, m_files, n_files) -> int:
-    alg, base = _load_algebra(cfg)
-    if not m_files or not n_files:
+def cmd_ext(args) -> int:
+    alg, base = _load_algebra(args)
+    if not args.M or not args.N:
         raise InputError("ext needs --M and --N module files")
-    ms = [mo.parse_module_file(p, base) for p in m_files]
-    ns = [mo.parse_module_file(p, base) for p in n_files]
-    if cfg.trivext:
+    ms = [mo.parse_module_file(p, base) for p in args.M]
+    ns = [mo.parse_module_file(p, base) for p in args.N]
+    if args.trivext:
         ms = [mo.inflate_module(m, alg) for m in ms]
         ns = [mo.inflate_module(m, alg) for m in ns]
     M = mo.direct_sum(alg, ms)[0] if len(ms) > 1 else ms[0]
     N = mo.direct_sum(alg, ns)[0] if len(ns) > 1 else ns[0]
     res = rs.MinimalResolution(M)
     a = alg.highest_degree()
-    j_lo = -(-cfg.i_max // cfg.n) if cfg.n else cfg.i_max
-    table = rs.ext_table(res, N, cfg.i_max, -j_lo - a - 1, j_lo + a + 1)
+    j_lo = -(-args.i_max // args.n) if args.n else args.i_max
+    table = rs.ext_table(res, N, args.i_max, -j_lo - a - 1, j_lo + a + 1)
     payload = {"dims": {f"{i},{j}": d for (i, j), d in table.dims.items()},
-               "i_max": cfg.i_max, "j_min": table.j_min, "j_max": table.j_max}
-    return _emit(cfg, [table.tsv()], payload, 0)
+               "i_max": args.i_max, "j_min": table.j_min, "j_max": table.j_max}
+    return _emit(args, [table.tsv()], payload, 0)
 
 
-def cmd_koszul(cfg: RunConfig) -> int:
-    alg, base = _load_algebra(cfg)
-    summands = _load_summands(cfg, alg, base)
-    rep = ko.check_n_T_koszul(alg, summands, cfg.n, cfg.i_max)
-    lines = [f"n-T-Koszul check (n = {cfg.n}, i_max = {cfg.i_max}): {rep.verdict}"]
+def cmd_koszul(args) -> int:
+    alg, base = _load_algebra(args)
+    summands = _load_summands(args, alg, base)
+    rep = ko.check_n_T_koszul(alg, summands, args.n, args.i_max)
+    lines = [f"n-T-Koszul check (n = {args.n}, i_max = {args.i_max}): {rep.verdict}"]
     if rep.counterexample:
         lines.append(f"counterexample (i, j, dim): {rep.counterexample}")
     for k, v in rep.details.items():
@@ -162,18 +144,18 @@ def cmd_koszul(cfg: RunConfig) -> int:
     lines.append(f"bounds: {rep.window}")
     lines.append(f"probabilistic: {rep.probabilistic}")
     code = 0 if rep.passed else (3 if rep.verdict == "inconclusive" else 1)
-    return _emit(cfg, lines, rep.as_dict(), code)
+    return _emit(args, lines, rep.as_dict(), code)
 
 
-def cmd_nrep(cfg: RunConfig) -> int:
-    alg, base = _load_algebra(cfg)
+def cmd_nrep(args) -> int:
+    alg, base = _load_algebra(args)
     if not alg.is_concentrated_degree_zero():
         raise InputError("nrep expects an ungraded algebra (degree 0 only)")
-    if cfg.mode == "finite":
-        rep = hd.is_n_rep_finite(alg, cfg.n, orbit_cap=cfg.orbit_cap)
+    if args.mode == "finite":
+        rep = hd.is_n_rep_finite(alg, args.n, orbit_cap=args.orbit_cap)
     else:
-        rep = hd.is_n_rep_infinite_upto(alg, cfg.n, cfg.depth)
-    lines = [f"{cfg.mode} check (n = {cfg.n}): "
+        rep = hd.is_n_rep_infinite_upto(alg, args.n, args.depth)
+    lines = [f"{args.mode} check (n = {args.n}): "
              f"{'pass' if rep.verdict else 'inconclusive' if rep.verdict is None else 'fail'}"]
     if rep.reason:
         lines.append(f"reason: {rep.reason}")
@@ -182,82 +164,79 @@ def cmd_nrep(cfg: RunConfig) -> int:
     if rep.depth is not None:
         lines.append(f"depth: {rep.depth}")
     code = 0 if rep.verdict else (3 if rep.verdict is None else 1)
-    return _emit(cfg, lines, rep.as_dict(), code)
+    return _emit(args, lines, rep.as_dict(), code)
 
 
-def cmd_preprojective(cfg: RunConfig) -> int:
-    alg, base = _load_algebra(cfg)
+def cmd_preprojective(args) -> int:
+    alg, base = _load_algebra(args)
     if not alg.is_concentrated_degree_zero():
         raise InputError("preprojective expects an ungraded algebra")
-    pp = hd.preprojective_algebra(alg, cfg.n, cfg.degree_max)
+    pp = hd.preprojective_algebra(alg, args.n, args.degree_max)
     dims = pp.algebra.dims()
     lines = ["preprojective degree dims: "
-             + ",".join(str(dims[d]) for d in range(cfg.degree_max + 1))]
+             + ",".join(str(dims[d]) for d in range(args.degree_max + 1))]
     if pp.flags:
         lines.append("flags: " + "; ".join(pp.flags))
     payload = {"dims": {str(d): dims[d] for d in sorted(dims)},
                "flags": pp.flags}
-    return _emit(cfg, lines, payload, 3 if pp.flags else 0)
+    return _emit(args, lines, payload, 3 if pp.flags else 0)
 
 
-def cmd_veronese(cfg: RunConfig) -> int:
-    alg, base = _load_algebra(cfg)
-    G = tr.truncate_algebra(alg, cfg.degree_max)
-    GV = tr.quasi_veronese(G, cfg.r)
+def cmd_veronese(args) -> int:
+    alg, base = _load_algebra(args)
+    G = tr.truncate_algebra(alg, args.degree_max)
+    GV = tr.quasi_veronese(G, args.r)
     payload = {"dims": {str(d): GV.dim(d) for d in range(GV.cutoff + 1)}}
-    return _emit(cfg, [GV.dump()], payload, 0)
+    return _emit(args, [GV.dump()], payload, 0)
 
 
-def cmd_dual(cfg: RunConfig) -> int:
-    alg, base = _load_algebra(cfg)
-    summands = _load_summands(cfg, alg, base)
-    dual = tr.koszul_dual(alg, summands, cfg.n, cfg.degree_max)
+def cmd_dual(args) -> int:
+    alg, base = _load_algebra(args)
+    summands = _load_summands(args, alg, base)
+    dual = tr.koszul_dual(alg, summands, args.n, args.degree_max)
     payload = {"dims": {str(d): dual.algebra.dim(d)
-                        for d in range(cfg.degree_max + 1)}}
-    return _emit(cfg, [dual.algebra.dump()], payload, 0)
+                        for d in range(args.degree_max + 1)}}
+    return _emit(args, [dual.algebra.dump()], payload, 0)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    alg, base = _load_algebra(cfg)
-    theorem = cfg.theorem
-    if theorem not in vf.THEOREMS:
-        raise InputError(f"unknown theorem id {theorem!r}; choose from "
-                         + ", ".join(sorted(vf.THEOREMS)))
+def cmd_verify(args) -> int:
+    alg, base = _load_algebra(args)
+    theorem = args.theorem
     if theorem in ("trivext-koszul", "trivext-dual"):
-        if cfg.trivext:
+        if args.trivext:
             target = base
         else:
             if not alg.is_concentrated_degree_zero():
                 raise InputError(f"{theorem} expects the degree-0 base algebra")
             target = alg
         if theorem == "trivext-koszul":
-            rep = vf.verify_trivext_koszul(target, cfg.n, i_max=cfg.i_max,
-                                           depth=cfg.depth, seed=cfg.seed)
+            rep = vf.verify_trivext_koszul(target, args.n, i_max=args.i_max,
+                                           depth=args.depth, seed=args.seed)
         else:
-            rep = vf.verify_trivext_dual(target, cfg.n, d_max=cfg.degree_max,
-                                         seed=cfg.seed)
+            rep = vf.verify_trivext_dual(target, args.n, d_max=args.degree_max,
+                                         seed=args.seed)
     else:
-        summands = _load_summands(cfg, alg, base)
+        summands = _load_summands(args, alg, base)
         if theorem == "characterization":
-            rep = vf.verify_characterization(alg, summands, cfg.n,
-                                             i_max=cfg.i_max, depth=cfg.depth,
-                                             seed=cfg.seed)
+            rep = vf.verify_characterization(alg, summands, args.n,
+                                             i_max=args.i_max, depth=args.depth,
+                                             seed=args.seed)
         elif theorem == "preproj-veronese":
-            rep = vf.verify_preproj_veronese(alg, summands, cfg.n,
-                                             d_max=cfg.degree_max, seed=cfg.seed)
+            rep = vf.verify_preproj_veronese(alg, summands, args.n,
+                                             d_max=args.degree_max, seed=args.seed)
         elif theorem == "nrepfin-char":
-            rep = vf.verify_nrepfin_char(alg, summands, cfg.n,
-                                         l_max=cfg.l_max,
-                                         orbit_cap=cfg.orbit_cap, seed=cfg.seed)
+            rep = vf.verify_nrepfin_char(alg, summands, args.n,
+                                         l_max=args.l_max,
+                                         orbit_cap=args.orbit_cap, seed=args.seed)
         elif theorem == "param-consistency":
-            rep = vf.verify_param_consistency(alg, summands, cfg.n,
-                                              l_max=cfg.l_max,
-                                              orbit_cap=cfg.orbit_cap,
-                                              seed=cfg.seed)
+            rep = vf.verify_param_consistency(alg, summands, args.n,
+                                              l_max=args.l_max,
+                                              orbit_cap=args.orbit_cap,
+                                              seed=args.seed)
         elif theorem == "serre-identity":
-            rep = vf.verify_serre_identity(alg, summands, cfg.n,
-                                           i_max=min(cfg.i_max, 3),
-                                           seed=cfg.seed)
+            rep = vf.verify_serre_identity(alg, summands, args.n,
+                                           i_max=min(args.i_max, 3),
+                                           seed=args.seed)
         else:
             raise InputError(f"unhandled theorem {theorem!r}")
     verdict = ("agree" if rep.agree else
@@ -273,7 +252,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         lines.append(f"{k}: {v}")
     for c in rep.citations:
         lines.append(f"note: {c}")
-    return _emit(cfg, lines, rep.as_dict(), rep.exit_code)
+    return _emit(args, lines, rep.as_dict(), rep.exit_code)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -285,7 +264,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, modules=False):
+    def command(name, handler, help_text, modules=False):
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--algebra", required=True)
         sp.add_argument("--path-bound", type=int, default=12)
         sp.add_argument("--trivext", action="store_true",
@@ -302,77 +283,33 @@ def make_parser() -> argparse.ArgumentParser:
         if modules:
             sp.add_argument("--module", action="append", default=[])
             sp.add_argument("--tilting", action="append", default=[])
+        return sp
 
-    sp = sub.add_parser("build", help="validate and summarize an algebra file")
-    common(sp)
+    sp = command("build", cmd_build, "validate and summarize an algebra file")
     sp.add_argument("--dump", help="write the recovered presentation here")
-    sp = sub.add_parser("ext", help="bigraded Ext table")
-    common(sp)
+    sp = command("ext", cmd_ext, "bigraded Ext table")
     sp.add_argument("--M", action="append", default=[])
     sp.add_argument("--N", action="append", default=[])
-    sp = sub.add_parser("koszul", help="n-T-Koszulity check")
-    common(sp, modules=True)
-    sp = sub.add_parser("nrep", help="higher representation type")
-    common(sp)
+    command("koszul", cmd_koszul, "n-T-Koszulity check", modules=True)
+    sp = command("nrep", cmd_nrep, "higher representation type")
     sp.add_argument("--mode", choices=["finite", "infinite"], default="infinite")
-    sp = sub.add_parser("preprojective", help="higher preprojective algebra dims")
-    common(sp)
-    sp = sub.add_parser("veronese", help="quasi-Veronese of a graded algebra")
-    common(sp)
+    command("preprojective", cmd_preprojective,
+            "higher preprojective algebra dims")
+    sp = command("veronese", cmd_veronese, "quasi-Veronese of a graded algebra")
     sp.add_argument("--r", type=int, default=1)
-    sp = sub.add_parser("dual", help="Ext algebra of a tilting module")
-    common(sp, modules=True)
-    sp = sub.add_parser("verify", help="two-sided theorem verification")
+    command("dual", cmd_dual, "Ext algebra of a tilting module", modules=True)
+    sp = command("verify", cmd_verify, "two-sided theorem verification",
+                 modules=True)
     sp.add_argument("theorem", choices=sorted(vf.THEOREMS))
-    common(sp, modules=True)
     return p
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        algebra=getattr(args, "algebra", None),
-        modules=list(getattr(args, "module", []) or []),
-        tilting=list(getattr(args, "tilting", []) or []),
-        n=getattr(args, "n", 1),
-        i_max=getattr(args, "i_max", 8),
-        degree_max=getattr(args, "degree_max", 6),
-        depth=getattr(args, "depth", 6),
-        orbit_cap=getattr(args, "orbit_cap", 24),
-        l_max=getattr(args, "l_max", 16),
-        path_bound=getattr(args, "path_bound", 12),
-        seed=getattr(args, "seed", 0),
-        json_out=getattr(args, "json_out", False),
-        out=getattr(args, "out", None),
-        trivext=getattr(args, "trivext", False),
-        theorem=getattr(args, "theorem", None),
-        mode=getattr(args, "mode", "infinite"),
-        r=getattr(args, "r", 1),
-    )
     try:
-        cfg.validate()
-        if cfg.command == "build":
-            return cmd_build(cfg, dump_path=getattr(args, "dump", None))
-        if cfg.command == "ext":
-            return cmd_ext(cfg, list(args.M or []), list(args.N or []))
-        if cfg.command == "koszul":
-            return cmd_koszul(cfg)
-        if cfg.command == "nrep":
-            return cmd_nrep(cfg)
-        if cfg.command == "preprojective":
-            return cmd_preprojective(cfg)
-        if cfg.command == "veronese":
-            return cmd_veronese(cfg)
-        if cfg.command == "dual":
-            return cmd_dual(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        raise InputError(f"unknown command {cfg.command!r}")
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        _validate(args)
+        return args.handler(args)
+    except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ identity works as mu for some admissible f.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix
@@ -150,9 +150,6 @@ class FrobeniusReport:
     functional: dict | None = None
     probabilistic: bool = False
     reason: str = ""
-
-    def nakayama_permutes_vertices(self) -> bool:
-        return self.mu_vertex_permutation is not None
 
 
 def _pairing_block_dims_match(alg: GradedAlgebra, a: int) -> bool:

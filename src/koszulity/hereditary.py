@@ -43,8 +43,8 @@ def left_mult_hom(a: GradedAlgebra, v, w, coeffs) -> mo.GradedModuleHom:
     """e_v A -> e_w A, p -> x p, for x in e_w A e_v given by coeffs."""
     P, Q = mo.projective_module(a, v), mo.projective_module(a, w)
     blocks = {}
-    for key, ix in P._proj_basis_index.items():
-        tgt_ix = Q._proj_basis_index.get(key, [])
+    for key, ix in P.basis_index.items():
+        tgt_ix = Q.basis_index.get(key, [])
         if not tgt_ix:
             continue
         pos = {b: r for r, b in enumerate(tgt_ix)}
@@ -64,8 +64,8 @@ def dual_right_mult_hom(a: GradedAlgebra, v, w, coeffs) -> mo.GradedModuleHom:
     """D(Ae_v) -> D(Ae_w), dual of right multiplication by x in e_w A e_v."""
     I, J = injective_module(a, v), injective_module(a, w)
     blocks = {}
-    for key, ix in I._inj_basis_index.items():
-        tgt_ix = J._inj_basis_index.get(key, [])
+    for key, ix in I.basis_index.items():
+        tgt_ix = J.basis_index.get(key, [])
         if not tgt_ix:
             continue
         pos = {b: r for r, b in enumerate(tgt_ix)}
@@ -159,18 +159,6 @@ def identify_injective(a: GradedAlgebra, m: mo.GradedModule, rng=None):
     return None
 
 
-def identify_injective_sum(a: GradedAlgebra, m: mo.GradedModule, rng=None):
-    """Multiset of vertices with m isomorphic to the sum of D(Ae_v), or None."""
-    summands = [injective_module(a, v) for v in a.vertices]
-    mults = rs.decompose_in_add(m, summands, rng=rng)
-    if mults is None:
-        return None
-    out = []
-    for v, c in zip(a.vertices, mults):
-        out.extend([v] * c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # injective resolutions (ungraded) and complexes
 # ---------------------------------------------------------------------------
@@ -195,7 +183,7 @@ def injective_envelope_ungraded(m: mo.GradedModule):
         v = labels[p_idx]
         part = I.parts[p_idx]
         blk = (v, 0)
-        pos = part._inj_basis_index[blk].index(a.idempotent_index(v))
+        pos = part.basis_index[blk].index(a.idempotent_index(v))
         svec = [Fraction(0)] * part.dims[blk]
         svec[pos] = Fraction(1)
         target = I.injections[p_idx].apply({blk: svec})
@@ -256,22 +244,6 @@ class CohomologyData:
     cycles: mo.GradedModule
     incl: mo.GradedModuleHom      # cycles -> term
     proj: mo.GradedModuleHom      # cycles -> H
-
-    def classify(self, elem: dict) -> dict:
-        """Cycle element of the term -> class element of H."""
-        coords = {}
-        for key, vec in elem.items():
-            blk = self.incl.block(*key)
-            if blk.cols == 0:
-                if any(vec):
-                    raise InternalCheckError("element is not a cycle")
-                continue
-            sol = blk.solve(list(vec))
-            if sol is None:
-                raise InternalCheckError("element is not a cycle")
-            if any(sol):
-                coords[key] = sol
-        return self.proj.apply(coords)
 
 
 def complex_cohomology(cx: BoundedComplex):
@@ -684,7 +656,7 @@ def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
     flags = []
     for u in a.vertices:
         piece0 = chains[u][0]
-        gen_pos = piece0.module._proj_basis_index[(u, 0)].index(
+        gen_pos = piece0.module.basis_index[(u, 0)].index(
             a.idempotent_index(u))
         unit[index[(0, u, u, gen_pos)]] = Fraction(1)
 
@@ -699,7 +671,7 @@ def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
         vec[c] = Fraction(1)
         elem = {(v, 0): vec}
         blocks = {}
-        for key, ix in P._proj_basis_index.items():
+        for key, ix in P.basis_index.items():
             tdim = piece.module.block_dim(*key)
             if tdim == 0:
                 continue
@@ -767,7 +739,7 @@ def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
                     # evaluate at the generator e_w to get the element
                     P = mo.projective_module(a, w)
                     blkw = (w, 0)
-                    pos = P._proj_basis_index[blkw].index(a.idempotent_index(w))
+                    pos = P.basis_index[blkw].index(a.idempotent_index(w))
                     gen = [Fraction(0)] * P.dims[blkw]
                     gen[pos] = Fraction(1)
                     val = comp.apply({blkw: gen})

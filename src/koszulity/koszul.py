@@ -8,13 +8,11 @@ standing assumption.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .linalg import Matrix
 from .algebra import GradedAlgebra, InputError, InternalCheckError
-from .frobenius import GradedAlgebraMorphism, FrobeniusReport, frobenius_analysis
+from .frobenius import GradedAlgebraMorphism, frobenius_analysis
 from . import modules as mo
 from . import resolution as rs
 from . import truncated as tr
@@ -203,7 +201,6 @@ class SyzygyChain:
                 self.modules.append(cur)
                 continue
             cov = mo.cover_data(cur)
-            stripped = None
             if not cov.kernel.is_zero():
                 if mo.find_projective_summand(cov.kernel) is not None:
                     raise InternalCheckError(
@@ -599,28 +596,6 @@ def _b_index(bdata: StableEndData):
                 index[(a_i, b_i, c)] = pos
                 pos += 1
     return index
-
-
-def phi0_from_gamma(bdata: StableEndData, dual: tr.DualData):
-    """Degree-0 matrix of the block identification B -> dual_0."""
-    if bdata.gamma is None:
-        raise InternalCheckError("gamma map not computed")
-    B = bdata.algebra
-    n0 = dual.algebra.dim(0)
-    if tilde_degree0_dim(bdata) != n0 or B.dim != n0:
-        raise InputError("block map needs a = 1 for a square degree-0 match")
-    mat = Matrix.zero(n0, B.dim)
-    for idx, ((dd, s, s2), coords) in bdata.gamma.items():
-        if dd != 0:
-            raise InternalCheckError("degree-0 map received a shifted class")
-        for c, coeff in enumerate(coords):
-            row = dual.index[(0, s, s2, c)]
-            mat.data[row][idx] = coeff
-    return mat
-
-
-def tilde_degree0_dim(bdata: StableEndData) -> int:
-    return bdata.algebra.dim
 
 
 # ---------------------------------------------------------------------------

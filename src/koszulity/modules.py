@@ -8,7 +8,7 @@ columns; the right action of x*y is rho(y) o rho(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (EchelonBasis, Matrix, complement_basis, frac,
@@ -17,12 +17,19 @@ from .algebra import GradedAlgebra, InputError, InternalCheckError
 
 
 class GradedModule:
-    def __init__(self, algebra: GradedAlgebra, dims: dict, action: dict, name=""):
-        """dims: {(vertex, degree): dim > 0}; action: {basis index: {degree: Matrix}}."""
+    def __init__(self, algebra: GradedAlgebra, dims: dict, action: dict, name="",
+                 basis_index=None):
+        """dims: {(vertex, degree): dim > 0}; action: {basis index: {degree: Matrix}}.
+
+        basis_index, on projectives and injectives built from the algebra's
+        basis: {(vertex, degree): algebra basis indices spanning that block}.
+        """
         self.algebra = algebra
         self.dims = {k: v for k, v in dims.items() if v}
         self.action = action
         self.name = name
+        self.basis_index = basis_index
+        self.memo = {}  # Hom bases and generators, built on first use
 
     # -- block bookkeeping -------------------------------------------------
 
@@ -101,9 +108,6 @@ class GradedModule:
                     acc[i] += c * val
         return {k: v for k, v in out.items() if any(v)}
 
-    def zero_element(self) -> dict:
-        return {}
-
     def basis_elements(self):
         """All (block, index) pairs in deterministic order."""
         out = []
@@ -173,12 +177,10 @@ def simple_module(alg: GradedAlgebra, v, degree: int = 0) -> GradedModule:
 
 def projective_module(alg: GradedAlgebra, v, shift: int = 0) -> GradedModule:
     """e_v * Lambda with its generator placed in degree `shift`."""
-    cache = getattr(alg, "_proj_cache", None)
-    if cache is None:
-        cache = {}
-        alg._proj_cache = cache
-    if (v, shift) in cache:
-        return cache[(v, shift)]
+    key = ("projective_module", v, shift)
+    hit = alg.memo.get(key)
+    if hit is not None:
+        return hit
     idx_by_block = {}
     for i in range(alg.dim):
         if alg.source[i] != v:
@@ -206,9 +208,9 @@ def projective_module(alg: GradedAlgebra, v, shift: int = 0) -> GradedModule:
                 per_deg[d] = mat
         if per_deg:
             action[x] = per_deg
-    mod = GradedModule(alg, dims, action, name=f"P({v})<{shift}>")
-    mod._proj_basis_index = idx_by_block
-    cache[(v, shift)] = mod
+    mod = GradedModule(alg, dims, action, name=f"P({v})<{shift}>",
+                       basis_index=idx_by_block)
+    alg.memo[key] = mod
     return mod
 
 
@@ -224,12 +226,10 @@ def dual_of_left_projective(alg: GradedAlgebra, v, shift: int = 0) -> GradedModu
     Component at (w, -deg b + shift) is spanned by duals of basis elements
     b in e_w Lambda e_v; right action (psi . x)(y) = psi(x y).
     """
-    cache = getattr(alg, "_inj_cache", None)
-    if cache is None:
-        cache = {}
-        alg._inj_cache = cache
-    if (v, shift) in cache:
-        return cache[(v, shift)]
+    key = ("dual_of_left_projective", v, shift)
+    hit = alg.memo.get(key)
+    if hit is not None:
+        return hit
     idx_by_block = {}
     for i in range(alg.dim):
         if alg.target[i] != v:
@@ -260,9 +260,9 @@ def dual_of_left_projective(alg: GradedAlgebra, v, shift: int = 0) -> GradedModu
                 per_deg[d] = mat
         if per_deg:
             action[x] = per_deg
-    mod = GradedModule(alg, dims, action, name=f"D(P^op({v}))<{shift}>")
-    mod._inj_basis_index = idx_by_block
-    cache[(v, shift)] = mod
+    mod = GradedModule(alg, dims, action, name=f"D(P^op({v}))<{shift}>",
+                       basis_index=idx_by_block)
+    alg.memo[key] = mod
     return mod
 
 
@@ -607,11 +607,9 @@ def hom_space(m: GradedModule, n: GradedModule):
     """
     if m.algebra is not n.algebra and m.algebra.labels != n.algebra.labels:
         raise InputError("hom_space requires the same base algebra")
-    cache = getattr(m, "_hom_cache", None)
-    if cache is None:
-        cache = {}
-        m._hom_cache = cache
-    hit = cache.get(id(n))
+    # Keyed by id(n) and keeping n alive beside the result, so no id is reused.
+    key = ("hom_space", id(n))
+    hit = m.memo.get(key)
     if hit is not None and hit[0] is n:
         return list(hit[1])
     alg = m.algebra
@@ -665,7 +663,7 @@ def hom_space(m: GradedModule, n: GradedModule):
             v[i] = Fraction(1)
             kernel.append(v)
     out = [hom_unflatten(m, n, layout, v) for v in kernel]
-    cache[id(n)] = (n, out)
+    m.memo[key] = (n, out)
     return list(out)
 
 
@@ -918,7 +916,7 @@ def projective_cover(m: GradedModule):
     # build epi columnwise: P basis elements are (generator, algebra element)
     for p_idx, part in enumerate(parts):
         (v, d), lift = gens[p_idx]
-        idx_by_block = part._proj_basis_index
+        idx_by_block = part.basis_index
         for key, ix in idx_by_block.items():
             inj = injections[p_idx].blocks.get(key)
             if inj is None or m.block_dim(*key) == 0:
@@ -953,9 +951,9 @@ def syzygy(m: GradedModule, strip: bool = False):
 def _socle_info(alg: GradedAlgebra):
     """For each vertex v: (socle vertex, socle degree, socle element coeff dict)
     of the projective e_v Lambda. Requires a simple socle (basic self-injective)."""
-    cached = getattr(alg, "_socle_info_cache", None)
-    if cached is not None:
-        return cached
+    hit = alg.memo.get("socle_info")
+    if hit is not None:
+        return hit
     info = {}
     for v in alg.vertices:
         P = projective_module(alg, v)
@@ -969,13 +967,13 @@ def _socle_info(alg: GradedAlgebra):
             )
         (w, d) = keys[0]
         vec = spans[(w, d)][0]
-        idx_by_block = P._proj_basis_index[(w, d)]
+        idx_by_block = P.basis_index[(w, d)]
         elt = {}
         for i, c in enumerate(vec):
             if c:
                 elt[idx_by_block[i]] = c
         info[v] = (w, d, elt)
-    alg._socle_info_cache = info
+    alg.memo["socle_info"] = info
     return info
 
 
@@ -1016,7 +1014,7 @@ def injective_envelope(m: GradedModule):
         # generator of e_w L <shift> is its unique basis elt at block (w, shift);
         # its image under the socle element spans soc of the part
         gen_block = (w, shift)
-        gen_index = part._proj_basis_index[gen_block].index(alg.idempotent_index(w))
+        gen_index = part.basis_index[gen_block].index(alg.idempotent_index(w))
         gvec = [Fraction(0)] * part.dims[gen_block]
         gvec[gen_index] = Fraction(1)
         img = part.apply_element({gen_block: gvec}, elt)
@@ -1071,10 +1069,10 @@ def strip_projective_summands(m: GradedModule):
         alg = current.algebra
         P = projective_module(alg, v, j)
         gen_block = (v, j)
-        gen_index = P._proj_basis_index[gen_block].index(alg.idempotent_index(v))
+        gen_index = P.basis_index[gen_block].index(alg.idempotent_index(v))
         # f: P -> current, generator -> elem
         fblocks = {}
-        for key, ix in P._proj_basis_index.items():
+        for key, ix in P.basis_index.items():
             if current.block_dim(*key) == 0:
                 continue
             mat = Matrix.zero(current.block_dim(*key), P.dims[key])
@@ -1307,27 +1305,6 @@ def syzygy_of_hom(f: GradedModuleHom, src: CoverData, tgt: CoverData):
     return GradedModuleHom(src.kernel, tgt.kernel, blocks)
 
 
-def cosyzygy_of_hom(f: GradedModuleHom, src: EnvelopeData, tgt: EnvelopeData):
-    """Omega^{-1}(f) through chosen minimal envelopes."""
-    constraints = []
-    for x in generator_elements(src.module):
-        constraints.append((src.mono.apply(x), tgt.mono.apply(f.apply(x))))
-    u = hom_space_with_constraints(src.envelope, tgt.envelope, constraints)
-    if u is None:
-        raise InternalCheckError("envelope extension failed")
-    blocks = {}
-    for key in src.cokernel.dims:
-        # section of src.proj, then push through u and project
-        pr = src.proj.block(*key)
-        sec = pr.solve_matrix(Matrix.identity(pr.rows))
-        if sec is None:
-            raise InternalCheckError("cokernel projection has no section")
-        mat = tgt.proj.block(*key) * u.block(*key) * sec
-        if not mat.is_zero():
-            blocks[key] = mat
-    return GradedModuleHom(src.cokernel, tgt.cokernel, blocks)
-
-
 # ---------------------------------------------------------------------------
 # module file format
 # ---------------------------------------------------------------------------
@@ -1464,9 +1441,9 @@ def generator_elements(m: GradedModule):
     Two module homomorphisms out of M agree iff they agree on these, which
     keeps constraint systems small.
     """
-    cached = getattr(m, "_gen_elems", None)
-    if cached is not None:
-        return cached
-    gens = [({key: vec},)[0] for (key, vec) in top_data(m)]
-    m._gen_elems = gens
+    hit = m.memo.get("generator_elements")
+    if hit is not None:
+        return hit
+    gens = [{key: vec} for (key, vec) in top_data(m)]
+    m.memo["generator_elements"] = gens
     return gens

@@ -12,7 +12,7 @@ as not finite dimensional within the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix, frac
@@ -50,9 +50,6 @@ class Quiver:
             if a.name == name:
                 return a
         raise InputError(f"unknown arrow {name!r}")
-
-    def arrows_from(self, v: int):
-        return [a for a in self.arrows if a.source == v]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ maps are right actions, which keeps Ext computations small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import EchelonBasis, Matrix
@@ -40,7 +40,7 @@ class FormalProjective:
                 inj = self.injections[p_i].blocks.get(key)
                 if inj is None:
                     continue
-                ix = part._proj_basis_index.get(key, [])
+                ix = part.basis_index.get(key, [])
                 for c_i, b in enumerate(ix):
                     row = next(r for r in range(inj.rows) if inj.data[r][c_i])
                     cols[row] = (p_i, b)
@@ -53,7 +53,7 @@ class FormalProjective:
     def generator_element(self, k: int) -> dict:
         v, d = self.gens[k]
         part = self.parts[k]
-        gen_index = part._proj_basis_index[(v, d)].index(
+        gen_index = part.basis_index[(v, d)].index(
             self.alg.idempotent_index(v)
         )
         vec = [Fraction(0)] * part.dims[(v, d)]
@@ -78,7 +78,7 @@ class FormalProjective:
             part = self.parts[p_i]
             for b, c in comp.items():
                 key = None
-                for blk, ix in part._proj_basis_index.items():
+                for blk, ix in part.basis_index.items():
                     if b in ix:
                         key = blk
                         pos = ix.index(b)
@@ -109,7 +109,7 @@ def formal_explicit_hom(source: FormalProjective, target: FormalProjective, colu
         v, d = source.gens[k]
         part = source.parts[k]
         inj = source.injections[k]
-        for key, ix in part._proj_basis_index.items():
+        for key, ix in part.basis_index.items():
             injblk = inj.blocks.get(key)
             if injblk is None:
                 continue
@@ -232,9 +232,6 @@ class MinimalResolution:
 
     def generator_degrees(self, i: int):
         return sorted(d for (_v, d) in self.term_gens(i))
-
-    def is_finished_at(self, i: int) -> bool:
-        return i < len(self.terms) and self.terms[i].rank == 0
 
 
 # ---------------------------------------------------------------------------

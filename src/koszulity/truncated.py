@@ -9,12 +9,11 @@ convention as GradedAlgebra.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix, random_int_combination
 from .algebra import GradedAlgebra, InputError, InternalCheckError
-from . import modules as mo
 from . import resolution as rs
 
 

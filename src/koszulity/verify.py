@@ -159,7 +159,7 @@ def dual_phi0_from_pp(pp: hd.PreprojectiveData, a0: GradedAlgebra,
     for col, (u, v, _lab) in enumerate(G.basis[0]):
         c = counters.get((u, v), 0)
         counters[(u, v)] = c + 1
-        x = pp.chains[u][0].module._proj_basis_index[(v, 0)][c]
+        x = pp.chains[u][0].module.basis_index[(v, 0)][c]
         i, j = pos_of_vertex[v], pos_of_vertex[u]
         lm = hd.left_mult_hom(a0, v, u, {x: Fraction(1)})
         h = mo.GradedModuleHom(summands[i], summands[j], dict(lm.blocks))
@@ -282,7 +282,7 @@ def _phi0_blocks(bdata: ko.StableEndData, dual: tr.DualData, target,
     for col, (u, v, _lab) in enumerate(G.basis[0]):
         c = counters.get((u, v), 0)
         counters[(u, v)] = c + 1
-        bidx = pp.chains[u][0].module._proj_basis_index[(v, 0)][c]
+        bidx = pp.chains[u][0].module.basis_index[(v, 0)][c]
         (dd, s, s2), coords = gamma_of_b[bidx]
         j, i = tag_level[bidx]
         for cc, coeff in enumerate(coords):

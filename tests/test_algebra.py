@@ -4,7 +4,9 @@ import pytest
 
 from koszulity.algebra import InputError, trivial_extension
 from koszulity.frobenius import frobenius_analysis, socle_degrees, verify_form_identity
+from koszulity.presentation import parse_algebra_file
 from koszulity import modules as mo
+from conftest import data_path
 
 
 def test_trivial_extension_shape(a4, delta_a4):
@@ -12,6 +14,15 @@ def test_trivial_extension_shape(a4, delta_a4):
     assert delta_a4.dims_by_degree() == {0: 8, 1: 8}
     for v in delta_a4.vertices:
         assert mo.projective_module(delta_a4, v).dim == 4
+
+
+def test_equality_ignores_memoized_data():
+    # Derived data built on first use must not change the algebra's value.
+    a, b = (parse_algebra_file(data_path("a4.alg"))[0] for _ in range(2))
+    assert a == b
+    a.generating_set()
+    a.radical_degree_zero()
+    assert a == b and b == a
 
 
 def test_trivial_extension_of_field(point):

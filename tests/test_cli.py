@@ -37,6 +37,18 @@ def test_build_rejects_bad_file(tmp_path, capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("argv, flag, bound", [
+    (["build", "--n", "0"], "--n", "must be positive"),
+    (["build", "--i-max", "-1"], "--i-max", "must be non-negative"),
+    (["veronese", "--r", "0"], "--r", "must be positive"),
+])
+def test_out_of_range_option_is_an_input_error(capsys, argv, flag, bound):
+    code, out, err = run(capsys, *argv, "--algebra", data_path("a2.alg"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and flag in err and bound in err
+
+
 def test_build_missing_file(capsys):
     code, _, err = run(capsys, "build", "--algebra", "no-such-file.alg")
     assert code == 2

@@ -1,0 +1,64 @@
+"""No public function or method of the package is left without a caller.
+
+A public top-level function of `src/koszulity`, or a public method of one of
+its top-level classes, fails this check when its name is used nowhere in
+`src`, `tests` or `scripts` outside its own body: not as a name, an
+attribute, an imported name or a string constant (as `getattr` would take).
+Comments and docstrings do not count as uses.
+
+`hereditary.nu_forward_of_labeled` is called only from the tests, and it
+stays: it applies nu_n levelwise to a complex of projective sums, and
+`test_nakayama_involution_on_complexes` uses it as the reference inverse of
+`nu_inverse_of_resolution`, checking that the cohomology comes back.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "koszulity"
+SEARCHED = ("src", "tests", "scripts")
+
+
+def names_used(node):
+    """Every identifier node uses, with multiplicity."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rsplit(".", 1)[-1]
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            yield sub.value
+
+
+def public_definitions(tree):
+    """(qualified name, def node) of public functions and methods."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_function_has_a_caller():
+    used = Counter()
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            used.update(names_used(ast.parse(path.read_text(encoding="utf-8"))))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualname, node in public_definitions(tree):
+            if node.name.startswith("_"):
+                continue
+            own = Counter(names_used(node))[node.name]
+            if used[node.name] <= own:
+                dead.append(f"{path.name}:{node.lineno} {qualname}")
+    assert not dead, "no caller: " + ", ".join(dead)
