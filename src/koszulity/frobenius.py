@@ -125,14 +125,6 @@ class GradedAlgebraMorphism:
                          if inv.data[k][j]}
         return GradedAlgebraMorphism(self.codomain, self.domain, images)
 
-    def power(self, n: int) -> "GradedAlgebraMorphism":
-        if n < 0:
-            return self.inverse().power(-n)
-        out = identity_morphism(self.domain)
-        for _ in range(n):
-            out = self.compose(out)
-        return out
-
 
 def identity_morphism(alg: GradedAlgebra) -> GradedAlgebraMorphism:
     return GradedAlgebraMorphism(

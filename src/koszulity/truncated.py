@@ -210,14 +210,6 @@ class TruncatedAlgebraMorphism:
                 mats[d] = inv
         return TruncatedAlgebraMorphism(self.codomain, self.domain, mats)
 
-    def power(self, n: int) -> "TruncatedAlgebraMorphism":
-        if n < 0:
-            return self.inverse().power(-n)
-        out = identity_truncated_morphism(self.domain)
-        for _ in range(n):
-            out = compose_truncated(self, out)
-        return out
-
     def check_multiplicative(self) -> bool:
         G, H = self.domain, self.codomain
         for d1 in range(G.cutoff + 1):
