@@ -177,8 +177,8 @@ def simple_module(alg: GradedAlgebra, v, degree: int = 0) -> GradedModule:
 
 def projective_module(alg: GradedAlgebra, v, shift: int = 0) -> GradedModule:
     """e_v * Lambda with its generator placed in degree `shift`."""
-    key = ("projective_module", v, shift)
-    hit = alg.memo.get(key)
+    memo_key = ("projective_module", v, shift)
+    hit = alg.memo.get(memo_key)
     if hit is not None:
         return hit
     idx_by_block = {}
@@ -210,7 +210,7 @@ def projective_module(alg: GradedAlgebra, v, shift: int = 0) -> GradedModule:
             action[x] = per_deg
     mod = GradedModule(alg, dims, action, name=f"P({v})<{shift}>",
                        basis_index=idx_by_block)
-    alg.memo[key] = mod
+    alg.memo[memo_key] = mod
     return mod
 
 
@@ -226,8 +226,8 @@ def dual_of_left_projective(alg: GradedAlgebra, v, shift: int = 0) -> GradedModu
     Component at (w, -deg b + shift) is spanned by duals of basis elements
     b in e_w Lambda e_v; right action (psi . x)(y) = psi(x y).
     """
-    key = ("dual_of_left_projective", v, shift)
-    hit = alg.memo.get(key)
+    memo_key = ("dual_of_left_projective", v, shift)
+    hit = alg.memo.get(memo_key)
     if hit is not None:
         return hit
     idx_by_block = {}
@@ -262,7 +262,7 @@ def dual_of_left_projective(alg: GradedAlgebra, v, shift: int = 0) -> GradedModu
             action[x] = per_deg
     mod = GradedModule(alg, dims, action, name=f"D(P^op({v}))<{shift}>",
                        basis_index=idx_by_block)
-    alg.memo[key] = mod
+    alg.memo[memo_key] = mod
     return mod
 
 
@@ -608,8 +608,8 @@ def hom_space(m: GradedModule, n: GradedModule):
     if m.algebra is not n.algebra and m.algebra.labels != n.algebra.labels:
         raise InputError("hom_space requires the same base algebra")
     # Keyed by id(n) and keeping n alive beside the result, so no id is reused.
-    key = ("hom_space", id(n))
-    hit = m.memo.get(key)
+    memo_key = ("hom_space", id(n))
+    hit = m.memo.get(memo_key)
     if hit is not None and hit[0] is n:
         return list(hit[1])
     alg = m.algebra
@@ -663,7 +663,7 @@ def hom_space(m: GradedModule, n: GradedModule):
             v[i] = Fraction(1)
             kernel.append(v)
     out = [hom_unflatten(m, n, layout, v) for v in kernel]
-    m.memo[key] = (n, out)
+    m.memo[memo_key] = (n, out)
     return list(out)
 
 

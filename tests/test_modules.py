@@ -14,6 +14,15 @@ def test_projective_dims(delta_a4):
     assert dims == [{0: 3, 1: 1}, {0: 2, 1: 2}, {0: 2, 1: 2}, {0: 1, 1: 3}]
 
 
+def test_projectives_and_injectives_are_built_once(delta_a4):
+    # Hom bases are memoized per module object, so a rebuilt projective
+    # would redo every Hom computation that involves it.
+    for build in (mo.projective_module, mo.dual_of_left_projective):
+        for v in delta_a4.vertices:
+            for shift in (0, 3):
+                assert build(delta_a4, v, shift) is build(delta_a4, v, shift)
+
+
 def test_module_validation(t_summands):
     for m in t_summands:
         assert m.validate()
