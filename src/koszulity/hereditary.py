@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import Matrix, solve_combination
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import modules as mo
 from . import resolution as rs
@@ -88,16 +88,11 @@ def injective_to_projective_hom(a: GradedAlgebra, v, w, h: mo.GradedModuleHom):
     """Apply the inverse Nakayama correspondence to h: D(Ae_v) -> D(Ae_w)."""
     basis_x = [i for i in range(a.dim)
                if a.source[i] == w and a.target[i] == v]
-    gens = [dual_right_mult_hom(a, v, w, {x: Fraction(1)}) for x in basis_x]
     layout, total = mo.hom_frame(h.domain, h.codomain)
-    target = mo.hom_flatten(h, layout, total)
-    if not gens:
-        if any(target):
-            raise InternalCheckError("injective hom outside the dual-basis span")
-        return left_mult_hom(a, v, w, {})
-    vecs = [mo.hom_flatten(g, layout, total) for g in gens]
-    span = Matrix(len(vecs), total, vecs)
-    sol = span.transpose().solve(target)
+    sol = solve_combination(
+        [mo.hom_flatten(dual_right_mult_hom(a, v, w, {x: Fraction(1)}), layout, total)
+         for x in basis_x],
+        mo.hom_flatten(h, layout, total))
     if sol is None:
         raise InternalCheckError("injective hom outside the dual-basis span")
     coeffs = {x: c for x, c in zip(basis_x, sol) if c}
@@ -178,16 +173,9 @@ def injective_envelope_ungraded(m: mo.GradedModule):
     I = LabeledSum(a, labels, "inj")
     if not labels:
         return I, mo.zero_hom(m, I.module)
-    constraints = []
-    for p_idx, (key, vec) in enumerate(soc_list):
-        v = labels[p_idx]
-        part = I.parts[p_idx]
-        blk = (v, 0)
-        pos = part.basis_index[blk].index(a.idempotent_index(v))
-        svec = [Fraction(0)] * part.dims[blk]
-        svec[pos] = Fraction(1)
-        target = I.injections[p_idx].apply({blk: svec})
-        constraints.append(({key: vec}, target))
+    constraints = [({key: vec}, inj.apply(mo.generator(part, v)))
+                   for (key, vec), v, part, inj
+                   in zip(soc_list, labels, I.parts, I.injections)]
     mono = mo.hom_space_with_constraints(m, I.module, constraints)
     if mono is None:
         raise InternalCheckError("socle embedding does not extend")
@@ -227,9 +215,6 @@ class BoundedComplex:
     terms: dict          # cohomological degree -> module
     diffs: dict          # degree -> hom terms[d] -> terms[d+1]
 
-    def degrees(self):
-        return sorted(self.terms)
-
     def validate(self):
         for d, h in self.diffs.items():
             if d + 1 in self.diffs:
@@ -257,14 +242,10 @@ def complex_cohomology(cx: BoundedComplex):
         din = cx.diffs.get(d - 1)
         if din is not None:
             for (key, i) in din.domain.basis_elements():
-                img = din.apply(din.domain.unit_vector(key, i))
-                if not img:
-                    continue
-                for k2, vec in img.items():
-                    blk = incl.block(*k2)
-                    sol = blk.solve(list(vec)) if blk.cols else None
-                    if sol is None:
-                        raise InternalCheckError("boundary is not a cycle")
+                pre = mo.solve_preimage(incl, din.apply(din.domain.unit_vector(key, i)))
+                if pre is None:
+                    raise InternalCheckError("boundary is not a cycle")
+                for k2, sol in pre.items():
                     spans.setdefault(k2, []).append(sol)
         H, proj = mo.quotient_module(K, spans, name=f"H^{d}")
         out[d] = CohomologyData(H, K, incl, proj)
@@ -664,29 +645,9 @@ def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
 
     def hom_of_basis(d, u, v, c):
         """The module hom e_v A -> chains[u][d] for basis element c."""
-        piece = chains[u][d]
-        P = mo.projective_module(a, v)
-        cnt = piece.module.block_dim(v, 0)
-        vec = [Fraction(0)] * cnt
-        vec[c] = Fraction(1)
-        elem = {(v, 0): vec}
-        blocks = {}
-        for key, ix in P.basis_index.items():
-            tdim = piece.module.block_dim(*key)
-            if tdim == 0:
-                continue
-            mat = Matrix.zero(tdim, P.dims[key])
-            nz = False
-            for c_i, b in enumerate(ix):
-                img = piece.module.apply_element(elem, {b: Fraction(1)})
-                velem = img.get(key)
-                if velem:
-                    for r_i, val in enumerate(velem):
-                        mat.data[r_i][c_i] = val
-                    nz = True
-            if nz:
-                blocks[key] = mat
-        return mo.GradedModuleHom(P, piece.module, blocks)
+        module = chains[u][d].module
+        return mo.map_from_projective(mo.projective_module(a, v), module,
+                                      module.unit_vector((v, 0), c))
 
     def transported(d1, u, v, c, d2):
         """T^{d2}(basis hom): chains[v][d2].module -> chains[u][d1+d2].module."""
@@ -737,12 +698,7 @@ def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
                     g = hom_of_basis(d2, v, w, c2)
                     comp = tf.compose(g)
                     # evaluate at the generator e_w to get the element
-                    P = mo.projective_module(a, w)
-                    blkw = (w, 0)
-                    pos = P.basis_index[blkw].index(a.idempotent_index(w))
-                    gen = [Fraction(0)] * P.dims[blkw]
-                    gen[pos] = Fraction(1)
-                    val = comp.apply({blkw: gen})
+                    val = comp.apply(mo.generator(comp.domain, w))
                     entry = {}
                     for key2, vec2 in val.items():
                         if key2[1] != 0:
@@ -795,9 +751,6 @@ class ComplexResolution:
     terms: dict      # position -> LabeledSum
     diffs: dict      # position -> hom terms[p].module -> terms[p+1].module
     qis: dict        # position -> hom (original term -> terms[p].module)
-
-    def positions(self):
-        return sorted(self.terms)
 
     def as_complex(self, algebra) -> BoundedComplex:
         return BoundedComplex(
@@ -1046,16 +999,11 @@ def projective_to_injective_hom(a: GradedAlgebra, v, w, h: mo.GradedModuleHom):
     """Apply the Nakayama correspondence to h: e_v A -> e_w A."""
     basis_x = [i for i in range(a.dim)
                if a.source[i] == w and a.target[i] == v]
-    gens = [left_mult_hom(a, v, w, {x: Fraction(1)}) for x in basis_x]
     layout, total = mo.hom_frame(h.domain, h.codomain)
-    target = mo.hom_flatten(h, layout, total)
-    if not gens:
-        if any(target):
-            raise InternalCheckError("projective hom outside the left-mult span")
-        return dual_right_mult_hom(a, v, w, {})
-    vecs = [mo.hom_flatten(g, layout, total) for g in gens]
-    span = Matrix(len(vecs), total, vecs)
-    sol = span.transpose().solve(target)
+    sol = solve_combination(
+        [mo.hom_flatten(left_mult_hom(a, v, w, {x: Fraction(1)}), layout, total)
+         for x in basis_x],
+        mo.hom_flatten(h, layout, total))
     if sol is None:
         raise InternalCheckError("projective hom outside the left-mult span")
     coeffs = {x: c for x, c in zip(basis_x, sol) if c}

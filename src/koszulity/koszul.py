@@ -434,45 +434,6 @@ def stable_endomorphism_algebra(alg: GradedAlgebra, tilde: TTilde,
 # stable-hom to Ext translation (for block identification and mu-bar)
 # ---------------------------------------------------------------------------
 
-def solve_hom_factorization(p: mo.GradedModuleHom, v: mo.GradedModuleHom):
-    """u with p o u = v, for p epi and projective-enough source of v."""
-    basis = mo.hom_space(v.domain, p.domain)
-    layout, total = mo.hom_frame(v.domain, p.codomain)
-    vecs = [mo.hom_flatten(p.compose(h), layout, total) for h in basis]
-    target = mo.hom_flatten(v, layout, total)
-    if not basis:
-        if any(target):
-            return None
-        return mo.zero_hom(v.domain, p.domain)
-    span = Matrix(len(vecs), total, vecs)
-    sol = span.transpose().solve(target)
-    if sol is None:
-        return None
-    u = mo.zero_hom(v.domain, p.domain)
-    for c, h in zip(sol, basis):
-        if c:
-            u = u.add(h.scale(c))
-    return u
-
-
-def post_invert_mono(iota: mo.GradedModuleHom, w: mo.GradedModuleHom):
-    """v with iota o v = w (image of w inside the mono's image)."""
-    blocks = {}
-    for key in w.domain.dims:
-        mat = w.block(*key)
-        ib = iota.block(*key)
-        if ib.cols == 0:
-            if not mat.is_zero():
-                raise InternalCheckError("image escapes the submodule")
-            continue
-        sol = ib.solve_matrix(mat)
-        if sol is None:
-            raise InternalCheckError("image escapes the submodule")
-        if not sol.is_zero():
-            blocks[key] = sol
-    return mo.GradedModuleHom(w.domain, iota.domain, blocks)
-
-
 def stable_to_ext(res: rs.MinimalResolution, chain: CosyzygyChain,
                   k: int, q: int, g: mo.GradedModuleHom):
     """Cocycle values of the Ext^k class of g: M -> Omega^{-k} N <q>.
@@ -501,13 +462,13 @@ def stable_to_ext(res: rs.MinimalResolution, chain: CosyzygyChain,
         mono_q = mo.shift_hom(env.mono, q, dom=Cprev_q, cod=I_q)
         # rebind v's codomain to the canonical shifted module
         v = mo.GradedModuleHom(v.domain, Cr_q, dict(v.blocks))
-        u = solve_hom_factorization(proj_q, v)
+        u = mo.solve_hom_factorization(proj_q, v)
         if u is None:
             raise InternalCheckError("projective lift through envelope failed")
         t = k - r
         d = res.diff_homs[t + 1]
         w = u.compose(d)
-        v = post_invert_mono(mono_q, w)
+        v = mo.post_invert_mono(mono_q, w)
         v = mo.GradedModuleHom(v.domain, Cprev_q, dict(v.blocks))
     term = res.terms[k]
     return unshift([v.apply(term.generator_element(tt))
@@ -903,27 +864,17 @@ class TwistedResolution:
             self.diff_cols.append(cols)
             self.diff_homs.append(rs.formal_explicit_hom(
                 self.terms[i], self.terms[i - 1], cols))
-        # augmentation: gen'_k . b -> rekey(eps(gen_k . mu(b)))
+        # augmentation: gen'_k -> rekey(eps(gen_k)); the twisted action makes
+        # gen'_k . b go to rekey(eps(gen_k . mu(b)))
         if res.terms:
             fp0 = res.terms[0]
             tfp0 = self.terms[0]
-            blocks = {key: Matrix.zero(self.module.block_dim(*key),
-                                       tfp0.module.dims[key])
-                      for key in tfp0.module.dims}
-            for key, cols in tfp0.colmap.items():
-                for pos, (p_i, b) in enumerate(cols):
-                    mu_b = mu.apply_basis(b)
-                    gen_elem = fp0.generator_element(p_i)
-                    acted = fp0.module.apply_element(gen_elem, mu_b)
-                    img = res.eps.apply(acted)
-                    for (v, d), vec in img.items():
-                        k2 = (inv_vperm[v], d)
-                        if k2 not in blocks:
-                            continue
-                        for r_i, x in enumerate(vec):
-                            blocks[k2].data[r_i][pos] = x
-            blocks = {k: m for k, m in blocks.items() if not m.is_zero()}
-            self.eps = mo.GradedModuleHom(tfp0.module, self.module, blocks)
+            homs = []
+            for k, part in enumerate(tfp0.parts):
+                img = res.eps.apply(fp0.generator_element(k))
+                elem = {(inv_vperm[v], d): vec for (v, d), vec in img.items()}
+                homs.append(mo.map_from_projective(part, self.module, elem))
+            self.eps = mo.map_from_sum(tfp0.module, self.module, tfp0.injections, homs)
         else:
             self.eps = mo.zero_hom(mo.zero_module(alg), self.module)
 

@@ -58,16 +58,7 @@ class Matrix:
             return Matrix(0, 0)
         return Matrix(len(rows), len(rows[0]), rows)
 
-    def copy(self) -> "Matrix":
-        m = Matrix(self.rows, self.cols)
-        m.data = [row[:] for row in self.data]
-        return m
-
     # -- basics --------------------------------------------------------
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
 
     def __eq__(self, other):
         return (
@@ -77,17 +68,11 @@ class Matrix:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
-
-    def row(self, i):
-        return list(self.data[i])
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
@@ -101,20 +86,6 @@ class Matrix:
         m.data = [
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
         ]
-        return m
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in sub")
-        m = Matrix(self.rows, self.cols)
-        m.data = [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ]
-        return m
-
-    def __neg__(self) -> "Matrix":
-        m = Matrix(self.rows, self.cols)
-        m.data = [[-a for a in row] for row in self.data]
         return m
 
     def scale(self, c) -> "Matrix":
@@ -216,15 +187,7 @@ class Matrix:
         """Solve self @ x = b exactly; returns a list or None if inconsistent."""
         if len(b) != self.rows:
             raise ValueError("rhs length mismatch")
-        aug = Matrix(self.rows, self.cols + 1)
-        aug.data = [row[:] + [frac(x)] for row, x in zip(self.data, b)]
-        R, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [ZERO] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.data[r][self.cols]
-        return x
+        return solve_combination([self.column(j) for j in range(self.cols)], b)
 
     def solve_matrix(self, B: "Matrix"):
         """Solve self @ X = B columnwise; returns Matrix or None."""
@@ -345,6 +308,22 @@ class EchelonBasis:
         for p, x in taken:
             _axpy(out, -x, self.combos[p])
         return [out.get(k, ZERO) for k in range(self.rank)]
+
+
+def solve_combination(vectors, target):
+    """Coefficients c with sum_k c[k] vectors[k] = target, or None.
+
+    A vector that depends on earlier ones gets coefficient 0. This is the
+    solution of the column system that sets every non-pivot unknown to 0.
+    Vectors and target are dense lists or sparse dicts.
+    """
+    basis = EchelonBasis()
+    kept = [basis.add(vec) for vec in vectors]
+    coords = basis.coords(target)
+    if coords is None:
+        return None
+    found = iter(coords)
+    return [next(found) if k else ZERO for k in kept]
 
 
 def complement_basis(sub_rows, amb_dim: int):

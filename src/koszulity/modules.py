@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (EchelonBasis, Matrix, complement_basis, frac,
-                     random_int_combination)
+                     random_int_combination, solve_combination)
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 
 
@@ -674,41 +674,133 @@ def hom_space_with_constraints(m, n, constraints):
     one solution hom or None.
     """
     basis = hom_space(m, n)
-    if not basis:
-        basis = []
-    layout, total = hom_frame(m, n)
-    rows = []
-    rhs = []
-    # unknowns: coefficients of basis homs
-    images = []
-    for h in basis:
-        images.append(h)
-    for elem, target in constraints:
-        applied = [h.apply(elem) for h in basis]
-        keys = set(target)
-        for a in applied:
-            keys |= set(a)
-        for key in sorted(keys, key=lambda vd: (vd[1], str(vd[0]))):
-            dimk = n.block_dim(*key)
-            for i in range(dimk):
-                row = [a.get(key, [Fraction(0)] * dimk)[i] for a in applied]
-                rows.append(row)
-                rhs.append(target.get(key, [Fraction(0)] * dimk)[i])
-    if not rows:
-        return zero_hom(m, n)
-    matr = Matrix(len(rows), len(basis), rows)
-    sol = matr.solve(rhs)
-    if sol is None:
-        return None
+    index = {}
+    coeffs = solve_combination(
+        [_values([h.apply(elem) for elem, _ in constraints], index) for h in basis],
+        _values([image for _, image in constraints], index))
+    return None if coeffs is None else linear_combination(m, n, basis, coeffs)
+
+
+def _values(elems, index) -> dict:
+    """A list of elements as one sparse vector; index numbers (k, block, row)."""
+    out = {}
+    for k, elem in enumerate(elems):
+        for key, vec in elem.items():
+            for i, x in enumerate(vec):
+                if x:
+                    out[index.setdefault((k, key, i), len(index))] = x
+    return out
+
+
+def linear_combination(m, n, homs, coeffs) -> GradedModuleHom:
+    """sum_k coeffs[k] homs[k] as a hom m -> n."""
     out = zero_hom(m, n)
-    for c, h in zip(sol, basis):
+    for c, h in zip(coeffs, homs):
         if c:
             out = out.add(h.scale(c))
     return out
 
 
+def solve_hom_factorization(p: GradedModuleHom, v: GradedModuleHom):
+    """u with p o u = v, or None when v does not factor through p.
+
+    Two maps out of v's domain agree iff they agree on its generators, so
+    the system only asks for equality there.
+    """
+    basis = hom_space(v.domain, p.domain)
+    gens = generator_elements(v.domain)
+    index = {}
+    coeffs = solve_combination(
+        [_values([p.apply(h.apply(x)) for x in gens], index) for h in basis],
+        _values([v.apply(x) for x in gens], index))
+    if coeffs is None:
+        return None
+    return linear_combination(v.domain, p.domain, basis, coeffs)
+
+
+def post_invert_mono(iota: GradedModuleHom, w: GradedModuleHom):
+    """v with iota o v = w (image of w inside the mono's image)."""
+    blocks = {}
+    for key in w.domain.dims:
+        mat = w.block(*key)
+        ib = iota.block(*key)
+        if ib.cols == 0:
+            if not mat.is_zero():
+                raise InternalCheckError("image escapes the submodule")
+            continue
+        sol = ib.solve_matrix(mat)
+        if sol is None:
+            raise InternalCheckError("image escapes the submodule")
+        if not sol.is_zero():
+            blocks[key] = sol
+    return GradedModuleHom(w.domain, iota.domain, blocks)
+
+
+def solve_preimage(h: GradedModuleHom, target: dict):
+    """Solve h(x) = target blockwise; None if no solution."""
+    out = {}
+    for key, vec in target.items():
+        blk = h.block(*key)
+        if blk.cols == 0:
+            if any(vec):
+                return None
+            continue
+        sol = blk.solve(list(vec))
+        if sol is None:
+            return None
+        if any(sol):
+            out[key] = sol
+    return out
+
+
 def zero_hom(m, n) -> GradedModuleHom:
     return GradedModuleHom(m, n, {})
+
+
+# ---------------------------------------------------------------------------
+# maps out of projectives
+# ---------------------------------------------------------------------------
+
+def generator(p: GradedModule, v, shift: int = 0) -> dict:
+    """The element e_v of e_v Lambda<shift> or of D(Lambda e_v)<shift>."""
+    block = (v, shift)
+    vec = [Fraction(0)] * p.dims[block]
+    vec[p.basis_index[block].index(p.algebra.idempotent_index(v))] = Fraction(1)
+    return {block: vec}
+
+
+def map_from_projective(p: GradedModule, n: GradedModule, elem: dict) -> GradedModuleHom:
+    """The map e_v Lambda<d> -> n sending the generator to elem: b -> elem . b.
+
+    Hom(e_v Lambda<d>, N) is N_(v,d), so this is every such map.
+    """
+    blocks = {}
+    for key, ix in p.basis_index.items():
+        rows = n.block_dim(*key)
+        if not rows:
+            continue
+        mat = Matrix.zero(rows, len(ix))
+        for c_i, b in enumerate(ix):
+            vec = n.apply_element(elem, {b: Fraction(1)}).get(key)
+            if vec:
+                for r_i, val in enumerate(vec):
+                    mat.data[r_i][c_i] = val
+        blocks[key] = mat
+    return GradedModuleHom(p, n, blocks)
+
+
+def map_from_sum(total: GradedModule, n: GradedModule, injections, homs) -> GradedModuleHom:
+    """The map out of the direct sum `total` that is homs[k] on summand k."""
+    blocks = {key: Matrix.zero(n.block_dim(*key), dim) for key, dim in total.dims.items()}
+    for inj, h in zip(injections, homs):
+        for key, mat in h.blocks.items():
+            place = inj.blocks[key].data
+            out = blocks[key].data
+            for c_i in range(mat.cols):
+                col = next(r for r, row in enumerate(place) if row[c_i])
+                for r_i, row in enumerate(mat.data):
+                    out[r_i][col] = row[c_i]
+    return GradedModuleHom(total, n, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -902,34 +994,13 @@ def projective_cover(m: GradedModule):
     alg = m.algebra
     alg.assert_split_basic()
     gens = top_data(m)
-    parts = []
-    tags = []
-    for (v, d), _vec in gens:
-        parts.append(projective_module(alg, v, d))
-        tags.append((v, d))
-    if not parts:
+    tags = [key for key, _vec in gens]
+    if not tags:
         return zero_module(alg), zero_hom(zero_module(alg), m), []
+    parts = [projective_module(alg, v, d) for (v, d) in tags]
     P, injections, _ = direct_sum(alg, parts)
-    blocks = {}
-    for key in P.dims:
-        blocks[key] = Matrix.zero(m.block_dim(*key), P.dims[key])
-    # build epi columnwise: P basis elements are (generator, algebra element)
-    for p_idx, part in enumerate(parts):
-        (v, d), lift = gens[p_idx]
-        idx_by_block = part.basis_index
-        for key, ix in idx_by_block.items():
-            inj = injections[p_idx].blocks.get(key)
-            if inj is None or m.block_dim(*key) == 0:
-                continue
-            for c_i, b in enumerate(ix):
-                img = m.apply_element({(v, d): lift}, {b: Fraction(1)})
-                vec = img.get(key)
-                if vec is None:
-                    continue
-                col_in_P = next(r for r in range(inj.rows) if inj.data[r][c_i])
-                for r_i, val in enumerate(vec):
-                    blocks[key].data[r_i][col_in_P] = val
-    epi = GradedModuleHom(P, m, blocks)
+    epi = map_from_sum(P, m, injections, [map_from_projective(part, m, {key: vec})
+                                          for part, (key, vec) in zip(parts, gens)])
     if not epi.is_surjective():
         raise InternalCheckError("projective cover map not surjective")
     return P, epi, tags
@@ -1010,14 +1081,8 @@ def injective_envelope(m: GradedModule):
     constraints = []
     for p_idx, ((key, vec), part) in enumerate(zip(soc_list, parts)):
         w, shift = tags[p_idx]
-        _sv, sd, elt = info[w]
-        # generator of e_w L <shift> is its unique basis elt at block (w, shift);
-        # its image under the socle element spans soc of the part
-        gen_block = (w, shift)
-        gen_index = part.basis_index[gen_block].index(alg.idempotent_index(w))
-        gvec = [Fraction(0)] * part.dims[gen_block]
-        gvec[gen_index] = Fraction(1)
-        img = part.apply_element({gen_block: gvec}, elt)
+        # the generator times the socle element spans soc of the part
+        img = part.apply_element(generator(part, w, shift), info[w][2])
         target = injections[p_idx].apply(img)
         constraints.append(({key: vec}, target))
     mono = hom_space_with_constraints(m, I, constraints)
@@ -1066,33 +1131,13 @@ def strip_projective_summands(m: GradedModule):
         if found is None:
             break
         v, j, elem = found
-        alg = current.algebra
-        P = projective_module(alg, v, j)
-        gen_block = (v, j)
-        gen_index = P.basis_index[gen_block].index(alg.idempotent_index(v))
-        # f: P -> current, generator -> elem
-        fblocks = {}
-        for key, ix in P.basis_index.items():
-            if current.block_dim(*key) == 0:
-                continue
-            mat = Matrix.zero(current.block_dim(*key), P.dims[key])
-            for c_i, b in enumerate(ix):
-                img = current.apply_element(elem, {b: Fraction(1)})
-                vec = img.get(key)
-                if vec:
-                    for r_i, val in enumerate(vec):
-                        mat.data[r_i][c_i] = val
-            if not mat.is_zero():
-                fblocks[key] = mat
-        f = GradedModuleHom(P, current, fblocks)
+        P = projective_module(current.algebra, v, j)
+        f = map_from_projective(P, current, elem)
         if not f.is_injective():
             raise InternalCheckError("projective summand detection produced a non-mono")
         # retraction g with g o f = id
-        gvec = [Fraction(0)] * P.dims[gen_block]
-        gvec[gen_index] = Fraction(1)
-        gen_elem = {gen_block: gvec}
-        constraints = [(f.apply(gen_elem), gen_elem)]
-        g = hom_space_with_constraints(current, P, constraints)
+        gen = generator(P, v, j)
+        g = hom_space_with_constraints(current, P, [(f.apply(gen), gen)])
         if g is None:
             raise InternalCheckError("projective summand does not split")
         C, _incl = kernel_submodule(g, name=current.name + "-proj")
@@ -1265,44 +1310,10 @@ def envelope_data(m: GradedModule) -> EnvelopeData:
 def syzygy_of_hom(f: GradedModuleHom, src: CoverData, tgt: CoverData):
     """Omega(f): Omega(M) -> Omega(N) through chosen minimal covers."""
     # u: src.cover -> tgt.cover with tgt.epi o u = f o src.epi
-    basis = hom_space(src.cover, tgt.cover)
-    rows, rhs = [], []
-    for x in generator_elements(src.cover):
-        target = f.apply(src.epi.apply(x))
-        images = [tgt.epi.apply(h.apply(x)) for h in basis]
-        keys = set(target)
-        for im in images:
-            keys |= set(im)
-        for k2 in sorted(keys, key=lambda vd: (vd[1], str(vd[0]))):
-            dimk = tgt.module.block_dim(*k2)
-            for r in range(dimk):
-                rows.append([im.get(k2, [Fraction(0)] * dimk)[r] for im in images])
-                rhs.append(target.get(k2, [Fraction(0)] * dimk)[r])
-    if rows:
-        sol = Matrix(len(rows), len(basis), rows).solve(rhs)
-        if sol is None:
-            raise InternalCheckError("cover lifting failed")
-    else:
-        sol = [Fraction(0)] * len(basis)
-    u = zero_hom(src.cover, tgt.cover)
-    for c, h in zip(sol, basis):
-        if c:
-            u = u.add(h.scale(c))
-    # restrict to kernels
-    blocks = {}
-    for key in src.kernel.dims:
-        mat = u.block(*key) * src.incl.block(*key)
-        tgt_inc = tgt.incl.block(*key)
-        if tgt_inc.cols == 0:
-            if not mat.is_zero():
-                raise InternalCheckError("syzygy restriction escapes the kernel")
-            continue
-        solm = tgt_inc.solve_matrix(mat)
-        if solm is None:
-            raise InternalCheckError("syzygy restriction escapes the kernel")
-        if not solm.is_zero():
-            blocks[key] = solm
-    return GradedModuleHom(src.kernel, tgt.kernel, blocks)
+    u = solve_hom_factorization(tgt.epi, f.compose(src.epi))
+    if u is None:
+        raise InternalCheckError("cover lifting failed")
+    return post_invert_mono(tgt.incl, u.compose(src.incl))
 
 
 # ---------------------------------------------------------------------------

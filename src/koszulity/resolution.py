@@ -22,7 +22,6 @@ class FormalProjective:
     """Direct sum of e_v Lambda <d> with explicit realization."""
 
     def __init__(self, alg: GradedAlgebra, gens):
-        self.alg = alg
         self.gens = list(gens)  # list of (vertex, degree)
         self.parts = [mo.projective_module(alg, v, d) for (v, d) in self.gens]
         if self.parts:
@@ -51,14 +50,7 @@ class FormalProjective:
         return len(self.gens)
 
     def generator_element(self, k: int) -> dict:
-        v, d = self.gens[k]
-        part = self.parts[k]
-        gen_index = part.basis_index[(v, d)].index(
-            self.alg.idempotent_index(v)
-        )
-        vec = [Fraction(0)] * part.dims[(v, d)]
-        vec[gen_index] = Fraction(1)
-        return self.injections[k].apply({(v, d): vec})
+        return self.injections[k].apply(mo.generator(self.parts[k], *self.gens[k]))
 
     def element_to_formal(self, elem: dict):
         """Decompose an explicit element into algebra elements per generator."""
@@ -98,35 +90,9 @@ class FormalProjective:
 
 def formal_explicit_hom(source: FormalProjective, target: FormalProjective, columns):
     """Explicit hom for a formal matrix given as columns (per source gen)."""
-    alg = source.alg
-    blocks = {}
-    for key in source.module.dims:
-        blocks[key] = Matrix.zero(target.module.block_dim(*key),
-                                  source.module.dims[key])
-    for k, col in enumerate(columns):
-        base = target.formal_to_element(col)
-        # image of (gen_k . x) = base . x for each basis element x of e_v L
-        v, d = source.gens[k]
-        part = source.parts[k]
-        inj = source.injections[k]
-        for key, ix in part.basis_index.items():
-            injblk = inj.blocks.get(key)
-            if injblk is None:
-                continue
-            for c_i, b in enumerate(ix):
-                img = target.module.apply_element(base, {b: Fraction(1)})
-                if not img:
-                    continue
-                row_in_total = next(
-                    r for r in range(injblk.rows) if injblk.data[r][c_i]
-                )
-                vec = img.get(key)
-                if vec is None:
-                    continue
-                for r_i, val in enumerate(vec):
-                    blocks[key].data[r_i][row_in_total] = val
-    blocks = {k: m for k, m in blocks.items() if not m.is_zero()}
-    return mo.GradedModuleHom(source.module, target.module, blocks)
+    homs = [mo.map_from_projective(part, target.module, target.formal_to_element(col))
+            for part, col in zip(source.parts, columns)]
+    return mo.map_from_sum(source.module, target.module, source.injections, homs)
 
 
 def compose_formal(alg: GradedAlgebra, a_cols, a_rank, b_cols):
@@ -173,9 +139,6 @@ class MinimalResolution:
         self.eps = None
         self.syzygies = [m]   # syzygies[i] = Omega^i M (no stripping here)
         self._extend_once_zero = False
-
-    def length(self) -> int:
-        return len(self.terms) - 1
 
     def extend(self, upto: int):
         while len(self.terms) <= upto and not self._extend_once_zero:
@@ -478,7 +441,7 @@ class CocycleLift:
                 eps = self.tgt_res.eps
                 for k in range(src_fp.rank):
                     val = self.values[k]
-                    pre = _solve_hom_preimage(eps, val)
+                    pre = mo.solve_preimage(eps, val)
                     if pre is None:
                         raise InternalCheckError("cocycle value misses augmentation")
                     cols.append(tgt_fp.element_to_formal(pre))
@@ -491,29 +454,12 @@ class CocycleLift:
                 prev_tgt_fp = self.tgt_res.terms[m - 1]
                 for k in range(src_fp.rank):
                     rhs = prev_tgt_fp.formal_to_element(rhs_cols[k])
-                    pre = _solve_hom_preimage(d_tgt_hom, rhs)
+                    pre = mo.solve_preimage(d_tgt_hom, rhs)
                     if pre is None:
                         raise InternalCheckError("chain lifting failed (not a cycle)")
                     cols.append(tgt_fp.element_to_formal(pre))
             self.stages.append(cols)
         return self
-
-
-def _solve_hom_preimage(h: mo.GradedModuleHom, target: dict):
-    """Solve h(x) = target blockwise; None if no solution."""
-    out = {}
-    for key, vec in target.items():
-        blk = h.block(*key)
-        if blk.cols == 0:
-            if any(vec):
-                return None
-            continue
-        sol = blk.solve(list(vec))
-        if sol is None:
-            return None
-        if any(sol):
-            out[key] = sol
-    return out
 
 
 def yoneda_product(value_module: mo.GradedModule,

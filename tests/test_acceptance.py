@@ -7,13 +7,10 @@ over the windows stated inline; each test prints one pass line. Run with
 """
 
 import random
-from fractions import Fraction
-
-import pytest
 
 from koszulity.algebra import trivial_extension
 from koszulity.frobenius import frobenius_analysis
-from koszulity.presentation import (Arrow, Quiver, Relation, build_algebra,
+from koszulity.presentation import (Arrow, Quiver, build_algebra,
                                     parse_algebra_file, path_count)
 from koszulity import modules as mo
 from koszulity import resolution as rs

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -159,6 +158,23 @@ def test_verify_exit_codes_disagree_is_not_used_for_joint_failure(capsys):
                        "--algebra", data_path("a2.alg"), "--n", "1",
                        "--i-max", "5", "--depth", "5")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    (["verify", "trivext-dual", "--algebra", "kron.alg", "--n", "1",
+      "--degree-max", "2"], "verify_trivext_dual_kron_d2.txt"),
+    (["verify", "preproj-veronese", "--algebra", "x3.alg",
+      "--module", "k_x3.mod", "--n", "1", "--degree-max", "3"],
+     "verify_preproj_veronese_x3_d3.txt"),
+])
+def test_verify_report_bytes(capsys, argv, recorded):
+    # These reports lift maps through projective covers, envelopes and
+    # syzygies; they must match the recorded reports byte for byte.
+    argv = [data_path(a) if a.endswith((".alg", ".mod")) else a for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    with open(data_path(recorded)) as fh:
+        assert out == fh.read()
 
 
 def test_reports_deterministic(capsys, tmp_path):

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from koszulity.linalg import Matrix
 from koszulity import modules as mo
 from koszulity import hereditary as hd

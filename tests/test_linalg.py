@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from koszulity.linalg import EchelonBasis, Matrix
+from koszulity.linalg import EchelonBasis, Matrix, solve_combination
 
 
 def M(rows):
@@ -194,6 +194,40 @@ def test_echelon_coords_none_outside_span(m, data):
     inside = dense_rank(m.data + [vec], m.cols) == dense_rank(m.data, m.cols)
     assert basis.contains(vec) is inside
     assert (basis.coords(vec) is not None) is inside
+
+
+def dense_solve(m, b):
+    """Solve m @ x = b by dense Gauss-Jordan on the augmented matrix, with
+    every non-pivot unknown set to 0; None when inconsistent."""
+    aug = Matrix(m.rows, m.cols + 1, [row + [x] for row, x in zip(m.data, b)])
+    reduced, piv = dense_rref(aug)
+    if m.cols in piv:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, pc in enumerate(piv):
+        x[pc] = reduced[r][m.cols]
+    return x
+
+
+@given(rational_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_combination_matches_dense_solve(m, data):
+    cols = [m.column(j) for j in range(m.cols)]
+    # dependent columns: combinations of columns drawn before them
+    for coeffs in data.draw(st.lists(st.lists(rationals, max_size=len(cols)),
+                                     max_size=3)):
+        cols.append([sum((c * col[i] for c, col in zip(coeffs, cols)), Fraction(0))
+                     for i in range(m.rows)])
+    a = Matrix(m.rows, len(cols), [[col[i] for col in cols] for i in range(m.rows)])
+    # a right-hand side in the column span, or an arbitrary (often inconsistent) one
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(rationals, min_size=a.cols, max_size=a.cols))
+        b = a.apply(x)
+    else:
+        b = data.draw(st.lists(rationals, min_size=a.rows, max_size=a.rows))
+    expected = dense_solve(a, b)
+    assert solve_combination(cols, b) == expected
+    assert a.solve(b) == expected
 
 
 def test_echelon_accepts_sparse_dicts():

@@ -23,6 +23,27 @@ def test_projectives_and_injectives_are_built_once(delta_a4):
                 assert build(delta_a4, v, shift) is build(delta_a4, v, shift)
 
 
+@pytest.mark.parametrize("name", ["a4", "delta_a4"])
+def test_map_from_projective_matches_constrained_solve(request, name):
+    # Hom(e_v Lambda<d>, N) is N_(v,d): the closed form must be the map the
+    # constrained solve finds from the generator's value alone.
+    alg = request.getfixturevalue(name)
+    rng = random.Random(0)
+    reg, _, _ = mo.regular_module(alg)
+    for n in (reg, mo.graded_dual_module(alg)):
+        for (v, d), dim in sorted(n.dims.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+            p = mo.projective_module(alg, v, d)
+            gen = mo.generator(p, v, d)
+            elems = [n.unit_vector((v, d), i) for i in range(dim)]
+            elems.append({(v, d): [Fraction(rng.randint(-3, 3)) for _ in range(dim)]})
+            for elem in elems:
+                f = mo.map_from_projective(p, n, elem)
+                assert f.check_commutes()
+                assert f.apply(gen) == {k: x for k, x in elem.items() if any(x)}
+                g = mo.hom_space_with_constraints(p, n, [(gen, elem)])
+                assert f.blocks == g.blocks
+
+
 def test_module_validation(t_summands):
     for m in t_summands:
         assert m.validate()

@@ -1,4 +1,5 @@
-"""No public function or method of the package is left without a caller.
+"""No public function or method of the package is left without a caller,
+and no module imports a name it does not use.
 
 A public top-level function of `src/koszulity`, or a public method of one of
 its top-level classes, fails this check when its name is used nowhere in
@@ -19,6 +20,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "koszulity"
 SEARCHED = ("src", "tests", "scripts")
+# The package's imports are its public API.
+API = PACKAGE / "__init__.py"
 
 
 def names_used(node):
@@ -62,3 +65,29 @@ def test_every_public_function_has_a_caller():
             if used[node.name] <= own:
                 dead.append(f"{path.name}:{node.lineno} {qualname}")
     assert not dead, "no caller: " + ", ".join(dead)
+
+
+def imported_names(tree):
+    """(bound name, line) of every import outside `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".", 1)[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_no_unused_imports():
+    unused = []
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path == API:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            loaded = {node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name)}
+            for name, line in imported_names(tree):
+                if name not in loaded:
+                    unused.append(f"{path.relative_to(ROOT)}:{line} {name}")
+    assert not unused, "unused import: " + ", ".join(unused)

@@ -1,10 +1,7 @@
-import pytest
-
 from fractions import Fraction
 
 from koszulity import modules as mo
 from koszulity import resolution as rs
-from koszulity.algebra import InternalCheckError
 
 
 def simple(alg):
