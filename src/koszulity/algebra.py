@@ -167,7 +167,6 @@ class GradedAlgebra:
         if hit is not None:
             return hit
         z = self.degree_zero_indices()
-        pos = {b: i for i, b in enumerate(z)}
         n = len(z)
         # trace of left multiplication by basis product
         gram = Matrix(n, n)

@@ -163,7 +163,9 @@ def cmd_nrep(args) -> int:
         lines.append(f"orbit {o.projective}: m = {o.m}, endpoint = {o.endpoint}")
     if rep.depth is not None:
         lines.append(f"depth: {rep.depth}")
-    code = 0 if rep.verdict else (3 if rep.verdict is None else 1)
+    # a probabilistic "no" is not a certified failure
+    code = 0 if rep.verdict else (
+        3 if rep.verdict is None or rep.probabilistic else 1)
     return _emit(args, lines, rep.as_dict(), code)
 
 

@@ -108,13 +108,6 @@ class GradedAlgebraMorphism:
         except InputError:
             return False
 
-    def compose(self, other: "GradedAlgebraMorphism") -> "GradedAlgebraMorphism":
-        """self o other."""
-        images = {}
-        for i in range(other.domain.dim):
-            images[i] = self.apply(other.apply_basis(i))
-        return GradedAlgebraMorphism(other.domain, self.codomain, images)
-
     def inverse(self) -> "GradedAlgebraMorphism":
         inv = self.matrix().inverse()
         if inv is None:

@@ -4,12 +4,14 @@ higher preprojective algebras.
 Modules here live over an algebra concentrated in degree 0. Objects of the
 derived category are carried as formal sums of shifted stalk modules where
 possible. One inverse Nakayama step resolves a stalk by injectives,
-relabels the terms as projectives (the Nakayama correspondence is the
-identity on the labels and on the matrices of maps written in left/right
-multiplication form) and reads off cohomology. A result concentrated in
-one cohomological degree is replaced by the shifted stalk; over a
-hereditary base a spread-out result splits as the sum of its shifted
-cohomology stalks. When cohomology spreads over several degrees on a
+relabels the terms as projectives and reads off cohomology. The Nakayama
+correspondence Hom(D(Ae_v), D(Ae_w)) = e_w A e_v = Hom(e_v A, e_w A) is a
+closed form both ways: a map of projectives is left multiplication by the
+image x of e_v, and a map of injectives is the dual of right multiplication
+by x, whose coefficients form the row of e_w in its (w, 0) block. A
+result concentrated in one cohomological degree is replaced by the shifted
+stalk; over a hereditary base a spread-out result splits as the sum of its
+shifted cohomology stalks. When cohomology spreads over several degrees on a
 non-hereditary base, the iteration switches to honest bounded complexes,
 resolved by a mapping-cone construction that validates itself (square-zero
 differentials, comparison chain map, cohomology preserved). Morphism
@@ -21,9 +23,10 @@ functor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
-from .linalg import Matrix, solve_combination
+from .linalg import Matrix
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import modules as mo
 from . import resolution as rs
@@ -41,62 +44,52 @@ def injective_module(a: GradedAlgebra, v) -> mo.GradedModule:
 
 def left_mult_hom(a: GradedAlgebra, v, w, coeffs) -> mo.GradedModuleHom:
     """e_v A -> e_w A, p -> x p, for x in e_w A e_v given by coeffs."""
-    P, Q = mo.projective_module(a, v), mo.projective_module(a, w)
-    blocks = {}
-    for key, ix in P.basis_index.items():
-        tgt_ix = Q.basis_index.get(key, [])
-        if not tgt_ix:
-            continue
-        pos = {b: r for r, b in enumerate(tgt_ix)}
-        mat = Matrix.zero(len(tgt_ix), len(ix))
-        nz = False
-        for c_i, b in enumerate(ix):
-            for x, cx in coeffs.items():
-                for z, cz in a.mult_basis(x, b).items():
-                    mat.data[pos[z]][c_i] += cx * cz
-                    nz = True
-        if nz and not mat.is_zero():
-            blocks[key] = mat
-    return mo.GradedModuleHom(P, Q, blocks)
+    Q = mo.projective_module(a, w)
+    x = [coeffs.get(b, Fraction(0)) for b in Q.basis_index.get((v, 0), [])]
+    return mo.map_from_projective(mo.projective_module(a, v), Q, {(v, 0): x})
 
 
 def dual_right_mult_hom(a: GradedAlgebra, v, w, coeffs) -> mo.GradedModuleHom:
-    """D(Ae_v) -> D(Ae_w), dual of right multiplication by x in e_w A e_v."""
+    """D(Ae_v) -> D(Ae_w), dual of right multiplication by x in e_w A e_v:
+    psi_b goes to the sum over c of psi_b(c x) psi_c."""
     I, J = injective_module(a, v), injective_module(a, w)
     blocks = {}
     for key, ix in I.basis_index.items():
         tgt_ix = J.basis_index.get(key, [])
-        if not tgt_ix:
-            continue
-        pos = {b: r for r, b in enumerate(tgt_ix)}
         mat = Matrix.zero(len(tgt_ix), len(ix))
-        nz = False
-        for c_i, b in enumerate(ix):
-            for c in tgt_ix:
-                val = Fraction(0)
+        for r_i, c in enumerate(tgt_ix):
+            for c_i, b in enumerate(ix):
                 for x, cx in coeffs.items():
-                    val += cx * a.mult_basis(c, x).get(b, Fraction(0))
-                if val:
-                    mat.data[pos[c]][c_i] = val
-                    nz = True
-        if nz and not mat.is_zero():
-            blocks[key] = mat
+                    mat.data[r_i][c_i] += cx * a.mult_basis(c, x).get(b, 0)
+        blocks[key] = mat
     return mo.GradedModuleHom(I, J, blocks)
 
 
 def injective_to_projective_hom(a: GradedAlgebra, v, w, h: mo.GradedModuleHom):
-    """Apply the inverse Nakayama correspondence to h: D(Ae_v) -> D(Ae_w)."""
-    basis_x = [i for i in range(a.dim)
-               if a.source[i] == w and a.target[i] == v]
-    layout, total = mo.hom_frame(h.domain, h.codomain)
-    sol = solve_combination(
-        [mo.hom_flatten(dual_right_mult_hom(a, v, w, {x: Fraction(1)}), layout, total)
-         for x in basis_x],
-        mo.hom_flatten(h, layout, total))
-    if sol is None:
+    """Apply the inverse Nakayama correspondence to h: D(Ae_v) -> D(Ae_w).
+
+    h is the dual of right multiplication by some x in e_w A e_v, so the
+    functional it sends to psi_{e_w} is psi_{e_w}(- x): the row of e_w in the
+    (w, 0) block holds the coefficients of x on the basis of e_w A e_v.
+    """
+    e_w = h.codomain.basis_index[(w, 0)].index(a.idempotent_index(w))
+    row = h.block(w, 0).data[e_w]
+    coeffs = {b: c for b, c in zip(h.domain.basis_index.get((w, 0), []), row) if c}
+    if dual_right_mult_hom(a, v, w, coeffs).blocks != h.blocks:
         raise InternalCheckError("injective hom outside the dual-basis span")
-    coeffs = {x: c for x, c in zip(basis_x, sol) if c}
     return left_mult_hom(a, v, w, coeffs)
+
+
+def projective_to_injective_hom(a: GradedAlgebra, v, w, h: mo.GradedModuleHom):
+    """Apply the Nakayama correspondence to h: e_v A -> e_w A.
+
+    h is left multiplication by x = h(e_v), an element of e_w A e_v.
+    """
+    x = h.apply(mo.generator(h.domain, v)).get((v, 0), [])
+    coeffs = {b: c for b, c in zip(h.codomain.basis_index.get((v, 0), []), x) if c}
+    if left_mult_hom(a, v, w, coeffs).blocks != h.blocks:
+        raise InternalCheckError("projective hom outside the left-mult span")
+    return dual_right_mult_hom(a, v, w, coeffs)
 
 
 class LabeledSum:
@@ -116,42 +109,54 @@ class LabeledSum:
             self.injections, self.projections = [], []
 
 
-def transport_sum_hom(src: LabeledSum, tgt: LabeledSum, h: mo.GradedModuleHom,
-                      src_proj: LabeledSum, tgt_proj: LabeledSum):
-    """Move a hom between injective sums to the matching projective sums."""
-    a = src.algebra
-    out = mo.zero_hom(src_proj.module, tgt_proj.module)
-    for i, v in enumerate(src.labels):
-        for j, w in enumerate(tgt.labels):
-            comp = tgt.projections[j].compose(h).compose(src.injections[i])
-            if comp.is_zero():
+def _block_sum_hom(src: LabeledSum, tgt: LabeledSum, component):
+    """Hom between labeled sums from a part-level component function.
+
+    component(i, j) returns the hom from src part i to tgt part j, or None.
+    """
+    out = mo.zero_hom(src.module, tgt.module)
+    for i in range(len(src.parts)):
+        for j in range(len(tgt.parts)):
+            comp = component(i, j)
+            if comp is None or comp.is_zero():
                 continue
-            moved = injective_to_projective_hom(a, v, w, comp)
-            out = out.add(tgt_proj.injections[j].compose(moved).compose(
-                src_proj.projections[i]))
+            out = out.add(tgt.injections[j].compose(comp).compose(
+                src.projections[i]))
     return out
 
 
-def nakayama_on_projective(a: GradedAlgebra, v):
-    """nu(e_v A) = D(A e_v), the classical correspondence on labels."""
-    return injective_module(a, v)
+def transport_sum_hom(src: LabeledSum, tgt: LabeledSum, h: mo.GradedModuleHom,
+                      src_to: LabeledSum, tgt_to: LabeledSum):
+    """Move a hom between sums of one kind to the sums of the other kind on
+    the same labels, part by part: injectives to projectives or back."""
+    move = (injective_to_projective_hom if src.kind == "inj"
+            else projective_to_injective_hom)
 
+    def component(i, j):
+        comp = tgt.projections[j].compose(h).compose(src.injections[i])
+        if comp.is_zero():
+            return None
+        return move(src.algebra, src.labels[i], tgt.labels[j], comp)
 
-def nakayama_inverse_on_injective(a: GradedAlgebra, v):
-    """nu^{-1}(D(A e_v)) = e_v A."""
-    return mo.projective_module(a, v)
+    return _block_sum_hom(src_to, tgt_to, component)
 
 
 def identify_injective(a: GradedAlgebra, m: mo.GradedModule, rng=None):
-    """Vertex v with m isomorphic to D(Ae_v), or None (certified by dims/iso)."""
+    """(v, probabilistic): v with m isomorphic to D(Ae_v), or None.
+
+    probabilistic is True when some candidate of m's dimensions got an
+    uncertified "not isomorphic", so a None rests on sampling.
+    """
+    probabilistic = False
     for v in a.vertices:
         cand = injective_module(a, v)
         if cand.dims != m.dims:
             continue
         verdict = mo.is_isomorphic(m, cand, rng=rng)
         if verdict.isomorphic:
-            return v
-    return None
+            return v, probabilistic
+        probabilistic = probabilistic or verdict.probabilistic
+    return None, probabilistic
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +199,6 @@ class InjectiveResolution:
 
 def injective_resolution_module(m: mo.GradedModule, cap: int = 32):
     if m.is_zero():
-        a = m.algebra
         return InjectiveResolution(m, [], [], mo.zero_hom(m, m))
     I0, mono = injective_envelope_ungraded(m)
     terms, diffs = [I0], []
@@ -229,6 +233,17 @@ class CohomologyData:
     cycles: mo.GradedModule
     incl: mo.GradedModuleHom      # cycles -> term
     proj: mo.GradedModuleHom      # cycles -> H
+
+    @cached_property
+    def section(self) -> mo.GradedModuleHom:
+        """H -> cycles, a blockwise right inverse of proj."""
+        blocks = {}
+        for key, dim in self.module.dims.items():
+            sec = self.proj.block(*key).solve_matrix(Matrix.identity(dim))
+            if sec is None:
+                raise InternalCheckError("quotient projection has no section")
+            blocks[key] = sec
+        return mo.GradedModuleHom(self.module, self.cycles, blocks)
 
 
 def complex_cohomology(cx: BoundedComplex):
@@ -318,36 +333,41 @@ def nu_inverse_step(a: GradedAlgebra, piece: Piece, n: int,
     return pieces, h_dims, flags
 
 
-def lift_through_injective_resolutions(h: mo.GradedModuleHom,
-                                       rsrc: InjectiveResolution,
-                                       rtgt: InjectiveResolution):
-    """Chain map between injective resolutions extending h (stalk level)."""
+def _lift_stalk_map_into_injectives(res: InjectiveResolution, start_pos: int,
+                                    psi0: mo.GradedModuleHom, jterms: dict,
+                                    jdiffs: dict):
+    """Chain maps Psi_j: res.terms[j] -> jterms[start_pos + j] with
+    Psi_0 o mono = psi0 and the usual commutation squares."""
     chain = []
     prev = None
-    for i in range(len(rsrc.terms)):
-        tgt_term = rtgt.terms[i].module if i < len(rtgt.terms) else None
-        src_term = rsrc.terms[i].module
-        if tgt_term is None:
+    for j in range(len(res.terms)):
+        tgt = jterms.get(start_pos + j)
+        src_term = res.terms[j].module
+        if tgt is None:
+            # the commutation square must be trivially satisfiable
+            if prev is not None and (start_pos + j - 1) in jdiffs:
+                leak = jdiffs[start_pos + j - 1].compose(prev)
+                if not leak.is_zero():
+                    raise InternalCheckError("chain lift leaks past the complex")
             chain.append(None)
             prev = None
             continue
         constraints = []
-        if i == 0:
-            for x in mo.generator_elements(h.domain):
-                constraints.append((rsrc.mono.apply(x),
-                                    rtgt.mono.apply(h.apply(x))))
+        if j == 0:
+            for x in mo.generator_elements(res.module):
+                constraints.append((res.mono.apply(x), psi0.apply(x)))
         else:
-            dom_prev = rsrc.terms[i - 1].module
-            dsrc = rsrc.diffs[i - 1]
-            dtgt = rtgt.diffs[i - 1] if i - 1 < len(rtgt.diffs) else None
+            dom_prev = res.terms[j - 1].module
+            dsrc = res.diffs[j - 1]
+            dj = jdiffs.get(start_pos + j - 1)
             for x in mo.generator_elements(dom_prev):
-                tgt_val = {}
-                if dtgt is not None and prev is not None:
-                    tgt_val = dtgt.apply(prev.apply(x))
-                constraints.append((dsrc.apply(x), tgt_val))
-        u = mo.hom_space_with_constraints(src_term, tgt_term, constraints)
+                val = {}
+                if dj is not None and prev is not None:
+                    val = dj.apply(prev.apply(x))
+                constraints.append((dsrc.apply(x), val))
+        u = mo.hom_space_with_constraints(src_term, tgt.module, constraints)
         if u is None:
-            raise InternalCheckError("chain lifting through injectives failed")
+            raise InternalCheckError("stalk lift into injective complex failed")
         chain.append(u)
         prev = u
     return chain
@@ -365,12 +385,14 @@ def transport_stalk_hom(a: GradedAlgebra, h: mo.GradedModuleHom,
     td: StepData = tgt_piece.step_data
     if sd is None or td is None:
         raise InternalCheckError("pieces must be stepped before transport")
-    chain = lift_through_injective_resolutions(h, sd.resolution, td.resolution)
+    tres = td.resolution
+    chain = _lift_stalk_map_into_injectives(
+        sd.resolution, 0, tres.mono.compose(h),
+        dict(enumerate(tres.terms)), dict(enumerate(tres.diffs)))
     out = {}
-    for pos, src_out in sd.result_pieces.items():
+    for pos in sd.result_pieces:
         if pos not in td.result_pieces:
             continue
-        tgt_out = td.result_pieces[pos]
         i = sd.positions.index(pos)
         j = td.positions.index(pos)
         if i != j:
@@ -381,28 +403,12 @@ def transport_stalk_hom(a: GradedAlgebra, h: mo.GradedModuleHom,
         if u is None:
             out[pos] = mo.zero_hom(csrc.module, ctgt.module)
             continue
-        moved = transport_sum_hom(sd.resolution.terms[i], td.resolution.terms[i],
+        moved = transport_sum_hom(sd.resolution.terms[i], tres.terms[i],
                                   u, sd.proj_terms[i], td.proj_terms[i])
-        blocks = {}
-        for key in csrc.module.dims:
-            # section of the quotient csrc.cycles -> H^pos
-            pr = csrc.proj.block(*key)
-            sec = pr.solve_matrix(Matrix.identity(pr.rows))
-            if sec is None:
-                raise InternalCheckError("quotient projection has no section")
-            mat = moved.block(*key) * csrc.incl.block(*key) * sec
-            tgt_inc = ctgt.incl.block(*key)
-            if tgt_inc.cols == 0:
-                if not mat.is_zero():
-                    raise InternalCheckError("cycle image misses target cycles")
-                continue
-            sol = tgt_inc.solve_matrix(mat)
-            if sol is None:
-                raise InternalCheckError("cycle image misses target cycles")
-            hmat = ctgt.proj.block(*key) * sol
-            if not hmat.is_zero():
-                blocks[key] = hmat
-        out[pos] = mo.GradedModuleHom(csrc.module, ctgt.module, blocks)
+        # the chain map sends boundaries to boundaries, so any section works
+        cycles = mo.post_invert_mono(
+            ctgt.incl, moved.compose(csrc.incl).compose(csrc.section))
+        out[pos] = ctgt.proj.compose(cycles)
     return out
 
 
@@ -457,27 +463,33 @@ def is_n_rep_finite(a: GradedAlgebra, n: int, orbit_cap: int = 24,
                           reason=f"global dimension {gl} exceeds {n}")
     orbits = []
     endpoints = []
+    probabilistic = False
+
+    def report(verdict, **kw):
+        return NRepReport("finite", n, verdict, orbits=orbits,
+                          probabilistic=probabilistic, **kw)
+
     for v in a.vertices:
         orbit = Orbit(projective=v)
         current = mo.projective_module(a, v)
         orbit.modules.append(current)
         m = 0
         while True:
-            hit = identify_injective(a, current, rng=rng)
+            hit, sampled = identify_injective(a, current, rng=rng)
+            probabilistic = probabilistic or sampled
             if hit is not None:
                 orbit.m = m
                 orbit.endpoint = hit
                 endpoints.append(hit)
                 break
             if m >= orbit_cap:
-                return NRepReport("finite", n, None, orbits=orbits,
-                                  reason=f"orbit of {v} exceeded cap {orbit_cap}")
+                return report(None, reason=f"orbit of {v} exceeded cap {orbit_cap}")
             piece = Piece(current, 0)
             pieces, h_dims, flags = nu_inverse_step(a, piece, n, False)
             orbit.h_tables.append(h_dims)
             if sorted(h_dims) != [0]:
-                return NRepReport(
-                    "finite", n, False, orbits=orbits,
+                return report(
+                    False,
                     reason=f"nu_n^-1 of orbit of {v} not a stalk at step {m + 1}",
                     fail_at=(str(v), m + 1),
                 )
@@ -486,9 +498,8 @@ def is_n_rep_finite(a: GradedAlgebra, n: int, orbit_cap: int = 24,
             m += 1
         orbits.append(orbit)
     if sorted(str(e) for e in endpoints) != sorted(str(v) for v in a.vertices):
-        return NRepReport("finite", n, False, orbits=orbits,
-                          reason="orbit endpoints do not exhaust the injectives")
-    return NRepReport("finite", n, True, orbits=orbits)
+        return report(False, reason="orbit endpoints do not exhaust the injectives")
+    return report(True)
 
 
 def is_n_rep_infinite_upto(a: GradedAlgebra, n: int, depth: int = 6) -> NRepReport:
@@ -760,62 +771,6 @@ class ComplexResolution:
         )
 
 
-def _block_sum_hom(src: LabeledSum, tgt: LabeledSum, component):
-    """Hom between labeled sums from a part-level component function.
-
-    component(i, j) returns the hom from src part i to tgt part j, or None.
-    """
-    out = mo.zero_hom(src.module, tgt.module)
-    for i in range(len(src.parts)):
-        for j in range(len(tgt.parts)):
-            comp = component(i, j)
-            if comp is None or comp.is_zero():
-                continue
-            out = out.add(tgt.injections[j].compose(comp).compose(
-                src.projections[i]))
-    return out
-
-
-def _lift_stalk_map_into_injectives(res: InjectiveResolution, start_pos: int,
-                                    psi0: mo.GradedModuleHom, jterms: dict,
-                                    jdiffs: dict):
-    """Chain maps Psi_j: res.terms[j] -> jterms[start_pos + j] with
-    Psi_0 o mono = psi0 and the usual commutation squares."""
-    chain = []
-    prev = None
-    for j in range(len(res.terms)):
-        tgt = jterms.get(start_pos + j)
-        src_term = res.terms[j].module
-        if tgt is None:
-            # the commutation square must be trivially satisfiable
-            if prev is not None and (start_pos + j - 1) in jdiffs:
-                leak = jdiffs[start_pos + j - 1].compose(prev)
-                if not leak.is_zero():
-                    raise InternalCheckError("chain lift leaks past the complex")
-            chain.append(None)
-            prev = None
-            continue
-        constraints = []
-        if j == 0:
-            for x in mo.generator_elements(res.module):
-                constraints.append((res.mono.apply(x), psi0.apply(x)))
-        else:
-            dom_prev = res.terms[j - 1].module
-            dsrc = res.diffs[j - 1]
-            dj = jdiffs.get(start_pos + j - 1)
-            for x in mo.generator_elements(dom_prev):
-                val = {}
-                if dj is not None and prev is not None:
-                    val = dj.apply(prev.apply(x))
-                constraints.append((dsrc.apply(x), val))
-        u = mo.hom_space_with_constraints(src_term, tgt.module, constraints)
-        if u is None:
-            raise InternalCheckError("stalk lift into injective complex failed")
-        chain.append(u)
-        prev = u
-    return chain
-
-
 def injective_resolution_of_complex(cx: BoundedComplex,
                                     cap: int = 32) -> ComplexResolution:
     """Quasi-isomorphic bounded complex of injectives.
@@ -912,7 +867,7 @@ def injective_resolution_of_complex(cx: BoundedComplex,
             comp = mo.zero_hom(src_mod, tgt.module)
             for j in range(ni):
                 comp = comp.add(tgt.injections[j].compose(
-                    _restrict_to_part(res.mono, res.terms[0], j)))
+                    res.terms[0].projections[j]).compose(res.mono))
             h = h.add(comp)
         qy = sub.qis.get(p)
         if qy is not None:
@@ -924,11 +879,6 @@ def injective_resolution_of_complex(cx: BoundedComplex,
     out = ComplexResolution(terms, diffs, qis)
     _validate_complex_resolution(cx, out)
     return out
-
-
-def _restrict_to_part(h: mo.GradedModuleHom, src_sum: LabeledSum, j: int):
-    """Component of a hom into a labeled sum landing in part j."""
-    return src_sum.projections[j].compose(h)
 
 
 def _validate_complex_resolution(cx: BoundedComplex, out: ComplexResolution):
@@ -995,38 +945,6 @@ def derived_nu_inverse_power_complex(a: GradedAlgebra, start: BoundedComplex,
     return cur, tables
 
 
-def projective_to_injective_hom(a: GradedAlgebra, v, w, h: mo.GradedModuleHom):
-    """Apply the Nakayama correspondence to h: e_v A -> e_w A."""
-    basis_x = [i for i in range(a.dim)
-               if a.source[i] == w and a.target[i] == v]
-    layout, total = mo.hom_frame(h.domain, h.codomain)
-    sol = solve_combination(
-        [mo.hom_flatten(left_mult_hom(a, v, w, {x: Fraction(1)}), layout, total)
-         for x in basis_x],
-        mo.hom_flatten(h, layout, total))
-    if sol is None:
-        raise InternalCheckError("projective hom outside the left-mult span")
-    coeffs = {x: c for x, c in zip(basis_x, sol) if c}
-    return dual_right_mult_hom(a, v, w, coeffs)
-
-
-def transport_sum_hom_forward(src: LabeledSum, tgt: LabeledSum,
-                              h: mo.GradedModuleHom,
-                              src_inj: LabeledSum, tgt_inj: LabeledSum):
-    """Move a hom between projective sums to the matching injective sums."""
-    a = src.algebra
-    out = mo.zero_hom(src_inj.module, tgt_inj.module)
-    for i, v in enumerate(src.labels):
-        for j, w in enumerate(tgt.labels):
-            comp = tgt.projections[j].compose(h).compose(src.injections[i])
-            if comp.is_zero():
-                continue
-            moved = projective_to_injective_hom(a, v, w, comp)
-            out = out.add(tgt_inj.injections[j].compose(moved).compose(
-                src_inj.projections[i]))
-    return out
-
-
 def nu_forward_of_labeled(a: GradedAlgebra, labeled: dict, diffs: dict,
                           n: int) -> BoundedComplex:
     """nu_n = nu(-)[-n] applied to a complex of labeled projective sums.
@@ -1040,6 +958,6 @@ def nu_forward_of_labeled(a: GradedAlgebra, labeled: dict, diffs: dict,
     for p, d in diffs.items():
         if p + 1 not in labeled:
             continue
-        out_diffs[p + n] = transport_sum_hom_forward(
+        out_diffs[p + n] = transport_sum_hom(
             labeled[p], labeled[p + 1], d, inj_terms[p], inj_terms[p + 1])
     return BoundedComplex(a, terms, out_diffs)

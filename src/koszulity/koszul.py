@@ -450,7 +450,6 @@ def stable_to_ext(res: rs.MinimalResolution, chain: CosyzygyChain,
                         for t in range(res.terms[0].rank)])
     chain.ensure(k)
     res.extend(k + 1)
-    shifted_target = mo.shift_module(chain.module(k), q)
     v = g.compose(res.eps)   # P_0 -> C_k<q>
     for r in range(k, 0, -1):
         env = chain.steps[r - 1]
@@ -485,7 +484,6 @@ def gamma_block_map(bdata: StableEndData, dual: tr.DualData,
     """
     tilde = bdata.tilde
     n = tilde.n
-    B = bdata.algebra
     gamma = {}
     syz_cache = {}
 

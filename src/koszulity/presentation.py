@@ -142,7 +142,6 @@ def build_algebra(
 
     # Per length l: express ideal component in the path basis and reduce.
     # reduce_maps[l]: dict path-key -> list of (coeff, surviving path-key)
-    basis_paths = {0: [seq for seq, _ in paths[0]]}
     reduce_maps = {}
     survivors_by_len = [list(paths[0])]
     stop_len = None
@@ -481,7 +480,6 @@ def recover_presentation(alg, max_length: int = 24):
             if not cur:
                 break
             continue
-        index = {p[0]: i for i, p in enumerate(cur)}
         rows = []
         for i, p in enumerate(cur):
             row = [Fraction(0)] * nb

@@ -77,7 +77,7 @@ def verify_characterization(alg: GradedAlgebra, summands, n: int,
     a = fr.a
     if a < 1:
         raise InputError("highest degree must be at least 1")
-    mu_data = ko.mu_permutation(summands, fr.mu, rng=rng)
+    ko.mu_permutation(summands, fr.mu, rng=rng)
     left = ko.check_n_T_koszul(alg, summands, n, i_max, rng=rng)
     tilde = ko.build_t_tilde(alg, summands, n, a)
     dual = tr.koszul_dual(alg, summands, n, max(a - 1, 1))
@@ -265,7 +265,6 @@ def _phi0_blocks(bdata: ko.StableEndData, dual: tr.DualData, target,
     """Degree-0 matrix sending the basis of Pi_0(B) = B to the gamma classes
     inside the degree-0 part of the (possibly twisted) Veronese. Columns
     follow the basis order of the preprojective algebra."""
-    B = bdata.algebra
     n0 = target.dim(0)
     G = pp.algebra
     mat = Matrix.zero(n0, G.dim(0))
@@ -337,7 +336,7 @@ def verify_nrepfin_char(alg: GradedAlgebra, summands, n: int,
              f"not (n, m_i, sigma_i)-Koszul: {almost.verdict}",
         right=f"B (na-1)-rep-finite: {rf.verdict}",
         bounds={"l_max": l_max, "orbit_cap": orbit_cap},
-        probabilistic=almost.probabilistic if almost else False,
+        probabilistic=almost.probabilistic or rf.probabilistic,
         details=details,
         citations=[ko.GENERATION_ASSUMPTION],
         params=params,

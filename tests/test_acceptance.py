@@ -65,7 +65,6 @@ def test_criterion_1_worked_example():
     rad_sq = set()
     arrows_b = {}
     rad_elements = radb
-    spanned = {}
     for r1 in rad_elements:
         for r2 in rad_elements:
             prod = B.mult(r1, r2)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from koszulity.cli import main
+from koszulity import modules as mo
 from conftest import data_path
 
 
@@ -166,15 +167,30 @@ def test_verify_exit_codes_disagree_is_not_used_for_joint_failure(capsys):
     (["verify", "preproj-veronese", "--algebra", "x3.alg",
       "--module", "k_x3.mod", "--n", "1", "--degree-max", "3"],
      "verify_preproj_veronese_x3_d3.txt"),
+    (["verify", "characterization", "--algebra", "kron.alg", "--trivext",
+      "--n", "2", "--i-max", "3"], "verify_characterization_kron_trivext_n2_i3.txt"),
+    (["verify", "param-consistency", "--algebra", "nak2.alg"],
+     "verify_param_consistency_nak2.txt"),
 ])
 def test_verify_report_bytes(capsys, argv, recorded):
     # These reports lift maps through projective covers, envelopes and
-    # syzygies; they must match the recorded reports byte for byte.
+    # syzygies, and follow nu_n^{-1} orbits; they must match the recorded
+    # reports byte for byte.
     argv = [data_path(a) if a.endswith((".alg", ".mod")) else a for a in argv]
     code, out, _ = run(capsys, *argv)
     assert code == 0
     with open(data_path(recorded)) as fh:
         assert out == fh.read()
+
+
+def test_nrep_probabilistic_no_is_inconclusive(capsys, monkeypatch):
+    # an uncertified "not isomorphic" leaves the orbit endpoints unproven
+    monkeypatch.setattr(mo, "is_isomorphic",
+                        lambda m, n, rng=None: mo.IsoVerdict(None, False))
+    code, out, _ = run(capsys, "nrep", "--algebra", data_path("a2.alg"),
+                       "--mode", "finite", "--n", "1", "--json")
+    assert json.loads(out)["probabilistic"] is True
+    assert code == 3
 
 
 def test_reports_deterministic(capsys, tmp_path):

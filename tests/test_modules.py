@@ -174,7 +174,6 @@ def test_truncations(delta_a4, t_summands):
 
 
 def test_truncation_exact_sequence(delta_a4):
-    rng = random.Random(5)
     reg, _, _ = mo.regular_module(delta_a4)
     for i in (-1, 0, 1, 2):
         above = mo.truncation_above(reg, i)

@@ -1,5 +1,6 @@
 """No public function or method of the package is left without a caller,
-and no module imports a name it does not use.
+no module imports a name it does not use, and no function assigns a local
+name it never reads.
 
 A public top-level function of `src/koszulity`, or a public method of one of
 its top-level classes, fails this check when its name is used nowhere in
@@ -10,7 +11,10 @@ Comments and docstrings do not count as uses.
 `hereditary.nu_forward_of_labeled` is called only from the tests, and it
 stays: it applies nu_n levelwise to a complex of projective sums, and
 `test_nakayama_involution_on_complexes` uses it as the reference inverse of
-`nu_inverse_of_resolution`, checking that the cohomology comes back.
+`nu_inverse_of_resolution`, checking that the cohomology comes back. It
+moves each differential with the same `transport_sum_hom` as the inverse
+step, which picks the direction of the Nakayama correspondence from the
+kind of the source sum.
 """
 
 import ast
@@ -91,3 +95,42 @@ def test_no_unused_imports():
                 if name not in loaded:
                     unused.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not unused, "unused import: " + ", ".join(unused)
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own_nodes(func):
+    """Nodes of func's body, not descending into nested functions or classes."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS + (ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_unused_locals():
+    # `name = value` whose name the function (nested functions included)
+    # never reads; names starting with "_" are exempt.
+    unused = []
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for func in ast.walk(tree):
+                if not isinstance(func, FUNCTIONS):
+                    continue
+                read = {node.id for node in ast.walk(func)
+                        if isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)}
+                for node in own_nodes(func):
+                    if isinstance(node, (ast.Global, ast.Nonlocal)):
+                        read.update(node.names)
+                for node in own_nodes(func):
+                    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                            and isinstance(node.targets[0], ast.Name)):
+                        continue
+                    name = node.targets[0].id
+                    if not name.startswith("_") and name not in read:
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not unused, "assigned, never read: " + ", ".join(unused)

@@ -112,8 +112,6 @@ def test_yoneda_associative_on_samples(dualnum):
     vals = rs.cocycle_values(res, e1, e1.reps[0])
     lift1 = rs.CocycleLift(res, res, 1, vals)
     sq = rs.yoneda_product(k, 1, vals, lift1)
-    e2 = rs.ext_group(res, k, 2, 2)
-    lift2 = rs.CocycleLift(res, res, 2, rs.cocycle_values(res, e2, e2.reps[0]))
     # (x.x).x vs x.(x.x)
     left = rs.yoneda_product(k, 2, sq, lift1)
     sq_lift = rs.CocycleLift(res, res, 2, sq)
