@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from .algebra import InputError, trivial_extension
@@ -78,7 +79,7 @@ def cmd_build(args) -> int:
 
         with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write(dump_algebra(alg) + "\n")
-    fr = frobenius_analysis(alg, seed=args.seed)
+    fr = frobenius_analysis(alg, rng=random.Random(args.seed))
     a0 = ko.degree_zero_part(alg)
     gl = rs.gldim_upto(a0, args.i_max)
     dims = alg.dims_by_degree()

@@ -10,11 +10,10 @@ identity works as mu for some admissible f.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import Matrix, candidate_combinations
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 
 
@@ -180,7 +179,11 @@ def _nakayama_from_gram(alg: GradedAlgebra, g: Matrix) -> GradedAlgebraMorphism:
     return GradedAlgebraMorphism(alg, alg, images)
 
 
-def frobenius_analysis(alg: GradedAlgebra, seed: int = 0, samples: int = 64):
+# Random combinations frobenius_analysis tries after a basis and its sum.
+FORM_SAMPLES = 64
+
+
+def frobenius_analysis(alg: GradedAlgebra, rng=None):
     """Graded Frobenius test with Nakayama automorphism and symmetry flag."""
     a = alg.highest_degree()
     if not _pairing_block_dims_match(alg, a):
@@ -207,30 +210,16 @@ def frobenius_analysis(alg: GradedAlgebra, seed: int = 0, samples: int = 64):
     else:
         sym_space = [list(r) for r in Matrix.identity(len(top)).data]
 
-    rng = random.Random(seed)
+    def invertible_forms(space):
+        """(f, Gram matrix of f) for each nondegenerate f the stream gives."""
+        for vec in candidate_combinations(space, rng, FORM_SAMPLES):
+            f = {top[i]: c for i, c in vec.items()}
+            if f:
+                g = _gram(alg, f)
+                if g.is_invertible():
+                    yield f, g
 
-    def candidates(space):
-        for v in space:
-            yield v
-        if space:
-            yield [sum(col) for col in zip(*space)]
-            for _ in range(samples):
-                yield [
-                    sum(Fraction(rng.randint(-5, 5)) * v[i] for v in space)
-                    for i in range(len(space[0]))
-                ]
-
-    def try_space(space):
-        for vec in candidates(space):
-            f = {top[i]: c for i, c in enumerate(vec) if c}
-            if not f:
-                continue
-            g = _gram(alg, f)
-            if g.is_invertible():
-                return f, g
-        return None
-
-    sym_hit = try_space(sym_space)
+    sym_hit = next(invertible_forms(sym_space), None)
     if sym_hit is not None:
         f, g = sym_hit
         mu = identity_morphism(alg)
@@ -244,12 +233,12 @@ def frobenius_analysis(alg: GradedAlgebra, seed: int = 0, samples: int = 64):
         )
 
     full_space = [list(r) for r in Matrix.identity(len(top)).data]
-    hit = try_space(full_space)
+    hit = next(invertible_forms(full_space), None)
     if hit is None:
         if top:
             return FrobeniusReport(
                 False, probabilistic=True,
-                reason=f"no invertible combination found in {samples} samples "
+                reason=f"no invertible combination found in {FORM_SAMPLES} samples "
                        "(probabilistic)",
             )
         return FrobeniusReport(False, reason="no top-degree functionals")
@@ -261,13 +250,7 @@ def frobenius_analysis(alg: GradedAlgebra, seed: int = 0, samples: int = 64):
         perm = mu.vertex_permutation()
     else:
         # retry a few candidates hoping for a vertex-permuting representative
-        for vec in candidates(full_space):
-            f2 = {top[i]: c for i, c in enumerate(vec) if c}
-            if not f2:
-                continue
-            g2 = _gram(alg, f2)
-            if not g2.is_invertible():
-                continue
+        for f2, g2 in invertible_forms(full_space):
             mu2 = _nakayama_from_gram(alg, g2)
             if mu2.permutes_vertices():
                 f, g, mu = f2, g2, mu2

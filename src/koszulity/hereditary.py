@@ -23,7 +23,6 @@ functor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
 from .linalg import Matrix
@@ -233,17 +232,7 @@ class CohomologyData:
     cycles: mo.GradedModule
     incl: mo.GradedModuleHom      # cycles -> term
     proj: mo.GradedModuleHom      # cycles -> H
-
-    @cached_property
-    def section(self) -> mo.GradedModuleHom:
-        """H -> cycles, a blockwise right inverse of proj."""
-        blocks = {}
-        for key, dim in self.module.dims.items():
-            sec = self.proj.block(*key).solve_matrix(Matrix.identity(dim))
-            if sec is None:
-                raise InternalCheckError("quotient projection has no section")
-            blocks[key] = sec
-        return mo.GradedModuleHom(self.module, self.cycles, blocks)
+    section: mo.GradedModuleHom   # H -> cycles, a blockwise right inverse of proj
 
 
 def complex_cohomology(cx: BoundedComplex):
@@ -262,8 +251,8 @@ def complex_cohomology(cx: BoundedComplex):
                     raise InternalCheckError("boundary is not a cycle")
                 for k2, sol in pre.items():
                     spans.setdefault(k2, []).append(sol)
-        H, proj = mo.quotient_module(K, spans, name=f"H^{d}")
-        out[d] = CohomologyData(H, K, incl, proj)
+        H, proj, section = mo.quotient_module(K, spans, name=f"H^{d}")
+        out[d] = CohomologyData(H, K, incl, proj, section)
     return out
 
 

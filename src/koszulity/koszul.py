@@ -772,7 +772,7 @@ def check_n_m_sigma_koszul(alg: GradedAlgebra, summands, n: int,
                         )
                         return None, almost, tilt
     if mu_data is None:
-        fr = frobenius_analysis(alg)
+        fr = frobenius_analysis(alg, rng=rng)
         if not fr.is_frobenius:
             raise InputError("algebra is not graded Frobenius")
         mu_data = mu_permutation(summands, fr.mu, rng=rng)

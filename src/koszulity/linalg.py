@@ -7,10 +7,15 @@ echelon form as vectors are added one at a time, in the manner of
 structured Gaussian elimination. `Matrix` is the dense container the rest of
 the package builds, multiplies and solves with; matrices are treated as
 immutable once constructed (no method mutates `self`).
+
+The randomized isomorphism searches all draw their candidates from one
+lazy stream, `candidate_combinations`: the basis, its sum, then random
+integer combinations. It is the only place that draws random numbers.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 Q = Fraction
@@ -342,16 +347,31 @@ def complement_basis(sub_rows, amb_dim: int):
     return chosen
 
 
-def random_int_combination(vectors, rng, lo=-5, hi=5):
-    """Random integer combination of a list of equal-length vectors."""
-    if not vectors:
-        return None
-    n = len(vectors[0])
-    coeffs = [Fraction(rng.randint(lo, hi)) for _ in vectors]
-    out = [ZERO] * n
-    for c, v in zip(coeffs, vectors):
+def candidate_combinations(vectors, rng, samples: int):
+    """Lazy stream of candidates in the span of vectors, for sampled searches.
+
+    Yields each vector, then their sum, then `samples` random integer
+    combinations, each drawing one coefficient from [-5, 5] per vector, in
+    order. A polynomial of degree deg on the span, such as a determinant,
+    that is not identically zero vanishes at such a sample with probability
+    at most deg/11 (Schwartz-Zippel), so a found candidate is a certificate
+    and a miss is only probable evidence. Vectors are dense lists or sparse
+    dicts; candidates are sparse dicts. rng=None means random.Random(0);
+    nothing is drawn before the first sample is asked for.
+    """
+    vectors = [_sparse(vec) for vec in vectors]
+    yield from vectors
+    yield _combine(vectors, [1] * len(vectors))
+    if rng is None:
+        rng = random.Random(0)
+    for _ in range(samples):
+        yield _combine(vectors, [rng.randint(-5, 5) for _ in vectors])
+
+
+def _combine(vectors, coeffs) -> dict:
+    """sum_k coeffs[k] * vectors[k] of sparse vectors, as a sparse dict."""
+    out = {}
+    for c, vec in zip(coeffs, vectors):
         if c:
-            for i, x in enumerate(v):
-                if x:
-                    out[i] += c * x
+            _axpy(out, -c, vec)
     return out

@@ -8,11 +8,12 @@ columns; the right action of x*y is rho(y) o rho(x).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (EchelonBasis, Matrix, complement_basis, frac,
-                     random_int_combination, solve_combination)
+from .linalg import (EchelonBasis, Matrix, candidate_combinations,
+                     complement_basis, frac, solve_combination)
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 
 
@@ -571,31 +572,31 @@ def hom_frame(domain: GradedModule, codomain: GradedModule):
     return layout, offset
 
 
-def hom_flatten(h: GradedModuleHom, layout, total) -> list:
-    vec = [Fraction(0)] * total
+def hom_flatten(h: GradedModuleHom, layout) -> dict:
+    """{offset: entry} of the nonzero entries of h, in the hom_frame layout."""
+    vec = {}
     for key, off, _size in layout:
         mat = h.blocks.get(key)
         if mat is None:
             continue
-        cols = mat.cols
-        for i in range(mat.rows):
-            row = mat.data[i]
-            for j in range(cols):
-                vec[off + i * cols + j] = row[j]
+        for i, row in enumerate(mat.data):
+            for j, x in enumerate(row, off + i * mat.cols):
+                if x:
+                    vec[j] = x
     return vec
 
 
-def hom_unflatten(domain, codomain, layout, vec) -> GradedModuleHom:
+def hom_unflatten(domain, codomain, layout, vec: dict) -> GradedModuleHom:
+    """The hom whose entries hom_flatten gives as vec."""
+    starts = [off for _key, off, _size in layout]
     blocks = {}
-    for key, off, size in layout:
-        rows = codomain.dims[key]
-        cols = domain.dims[key]
-        mat = Matrix.zero(rows, cols)
-        for i in range(rows):
-            for j in range(cols):
-                mat.data[i][j] = vec[off + i * cols + j]
-        if not mat.is_zero():
-            blocks[key] = mat
+    for c, x in vec.items():
+        key, off, _size = layout[bisect_right(starts, c) - 1]
+        mat = blocks.get(key)
+        if mat is None:
+            mat = blocks[key] = Matrix.zero(codomain.dims[key], domain.dims[key])
+        i, j = divmod(c - off, mat.cols)
+        mat.data[i][j] = x
     return GradedModuleHom(domain, codomain, blocks)
 
 
@@ -654,14 +655,10 @@ def hom_space(m: GradedModule, n: GradedModule):
                     if hit:
                         rows.append(row)
     if rows:
-        mat = Matrix(len(rows), total, rows)
-        kernel = mat.kernel_basis()
+        kernel = [{c: x for c, x in enumerate(v) if x}
+                  for v in Matrix(len(rows), total, rows).kernel_basis()]
     else:
-        kernel = []
-        for i in range(total):
-            v = [Fraction(0)] * total
-            v[i] = Fraction(1)
-            kernel.append(v)
+        kernel = [{c: Fraction(1)} for c in range(total)]
     out = [hom_unflatten(m, n, layout, v) for v in kernel]
     m.memo[memo_key] = (n, out)
     return list(out)
@@ -871,7 +868,11 @@ def image_spans(f: GradedModuleHom):
 
 
 def quotient_module(m: GradedModule, spans: dict, name="quot"):
-    """Quotient of m by the action-closed span; returns (module, projection)."""
+    """Quotient of m by the action-closed span.
+
+    Returns (module, projection, section): the section is a blockwise linear
+    right inverse of the projection, not in general a module map.
+    """
     alg = m.algebra
     reducers = {}
     for key, dimk in m.dims.items():
@@ -915,17 +916,14 @@ def quotient_module(m: GradedModule, spans: dict, name="quot"):
         if per:
             action[x] = per
     quot = GradedModule(alg, dims, action, name=name)
-    proj_blocks = {}
-    for key in m.dims:
-        pr = reducers[key][0]
-        if pr.rows:
-            proj_blocks[key] = pr
-    proj = GradedModuleHom(m, quot, proj_blocks)
-    return quot, proj
+    proj = GradedModuleHom(m, quot, {key: reducers[key][0] for key in dims})
+    section = GradedModuleHom(quot, m, {key: reducers[key][1] for key in dims})
+    return quot, proj, section
 
 
 def cokernel(f: GradedModuleHom, name="coker"):
-    return quotient_module(f.codomain, image_spans(f), name=name)
+    quot, proj, _section = quotient_module(f.codomain, image_spans(f), name=name)
+    return quot, proj
 
 
 # ---------------------------------------------------------------------------
@@ -1165,15 +1163,15 @@ def stable_hom(m: GradedModule, n: GradedModule, prefer=None):
     if tags:
         for u in hom_space(m, P):
             F.append(epi.compose(u))
-    layout, total = hom_frame(m, n)
-    basis = EchelonBasis(hom_flatten(h, layout, total) for h in F)
+    layout, _total = hom_frame(m, n)
+    basis = EchelonBasis(hom_flatten(h, layout) for h in F)
     frank = basis.rank
     reps = [h for h in (list(prefer) if prefer else []) + H
-            if basis.add(hom_flatten(h, layout, total))]
+            if basis.add(hom_flatten(h, layout))]
     qdim = basis.rank - frank
 
     def reducer(h):
-        coords = basis.coords(hom_flatten(h, layout, total))
+        coords = basis.coords(hom_flatten(h, layout))
         if coords is None:
             raise InternalCheckError("hom outside computed span")
         return coords[frank:]
@@ -1193,12 +1191,12 @@ class IsoVerdict:
         return not self.certified
 
 
-def is_isomorphic(m: GradedModule, n: GradedModule, rng=None, samples: int = 64):
-    """Isomorphism test with certificates; NO may be probabilistic."""
-    import random as _random
+# Random combinations is_isomorphic tries after the Hom basis and its sum.
+ISO_SAMPLES = 64
 
-    if rng is None:
-        rng = _random.Random(0)
+
+def is_isomorphic(m: GradedModule, n: GradedModule, rng=None):
+    """Isomorphism test with certificates; NO may be probabilistic."""
     keys = set(m.dims) | set(n.dims)
     for key in keys:
         if m.block_dim(*key) != n.block_dim(*key):
@@ -1208,34 +1206,28 @@ def is_isomorphic(m: GradedModule, n: GradedModule, rng=None, samples: int = 64)
     H = hom_space(m, n)
     if not H:
         return IsoVerdict(False, True, reason="no nonzero homomorphisms")
-    for h in H:
-        if h.is_isomorphism():
-            return IsoVerdict(True, True, certificate=h)
-    layout, total = hom_frame(m, n)
-    vecs = [hom_flatten(h, layout, total) for h in H]
-    sumvec = [sum(col) for col in zip(*vecs)]
-    cands = [sumvec]
-    for _ in range(samples):
-        cands.append(random_int_combination(vecs, rng))
-    for vec in cands:
+    layout, _total = hom_frame(m, n)
+    for vec in candidate_combinations([hom_flatten(h, layout) for h in H], rng,
+                                      ISO_SAMPLES):
         h = hom_unflatten(m, n, layout, vec)
         if h.is_isomorphism():
             return IsoVerdict(True, True, certificate=h)
     return IsoVerdict(
         None, False,
-        reason=f"no invertible combination found in {samples} samples (probabilistic)",
+        reason=f"no invertible combination found in {ISO_SAMPLES} samples "
+               "(probabilistic)",
     )
 
 
 def endomorphism_table(m: GradedModule):
     """Basis of End(M) and structure constants of composition."""
     E = hom_space(m, m)
-    layout, total = hom_frame(m, m)
-    basis = EchelonBasis(hom_flatten(h, layout, total) for h in E)
+    layout, _total = hom_frame(m, m)
+    basis = EchelonBasis(hom_flatten(h, layout) for h in E)
     table = {}
     for i, hi in enumerate(E):
         for j, hj in enumerate(E):
-            sol = basis.coords(hom_flatten(hi.compose(hj), layout, total))
+            sol = basis.coords(hom_flatten(hi.compose(hj), layout))
             if sol is None:
                 raise InternalCheckError("End(M) not closed under composition")
             table[(i, j)] = {k: c for k, c in enumerate(sol) if c}

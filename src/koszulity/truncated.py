@@ -8,11 +8,10 @@ convention as GradedAlgebra.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, random_int_combination
+from .linalg import Matrix, candidate_combinations
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import resolution as rs
 
@@ -505,8 +504,12 @@ def bigraded_dims_equal(G1, G2, vertex_map, upto=None) -> bool:
     return True
 
 
-def find_graded_iso(G1, G2, phi0: Matrix, vertex_map, seed: int = 0,
-                    samples: int = 24, upto=None) -> GradedIsoReport:
+# Random combinations find_graded_iso tries after the basis and its sum.
+GRADED_ISO_SAMPLES = 24
+
+
+def find_graded_iso(G1, G2, phi0: Matrix, vertex_map, rng=None,
+                    upto=None) -> GradedIsoReport:
     """Isomorphism G1 -> G2 extending the degree-0 map phi0, generated in
     degree <= 1. phi0 must already be a degree-0 algebra isomorphism."""
     cutoff = min(G1.cutoff, G2.cutoff) if upto is None else upto
@@ -587,17 +590,12 @@ def find_graded_iso(G1, G2, phi0: Matrix, vertex_map, seed: int = 0,
     if not space:
         return GradedIsoReport(False, True,
                                reason="no bimodule maps in degree 1")
-    rng = random.Random(seed)
-    candidates = list(space)
-    candidates.append([sum(col) for col in zip(*space)])
-    for _ in range(samples):
-        candidates.append(random_int_combination(space, rng))
     last_reason = "no candidate extended to an isomorphism"
-    for vec in candidates:
+    for vec in candidate_combinations(space, rng, GRADED_ISO_SAMPLES):
         F = Matrix.zero(G2.dim(1), n1)
-        for i in range(G2.dim(1)):
-            for j in range(n1):
-                F.data[i][j] = vec[entry(i, j)]
+        for c, x in vec.items():
+            i, j = divmod(c, n1)
+            F.data[i][j] = x
         if not F.is_invertible():
             continue
         cand = TruncatedAlgebraMorphism(G1, G2, {0: phi0, 1: F})

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from koszulity.cli import main
+from koszulity import hereditary as hd
 from koszulity import modules as mo
+from koszulity import truncated as tr
 from conftest import data_path
 
 
@@ -190,6 +192,25 @@ def test_nrep_probabilistic_no_is_inconclusive(capsys, monkeypatch):
     code, out, _ = run(capsys, "nrep", "--algebra", data_path("a2.alg"),
                        "--mode", "finite", "--n", "1", "--json")
     assert json.loads(out)["probabilistic"] is True
+    assert code == 3
+
+
+@pytest.mark.parametrize("owner, name, fake, argv", [
+    (hd, "identify_injective", lambda a, m, rng=None: (None, True),
+     ["nrepfin-char", "--algebra", "x3.alg", "--module", "k_x3.mod",
+      "--n", "1"]),
+    (tr, "find_graded_iso",
+     lambda *args, **kw: tr.GradedIsoReport(False, True, probabilistic=True),
+     ["trivext-dual", "--algebra", "kron.alg", "--n", "1",
+      "--degree-max", "2"]),
+], ids=["nrepfin-char", "trivext-dual"])
+def test_verify_probabilistic_disagree_is_inconclusive(capsys, monkeypatch,
+                                                       owner, name, fake, argv):
+    # a "disagree" resting on an uncertified "no" proves nothing either way
+    monkeypatch.setattr(owner, name, fake)
+    argv = [data_path(a) if a.endswith((".alg", ".mod")) else a for a in argv]
+    code, out, _ = run(capsys, "verify", *argv)
+    assert "disagree" in out and "probabilistic: True" in out
     assert code == 3
 
 

@@ -230,6 +230,12 @@ def test_complex_resolution_multidegree(a4):
     assert sum(tables[2].values()) > 0
 
 
+def assert_sections_split_projections(cx):
+    for data in hd.complex_cohomology(cx).values():
+        back = data.proj.compose(data.section)
+        assert back.blocks == mo.identity_hom(data.module).blocks
+
+
 def test_nakayama_involution_on_complexes(a4):
     # nu_n applied back to a nu_n^{-1} image restores the cohomology exactly
     P1 = mo.projective_module(a4, 1)
@@ -239,6 +245,7 @@ def test_nakayama_involution_on_complexes(a4):
     fwd = hd.nu_forward_of_labeled(a4, labeled, back.diffs, 2)
     fwd.validate()
     assert hd.cohomology_dims(fwd) == {0: 3}
+    assert_sections_split_projections(fwd)
 
 
 def test_complex_resolution_of_two_term_complex(a4):
@@ -254,6 +261,8 @@ def test_complex_resolution_of_two_term_complex(a4):
     assert dims == {0: 1, 1: 2}
     cres = hd.injective_resolution_of_complex(cx)
     assert hd.cohomology_dims(cres.as_complex(a4)) == dims
+    assert_sections_split_projections(cx)
+    assert_sections_split_projections(cres.as_complex(a4))
     for p, ls in cres.terms.items():
         for lab in ls.labels:
             assert lab in a4.vertices

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from itertools import islice
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from koszulity.linalg import EchelonBasis, Matrix, solve_combination
+from koszulity.linalg import (EchelonBasis, Matrix, candidate_combinations,
+                              solve_combination)
 
 
 def M(rows):
@@ -236,6 +239,51 @@ def test_echelon_accepts_sparse_dicts():
     assert basis.coords({0: 1, 1: 1, 2: 2}) == [Fraction(1), Fraction(1)]
     assert basis.add({2: 1, 1: 0})
     assert basis.rank == 3
+
+
+def random_int_combination(vectors, rng, lo=-5, hi=5):
+    """Dense random integer combination: the reference for the draws of
+    candidate_combinations."""
+    if not vectors:
+        return None
+    n = len(vectors[0])
+    coeffs = [Fraction(rng.randint(lo, hi)) for _ in vectors]
+    out = [Fraction(0)] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(v):
+                if x:
+                    out[i] += c * x
+    return out
+
+
+def sparse(vec):
+    return {c: x for c, x in enumerate(vec) if x}
+
+
+@given(rational_matrices(), st.integers(min_value=0, max_value=2**32),
+       st.integers(min_value=0, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_candidate_combinations_match_reference_draws(m, seed, samples):
+    assume(m.rows)
+    vectors = [sparse(row) for row in m.data]
+    rng = random.Random(seed)
+    state = rng.getstate()
+    stream = candidate_combinations(vectors, rng, samples)
+    head = list(islice(stream, m.rows + 1))
+    # the inputs, then their sum, and nothing drawn yet
+    assert head[:-1] == vectors
+    assert head[-1] == sparse([sum(col) for col in zip(*m.data)])
+    assert rng.getstate() == state
+    ref = random.Random(seed)
+    rest = list(stream)
+    assert rest == [sparse(random_int_combination(m.data, ref))
+                    for _ in range(samples)]
+    assert rng.getstate() == ref.getstate()
+    basis = EchelonBasis(vectors)
+    assert all(basis.contains(vec) for vec in head + rest)
+    assert (list(candidate_combinations(vectors, None, samples))
+            == list(candidate_combinations(vectors, random.Random(0), samples)))
 
 
 def test_ext_group_reps_match_dense_greedy_selection(delta_a4, t_summands):

@@ -1,6 +1,7 @@
 """No public function or method of the package is left without a caller,
-no module imports a name it does not use, and no function assigns a local
-name it never reads.
+no module imports a name it does not use, no function assigns a local
+name it never reads, and no code outside `linalg.candidate_combinations`
+draws random integers.
 
 A public top-level function of `src/koszulity`, or a public method of one of
 its top-level classes, fails this check when its name is used nowhere in
@@ -134,3 +135,26 @@ def test_no_unused_locals():
                     if not name.startswith("_") and name not in read:
                         unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, "assigned, never read: " + ", ".join(unused)
+
+
+def is_randint(node):
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr == "randint"
+        or isinstance(node.func, ast.Name) and node.func.id == "randint")
+
+
+def test_random_draws_only_in_candidate_combinations():
+    # Every randomized search samples through linalg.candidate_combinations,
+    # so one seed fixes one sequence of draws and one bound on a miss.
+    allowed, stray = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if path.name == "linalg.py" and isinstance(node, ast.FunctionDef) \
+                    and node.name == "candidate_combinations":
+                allowed += [sub for sub in ast.walk(node) if is_randint(sub)]
+            else:
+                stray += [f"{path.name}:{sub.lineno}" for sub in ast.walk(node)
+                          if is_randint(sub)]
+    assert allowed
+    assert not stray, "randint outside candidate_combinations: " + ", ".join(stray)

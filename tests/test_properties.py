@@ -46,7 +46,7 @@ def random_module(alg, rng, max_parts=2):
                                 keep = True
                         if keep:
                             stack.append(img)
-        quot, _ = mo.quotient_module(total, spans)
+        quot, _, _ = mo.quotient_module(total, spans)
         if not quot.is_zero():
             return quot
     raise AssertionError("could not build a random module")
