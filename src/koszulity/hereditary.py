@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Matrix
+from .linalg import solve_combination
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import modules as mo
 from . import resolution as rs
@@ -50,18 +50,11 @@ def left_mult_hom(a: GradedAlgebra, v, w, coeffs) -> mo.GradedModuleHom:
 
 def dual_right_mult_hom(a: GradedAlgebra, v, w, coeffs) -> mo.GradedModuleHom:
     """D(Ae_v) -> D(Ae_w), dual of right multiplication by x in e_w A e_v:
-    psi_b goes to the sum over c of psi_b(c x) psi_c."""
-    I, J = injective_module(a, v), injective_module(a, w)
-    blocks = {}
-    for key, ix in I.basis_index.items():
-        tgt_ix = J.basis_index.get(key, [])
-        mat = Matrix.zero(len(tgt_ix), len(ix))
-        for r_i, c in enumerate(tgt_ix):
-            for c_i, b in enumerate(ix):
-                for x, cx in coeffs.items():
-                    mat.data[r_i][c_i] += cx * a.mult_basis(c, x).get(b, 0)
-        blocks[key] = mat
-    return mo.GradedModuleHom(I, J, blocks)
+    psi_b goes to the sum over c of psi_b(c x) psi_c. Its functional on
+    D(Ae_v)_(w,0) is psi -> psi(x)."""
+    I = injective_module(a, v)
+    phi = [coeffs.get(b, Fraction(0)) for b in I.basis_index.get((w, 0), [])]
+    return mo.map_into_injective(I, injective_module(a, w), w, phi)
 
 
 def injective_to_projective_hom(a: GradedAlgebra, v, w, h: mo.GradedModuleHom):
@@ -140,6 +133,43 @@ def transport_sum_hom(src: LabeledSum, tgt: LabeledSum, h: mo.GradedModuleHom,
     return _block_sum_hom(src_to, tgt_to, component)
 
 
+def solve_map_into_injectives(m: mo.GradedModule, tgt: LabeledSum, constraints):
+    """A map m -> tgt.module with prescribed values, or None if there is none.
+
+    constraints = [(elem, image), ...]: elem an element dict of m, image one
+    of tgt.module. Hom(M, D(Ae_w)) is D(M_(w,0)), so the component into part
+    j, with w = tgt.labels[j], is `mo.map_into_injective` for a functional
+    phi on M_(w,0), and its psi_b coordinate at elem is phi(elem . b). Each
+    (constraint, psi_b) pair is one linear equation in phi, solved by one
+    `solve_combination` per part. The assembled map is checked against every
+    prescribed value.
+    """
+    homs = []
+    for w, part, prj in zip(tgt.labels, tgt.parts, tgt.projections):
+        index = {}
+        columns = [{} for _ in range(m.block_dim(w, 0))]
+        values = {}
+        for k, (elem, image) in enumerate(constraints):
+            for key, vec in elem.items():
+                for r_i, b in enumerate(part.basis_index.get(key, [])):
+                    for i, y in enumerate(m.act(b, key[1]).apply(vec)):
+                        if y:
+                            columns[i][index.setdefault((k, key, r_i), len(index))] = y
+            for key, vec in prj.apply(image).items():
+                for r_i, y in enumerate(vec):
+                    if y:
+                        values[index.setdefault((k, key, r_i), len(index))] = y
+        phi = solve_combination(columns, values)
+        if phi is None:
+            return None
+        homs.append(mo.map_into_injective(m, part, w, phi))
+    out = mo.map_into_sum(m, tgt.module, tgt.injections, homs)
+    for elem, image in constraints:
+        if out.apply(elem) != {key: vec for key, vec in image.items() if any(vec)}:
+            raise InternalCheckError("map into injectives misses a prescribed value")
+    return out
+
+
 def identify_injective(a: GradedAlgebra, m: mo.GradedModule, rng=None):
     """(v, probabilistic): v with m isomorphic to D(Ae_v), or None.
 
@@ -163,7 +193,12 @@ def identify_injective(a: GradedAlgebra, m: mo.GradedModule, rng=None):
 # ---------------------------------------------------------------------------
 
 def injective_envelope_ungraded(m: mo.GradedModule):
-    """Minimal injective envelope; returns (LabeledSum, mono)."""
+    """Minimal injective envelope; returns (LabeledSum, mono).
+
+    One copy of D(Ae_v) per basis vector of the socle at v. The mono sends
+    each socle vector to the generator psi_(e_v) of its copy; it is solved
+    in closed form, one functional per copy, by `solve_map_into_injectives`.
+    """
     a = m.algebra
     soc = mo.socle_spans(m)
     labels, soc_list = [], []
@@ -180,7 +215,7 @@ def injective_envelope_ungraded(m: mo.GradedModule):
     constraints = [({key: vec}, inj.apply(mo.generator(part, v)))
                    for (key, vec), v, part, inj
                    in zip(soc_list, labels, I.parts, I.injections)]
-    mono = mo.hom_space_with_constraints(m, I.module, constraints)
+    mono = solve_map_into_injectives(m, I, constraints)
     if mono is None:
         raise InternalCheckError("socle embedding does not extend")
     if not mono.is_injective():
@@ -326,7 +361,16 @@ def _lift_stalk_map_into_injectives(res: InjectiveResolution, start_pos: int,
                                     psi0: mo.GradedModuleHom, jterms: dict,
                                     jdiffs: dict):
     """Chain maps Psi_j: res.terms[j] -> jterms[start_pos + j] with
-    Psi_0 o mono = psi0 and the usual commutation squares."""
+    Psi_0 o mono = psi0 and the usual commutation squares.
+
+    Psi_j is prescribed on d(x) for the generators x of the previous term
+    (on mono(x) for the generators x of the module, at j = 0) and solved
+    into the injective sum jterms[start_pos + j] by
+    `solve_map_into_injectives`, one functional per summand, without a Hom
+    basis. Any solution will do: a lift into a complex of injectives is
+    unique up to homotopy, so the maps it induces on cohomology do not
+    depend on the choice.
+    """
     chain = []
     prev = None
     for j in range(len(res.terms)):
@@ -354,7 +398,7 @@ def _lift_stalk_map_into_injectives(res: InjectiveResolution, start_pos: int,
                 if dj is not None and prev is not None:
                     val = dj.apply(prev.apply(x))
                 constraints.append((dsrc.apply(x), val))
-        u = mo.hom_space_with_constraints(src_term, tgt.module, constraints)
+        u = solve_map_into_injectives(src_term, tgt, constraints)
         if u is None:
             raise InternalCheckError("stalk lift into injective complex failed")
         chain.append(u)

@@ -152,17 +152,22 @@ class Matrix:
 
     # -- elimination ----------------------------------------------------
 
+    def _echelon(self) -> "EchelonBasis":
+        """The row space of self as an EchelonBasis."""
+        basis = EchelonBasis()
+        for row in self.data:
+            if basis.rank == self.cols:
+                break
+            basis.add(row)
+        return basis
+
     def rref(self):
         """Reduced row-echelon form.
 
         Returns (R, pivots) where R is the RREF and pivots the strictly
         increasing list of pivot columns. Row space is preserved.
         """
-        basis = EchelonBasis()
-        for row in self.data:
-            if basis.rank == self.cols:
-                break
-            basis.add(row)
+        basis = self._echelon()
         pivots = sorted(basis.rows)
         out = Matrix(self.rows, self.cols)
         for r, pc in enumerate(pivots):
@@ -176,17 +181,13 @@ class Matrix:
 
     def kernel_basis(self):
         """Basis of the right kernel {x : self @ x = 0}, as lists."""
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for fc in free:
+        out = []
+        for vec in kernel_vectors(self._echelon(), self.cols):
             v = [ZERO] * self.cols
-            v[fc] = ONE
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.data[r][fc]
-            basis.append(v)
-        return basis
+            for c, x in vec.items():
+                v[c] = x
+            out.append(v)
+        return out
 
     def solve(self, b):
         """Solve self @ x = b exactly; returns a list or None if inconsistent."""
@@ -313,6 +314,21 @@ class EchelonBasis:
         for p, x in taken:
             _axpy(out, -x, self.combos[p])
         return [out.get(k, ZERO) for k in range(self.rank)]
+
+
+def kernel_vectors(basis: EchelonBasis, cols: int):
+    """Sparse basis of {x in Q^cols : row . x = 0 for every row of basis}.
+
+    One vector per free (non-pivot) column fc, in increasing order: 1 at fc
+    and -row[fc] at the pivot of each row. The rows are zero in each
+    other's pivot columns, so their other entries all sit in free columns.
+    """
+    vecs = {c: {c: ONE} for c in range(cols) if c not in basis.rows}
+    for pc, row in basis.rows.items():
+        for c, x in row.items():
+            if c != pc:
+                vecs[c][pc] = -x
+    return list(vecs.values())
 
 
 def solve_combination(vectors, target):

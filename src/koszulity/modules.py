@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (EchelonBasis, Matrix, candidate_combinations,
-                     complement_basis, frac, solve_combination)
+                     complement_basis, frac, kernel_vectors, solve_combination)
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 
 
@@ -618,7 +618,7 @@ def hom_space(m: GradedModule, n: GradedModule):
     if total == 0:
         return []
     pos = {key: (off, m.dims[key], n.dims[key]) for key, off, _ in layout}
-    rows = []
+    equations = EchelonBasis()
     gens = alg.generating_set()
     for x in gens:
         sv, tv, dx = alg.source[x], alg.target[x], alg.degree[x]
@@ -636,29 +636,22 @@ def hom_space(m: GradedModule, n: GradedModule):
                 continue
             for i in range(tgt_n):
                 for j in range(src_m):
-                    row = [Fraction(0)] * total
-                    hit = False
+                    row = {}
                     if (tv, d + dx) in pos and tgt_m:
                         off, cols, _r = pos[(tv, d + dx)]
                         for k in range(tgt_m):
                             c = a_m.data[k][j]
                             if c:
-                                row[off + i * cols + k] += c
-                                hit = True
+                                row[off + i * cols + k] = c
                     if (sv, d) in pos and src_n:
                         off, cols, _r = pos[(sv, d)]
                         for k in range(src_n):
                             c = a_n.data[i][k]
                             if c:
-                                row[off + k * cols + j] -= c
-                                hit = True
-                    if hit:
-                        rows.append(row)
-    if rows:
-        kernel = [{c: x for c, x in enumerate(v) if x}
-                  for v in Matrix(len(rows), total, rows).kernel_basis()]
-    else:
-        kernel = [{c: Fraction(1)} for c in range(total)]
+                                col = off + k * cols + j
+                                row[col] = row.get(col, 0) - c
+                    equations.add(row)
+    kernel = kernel_vectors(equations, total)
     out = [hom_unflatten(m, n, layout, v) for v in kernel]
     m.memo[memo_key] = (n, out)
     return list(out)
@@ -798,6 +791,47 @@ def map_from_sum(total: GradedModule, n: GradedModule, injections, homs) -> Grad
                 for r_i, row in enumerate(mat.data):
                     out[r_i][col] = row[c_i]
     return GradedModuleHom(total, n, blocks)
+
+
+# ---------------------------------------------------------------------------
+# maps into injectives
+# ---------------------------------------------------------------------------
+
+def map_into_injective(m: GradedModule, q: GradedModule, w, phi) -> GradedModuleHom:
+    """The map m -> q = D(Lambda e_w)<s> with x -> sum_b phi(x . b) psi_b.
+
+    phi is a functional on m_(w,s), given as a list. Hom(M, D(Lambda e_w)<s>)
+    is D(M_(w,s)), so this is every such map. The row of psi_b in block
+    (u, d) is phi^T act(b, d), since x . b lies in m_(w,s).
+    """
+    blocks = {}
+    for (u, d), ix in q.basis_index.items():
+        cols = m.block_dim(u, d)
+        if not cols:
+            continue
+        mat = Matrix.zero(len(ix), cols)
+        for r_i, b in enumerate(ix):
+            act = m.act(b, d).data
+            row = mat.data[r_i]
+            for f, arow in zip(phi, act):
+                if f:
+                    for c_i, a in enumerate(arow):
+                        if a:
+                            row[c_i] += f * a
+        blocks[(u, d)] = mat
+    return GradedModuleHom(m, q, blocks)
+
+
+def map_into_sum(m: GradedModule, total: GradedModule, injections, homs) -> GradedModuleHom:
+    """The map into the direct sum `total` that is homs[k] into summand k."""
+    blocks = {key: Matrix.zero(dim, m.block_dim(*key)) for key, dim in total.dims.items()}
+    for inj, h in zip(injections, homs):
+        for key, mat in h.blocks.items():
+            place = inj.blocks[key].data
+            out = blocks[key].data
+            for r_i, row in enumerate(mat.data):
+                out[next(r for r, prow in enumerate(place) if prow[r_i])] = list(row)
+    return GradedModuleHom(m, total, blocks)
 
 
 # ---------------------------------------------------------------------------

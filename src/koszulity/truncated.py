@@ -63,8 +63,15 @@ class TruncatedGradedAlgebra:
                             out.pop(k, None)
         return out
 
-    def check(self, sample_assoc: bool = True):
-        """Structural checks: tag compatibility, unit, associativity in range."""
+    def check(self):
+        """Structural checks: tag compatibility, unit, associativity in range.
+
+        Associativity is tested on every triple of basis elements whose tags
+        compose. On any other triple both sides vanish: the tag checks prove
+        that only composable pairs carry products and that a product of a
+        and b has the tags (source a, target b). The products ab and bc are
+        read from the table, so each triple costs two multiplications.
+        """
         for ((d1, i), (d2, j)), prod in self.products.items():
             s1, t1, _ = self.basis[d1][i]
             s2, t2, _ = self.basis[d2][j]
@@ -82,21 +89,25 @@ class TruncatedGradedAlgebra:
                 right = self.mult(d, v, 0, self.unit)
                 if left != v or right != v:
                     raise InternalCheckError("unit law fails in truncated algebra")
-        if sample_assoc:
-            for da in range(self.cutoff + 1):
-                for db in range(self.cutoff + 1 - da):
-                    for dc in range(self.cutoff + 1 - da - db):
-                        for i in range(self.dim(da)):
-                            for j in range(self.dim(db)):
-                                for k in range(self.dim(dc)):
-                                    ab = self.mult(da, {i: Fraction(1)}, db, {j: Fraction(1)})
-                                    lhs = self.mult(da + db, ab, dc, {k: Fraction(1)})
-                                    bc = self.mult(db, {j: Fraction(1)}, dc, {k: Fraction(1)})
-                                    rhs = self.mult(da, {i: Fraction(1)}, db + dc, bc)
-                                    if lhs != rhs:
-                                        raise InternalCheckError(
-                                            "associativity fails in truncated algebra"
-                                        )
+        starting = {}  # (degree, source tag) -> basis indices
+        for d, items in self.basis.items():
+            for i, (s, _t, _l) in enumerate(items):
+                starting.setdefault((d, s), []).append(i)
+        for da in range(self.cutoff + 1):
+            for db in range(self.cutoff + 1 - da):
+                for dc in range(self.cutoff + 1 - da - db):
+                    for i, (_s, ta, _l) in enumerate(self.basis.get(da, [])):
+                        for j in starting.get((db, ta), []):
+                            tb = self.basis[db][j][1]
+                            ab = self.products.get(((da, i), (db, j)), {})
+                            for k in starting.get((dc, tb), []):
+                                bc = self.products.get(((db, j), (dc, k)), {})
+                                lhs = self.mult(da + db, ab, dc, {k: Fraction(1)})
+                                rhs = self.mult(da, {i: Fraction(1)}, db + dc, bc)
+                                if lhs != rhs:
+                                    raise InternalCheckError(
+                                        "associativity fails in truncated algebra"
+                                    )
         return True
 
     def idempotent(self, v) -> dict:

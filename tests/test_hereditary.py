@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from koszulity.algebra import InternalCheckError
 from koszulity.linalg import Matrix
@@ -272,3 +273,71 @@ def test_serre_rhs_nonhereditary_base(a4):
     # the fallback makes the table computable over a gldim-2 base as well
     table = hd.serre_rhs_table(a4, 2, 2, range(-1, 2))
     assert table[(0, 0)] == a4.dim
+
+
+def nonzero_part(elem):
+    return {key: vec for key, vec in elem.items() if any(vec)}
+
+
+@pytest.fixture(scope="module")
+def injective_sums():
+    """LabeledSum of injectives by (algebra name, labels), built once per
+    label list, so hom_space's memo serves repeated draws."""
+    sums = {}
+
+    def get(alg, labels):
+        key = (alg.name, tuple(labels))
+        if key not in sums:
+            sums[key] = hd.LabeledSum(alg, labels, "inj")
+        return sums[key]
+
+    return get
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_map_into_injectives_matches_constrained_hom_solve(a4, kron, delta_a4,
+                                                           t_summands,
+                                                           injective_sums, data):
+    # values taken from a random hom into a sum of injectives, one of them
+    # perturbed or not: the per-summand closed-form solve and the solve
+    # over a full Hom basis agree on solvability, and the map found meets
+    # every prescribed value
+    mods = [(delta_a4, t) for t in t_summands]
+    for alg in (a4, kron, delta_a4):
+        reg, _, _ = mo.regular_module(alg)
+        mods += [(alg, reg), (alg, mo.graded_dual_module(alg))]
+    alg, m = data.draw(st.sampled_from(mods))
+    labels = data.draw(st.lists(st.sampled_from(alg.vertices), min_size=1,
+                                max_size=3))
+    tgt = injective_sums(alg, labels)
+    basis = mo.hom_space(m, tgt.module)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
+                                max_size=len(basis)))
+    h = mo.linear_combination(m, tgt.module, basis, coeffs)
+    blocks = m.blocks()
+    constraints = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        key = data.draw(st.sampled_from(blocks))
+        vec = [Fraction(x) for x in data.draw(st.lists(
+            st.integers(-2, 2), min_size=m.dims[key], max_size=m.dims[key]))]
+        elem = {key: vec}
+        constraints.append((elem, h.apply(elem)))
+    perturbed = constraints and data.draw(st.booleans())
+    if perturbed:
+        key = data.draw(st.sampled_from(tgt.module.blocks()))
+        i = data.draw(st.integers(0, tgt.module.dims[key] - 1))
+        elem, image = constraints[0]
+        vec = list(image.get(key, [Fraction(0)] * tgt.module.dims[key]))
+        vec[i] += 1
+        constraints[0] = (elem, {**image, key: vec})
+    ref = mo.hom_space_with_constraints(m, tgt.module, constraints)
+    got = hd.solve_map_into_injectives(m, tgt, constraints)
+    event(f"perturbed={bool(perturbed)} solvable={got is not None}")
+    assert (got is None) == (ref is None)
+    if not perturbed:
+        assert got is not None
+    if got is not None:
+        assert got.check_commutes()
+        for elem, image in constraints:
+            assert got.apply(elem) == nonzero_part(image)

@@ -5,7 +5,7 @@ from itertools import islice
 from hypothesis import assume, given, settings, strategies as st
 
 from koszulity.linalg import (EchelonBasis, Matrix, candidate_combinations,
-                              solve_combination)
+                              kernel_vectors, solve_combination)
 
 
 def M(rows):
@@ -168,6 +168,25 @@ def test_rref_degenerate_shapes():
     for rows, cols in ((0, 0), (0, 3), (3, 0)):
         R, piv = Matrix.zero(rows, cols).rref()
         assert (R.rows, R.cols, R.data, piv) == (rows, cols, [[]] * rows, [])
+
+
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_kernel_vectors_match_dense_rref(m):
+    # one vector per free column of the dense reduced echelon form, with
+    # -R[r][fc] at the pivot of row r: the kernel basis read densely
+    ref, piv = dense_rref(m)
+    free = [c for c in range(m.cols) if c not in piv]
+    expected = []
+    for fc in free:
+        v = {fc: Fraction(1)}
+        for r, pc in enumerate(piv):
+            if ref[r][fc]:
+                v[pc] = -ref[r][fc]
+        expected.append(v)
+    assert kernel_vectors(EchelonBasis(m.data), m.cols) == expected
+    assert m.kernel_basis() == [[v.get(c, Fraction(0)) for c in range(m.cols)]
+                                for v in expected]
 
 
 @given(rational_matrices())

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from koszulity import modules as mo
+from koszulity.linalg import EchelonBasis
 from koszulity.algebra import InputError
 from conftest import data_path
 
@@ -42,6 +43,70 @@ def test_map_from_projective_matches_constrained_solve(request, name):
                 assert f.apply(gen) == {k: x for k, x in elem.items() if any(x)}
                 g = mo.hom_space_with_constraints(p, n, [(gen, elem)])
                 assert f.blocks == g.blocks
+
+
+def injective_test_modules(request):
+    """(algebra, module) pairs: the regular module and D(Lambda) of a4, kron
+    and Delta(a4), and T1-T4 over Delta(a4)."""
+    out = []
+    for name in ("a4", "kron", "delta_a4"):
+        alg = request.getfixturevalue(name)
+        reg, _, _ = mo.regular_module(alg)
+        out += [(alg, reg), (alg, mo.graded_dual_module(alg))]
+    delta = request.getfixturevalue("delta_a4")
+    out += [(delta, t) for t in request.getfixturevalue("t_summands")]
+    return out
+
+
+def test_map_into_injective_commutes(request):
+    # x -> sum_b phi(x . b) psi_b is a module map for every functional phi,
+    # and its psi_(e_w) coordinate on m_(w,s) is phi itself
+    rng = random.Random(0)
+    for alg, m in injective_test_modules(request):
+        for w in alg.vertices:
+            for s in (0, 1):
+                q = mo.dual_of_left_projective(alg, w, s)
+                gen = mo.generator(q, w, s)[(w, s)].index(1)
+                n = m.block_dim(w, s)
+                for _ in range(3):
+                    phi = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                           for _ in range(n)]
+                    f = mo.map_into_injective(m, q, w, phi)
+                    assert f.check_commutes()
+                    for i in range(n):
+                        assert f.block(w, s).data[gen][i] == phi[i]
+
+
+def test_map_into_injective_spans_hom_space(request):
+    # Hom(M, D(Lambda e_w)<s>) is D(M_(w,s)): the maps of the unit
+    # functionals are a basis of the Hom space hom_space solves for
+    for alg, m in injective_test_modules(request):
+        for w in alg.vertices:
+            for s in (0, 1):
+                q = mo.dual_of_left_projective(alg, w, s)
+                n = m.block_dim(w, s)
+                layout, _ = mo.hom_frame(m, q)
+                closed = EchelonBasis(
+                    mo.hom_flatten(mo.map_into_injective(
+                        m, q, w, [Fraction(int(i == k)) for i in range(n)]), layout)
+                    for k in range(n))
+                solved = [mo.hom_flatten(h, layout) for h in mo.hom_space(m, q)]
+                assert closed.rank == len(solved) == n
+                assert all(closed.contains(h) for h in solved)
+
+
+def test_map_into_sum_places_components(delta_a4, t_summands):
+    parts = [mo.dual_of_left_projective(delta_a4, w) for w in (1, 3, 3)]
+    total, injections, projections = mo.direct_sum(delta_a4, parts)
+    m = t_summands[0]
+    rng = random.Random(1)
+    homs = [mo.map_into_injective(
+        m, q, w, [Fraction(rng.randint(-2, 2)) for _ in range(m.block_dim(w, 0))])
+        for q, w in zip(parts, (1, 3, 3))]
+    f = mo.map_into_sum(m, total, injections, homs)
+    assert f.check_commutes()
+    for prj, h in zip(projections, homs):
+        assert prj.compose(f).blocks == h.blocks
 
 
 def test_module_validation(t_summands):

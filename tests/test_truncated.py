@@ -5,7 +5,7 @@ import pytest
 
 from koszulity import modules as mo
 from koszulity import truncated as tr
-from koszulity.algebra import InputError
+from koszulity.algebra import InputError, InternalCheckError
 
 
 def poly_ring_truncation(dualnum, cutoff=7):
@@ -134,3 +134,129 @@ def test_dump_deterministic(dualnum):
     assert G.dump() == G.dump()
     assert "basis 0 0 0" in G.dump()
     assert G.dump().endswith("end")
+
+
+def full_check(G):
+    """The structural checks with associativity tested on every triple of
+    basis elements, composable or not, by multiplying basis vectors: the
+    reference for TruncatedGradedAlgebra.check."""
+    for ((d1, i), (d2, j)), prod in G.products.items():
+        s1, t1, _ = G.basis[d1][i]
+        s2, t2, _ = G.basis[d2][j]
+        if t1 != s2 and prod:
+            raise InternalCheckError("non-composable product stored")
+        for k in prod:
+            s3, t3, _ = G.basis[d1 + d2][k]
+            if (s3, t3) != (s1, t2):
+                raise InternalCheckError("product tags wrong")
+    for d in range(G.cutoff + 1):
+        for i in range(G.dim(d)):
+            v = {i: Fraction(1)}
+            if G.mult(0, G.unit, d, v) != v or G.mult(d, v, 0, G.unit) != v:
+                raise InternalCheckError("unit law fails in truncated algebra")
+    one = Fraction(1)
+    for da in range(G.cutoff + 1):
+        for db in range(G.cutoff + 1 - da):
+            for dc in range(G.cutoff + 1 - da - db):
+                for i in range(G.dim(da)):
+                    for j in range(G.dim(db)):
+                        for k in range(G.dim(dc)):
+                            ab = G.mult(da, {i: one}, db, {j: one})
+                            lhs = G.mult(da + db, ab, dc, {k: one})
+                            bc = G.mult(db, {j: one}, dc, {k: one})
+                            rhs = G.mult(da, {i: one}, db + dc, bc)
+                            if lhs != rhs:
+                                raise InternalCheckError(
+                                    "associativity fails in truncated algebra")
+    return True
+
+
+def outcome(check, G):
+    try:
+        return check(G)
+    except InternalCheckError as exc:
+        return str(exc)
+
+
+def with_products(G, products):
+    return tr.TruncatedGradedAlgebra(G.name, G.cutoff, G.vertices, G.basis,
+                                     products, G.unit)
+
+
+@pytest.fixture(scope="module")
+def checked_algebras(delta_a4, delta_kron, kron_summands):
+    return [tr.truncate_algebra(delta_a4, 1),
+            tr.koszul_dual(delta_kron, kron_summands, 2, 2).algebra]
+
+
+def test_check_agrees_with_full_triple_loop_on_perturbations(checked_algebras):
+    # add 1 to one structure constant of a composable pair, at a basis
+    # element with the right tags: the pruned check must fail exactly when,
+    # and with the message that, the full triple loop does. On Delta(a4)
+    # every such change to a product of two non-units stays associative, so
+    # there the unit law is what fails; on the dual of kron associativity
+    # fails.
+    rng = random.Random(0)
+    seen = []
+    for G in checked_algebras:
+        assert G.check() is True and full_check(G) is True
+        options = []
+        for d1 in range(G.cutoff + 1):
+            for d2 in range(G.cutoff + 1 - d1):
+                for i, (s1, t1, _) in enumerate(G.basis.get(d1, [])):
+                    for j, (s2, t2, _) in enumerate(G.basis.get(d2, [])):
+                        if t1 == s2:
+                            options += [((d1, i), (d2, j), k) for k, tags
+                                        in enumerate(G.tags(d1 + d2))
+                                        if tags == (s1, t2)]
+        messages = set()
+        for a, b, k in rng.sample(options, min(30, len(options))):
+            products = dict(G.products)
+            entry = dict(products.get((a, b), {}))
+            entry[k] = entry.get(k, 0) + 1
+            products[(a, b)] = entry
+            bad = with_products(G, products)
+            expected = outcome(full_check, bad)
+            assert outcome(tr.TruncatedGradedAlgebra.check, bad) == expected
+            messages.add(expected)
+        seen.append(messages)
+    assert "unit law fails in truncated algebra" in seen[0]
+    assert "associativity fails in truncated algebra" in seen[1]
+
+
+def test_check_rejects_non_composable_product(checked_algebras):
+    for G in checked_algebras:
+        (d1, i, t1), (d2, j) = next(
+            ((d1, i, t1), (d2, j))
+            for d1 in range(G.cutoff + 1) for d2 in range(G.cutoff + 1 - d1)
+            for i, (_s1, t1, _) in enumerate(G.basis.get(d1, []))
+            for j, (s2, _t2, _) in enumerate(G.basis.get(d2, []))
+            if t1 != s2 and G.dim(d1 + d2))
+        bad = with_products(G, {**G.products, ((d1, i), (d2, j)): {0: Fraction(1)}})
+        for check in (full_check, tr.TruncatedGradedAlgebra.check):
+            with pytest.raises(InternalCheckError, match="non-composable product stored"):
+                check(bad)
+
+
+def test_check_multiplies_twice_per_composable_triple(checked_algebras):
+    # two products per basis element for the unit law, then ab.c and a.bc
+    # for every triple whose tags compose, and for no other triple
+    for G in checked_algebras:
+        composable = sum(
+            1
+            for da in range(G.cutoff + 1)
+            for db in range(G.cutoff + 1 - da)
+            for dc in range(G.cutoff + 1 - da - db)
+            for (_sa, ta, _) in G.basis.get(da, [])
+            for (sb, tb, _) in G.basis.get(db, [])
+            for (sc, _tc, _) in G.basis.get(dc, [])
+            if ta == sb and tb == sc)
+        calls = []
+        mult = G.mult
+        G.mult = lambda *args: calls.append(args) or mult(*args)
+        try:
+            G.check()
+        finally:
+            del G.mult
+        assert composable
+        assert len(calls) == 2 * sum(G.dims().values()) + 2 * composable
