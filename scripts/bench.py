@@ -1,21 +1,21 @@
-"""Benchmark this tree against an earlier revision, in alternating pairs.
+"""Benchmark the HEAD commit against an earlier revision, in alternating pairs.
 
 Usage, from the repository root:
 
     python3 scripts/bench.py --parent REV --pairs 10 --out BENCH_N.json
 
-The committed files of REV are exported (`git archive`) into a temporary
-directory. Each pair then runs `perfbench/run.py --trace 0` once in each
-tree on every workload of BENCHMARK.json, with the same seed and
-`--seconds` on both sides; the side that goes first alternates from pair to
+The committed files of REV and of HEAD are exported (`git archive`) into
+temporary directories, so uncommitted edits are never measured. Each pair
+then runs `perfbench/run.py --trace 0` once in each tree on every workload
+of BENCHMARK.json, with the same seed on both sides and the `run_seconds`
+BENCHMARK.json sets; the side that goes first alternates from pair to
 pair, so a drift in the machine's speed does not favour one side. The
 output file records every run, the median and quartiles of each end-to-end
 metric on each side, how many pairs the change won per metric, and the
 line counts of `src/koszulity` in both trees.
 
-`--seconds` defaults to the `run_seconds` of BENCHMARK.json. The script
-changes nothing under `perfbench/`; it only reads the last line run.py
-prints.
+The script changes nothing under `perfbench/`; it only reads the last line
+run.py prints.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+SECONDS = BENCHMARK["run_seconds"]
 SIDES = ("parent", "change")
 
 
@@ -52,11 +53,11 @@ def source_lines(tree: Path) -> int:
                for p in sorted((tree / "src" / "koszulity").glob("*.py")))
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """The result line of one `perfbench/run.py --trace 0` run in tree."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -93,36 +94,35 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="revision to compare with")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     ap.add_argument("--out", required=True,
                     help="JSON file to write, relative to the repository root")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for quartiles")
-    parent_sha = git("rev-parse", args.parent)
+    shas = {"parent": git("rev-parse", args.parent),
+            "change": git("rev-parse", "HEAD")}
     workloads = [w["name"] for w in BENCHMARK["workloads"]]
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        trees = {"parent": Path(tmp), "change": ROOT}
-        export(parent_sha, trees["parent"])
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for side in SIDES:
+            trees[side].mkdir()
+            export(shas[side], trees[side])
         runs = {w: [] for w in workloads}
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for workload in workloads:
                 record = {"pair": pair, "seed": pair, "first": order[0]}
                 for side in order:
-                    record[side] = run_once(trees[side], workload, pair,
-                                            args.seconds)
+                    record[side] = run_once(trees[side], workload, pair)
                 runs[workload].append(record)
                 print(f"pair {pair} {workload}: " + ", ".join(
                     f"{side} wall_s {record[side]['metrics']['wall_s']:.3f}"
                     for side in SIDES), file=sys.stderr)
         loc = {side: source_lines(trees[side]) for side in SIDES}
     report = {
-        "parent": parent_sha,
-        "change": git("rev-parse", "HEAD") + (
-            " with uncommitted changes" if git("status", "--porcelain") else ""),
+        **shas,
         "command": "perfbench/run.py --trace 0",
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "pairs": args.pairs,
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},

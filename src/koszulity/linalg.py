@@ -152,22 +152,17 @@ class Matrix:
 
     # -- elimination ----------------------------------------------------
 
-    def _echelon(self) -> "EchelonBasis":
-        """The row space of self as an EchelonBasis."""
-        basis = EchelonBasis()
-        for row in self.data:
-            if basis.rank == self.cols:
-                break
-            basis.add(row)
-        return basis
-
     def rref(self):
         """Reduced row-echelon form.
 
         Returns (R, pivots) where R is the RREF and pivots the strictly
         increasing list of pivot columns. Row space is preserved.
         """
-        basis = self._echelon()
+        basis = EchelonBasis()
+        for row in self.data:
+            if basis.rank == self.cols:
+                break
+            basis.add(row)
         pivots = sorted(basis.rows)
         out = Matrix(self.rows, self.cols)
         for r, pc in enumerate(pivots):
@@ -181,8 +176,10 @@ class Matrix:
 
     def kernel_basis(self):
         """Basis of the right kernel {x : self @ x = 0}, as lists."""
+        R, pivots = self.rref()
+        rows = {pc: _sparse(R.data[r]) for r, pc in enumerate(pivots)}
         out = []
-        for vec in kernel_vectors(self._echelon(), self.cols):
+        for vec in kernel_vectors(rows, self.cols):
             v = [ZERO] * self.cols
             for c, x in vec.items():
                 v[c] = x
@@ -316,15 +313,17 @@ class EchelonBasis:
         return [out.get(k, ZERO) for k in range(self.rank)]
 
 
-def kernel_vectors(basis: EchelonBasis, cols: int):
-    """Sparse basis of {x in Q^cols : row . x = 0 for every row of basis}.
+def kernel_vectors(rows: dict, cols: int):
+    """Sparse basis of {x in Q^cols : row . x = 0 for every row of rows}.
 
-    One vector per free (non-pivot) column fc, in increasing order: 1 at fc
-    and -row[fc] at the pivot of each row. The rows are zero in each
-    other's pivot columns, so their other entries all sit in free columns.
+    rows maps pivot columns to sparse rows in reduced echelon form, as
+    `EchelonBasis.rows` does. One vector per free (non-pivot) column fc, in
+    increasing order: 1 at fc and -row[fc] at the pivot of each row. The
+    rows are zero in each other's pivot columns, so their other entries
+    all sit in free columns.
     """
-    vecs = {c: {c: ONE} for c in range(cols) if c not in basis.rows}
-    for pc, row in basis.rows.items():
+    vecs = {c: {c: ONE} for c in range(cols) if c not in rows}
+    for pc, row in rows.items():
         for c, x in row.items():
             if c != pc:
                 vecs[c][pc] = -x

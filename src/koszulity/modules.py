@@ -651,7 +651,7 @@ def hom_space(m: GradedModule, n: GradedModule):
                                 col = off + k * cols + j
                                 row[col] = row.get(col, 0) - c
                     equations.add(row)
-    kernel = kernel_vectors(equations, total)
+    kernel = kernel_vectors(equations.rows, total)
     out = [hom_unflatten(m, n, layout, v) for v in kernel]
     m.memo[memo_key] = (n, out)
     return list(out)

@@ -184,7 +184,7 @@ def test_kernel_vectors_match_dense_rref(m):
             if ref[r][fc]:
                 v[pc] = -ref[r][fc]
         expected.append(v)
-    assert kernel_vectors(EchelonBasis(m.data), m.cols) == expected
+    assert kernel_vectors(EchelonBasis(m.data).rows, m.cols) == expected
     assert m.kernel_basis() == [[v.get(c, Fraction(0)) for c in range(m.cols)]
                                 for v in expected]
 
