@@ -15,7 +15,6 @@ product is composition of maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .linalg import EchelonBasis, Matrix
 
@@ -36,7 +35,7 @@ class GradedAlgebra:
     source: list
     target: list
     degree: list
-    table: dict  # (i, j) -> {k: Fraction}; absent key means zero product
+    table: dict  # (i, j) -> {k: coefficient}; absent key means zero product
     generator_labels: list | None = None
     path_witness: dict | None = None
     vertices: list = field(default=None)
@@ -91,7 +90,7 @@ class GradedAlgebra:
                 if prod:
                     c = ca * cb
                     for k, ck in prod.items():
-                        s = out.get(k, Fraction(0)) + c * ck
+                        s = out.get(k, 0) + c * ck
                         if s:
                             out[k] = s
                         else:
@@ -127,11 +126,11 @@ class GradedAlgebra:
             tv = self.vertex_pos[self.target[x]]
             for v in range(nv):
                 left = self.mult_basis(v, x)
-                want = {x: Fraction(1)} if v == sv else {}
+                want = {x: 1} if v == sv else {}
                 if left != want:
                     raise InternalCheckError("unit law fails on the left")
                 right = self.mult_basis(x, v)
-                want = {x: Fraction(1)} if v == tv else {}
+                want = {x: 1} if v == tv else {}
                 if right != want:
                     raise InternalCheckError("unit law fails on the right")
         # associativity on all basis triples
@@ -143,8 +142,8 @@ class GradedAlgebra:
                 for k in range(self.dim):
                     if self.target[j] != self.source[k]:
                         continue
-                    left = self.mult(ij, {k: Fraction(1)})
-                    right = self.mult({i: Fraction(1)}, self.mult_basis(j, k))
+                    left = self.mult(ij, {k: 1})
+                    right = self.mult({i: 1}, self.mult_basis(j, k))
                     if left != right:
                         raise InternalCheckError(
                             f"associativity fails on "
@@ -173,12 +172,12 @@ class GradedAlgebra:
         for a_i, a in enumerate(z):
             for b_i, b in enumerate(z):
                 prod = self.mult_basis(a, b)
-                tr = Fraction(0)
+                tr = 0
                 for k, c in prod.items():
                     # tr(L_k) over the degree-0 part
                     for m in z:
                         km = self.mult_basis(k, m)
-                        tr += c * km.get(m, Fraction(0))
+                        tr += c * km.get(m, 0)
                 gram.data[a_i][b_i] = tr
         rad = []
         for v in gram.kernel_basis():
@@ -188,7 +187,7 @@ class GradedAlgebra:
 
     def radical_basis(self):
         """Spanning set of rad(Lambda): positive degrees plus rad of degree 0."""
-        out = [{i: Fraction(1)} for i, d in enumerate(self.degree) if d > 0]
+        out = [{i: 1} for i, d in enumerate(self.degree) if d > 0]
         out.extend(self.radical_degree_zero())
         return out
 
@@ -213,7 +212,7 @@ class GradedAlgebra:
         span = EchelonBasis()
         elements = []  # coefficient dicts currently in the multiplicative closure
         for v in range(self.num_vertices):
-            e = {v: Fraction(1)}
+            e = {v: 1}
             span.add(e)
             elements.append(e)
         gens = []
@@ -233,7 +232,7 @@ class GradedAlgebra:
 
         close()
         for i in range(self.dim):
-            probe = {i: Fraction(1)}
+            probe = {i: 1}
             if span.add(probe):
                 gens.append(i)
                 elements.append(probe)

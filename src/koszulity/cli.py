@@ -60,7 +60,7 @@ def _load_summands(args, alg, base):
 
 def _emit(args, text_lines, payload, exit_code: int) -> int:
     if args.json_out:
-        body = json.dumps(payload, indent=2, sort_keys=True, default=str)
+        body = json.dumps(payload, indent=2, sort_keys=True)
     else:
         body = "\n".join(text_lines)
     if args.out:

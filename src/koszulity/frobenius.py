@@ -11,7 +11,6 @@ identity works as mu for some admissible f.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import Matrix, candidate_combinations
 from .algebra import GradedAlgebra, InputError, InternalCheckError
@@ -33,7 +32,7 @@ class GradedAlgebraMorphism:
         out = {}
         for i, c in vec.items():
             for k, ck in self.apply_basis(i).items():
-                s = out.get(k, Fraction(0)) + c * ck
+                s = out.get(k, 0) + c * ck
                 if s:
                     out[k] = s
                 else:
@@ -52,7 +51,7 @@ class GradedAlgebraMorphism:
         if self.domain is not self.codomain and self.domain.labels != self.codomain.labels:
             return False
         for i in range(self.domain.dim):
-            if self.apply_basis(i) != {i: Fraction(1)}:
+            if self.apply_basis(i) != {i: 1}:
                 return False
         return True
 
@@ -67,8 +66,8 @@ class GradedAlgebraMorphism:
         unit_img = {}
         for v in range(dom.num_vertices):
             for k, c in self.apply_basis(v).items():
-                unit_img[k] = unit_img.get(k, Fraction(0)) + c
-        want = {v: Fraction(1) for v in range(cod.num_vertices)}
+                unit_img[k] = unit_img.get(k, 0) + c
+        want = {v: 1 for v in range(cod.num_vertices)}
         if {k: c for k, c in unit_img.items() if c} != want:
             raise InternalCheckError("morphism does not preserve the unit")
         for i in range(dom.dim):
@@ -120,7 +119,7 @@ class GradedAlgebraMorphism:
 
 def identity_morphism(alg: GradedAlgebra) -> GradedAlgebraMorphism:
     return GradedAlgebraMorphism(
-        alg, alg, {i: {i: Fraction(1)} for i in range(alg.dim)}
+        alg, alg, {i: {i: 1} for i in range(alg.dim)}
     )
 
 
@@ -155,7 +154,7 @@ def _gram(alg: GradedAlgebra, f: dict) -> Matrix:
     for i in range(n):
         for j in range(n):
             prod = alg.mult_basis(i, j)
-            val = Fraction(0)
+            val = 0
             for k, c in prod.items():
                 fv = f.get(k)
                 if fv:
@@ -194,12 +193,12 @@ def frobenius_analysis(alg: GradedAlgebra, rng=None):
     rows = []
     for i in range(alg.dim):
         for j in range(alg.dim):
-            row = [Fraction(0)] * len(top)
+            row = [0] * len(top)
             pij = alg.mult_basis(i, j)
             pji = alg.mult_basis(j, i)
             hit = False
             for t_i, t in enumerate(top):
-                c = pij.get(t, Fraction(0)) - pji.get(t, Fraction(0))
+                c = pij.get(t, 0) - pji.get(t, 0)
                 if c:
                     row[t_i] = c
                     hit = True
@@ -269,7 +268,7 @@ def verify_form_identity(alg: GradedAlgebra, f: dict, mu: GradedAlgebraMorphism)
     for x in range(alg.dim):
         for y in range(alg.dim):
             lhs = g.data[x][y]
-            rhs = Fraction(0)
+            rhs = 0
             for z, c in mu.apply_basis(x).items():
                 rhs += c * g.data[y][z]
             if lhs != rhs:

@@ -23,7 +23,6 @@ functor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .linalg import solve_combination
 from .algebra import GradedAlgebra, InputError, InternalCheckError
@@ -44,7 +43,7 @@ def injective_module(a: GradedAlgebra, v) -> mo.GradedModule:
 def left_mult_hom(a: GradedAlgebra, v, w, coeffs) -> mo.GradedModuleHom:
     """e_v A -> e_w A, p -> x p, for x in e_w A e_v given by coeffs."""
     Q = mo.projective_module(a, w)
-    x = [coeffs.get(b, Fraction(0)) for b in Q.basis_index.get((v, 0), [])]
+    x = [coeffs.get(b, 0) for b in Q.basis_index.get((v, 0), [])]
     return mo.map_from_projective(mo.projective_module(a, v), Q, {(v, 0): x})
 
 
@@ -53,7 +52,7 @@ def dual_right_mult_hom(a: GradedAlgebra, v, w, coeffs) -> mo.GradedModuleHom:
     psi_b goes to the sum over c of psi_b(c x) psi_c. Its functional on
     D(Ae_v)_(w,0) is psi -> psi(x)."""
     I = injective_module(a, v)
-    phi = [coeffs.get(b, Fraction(0)) for b in I.basis_index.get((w, 0), [])]
+    phi = [coeffs.get(b, 0) for b in I.basis_index.get((w, 0), [])]
     return mo.map_into_injective(I, injective_module(a, w), w, phi)
 
 
@@ -683,7 +682,7 @@ def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
         piece0 = chains[u][0]
         gen_pos = piece0.module.basis_index[(u, 0)].index(
             a.idempotent_index(u))
-        unit[index[(0, u, u, gen_pos)]] = Fraction(1)
+        unit[index[(0, u, u, gen_pos)]] = 1
 
     transport_cache = {}
 

@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals on one sparse elimination core.
 
-Every entry is a `fractions.Fraction`, so rank, kernels and solutions are
+Entries are exact: an `int` when integral, a `fractions.Fraction` otherwise.
+`exact` normalises each entry that comes from outside and refuses floats,
+and `div` is the package's one division, so rank, kernels and solutions are
 exact; there is no tolerance anywhere in the package. All elimination runs
 through `EchelonBasis`, which keeps sparse rows ({column: value}) in reduced
-echelon form as vectors are added one at a time, in the manner of
-structured Gaussian elimination. `Matrix` is the dense container the rest of
-the package builds, multiplies and solves with; matrices are treated as
+echelon form, normalised, as vectors are added one at a time, in the manner
+of structured Gaussian elimination. `Matrix` is the dense container the rest
+of the package builds, multiplies and solves with; matrices are treated as
 immutable once constructed (no method mutates `self`).
 
 The randomized isomorphism searches all draw their candidates from one
@@ -18,13 +20,30 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-Q = Fraction
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def exact(x):
+    """x as an exact rational: an int when integral, else a Fraction.
+
+    Takes ints, Fractions and numeric strings such as "2" or "-2/3". A
+    float has already been rounded, so it raises InternalCheckError.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise _inexact(x)
+    q = x if type(x) is Fraction else Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
-def frac(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+def _inexact(value):
+    from .algebra import InternalCheckError
+
+    return InternalCheckError(f"inexact entry in {value!r}: floats are not allowed")
+
+
+def div(a, b):
+    """a / b as an exact rational: the package's one division."""
+    return exact(Fraction(a, b))
 
 
 class Matrix:
@@ -34,11 +53,12 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         if data is None:
-            self.data = [[ZERO] * cols for _ in range(rows)]
+            self.data = [[0] * cols for _ in range(rows)]
         else:
             if len(data) != rows:
                 raise ValueError("row count mismatch")
-            self.data = [[frac(x) for x in row] for row in data]
+            self.data = [[x if type(x) is int else exact(x) for x in row]
+                         for row in data]
             for row in self.data:
                 if len(row) != cols:
                     raise ValueError("column count mismatch")
@@ -53,7 +73,7 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         m = Matrix(n, n)
         for i in range(n):
-            m.data[i][i] = ONE
+            m.data[i][i] = 1
         return m
 
     @staticmethod
@@ -77,7 +97,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
@@ -94,7 +114,7 @@ class Matrix:
         return m
 
     def scale(self, c) -> "Matrix":
-        c = frac(c)
+        c = exact(c)
         m = Matrix(self.rows, self.cols)
         m.data = [[c * a for a in row] for row in self.data]
         return m
@@ -116,12 +136,17 @@ class Matrix:
         return out
 
     def apply(self, vec):
-        """Matrix times column vector (vector given and returned as a list)."""
+        """Matrix times column vector (vector given and returned as a list).
+
+        Module elements act through here; a float in vec raises.
+        """
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
+        if float in map(type, vec):
+            raise _inexact(vec)
         out = []
         for row in self.data:
-            s = ZERO
+            s = 0
             for a, v in zip(row, vec):
                 if a and v:
                     s += a * v
@@ -180,7 +205,7 @@ class Matrix:
         rows = {pc: _sparse(R.data[r]) for r, pc in enumerate(pivots)}
         out = []
         for vec in kernel_vectors(rows, self.cols):
-            v = [ZERO] * self.cols
+            v = [0] * self.cols
             for c, x in vec.items():
                 v[c] = x
             out.append(v)
@@ -222,29 +247,33 @@ class Matrix:
 
 
 def _sparse(vec) -> dict:
-    """{column: Fraction} of the nonzero entries of a dense list or a dict."""
+    """{column: entry} of the nonzero entries of a dense list or a dict."""
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {c: frac(x) for c, x in items if x}
+    return {c: x if type(x) is int else exact(x) for c, x in items if x}
 
 
-def _axpy(v: dict, f: Fraction, row: dict) -> None:
-    """v -= f * row, in place, dropping the entries that cancel."""
+def _axpy(v: dict, f, row: dict) -> None:
+    """v -= f * row, in place, normalised, dropping the entries that cancel."""
     for c, x in row.items():
-        y = v.get(c)
-        if y is None:
-            v[c] = -f * x
+        y = v.get(c, 0) - f * x
+        if y:
+            v[c] = y if type(y) is int else exact(y)
         else:
-            y -= f * x
-            if y:
-                v[c] = y
-            else:
-                del v[c]
+            del v[c]
+
+
+def _scaled(vec: dict, lead) -> dict:
+    """vec / lead, normalised: -1 keeps ints and non-integral Fractions so."""
+    if lead == -1:
+        return {c: -x for c, x in vec.items()}
+    inv = div(1, lead)
+    return {c: exact(inv * x) for c, x in vec.items()}
 
 
 class EchelonBasis:
     """A row space kept in reduced echelon form while vectors are added.
 
-    Rows are sparse dicts {column: Fraction}, keyed by their pivot column:
+    Rows are sparse dicts {column: entry}, keyed by their pivot column:
     the row holds 1 there and every other row holds 0 there. Each row also
     records itself as a combination {k: coefficient} of the accepted
     vectors, the k-th accepted vector being the k-th one `add` kept, so
@@ -281,15 +310,14 @@ class EchelonBasis:
         v, taken = self._reduce(vec)
         if not v:
             return False
-        combo = {self.rank: ONE}
+        combo = {self.rank: 1}
         for p, x in taken:
             _axpy(combo, x, self.combos[p])
         pivot = min(v)
         lead = v[pivot]
         if lead != 1:
-            inv = ONE / lead
-            v = {c: x * inv for c, x in v.items()}
-            combo = {k: x * inv for k, x in combo.items()}
+            v = _scaled(v, lead)
+            combo = _scaled(combo, lead)
         for p, row in self.rows.items():
             f = row.get(pivot)
             if f is not None:
@@ -310,7 +338,7 @@ class EchelonBasis:
         out = {}
         for p, x in taken:
             _axpy(out, -x, self.combos[p])
-        return [out.get(k, ZERO) for k in range(self.rank)]
+        return [out.get(k, 0) for k in range(self.rank)]
 
 
 def kernel_vectors(rows: dict, cols: int):
@@ -322,7 +350,7 @@ def kernel_vectors(rows: dict, cols: int):
     rows are zero in each other's pivot columns, so their other entries
     all sit in free columns.
     """
-    vecs = {c: {c: ONE} for c in range(cols) if c not in rows}
+    vecs = {c: {c: 1} for c in range(cols) if c not in rows}
     for pc, row in rows.items():
         for c, x in row.items():
             if c != pc:
@@ -343,7 +371,7 @@ def solve_combination(vectors, target):
     if coords is None:
         return None
     found = iter(coords)
-    return [next(found) if k else ZERO for k in kept]
+    return [next(found) if k else 0 for k in kept]
 
 
 def complement_basis(sub_rows, amb_dim: int):
@@ -357,7 +385,7 @@ def complement_basis(sub_rows, amb_dim: int):
     for j in range(amb_dim):
         if basis.rank == amb_dim:
             break
-        if basis.add({j: ONE}):
+        if basis.add({j: 1}):
             chosen.append(j)
     return chosen
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import (EchelonBasis, Matrix, candidate_combinations,
-                     complement_basis, frac, kernel_vectors, solve_combination)
+                     complement_basis, exact, kernel_vectors, solve_combination)
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 
 
@@ -87,12 +86,17 @@ class GradedModule:
         return m
 
     def apply_element(self, elem: dict, coeffs: dict) -> dict:
-        """Right action of the algebra element given by coefficient dict."""
+        """Right action of the algebra element given by coefficient dict.
+
+        A float in elem or coeffs raises, as in `Matrix.apply`.
+        """
         alg = self.algebra
         out = {}
         for x, c in coeffs.items():
             if not c:
                 continue
+            if type(c) is not int:
+                c = exact(c)
             sv, tv, dx = alg.source[x], alg.target[x], alg.degree[x]
             for (v, d), vec in elem.items():
                 if v != sv:
@@ -103,7 +107,7 @@ class GradedModule:
                 img = mat.apply(vec)
                 key = (tv, d + dx)
                 if key not in out:
-                    out[key] = [Fraction(0)] * self.block_dim(tv, d + dx)
+                    out[key] = [0] * self.block_dim(tv, d + dx)
                 acc = out[key]
                 for i, val in enumerate(img):
                     acc[i] += c * val
@@ -118,8 +122,8 @@ class GradedModule:
         return out
 
     def unit_vector(self, block, i) -> dict:
-        vec = [Fraction(0)] * self.dims[block]
-        vec[i] = Fraction(1)
+        vec = [0] * self.dims[block]
+        vec[i] = 1
         return {block: vec}
 
     # -- validation ----------------------------------------------------------
@@ -347,8 +351,8 @@ def direct_sum(alg: GradedAlgebra, parts):
             mi = Matrix.zero(big, m)
             mp = Matrix.zero(m, big)
             for i in range(m):
-                mi.data[off[key] + i][i] = Fraction(1)
-                mp.data[i][off[key] + i] = Fraction(1)
+                mi.data[off[key] + i][i] = 1
+                mp.data[i][off[key] + i] = 1
             inj[key] = mi
             prj[key] = mp
         injections.append(GradedModuleHom(p, total, inj))
@@ -754,8 +758,8 @@ def zero_hom(m, n) -> GradedModuleHom:
 def generator(p: GradedModule, v, shift: int = 0) -> dict:
     """The element e_v of e_v Lambda<shift> or of D(Lambda e_v)<shift>."""
     block = (v, shift)
-    vec = [Fraction(0)] * p.dims[block]
-    vec[p.basis_index[block].index(p.algebra.idempotent_index(v))] = Fraction(1)
+    vec = [0] * p.dims[block]
+    vec[p.basis_index[block].index(p.algebra.idempotent_index(v))] = 1
     return {block: vec}
 
 
@@ -771,7 +775,7 @@ def map_from_projective(p: GradedModule, n: GradedModule, elem: dict) -> GradedM
             continue
         mat = Matrix.zero(rows, len(ix))
         for c_i, b in enumerate(ix):
-            vec = n.apply_element(elem, {b: Fraction(1)}).get(key)
+            vec = n.apply_element(elem, {b: 1}).get(key)
             if vec:
                 for r_i, val in enumerate(vec):
                     mat.data[r_i][c_i] = val
@@ -920,7 +924,7 @@ def quotient_module(m: GradedModule, spans: dict, name="quot"):
         # projection: ambient coords -> free coords after reduction
         proj = Matrix.zero(len(free), dimk)
         for r_i, j in enumerate(free):
-            proj.data[r_i][j] = Fraction(1)
+            proj.data[r_i][j] = 1
         for r_i, pc in enumerate(piv):
             for q_i, j in enumerate(free):
                 c = R.data[r_i][j]
@@ -929,7 +933,7 @@ def quotient_module(m: GradedModule, spans: dict, name="quot"):
         # proj sends e_pc to -sum over free of R[r][j]; lift sends free coord to e_j
         lift = Matrix.zero(dimk, len(free))
         for q_i, j in enumerate(free):
-            lift.data[j][q_i] = Fraction(1)
+            lift.data[j][q_i] = 1
         reducers[key] = (proj, lift)
     dims = {key: reducers[key][0].rows for key in m.dims if reducers[key][0].rows}
     action = {}
@@ -983,8 +987,8 @@ def top_data(m: GradedModule):
     for key in m.blocks():
         dimk = m.dims[key]
         for j in complement_basis(spans.get(key, []), dimk):
-            vec = [Fraction(0)] * dimk
-            vec[j] = Fraction(1)
+            vec = [0] * dimk
+            vec[j] = 1
             gens.append((key, vec))
     return gens
 
@@ -1002,7 +1006,7 @@ def socle_spans(m: GradedModule):
             for i in range(dimk):
                 img = m.apply_element(m.unit_vector(key, i), r)
                 for k2, vec in img.items():
-                    per_target.setdefault(k2, [[Fraction(0)] * dimk
+                    per_target.setdefault(k2, [[0] * dimk
                                                for _ in range(len(vec))])
                     col = per_target[k2]
                     for r_i, val in enumerate(vec):
@@ -1279,10 +1283,10 @@ def is_indecomposable(m: GradedModule):
     for i in range(ne):
         for j in range(ne):
             prod = table[(i, j)]
-            tr = Fraction(0)
+            tr = 0
             for k, c in prod.items():
                 for l in range(ne):
-                    tr += c * table[(k, l)].get(l, Fraction(0))
+                    tr += c * table[(k, l)].get(l, 0)
             gram.data[i][j] = tr
     rad_dim = len(gram.kernel_basis())
     head = ne - rad_dim
@@ -1393,7 +1397,7 @@ def parse_module_source(text: str, alg: GradedAlgebra) -> GradedModule:
             d = int(parts[2])
             body = " ".join(parts[4:])
             rows = [r for r in body.split(";") if r.strip()]
-            mat = [[frac(x) for x in r.split(",")] for r in rows]
+            mat = [[exact(x) for x in r.split(",")] for r in rows]
             arrow_action[(arrow, d)] = mat
         elif kw == "end":
             ended = True

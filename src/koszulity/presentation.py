@@ -13,9 +13,8 @@ as not finite dimensional within the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import Matrix, frac
+from .linalg import Matrix, exact
 from .algebra import GradedAlgebra, InputError
 
 
@@ -56,7 +55,7 @@ class Quiver:
 class Relation:
     """Sum of scalar multiples of parallel paths, each path a tuple of arrow names."""
 
-    terms: tuple  # of (Fraction, tuple[str, ...])
+    terms: tuple  # of (coefficient, tuple[str, ...])
 
     def validate(self, quiver: Quiver):
         if not self.terms:
@@ -135,7 +134,7 @@ def build_algebra(
         tgt = arrows0[-1].target
         terms = []
         for coeff, pathnames in r.terms:
-            terms.append((frac(coeff), tuple(quiver.arrow(nm) for nm in pathnames)))
+            terms.append((exact(coeff), tuple(quiver.arrow(nm) for nm in pathnames)))
         rel_data.append((length, src, tgt, terms))
 
     paths = _paths_by_length(quiver, path_length_bound)
@@ -207,12 +206,12 @@ def build_algebra(
     def reduce_path(names, src_vertex):
         """Reduce an arrow-name tuple to a vector over the basis (dict idx->coeff)."""
         if not names:
-            return {path_key_to_index[("e", src_vertex)]: Fraction(1)}
+            return {path_key_to_index[("e", src_vertex)]: 1}
         l = len(names)
         if l >= stop_len:
             return {}
         if names in path_key_to_index:
-            return {path_key_to_index[names]: Fraction(1)}
+            return {path_key_to_index[names]: 1}
         red = reduce_maps.get(l, {})
         if names not in red:
             return {}
@@ -221,7 +220,7 @@ def build_algebra(
             j = path_key_to_index.get(key)
             if j is None:
                 continue
-            out[j] = out.get(j, Fraction(0)) + c
+            out[j] = out.get(j, 0) + c
         return {k: v for k, v in out.items() if v}
 
     # structure constants
@@ -232,9 +231,9 @@ def build_algebra(
             if t_i != s_j:
                 continue
             if len_i == 0:
-                vec = {j: Fraction(1)}
+                vec = {j: 1}
             elif len_j == 0:
-                vec = {i: Fraction(1)}
+                vec = {i: 1}
             else:
                 vec = reduce_path(names_i + names_j, s_i)
             if vec:
@@ -277,7 +276,7 @@ def _ideal_span_rows(paths, rel_data, l, index, n):
                     qsrc = qseq[0].source if qseq else _qt
                     if qsrc != rtgt:
                         continue
-                    row = [Fraction(0)] * n
+                    row = [0] * n
                     for coeff, mid in terms:
                         key = tuple(a.name for a in pseq + mid + qseq)
                         row[index[key]] += coeff
@@ -364,22 +363,22 @@ def _parse_relation(text: str) -> Relation:
     if cur.strip():
         tokens.append(cur.strip())
     terms = []
-    sign = Fraction(1)
+    sign = 1
     expect_term = True
     for tok in tokens:
         if tok == "+":
-            sign = Fraction(1)
+            sign = 1
             expect_term = True
             continue
         if tok == "-":
-            sign = Fraction(-1)
+            sign = -1
             expect_term = True
             continue
         if not expect_term:
             raise InputError(f"malformed relation near {tok!r}")
         coeff, path = _parse_term(tok)
         terms.append((sign * coeff, path))
-        sign = Fraction(1)
+        sign = 1
         expect_term = False
     if not terms or expect_term:
         raise InputError(f"malformed relation: {text!r}")
@@ -390,24 +389,13 @@ def _parse_term(tok: str):
     pieces = [p.strip() for p in tok.split("*") if p.strip()]
     if not pieces:
         raise InputError(f"empty term in relation: {tok!r}")
-    coeff = Fraction(1)
-    start = 0
-    head = pieces[0]
-    if _looks_numeric(head):
-        coeff = Fraction(head)
-        start = 1
-    path = tuple(pieces[start:])
+    try:
+        coeff, path = exact(pieces[0]), tuple(pieces[1:])
+    except (ValueError, ZeroDivisionError):
+        coeff, path = 1, tuple(pieces)
     if not path:
         raise InputError(f"term {tok!r} has no path")
     return coeff, path
-
-
-def _looks_numeric(s: str) -> bool:
-    try:
-        Fraction(s)
-        return True
-    except (ValueError, ZeroDivisionError):
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +431,9 @@ def recover_presentation(alg, max_length: int = 24):
 
     rad_span = EchelonBasis(rad)
     for i in range(nb):
-        if not rad_span.contains({i: Fraction(1)}):
+        if not rad_span.contains({i: 1}):
             continue
-        try_add({i: Fraction(1)}, alg.source[i], alg.target[i], alg.degree[i],
+        try_add({i: 1}, alg.source[i], alg.target[i], alg.degree[i],
                 name=alg.labels[i])
     for r in rad:
         blocks = {}
@@ -460,7 +448,7 @@ def recover_presentation(alg, max_length: int = 24):
     quiver = Quiver(alg.num_vertices, tuple(arrows))
     # evaluate paths in the algebra and collect per-length kernels
     relations = []
-    paths = {0: [((), v, {alg.idempotent_index(v): Fraction(1)})
+    paths = {0: [((), v, {alg.idempotent_index(v): 1})
                  for v in alg.vertices]}
     length = 0
     while True:
@@ -482,7 +470,7 @@ def recover_presentation(alg, max_length: int = 24):
             continue
         rows = []
         for i, p in enumerate(cur):
-            row = [Fraction(0)] * nb
+            row = [0] * nb
             for k, c in p[2].items():
                 row[k] = c
             rows.append(row)

@@ -11,7 +11,6 @@ maps are right actions, which keeps Ext computations small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import EchelonBasis, Matrix
 from .algebra import GradedAlgebra, InputError, InternalCheckError
@@ -60,7 +59,7 @@ class FormalProjective:
             for pos, val in enumerate(vec):
                 if val:
                     p_i, b = cols[pos]
-                    out[p_i][b] = out[p_i].get(b, Fraction(0)) + val
+                    out[p_i][b] = out[p_i].get(b, 0) + val
         return [{b: c for b, c in comp.items() if c} for comp in out]
 
     def formal_to_element(self, column) -> dict:
@@ -77,12 +76,12 @@ class FormalProjective:
                         break
                 if key is None:
                     raise InternalCheckError("formal entry outside projective")
-                vec = [Fraction(0)] * part.dims[key]
+                vec = [0] * part.dims[key]
                 vec[pos] = c
                 img = self.injections[p_i].apply({key: vec})
                 for k2, v2 in img.items():
                     if k2 not in elem:
-                        elem[k2] = [Fraction(0)] * len(v2)
+                        elem[k2] = [0] * len(v2)
                     for i, x in enumerate(v2):
                         elem[k2][i] += x
         return {k: v for k, v in elem.items() if any(v)}
@@ -117,7 +116,7 @@ def compose_formal(alg: GradedAlgebra, a_cols, a_rank, b_cols):
                 if prod:
                     tgt = acc[s_i]
                     for k, c in prod.items():
-                        s = tgt.get(k, Fraction(0)) + c
+                        s = tgt.get(k, 0) + c
                         if s:
                             tgt[k] = s
                         else:
@@ -231,8 +230,8 @@ def delta_matrix(res: MinimalResolution, n: mo.GradedModule, i: int, j: int):
             if size_k == 0:
                 continue
             for s in range(size_k):
-                unit = [Fraction(0)] * size_k
-                unit[s] = Fraction(1)
+                unit = [0] * size_k
+                unit[s] = 1
                 img = n.apply_element({key_k: unit}, lam)
                 vec = img.get(key_c)
                 if vec:
@@ -267,7 +266,7 @@ def ext_group(res: MinimalResolution, n: mo.GradedModule, i: int, j: int) -> Ext
         return ExtGroup(i, j, 0, [], layout, 0, EchelonBasis(), 0)
     d_out = delta_matrix(res, n, i, j)
     cocycles = d_out.kernel_basis() if d_out.rows else [
-        [Fraction(1) if t == s else Fraction(0) for t in range(total)]
+        [1 if t == s else 0 for t in range(total)]
         for s in range(total)
     ]
     basis = EchelonBasis()
@@ -290,7 +289,7 @@ def cocycle_values(res: MinimalResolution, eg: ExtGroup, vec):
 
 
 def values_to_vec(eg: ExtGroup, values):
-    vec = [Fraction(0)] * eg.total
+    vec = [0] * eg.total
     for k, (key, off, size) in enumerate(eg.layout):
         comp = values[k].get(key)
         if comp:
@@ -485,7 +484,7 @@ def yoneda_product(value_module: mo.GradedModule,
             img = value_module.apply_element(val, lam)
             for key, vec in img.items():
                 if key not in acc:
-                    acc[key] = [Fraction(0)] * len(vec)
+                    acc[key] = [0] * len(vec)
                 for t, x in enumerate(vec):
                     acc[key][t] += x
         out.append({k: v for k, v in acc.items() if any(v)})
@@ -568,8 +567,8 @@ def decompose_in_add(m: mo.GradedModule, summands, rng=None):
                   | set(m.dims), key=lambda vd: (vd[1], str(vd[0])))
     cols = []
     for s in summands:
-        cols.append([Fraction(s.block_dim(*k)) for k in keys])
-    target = [Fraction(m.block_dim(*k)) for k in keys]
+        cols.append([s.block_dim(*k) for k in keys])
+    target = [m.block_dim(*k) for k in keys]
     matr = Matrix(len(keys), len(summands),
                   [[cols[c][r] for c in range(len(summands))]
                    for r in range(len(keys))])

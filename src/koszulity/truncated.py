@@ -9,7 +9,6 @@ convention as GradedAlgebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import Matrix, candidate_combinations
 from .algebra import GradedAlgebra, InputError, InternalCheckError
@@ -56,7 +55,7 @@ class TruncatedGradedAlgebra:
                 if prod:
                     c = c1 * c2
                     for k, ck in prod.items():
-                        s = out.get(k, Fraction(0)) + c * ck
+                        s = out.get(k, 0) + c * ck
                         if s:
                             out[k] = s
                         else:
@@ -84,7 +83,7 @@ class TruncatedGradedAlgebra:
         for d in range(self.cutoff + 1):
             n = self.dim(d)
             for i in range(n):
-                v = {i: Fraction(1)}
+                v = {i: 1}
                 left = self.mult(0, self.unit, d, v)
                 right = self.mult(d, v, 0, self.unit)
                 if left != v or right != v:
@@ -102,8 +101,8 @@ class TruncatedGradedAlgebra:
                             ab = self.products.get(((da, i), (db, j)), {})
                             for k in starting.get((dc, tb), []):
                                 bc = self.products.get(((db, j), (dc, k)), {})
-                                lhs = self.mult(da + db, ab, dc, {k: Fraction(1)})
-                                rhs = self.mult(da, {i: Fraction(1)}, db + dc, bc)
+                                lhs = self.mult(da + db, ab, dc, {k: 1})
+                                rhs = self.mult(da, {i: 1}, db + dc, bc)
                                 if lhs != rhs:
                                     raise InternalCheckError(
                                         "associativity fails in truncated algebra"
@@ -167,7 +166,7 @@ def truncate_algebra(alg: GradedAlgebra, cutoff: int) -> TruncatedGradedAlgebra:
         products[((d1, i1), (d2, j1))] = entry
     unit = {}
     for v in range(alg.num_vertices):
-        unit[index_map[v][1]] = Fraction(1)
+        unit[index_map[v][1]] = 1
     return TruncatedGradedAlgebra(alg.name, cutoff, list(alg.vertices),
                                   basis, products, unit)
 
@@ -193,7 +192,7 @@ class TruncatedAlgebraMorphism:
             for i in range(m.rows):
                 x = m.data[i][j]
                 if x:
-                    s = out.get(i, Fraction(0)) + c * x
+                    s = out.get(i, 0) + c * x
                     if s:
                         out[i] = s
                     else:
@@ -227,9 +226,9 @@ class TruncatedAlgebraMorphism:
                 for i in range(G.dim(d1)):
                     for j in range(G.dim(d2)):
                         lhs = self.apply(d1 + d2,
-                                         G.mult(d1, {i: Fraction(1)}, d2, {j: Fraction(1)}))
-                        rhs = H.mult(d1, self.apply(d1, {i: Fraction(1)}),
-                                     d2, self.apply(d2, {j: Fraction(1)}))
+                                         G.mult(d1, {i: 1}, d2, {j: 1}))
+                        rhs = H.mult(d1, self.apply(d1, {i: 1}),
+                                     d2, self.apply(d2, {j: 1}))
                         if lhs != rhs:
                             return False
         return True
@@ -379,9 +378,9 @@ def twist_algebra(G: TruncatedGradedAlgebra,
     for d1 in range(G.cutoff + 1):
         for d2 in range(G.cutoff + 1 - d1):
             for i in range(G.dim(d1)):
-                xi = powers[d2].apply(d1, {i: Fraction(1)})
+                xi = powers[d2].apply(d1, {i: 1})
                 for j in range(G.dim(d2)):
-                    entry = G.mult(d1, xi, d2, {j: Fraction(1)})
+                    entry = G.mult(d1, xi, d2, {j: 1})
                     if entry:
                         products[((d1, i), (d2, j))] = entry
     return TruncatedGradedAlgebra(f"{G.name}_tw", G.cutoff, G.vertices,
@@ -537,7 +536,7 @@ def find_graded_iso(G1, G2, phi0: Matrix, vertex_map, rng=None,
             for i in range(n0):
                 x = phi0.data[i][j]
                 if x:
-                    out[i] = out.get(i, Fraction(0)) + c * x
+                    out[i] = out.get(i, 0) + c * x
         return {k: v for k, v in out.items() if v}
 
     if n1 == 0:
@@ -558,37 +557,37 @@ def find_graded_iso(G1, G2, phi0: Matrix, vertex_map, rng=None,
     for u in range(n0):
         for x in range(n1):
             # phi(u * x) = phi0(u) * F(x)
-            ux = G1.mult(0, {u: Fraction(1)}, 1, {x: Fraction(1)})
-            pu = phi0_apply({u: Fraction(1)})
+            ux = G1.mult(0, {u: 1}, 1, {x: 1})
+            pu = phi0_apply({u: 1})
             for i2 in range(G2.dim(1)):
-                row = [Fraction(0)] * unknowns
+                row = [0] * unknowns
                 hit = False
                 for z, cz in ux.items():
                     row[entry(i2, z)] += cz
                     hit = True
                 # minus G2-left-mult of pu acting on column x
                 for j2 in range(G2.dim(1)):
-                    coef = Fraction(0)
+                    coef = 0
                     for p_i, cp in pu.items():
-                        prod = G2.mult(0, {p_i: Fraction(1)}, 1, {j2: Fraction(1)})
-                        coef += cp * prod.get(i2, Fraction(0))
+                        prod = G2.mult(0, {p_i: 1}, 1, {j2: 1})
+                        coef += cp * prod.get(i2, 0)
                     if coef:
                         row[entry(j2, x)] -= coef
                         hit = True
                 if hit:
                     rows.append(row)
             # phi(x * u) = F(x) * phi0(u)
-            xu = G1.mult(1, {x: Fraction(1)}, 0, {u: Fraction(1)})
+            xu = G1.mult(1, {x: 1}, 0, {u: 1})
             for i2 in range(G2.dim(1)):
-                row = [Fraction(0)] * unknowns
+                row = [0] * unknowns
                 hit = False
                 for z, cz in xu.items():
                     row[entry(i2, z)] += cz
                     hit = True
                 for j2 in range(G2.dim(1)):
-                    coef = Fraction(0)
-                    prod = G2.mult(1, {j2: Fraction(1)}, 0, pu)
-                    coef = prod.get(i2, Fraction(0))
+                    coef = 0
+                    prod = G2.mult(1, {j2: 1}, 0, pu)
+                    coef = prod.get(i2, 0)
                     if coef:
                         row[entry(j2, x)] -= coef
                         hit = True
@@ -630,13 +629,13 @@ def _extend_and_check(G1, G2, cand: TruncatedAlgebraMorphism, cutoff):
         pairs = []
         for x in range(G1.dim(d - 1)):
             for y in range(G1.dim(1)):
-                prod = G1.mult(d - 1, {x: Fraction(1)}, 1, {y: Fraction(1)})
+                prod = G1.mult(d - 1, {x: 1}, 1, {y: 1})
                 if not prod:
                     continue
-                lhs = [prod.get(k, Fraction(0)) for k in range(nd)]
-                img = G2.mult(d - 1, cand.apply(d - 1, {x: Fraction(1)}),
-                              1, cand.apply(1, {y: Fraction(1)}))
-                rhs = [img.get(k, Fraction(0)) for k in range(G2.dim(d))]
+                lhs = [prod.get(k, 0) for k in range(nd)]
+                img = G2.mult(d - 1, cand.apply(d - 1, {x: 1}),
+                              1, cand.apply(1, {y: 1}))
+                rhs = [img.get(k, 0) for k in range(G2.dim(d))]
                 pairs.append((lhs, rhs))
         if not pairs:
             return f"degree {d} not generated by degree 1"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .linalg import Matrix
 from .algebra import GradedAlgebra, InputError, trivial_extension
@@ -162,7 +161,7 @@ def dual_phi0_from_pp(pp: hd.PreprojectiveData, a0: GradedAlgebra,
         counters[(u, v)] = c + 1
         x = pp.chains[u][0].module.basis_index[(v, 0)][c]
         i, j = pos_of_vertex[v], pos_of_vertex[u]
-        lm = hd.left_mult_hom(a0, v, u, {x: Fraction(1)})
+        lm = hd.left_mult_hom(a0, v, u, {x: 1})
         h = mo.GradedModuleHom(summands[i], summands[j], dict(lm.blocks))
         coords = ext0_coordinates(dual, i, j, h)
         for cc, coeff in enumerate(coords):

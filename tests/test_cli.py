@@ -242,3 +242,37 @@ def test_build_dump_round_trip(capsys, tmp_path):
     code2, text, _ = run(capsys, "build", "--algebra", str(out))
     assert code2 == 0
     assert "dim 16" in text and "symmetric = yes" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--algebra", "a4.alg", "--trivext"],
+    ["ext", "--algebra", "a4.alg", "--trivext", "--n", "2", "--i-max", "2",
+     "--M", "T1.mod", "--N", "T2.mod"],
+    ["koszul", "--algebra", "kron.alg", "--trivext", "--n", "2", "--i-max", "3"],
+    ["nrep", "--algebra", "a2.alg", "--mode", "finite", "--n", "1"],
+    ["nrep", "--algebra", "a2.alg", "--mode", "infinite", "--n", "1"],
+    ["preprojective", "--algebra", "a2.alg", "--n", "1", "--degree-max", "3"],
+    ["veronese", "--algebra", "x3.alg", "--r", "2", "--degree-max", "3"],
+    ["dual", "--algebra", "dualnum.alg", "--module", "k_dualnum.mod",
+     "--n", "1", "--degree-max", "3"],
+    ["verify", "trivext-koszul", "--algebra", "a2.alg", "--n", "1",
+     "--i-max", "3", "--depth", "3"],
+    ["verify", "trivext-dual", "--algebra", "kron.alg", "--n", "1",
+     "--degree-max", "2"],
+    ["verify", "preproj-veronese", "--algebra", "x3.alg",
+     "--module", "k_x3.mod", "--n", "1", "--degree-max", "3"],
+    ["verify", "characterization", "--algebra", "kron.alg", "--trivext",
+     "--n", "2", "--i-max", "3"],
+    ["verify", "nrepfin-char", "--algebra", "x3.alg", "--module", "k_x3.mod",
+     "--n", "1"],
+    ["verify", "param-consistency", "--algebra", "nak2.alg"],
+    ["verify", "serre-identity", "--algebra", "x3.alg", "--module", "k_x3.mod",
+     "--n", "1", "--i-max", "3"],
+], ids=lambda argv: "-".join(argv[:2]).replace("--algebra", "").strip("-"))
+def test_json_reports_are_plain_json(capsys, argv):
+    # --json has no fallback for values json cannot encode: such a value
+    # raises rather than being printed as a string.
+    argv = [data_path(a) if a.endswith((".alg", ".mod")) else a for a in argv]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code in (0, 1)
+    assert isinstance(json.loads(out), dict)

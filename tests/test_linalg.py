@@ -25,7 +25,7 @@ def dense_rref(m):
         if pr is None:
             continue
         data[r], data[pr] = data[pr], data[r]
-        inv = 1 / data[r][c]
+        inv = Fraction(1, data[r][c])
         data[r] = [x * inv for x in data[r]]
         rowr = data[r]
         for i in range(nr):
@@ -161,7 +161,8 @@ def test_rref_matches_dense_gauss_jordan(m):
     assert (R.rows, R.cols) == (m.rows, m.cols)
     assert R.data == ref
     assert piv == ref_piv
-    assert all(type(x) is Fraction for row in R.data for x in row)
+    assert all(type(x) is int or type(x) is Fraction and x.denominator != 1
+               for row in R.data for x in row)
 
 
 def test_rref_degenerate_shapes():

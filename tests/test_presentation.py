@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from koszulity.algebra import InputError
@@ -94,6 +96,12 @@ end
 """
     alg, _ = parse_algebra_source(src, 3)
     assert alg.dims_by_degree()[1] == 2
+    # 2/3 xy = 1/3 yx makes xy = 1/2 yx: the one non-integral constant stays
+    # a Fraction, every other one is an int
+    x, y, yx = (alg.index_of[name] for name in ("x", "y", "y*x"))
+    assert alg.mult_basis(x, y) == {yx: Fraction(1, 2)}
+    assert [type(c) for prod in alg.table.values() for c in prod.values()
+            if type(c) is not int] == [Fraction]
 
 
 def test_parse_errors_reported():
