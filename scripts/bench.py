@@ -11,8 +11,10 @@ of BENCHMARK.json, with the same seed on both sides and the `run_seconds`
 BENCHMARK.json sets; the side that goes first alternates from pair to
 pair, so a drift in the machine's speed does not favour one side. The
 output file records every run, the median and quartiles of each end-to-end
-metric on each side, how many pairs the change won per metric, and the
-line counts of `src/koszulity` in both trees.
+metric on each side, how many pairs the change won per metric, the
+operations attempted and failed and the runs not correct per side, and the
+line counts of `src/koszulity` in both trees. After writing the file, the
+script exits 1 if any run was not correct.
 
 The script changes nothing under `perfbench/`; it only reads the last line
 run.py prints.
@@ -87,6 +89,10 @@ def summarize(runs) -> dict:
                      bound=metric["bound"], change_wins=wins, pairs=len(runs),
                      relative_change=(med_c - med_p) / med_p if med_p else None)
         out[name] = entry
+    out["totals"] = {side: {"attempted": sum(r[side]["attempted"] for r in runs),
+                            "failed": sum(r[side]["failed"] for r in runs),
+                            "incorrect_runs": sum(not r[side]["correct"] for r in runs)}
+                     for side in SIDES}
     return out
 
 
@@ -132,6 +138,11 @@ def main(argv=None) -> int:
     }
     (ROOT / args.out).write_text(json.dumps(report, indent=1) + "\n",
                                  encoding="utf-8")
+    incorrect = [f"{w} {side} pair {r['pair']}" for w in workloads
+                 for r in runs[w] for side in SIDES if not r[side]["correct"]]
+    if incorrect:
+        print("runs not correct: " + ", ".join(incorrect), file=sys.stderr)
+        return 1
     return 0
 
 

@@ -21,10 +21,10 @@ from .presentation import (
     path_count,
 )
 from .modules import (
+    DirectSum,
     GradedModule,
     GradedModuleHom,
     cosyzygy,
-    direct_sum,
     dual_of_left_projective,
     graded_dual_module,
     hom_space,

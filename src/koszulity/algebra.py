@@ -27,6 +27,15 @@ class InternalCheckError(AssertionError):
     """A structural identity that must hold unconditionally failed (bug trap)."""
 
 
+def parse_number(field: str, line: str, conv=int):
+    """conv(field) for a field of an input file line, or an InputError
+    naming the field and its line when the field is not a number."""
+    try:
+        return conv(field)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"not a number: {field!r} in line {line!r}") from None
+
+
 @dataclass
 class GradedAlgebra:
     name: str

@@ -122,8 +122,8 @@ def cmd_ext(args) -> int:
     if args.trivext:
         ms = [mo.inflate_module(m, alg) for m in ms]
         ns = [mo.inflate_module(m, alg) for m in ns]
-    M = mo.direct_sum(alg, ms)[0] if len(ms) > 1 else ms[0]
-    N = mo.direct_sum(alg, ns)[0] if len(ns) > 1 else ns[0]
+    M = mo.DirectSum(alg, ms) if len(ms) > 1 else ms[0]
+    N = mo.DirectSum(alg, ns) if len(ns) > 1 else ns[0]
     res = rs.MinimalResolution(M)
     a = alg.highest_degree()
     j_lo = -(-args.i_max // args.n) if args.n else args.i_max

@@ -83,37 +83,15 @@ def projective_to_injective_hom(a: GradedAlgebra, v, w, h: mo.GradedModuleHom):
     return dual_right_mult_hom(a, v, w, coeffs)
 
 
-class LabeledSum:
-    """Explicit direct sum of labeled indecomposables with its embeddings."""
+class LabeledSum(mo.DirectSum):
+    """Direct sum of the indecomposable projectives (kind "proj") or
+    injectives (kind "inj") at the given vertex labels, in order."""
 
     def __init__(self, a: GradedAlgebra, labels, kind: str):
-        self.algebra = a
         self.labels = list(labels)
-        self.kind = kind  # "proj" or "inj"
+        self.kind = kind
         make = mo.projective_module if kind == "proj" else injective_module
-        self.parts = [make(a, v) for v in self.labels]
-        if self.parts:
-            self.module, self.injections, self.projections = mo.direct_sum(
-                a, self.parts)
-        else:
-            self.module = mo.zero_module(a)
-            self.injections, self.projections = [], []
-
-
-def _block_sum_hom(src: LabeledSum, tgt: LabeledSum, component):
-    """Hom between labeled sums from a part-level component function.
-
-    component(i, j) returns the hom from src part i to tgt part j, or None.
-    """
-    out = mo.zero_hom(src.module, tgt.module)
-    for i in range(len(src.parts)):
-        for j in range(len(tgt.parts)):
-            comp = component(i, j)
-            if comp is None or comp.is_zero():
-                continue
-            out = out.add(tgt.injections[j].compose(comp).compose(
-                src.projections[i]))
-    return out
+        super().__init__(a, [make(a, v) for v in self.labels])
 
 
 def transport_sum_hom(src: LabeledSum, tgt: LabeledSum, h: mo.GradedModuleHom,
@@ -122,29 +100,29 @@ def transport_sum_hom(src: LabeledSum, tgt: LabeledSum, h: mo.GradedModuleHom,
     the same labels, part by part: injectives to projectives or back."""
     move = (injective_to_projective_hom if src.kind == "inj"
             else projective_to_injective_hom)
-
-    def component(i, j):
-        comp = tgt.projections[j].compose(h).compose(src.injections[i])
-        if comp.is_zero():
-            return None
-        return move(src.algebra, src.labels[i], tgt.labels[j], comp)
-
-    return _block_sum_hom(src_to, tgt_to, component)
+    pieces = []
+    for i, (v, p, off_p) in enumerate(zip(src.labels, src.parts, src.offsets)):
+        for j, (w, q, off_q) in enumerate(zip(tgt.labels, tgt.parts, tgt.offsets)):
+            comp = mo.slice_hom(h, p, off_p, q, off_q)
+            if not comp.is_zero():
+                pieces.append((move(src.algebra, v, w, comp),
+                               src_to.offsets[i], tgt_to.offsets[j]))
+    return mo.place(src_to, tgt_to, pieces)
 
 
 def solve_map_into_injectives(m: mo.GradedModule, tgt: LabeledSum, constraints):
-    """A map m -> tgt.module with prescribed values, or None if there is none.
+    """A map m -> tgt with prescribed values, or None if there is none.
 
     constraints = [(elem, image), ...]: elem an element dict of m, image one
-    of tgt.module. Hom(M, D(Ae_w)) is D(M_(w,0)), so the component into part
+    of tgt. Hom(M, D(Ae_w)) is D(M_(w,0)), so the component into part
     j, with w = tgt.labels[j], is `mo.map_into_injective` for a functional
     phi on M_(w,0), and its psi_b coordinate at elem is phi(elem . b). Each
     (constraint, psi_b) pair is one linear equation in phi, solved by one
     `solve_combination` per part. The assembled map is checked against every
     prescribed value.
     """
-    homs = []
-    for w, part, prj in zip(tgt.labels, tgt.parts, tgt.projections):
+    pieces = []
+    for j, (w, part) in enumerate(zip(tgt.labels, tgt.parts)):
         index = {}
         columns = [{} for _ in range(m.block_dim(w, 0))]
         values = {}
@@ -154,15 +132,15 @@ def solve_map_into_injectives(m: mo.GradedModule, tgt: LabeledSum, constraints):
                     for i, y in enumerate(m.act(b, key[1]).apply(vec)):
                         if y:
                             columns[i][index.setdefault((k, key, r_i), len(index))] = y
-            for key, vec in prj.apply(image).items():
+            for key, vec in tgt.component(j, image).items():
                 for r_i, y in enumerate(vec):
                     if y:
                         values[index.setdefault((k, key, r_i), len(index))] = y
         phi = solve_combination(columns, values)
         if phi is None:
             return None
-        homs.append(mo.map_into_injective(m, part, w, phi))
-    out = mo.map_into_sum(m, tgt.module, tgt.injections, homs)
+        pieces.append((mo.map_into_injective(m, part, w, phi), {}, tgt.offsets[j]))
+    out = mo.place(m, tgt, pieces)
     for elem, image in constraints:
         if out.apply(elem) != {key: vec for key, vec in image.items() if any(vec)}:
             raise InternalCheckError("map into injectives misses a prescribed value")
@@ -209,11 +187,9 @@ def injective_envelope_ungraded(m: mo.GradedModule):
             labels.append(v)
             soc_list.append((key, vec))
     I = LabeledSum(a, labels, "inj")
-    if not labels:
-        return I, mo.zero_hom(m, I.module)
-    constraints = [({key: vec}, inj.apply(mo.generator(part, v)))
-                   for (key, vec), v, part, inj
-                   in zip(soc_list, labels, I.parts, I.injections)]
+    constraints = [({key: vec}, I.embed(k, mo.generator(part, v)))
+                   for k, ((key, vec), v, part)
+                   in enumerate(zip(soc_list, labels, I.parts))]
     mono = solve_map_into_injectives(m, I, constraints)
     if mono is None:
         raise InternalCheckError("socle embedding does not extend")
@@ -226,7 +202,7 @@ def injective_envelope_ungraded(m: mo.GradedModule):
 class InjectiveResolution:
     module: mo.GradedModule
     terms: list           # LabeledSum per level
-    diffs: list           # diffs[i]: terms[i].module -> terms[i+1].module
+    diffs: list           # diffs[i]: terms[i] -> terms[i+1]
     mono: mo.GradedModuleHom
 
 
@@ -336,7 +312,7 @@ def nu_inverse_step(a: GradedAlgebra, piece: Piece, n: int,
                                        proj_terms[i], proj_terms[i + 1]))
     cx = BoundedComplex(
         a,
-        {positions[i]: proj_terms[i].module for i in range(len(proj_terms))},
+        {positions[i]: proj_terms[i] for i in range(len(proj_terms))},
         {positions[i]: diffs[i] for i in range(len(diffs))},
     )
     coh = complex_cohomology(cx)
@@ -374,7 +350,7 @@ def _lift_stalk_map_into_injectives(res: InjectiveResolution, start_pos: int,
     prev = None
     for j in range(len(res.terms)):
         tgt = jterms.get(start_pos + j)
-        src_term = res.terms[j].module
+        src_term = res.terms[j]
         if tgt is None:
             # the commutation square must be trivially satisfiable
             if prev is not None and (start_pos + j - 1) in jdiffs:
@@ -389,7 +365,7 @@ def _lift_stalk_map_into_injectives(res: InjectiveResolution, start_pos: int,
             for x in mo.generator_elements(res.module):
                 constraints.append((res.mono.apply(x), psi0.apply(x)))
         else:
-            dom_prev = res.terms[j - 1].module
+            dom_prev = res.terms[j - 1]
             dsrc = res.diffs[j - 1]
             dj = jdiffs.get(start_pos + j - 1)
             for x in mo.generator_elements(dom_prev):
@@ -574,7 +550,7 @@ def _pieces_to_complex(a: GradedAlgebra, pieces) -> "BoundedComplex":
         if len(mods) == 1:
             terms[pos] = mods[0]
         else:
-            terms[pos] = mo.direct_sum(a, mods)[0]
+            terms[pos] = mo.DirectSum(a, mods)
     return BoundedComplex(a, terms, {})
 
 
@@ -792,15 +768,11 @@ class ComplexResolution:
     """Bounded complex of labeled injective sums quasi-isomorphic to a
     bounded complex, together with the comparison chain map."""
     terms: dict      # position -> LabeledSum
-    diffs: dict      # position -> hom terms[p].module -> terms[p+1].module
-    qis: dict        # position -> hom (original term -> terms[p].module)
+    diffs: dict      # position -> hom terms[p] -> terms[p+1]
+    qis: dict        # position -> hom (original term -> terms[p])
 
     def as_complex(self, algebra) -> BoundedComplex:
-        return BoundedComplex(
-            algebra,
-            {p: ls.module for p, ls in self.terms.items()},
-            dict(self.diffs),
-        )
+        return BoundedComplex(algebra, dict(self.terms), dict(self.diffs))
 
 
 def injective_resolution_of_complex(cx: BoundedComplex,
@@ -837,77 +809,43 @@ def injective_resolution_of_complex(cx: BoundedComplex,
         raise InternalCheckError("missing differential out of the lowest term")
     q_next = sub.qis[lo + 1]
     psi0 = q_next.compose(delta)
-    jterms = sub.terms
-    jdiffs = sub.diffs
-    psi = _lift_stalk_map_into_injectives(res, lo + 1, psi0, jterms, jdiffs)
-    # cone terms at position p: res.terms[p - lo] (+) sub.terms[p]
+    psi = _lift_stalk_map_into_injectives(res, lo + 1, psi0, sub.terms, sub.diffs)
+
+    def level(seq, p):
+        return seq[p - lo] if 0 <= p - lo < len(seq) else None
+
+    # the cone term at p is I = res.terms[p - lo] (+) J = sub.terms[p], so J
+    # sits at the offsets I.dims; the differential is [[-d_I, 0], [psi, d_J]]
+    # and the comparison map is [mono; q_J]
+    def j_offsets(p):
+        i_term = level(res.terms, p)
+        return i_term.dims if i_term is not None else {}
+
+    all_pos = sorted(set(sub.terms) | {lo + j for j in range(len(res.terms))})
     terms = {}
-    all_pos = set(sub.terms) | {lo + j for j in range(len(res.terms))}
-    for p in sorted(all_pos):
-        i_part = res.terms[p - lo] if 0 <= p - lo < len(res.terms) else None
-        j_part = sub.terms.get(p)
-        labels = (list(i_part.labels) if i_part else []) + \
-                 (list(j_part.labels) if j_part else [])
-        terms[p] = LabeledSum(a, labels, "inj")
+    for p in all_pos:
+        i_term, j_term = level(res.terms, p), sub.terms.get(p)
+        terms[p] = LabeledSum(a, (i_term.labels if i_term is not None else [])
+                              + (j_term.labels if j_term is not None else []), "inj")
     diffs = {}
-    for p in sorted(all_pos):
+    for p in all_pos:
         if p + 1 not in terms:
             continue
-        src, tgt = terms[p], terms[p + 1]
-        ni_src = len(res.terms[p - lo].labels) \
-            if 0 <= p - lo < len(res.terms) else 0
-        ni_tgt = len(res.terms[p + 1 - lo].labels) \
-            if 0 <= p + 1 - lo < len(res.terms) else 0
-        d_i = res.diffs[p - lo] if 0 <= p - lo < len(res.diffs) else None
-        d_j = sub.diffs.get(p)
-        psi_p = psi[p - lo] if 0 <= p - lo < len(psi) else None
-        i_sum_src = res.terms[p - lo] if ni_src else None
-        i_sum_tgt = res.terms[p + 1 - lo] if ni_tgt else None
-        j_sum_src = sub.terms.get(p)
-        j_sum_tgt = sub.terms.get(p + 1)
-
-        def component(i, j, _data=(ni_src, ni_tgt, d_i, d_j, psi_p,
-                                    i_sum_src, i_sum_tgt, j_sum_src,
-                                    j_sum_tgt)):
-            (nis, nit, di, dj, ps, isrc, itgt, jsrc, jtgt) = _data
-            if i < nis and j < nit:
-                if di is None:
-                    return None
-                return itgt.projections[j].compose(di).compose(
-                    isrc.injections[i]).scale(-1)
-            if i < nis and j >= nit:
-                if ps is None or jtgt is None:
-                    return None
-                return jtgt.projections[j - nit].compose(ps).compose(
-                    isrc.injections[i])
-            if i >= nis and j >= nit:
-                if dj is None or jsrc is None or jtgt is None:
-                    return None
-                return jtgt.projections[j - nit].compose(dj).compose(
-                    jsrc.injections[i - nis])
-            return None
-
-        diffs[p] = _block_sum_hom(src, tgt, component)
+        pieces = []
+        d_i, psi_p = level(res.diffs, p), level(psi, p)
+        if d_i is not None:
+            pieces.append((d_i.scale(-1), {}, {}))
+        if psi_p is not None:
+            pieces.append((psi_p, {}, j_offsets(p + 1)))
+        if p in sub.diffs:
+            pieces.append((sub.diffs[p], j_offsets(p), j_offsets(p + 1)))
+        diffs[p] = mo.place(terms[p], terms[p + 1], pieces)
     qis = {}
     for p in degs:
-        src_mod = cx.terms[p]
-        tgt = terms[p]
-        ni = len(res.terms[p - lo].labels) if 0 <= p - lo < len(res.terms) else 0
-        h = mo.zero_hom(src_mod, tgt.module)
-        if p == lo:
-            # the lowest term embeds through its own resolution
-            comp = mo.zero_hom(src_mod, tgt.module)
-            for j in range(ni):
-                comp = comp.add(tgt.injections[j].compose(
-                    res.terms[0].projections[j]).compose(res.mono))
-            h = h.add(comp)
-        qy = sub.qis.get(p)
-        if qy is not None:
-            jt = sub.terms[p]
-            for j in range(len(jt.parts)):
-                h = h.add(tgt.injections[ni + j].compose(
-                    jt.projections[j]).compose(qy))
-        qis[p] = h
+        pieces = [(res.mono, {}, {})] if p == lo else []
+        if p in sub.qis:
+            pieces.append((sub.qis[p], {}, j_offsets(p)))
+        qis[p] = mo.place(cx.terms[p], terms[p], pieces)
     out = ComplexResolution(terms, diffs, qis)
     _validate_complex_resolution(cx, out)
     return out
@@ -943,7 +881,7 @@ def nu_inverse_of_resolution(a: GradedAlgebra, cres: ComplexResolution,
     """
     proj_terms = {p: LabeledSum(a, ls.labels, "proj")
                   for p, ls in cres.terms.items()}
-    terms = {p - n: proj_terms[p].module for p in proj_terms}
+    terms = {p - n: proj_terms[p] for p in proj_terms}
     diffs = {}
     for p, d in cres.diffs.items():
         if p + 1 not in cres.terms:
@@ -985,7 +923,7 @@ def nu_forward_of_labeled(a: GradedAlgebra, labeled: dict, diffs: dict,
     levelwise; positions move up by n.
     """
     inj_terms = {p: LabeledSum(a, ls.labels, "inj") for p, ls in labeled.items()}
-    terms = {p + n: inj_terms[p].module for p in inj_terms}
+    terms = {p + n: inj_terms[p] for p in inj_terms}
     out_diffs = {}
     for p, d in diffs.items():
         if p + 1 not in labeled:

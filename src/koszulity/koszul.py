@@ -613,7 +613,7 @@ def check_classic_almost_koszul(alg: GradedAlgebra, bound: int = 12
         return ClassicAlmostReport("inapplicable")
     g = alg.highest_degree()
     parts = [mo.simple_module(alg, v, 0) for v in alg.vertices]
-    m0, _, _ = mo.direct_sum(alg, parts)
+    m0 = mo.DirectSum(alg, parts)
     res = rs.MinimalResolution(m0)
     res.extend(bound + 1)
     for r in range(1, bound + 1):
@@ -867,12 +867,12 @@ class TwistedResolution:
         if res.terms:
             fp0 = res.terms[0]
             tfp0 = self.terms[0]
-            homs = []
-            for k, part in enumerate(tfp0.parts):
+            pieces = []
+            for k, (part, off) in enumerate(zip(tfp0.parts, tfp0.offsets)):
                 img = res.eps.apply(fp0.generator_element(k))
                 elem = {(inv_vperm[v], d): vec for (v, d), vec in img.items()}
-                homs.append(mo.map_from_projective(part, self.module, elem))
-            self.eps = mo.map_from_sum(tfp0.module, self.module, tfp0.injections, homs)
+                pieces.append((mo.map_from_projective(part, self.module, elem), off, {}))
+            self.eps = mo.place(tfp0, self.module, pieces)
         else:
             self.eps = mo.zero_hom(mo.zero_module(alg), self.module)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .linalg import (EchelonBasis, Matrix, candidate_combinations,
                      complement_basis, exact, kernel_vectors, solve_combination)
-from .algebra import GradedAlgebra, InputError, InternalCheckError
+from .algebra import GradedAlgebra, InputError, InternalCheckError, parse_number
 
 
 class GradedModule:
@@ -219,10 +219,9 @@ def projective_module(alg: GradedAlgebra, v, shift: int = 0) -> GradedModule:
     return mod
 
 
-def regular_module(alg: GradedAlgebra):
-    """Lambda as a right module over itself, as (module, list of summands)."""
-    parts = [projective_module(alg, v) for v in alg.vertices]
-    return direct_sum(alg, parts)
+def regular_module(alg: GradedAlgebra) -> DirectSum:
+    """Lambda as a right module over itself, the sum of its e_v Lambda."""
+    return DirectSum(alg, [projective_module(alg, v) for v in alg.vertices])
 
 
 def dual_of_left_projective(alg: GradedAlgebra, v, shift: int = 0) -> GradedModule:
@@ -273,9 +272,7 @@ def dual_of_left_projective(alg: GradedAlgebra, v, shift: int = 0) -> GradedModu
 
 def graded_dual_module(alg: GradedAlgebra) -> GradedModule:
     """D(Lambda) as a graded right module, (D Lambda)_i = D(Lambda_{-i})."""
-    parts = [dual_of_left_projective(alg, v) for v in alg.vertices]
-    total, _, _ = direct_sum(alg, parts)
-    return total
+    return DirectSum(alg, [dual_of_left_projective(alg, v) for v in alg.vertices])
 
 
 def inflate_module(m0: GradedModule, big: GradedAlgebra) -> GradedModule:
@@ -298,66 +295,63 @@ def inflate_module(m0: GradedModule, big: GradedAlgebra) -> GradedModule:
     return out
 
 
-def direct_sum(alg: GradedAlgebra, parts):
-    """Direct sum with injection and projection homs.
+def _put(out: Matrix, sub: Matrix, r0: int, c0: int):
+    """Write the nonzero entries of sub into out, its corner at (r0, c0)."""
+    for srow, row in zip(sub.data, out.data[r0:]):
+        for j, x in enumerate(srow, c0):
+            if x:
+                row[j] = x
 
-    Returns (module, injections, projections).
+
+class DirectSum(GradedModule):
+    """The direct sum of parts, kept as the row offset of each part in each
+    block: part k's block at key fills the rows from offsets[k][key] on.
+
+    Maps into, out of and between sums are written at these offsets by
+    `place` and read back by `slice_hom`; the empty sum is the zero module.
     """
-    dims = {}
-    offsets = []
-    for p in parts:
-        off = {}
-        for key, m in p.dims.items():
-            off[key] = dims.get(key, 0)
-            dims[key] = dims.get(key, 0) + m
-        offsets.append(off)
-    action = {}
-    for x in range(alg.num_vertices, alg.dim):
-        sv, tv, dx = alg.source[x], alg.target[x], alg.degree[x]
-        per_deg = {}
-        degs = {d for p in parts for (v, d) in p.dims if v == sv}
-        for d in degs:
-            tot_src = dims.get((sv, d), 0)
-            tot_tgt = dims.get((tv, d + dx), 0)
-            if not tot_src or not tot_tgt:
-                continue
-            mat = Matrix.zero(tot_tgt, tot_src)
-            nonzero = False
-            for p, off in zip(parts, offsets):
-                sub = p.act(x, d)
-                if sub.rows == 0 or sub.cols == 0 or sub.is_zero():
-                    continue
-                r0 = off.get((tv, d + dx), 0)
-                c0 = off.get((sv, d), 0)
-                for i in range(sub.rows):
-                    row = mat.data[r0 + i]
-                    srow = sub.data[i]
-                    for j in range(sub.cols):
-                        if srow[j]:
-                            row[c0 + j] = srow[j]
-                            nonzero = True
-            if nonzero:
-                per_deg[d] = mat
-        if per_deg:
-            action[x] = per_deg
-    total = GradedModule(alg, dims, action, name="(+)".join(p.name for p in parts))
-    injections = []
-    projections = []
-    for p, off in zip(parts, offsets):
-        inj = {}
-        prj = {}
-        for key, m in p.dims.items():
-            big = dims[key]
-            mi = Matrix.zero(big, m)
-            mp = Matrix.zero(m, big)
-            for i in range(m):
-                mi.data[off[key] + i][i] = 1
-                mp.data[i][off[key] + i] = 1
-            inj[key] = mi
-            prj[key] = mp
-        injections.append(GradedModuleHom(p, total, inj))
-        projections.append(GradedModuleHom(total, p, prj))
-    return total, injections, projections
+
+    def __init__(self, alg: GradedAlgebra, parts):
+        self.parts = list(parts)
+        self.offsets = []
+        dims = {}
+        for p in self.parts:
+            off = {}
+            for key, m in p.dims.items():
+                off[key] = dims.get(key, 0)
+                dims[key] = off[key] + m
+            self.offsets.append(off)
+        action = {}
+        for x in range(alg.num_vertices, alg.dim):
+            sv, tv, dx = alg.source[x], alg.target[x], alg.degree[x]
+            per_deg = {}
+            for p, off in zip(self.parts, self.offsets):
+                for d, sub in p.action.get(x, {}).items():
+                    if sub.is_zero():
+                        continue
+                    mat = per_deg.get(d)
+                    if mat is None:
+                        mat = per_deg[d] = Matrix.zero(dims[(tv, d + dx)], dims[(sv, d)])
+                    _put(mat, sub, off[(tv, d + dx)], off[(sv, d)])
+            if per_deg:
+                action[x] = per_deg
+        super().__init__(alg, dims, action,
+                         name="(+)".join(p.name for p in self.parts) or "0")
+
+    def embed(self, k: int, elem: dict) -> dict:
+        """The element elem of part k as an element of the sum."""
+        out = {}
+        for key, vec in elem.items():
+            row = out[key] = [0] * self.dims[key]
+            off = self.offsets[k][key]
+            row[off:off + len(vec)] = vec
+        return out
+
+    def component(self, k: int, elem: dict) -> dict:
+        """Part k's coordinates of an element of the sum."""
+        part, off = self.parts[k], self.offsets[k]
+        return {key: vec[off[key]:off[key] + part.dims[key]]
+                for key, vec in elem.items() if key in off}
 
 
 def shift_module(m: GradedModule, j: int) -> GradedModule:
@@ -520,11 +514,6 @@ class GradedModuleHom:
         return True
 
     def is_isomorphism(self) -> bool:
-        if set(self.domain.dims) != set(self.codomain.dims):
-            ok = all(self.domain.block_dim(*k) == self.codomain.block_dim(*k)
-                     for k in set(self.domain.dims) | set(self.codomain.dims))
-            if not ok:
-                return False
         for key in set(self.domain.dims) | set(self.codomain.dims):
             if self.domain.block_dim(*key) != self.codomain.block_dim(*key):
                 return False
@@ -751,6 +740,37 @@ def zero_hom(m, n) -> GradedModuleHom:
     return GradedModuleHom(m, n, {})
 
 
+def place(domain, codomain, pieces) -> GradedModuleHom:
+    """The hom domain -> codomain made of pieces = [(h, cols, rows), ...].
+
+    Each h maps a summand of domain to a summand of codomain, and its block
+    at key is written from column cols[key] and row rows[key] on (0 when
+    key is missing, as for {}): the offsets of a `DirectSum` part, or the
+    dims of the summands placed before it. Pieces must not overlap.
+    """
+    blocks = {}
+    for h, cols, rows in pieces:
+        for key, mat in h.blocks.items():
+            out = blocks.get(key)
+            if out is None:
+                out = blocks[key] = Matrix.zero(codomain.dims[key], domain.dims[key])
+            _put(out, mat, rows.get(key, 0), cols.get(key, 0))
+    return GradedModuleHom(domain, codomain, blocks)
+
+
+def slice_hom(h: GradedModuleHom, domain, cols, codomain, rows) -> GradedModuleHom:
+    """The piece of h from the summand domain, at column offsets cols, to
+    the summand codomain, at row offsets rows: what `place` wrote there."""
+    blocks = {}
+    for key, mat in h.blocks.items():
+        nr, nc = codomain.block_dim(*key), domain.block_dim(*key)
+        if nr and nc:
+            r0, c0 = rows.get(key, 0), cols.get(key, 0)
+            sub = blocks[key] = Matrix(nr, nc)
+            sub.data = [row[c0:c0 + nc] for row in mat.data[r0:r0 + nr]]
+    return GradedModuleHom(domain, codomain, blocks)
+
+
 # ---------------------------------------------------------------------------
 # maps out of projectives
 # ---------------------------------------------------------------------------
@@ -783,20 +803,6 @@ def map_from_projective(p: GradedModule, n: GradedModule, elem: dict) -> GradedM
     return GradedModuleHom(p, n, blocks)
 
 
-def map_from_sum(total: GradedModule, n: GradedModule, injections, homs) -> GradedModuleHom:
-    """The map out of the direct sum `total` that is homs[k] on summand k."""
-    blocks = {key: Matrix.zero(n.block_dim(*key), dim) for key, dim in total.dims.items()}
-    for inj, h in zip(injections, homs):
-        for key, mat in h.blocks.items():
-            place = inj.blocks[key].data
-            out = blocks[key].data
-            for c_i in range(mat.cols):
-                col = next(r for r, row in enumerate(place) if row[c_i])
-                for r_i, row in enumerate(mat.data):
-                    out[r_i][col] = row[c_i]
-    return GradedModuleHom(total, n, blocks)
-
-
 # ---------------------------------------------------------------------------
 # maps into injectives
 # ---------------------------------------------------------------------------
@@ -824,18 +830,6 @@ def map_into_injective(m: GradedModule, q: GradedModule, w, phi) -> GradedModule
                             row[c_i] += f * a
         blocks[(u, d)] = mat
     return GradedModuleHom(m, q, blocks)
-
-
-def map_into_sum(m: GradedModule, total: GradedModule, injections, homs) -> GradedModuleHom:
-    """The map into the direct sum `total` that is homs[k] into summand k."""
-    blocks = {key: Matrix.zero(dim, m.block_dim(*key)) for key, dim in total.dims.items()}
-    for inj, h in zip(injections, homs):
-        for key, mat in h.blocks.items():
-            place = inj.blocks[key].data
-            out = blocks[key].data
-            for r_i, row in enumerate(mat.data):
-                out[next(r for r, prow in enumerate(place) if prow[r_i])] = list(row)
-    return GradedModuleHom(m, total, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,12 +1025,9 @@ def projective_cover(m: GradedModule):
     alg.assert_split_basic()
     gens = top_data(m)
     tags = [key for key, _vec in gens]
-    if not tags:
-        return zero_module(alg), zero_hom(zero_module(alg), m), []
-    parts = [projective_module(alg, v, d) for (v, d) in tags]
-    P, injections, _ = direct_sum(alg, parts)
-    epi = map_from_sum(P, m, injections, [map_from_projective(part, m, {key: vec})
-                                          for part, (key, vec) in zip(parts, gens)])
+    P = DirectSum(alg, [projective_module(alg, v, d) for (v, d) in tags])
+    epi = place(P, m, [(map_from_projective(part, m, {key: vec}), off, {})
+                       for part, off, (key, vec) in zip(P.parts, P.offsets, gens)])
     if not epi.is_surjective():
         raise InternalCheckError("projective cover map not surjective")
     return P, epi, tags
@@ -1113,14 +1104,12 @@ def injective_envelope(m: GradedModule):
             soc_list.append(((v, d), vec))
     if not parts:
         return zero_module(alg), zero_hom(m, zero_module(alg)), []
-    I, injections, _ = direct_sum(alg, parts)
+    I = DirectSum(alg, parts)
     constraints = []
-    for p_idx, ((key, vec), part) in enumerate(zip(soc_list, parts)):
-        w, shift = tags[p_idx]
+    for k, ((key, vec), part, (w, shift)) in enumerate(zip(soc_list, parts, tags)):
         # the generator times the socle element spans soc of the part
         img = part.apply_element(generator(part, w, shift), info[w][2])
-        target = injections[p_idx].apply(img)
-        constraints.append(({key: vec}, target))
+        constraints.append(({key: vec}, I.embed(k, img)))
     mono = hom_space_with_constraints(m, I, constraints)
     if mono is None:
         raise InternalCheckError("socle embedding does not extend to the module")
@@ -1383,7 +1372,9 @@ def parse_module_source(text: str, alg: GradedAlgebra) -> GradedModule:
                 raise InputError("module line must be 'module NAME over ALGEBRA'")
             name = parts[1]
         elif kw == "space":
-            v, d, m = int(parts[1]), int(parts[2]), int(parts[3])
+            if len(parts) != 4:
+                raise InputError(f"bad space line: {line!r}")
+            v, d, m = (parse_number(f, line) for f in parts[1:])
             if v not in alg.vertex_pos:
                 raise InputError(f"unknown vertex {v}")
             if m < 0:
@@ -1394,10 +1385,10 @@ def parse_module_source(text: str, alg: GradedAlgebra) -> GradedModule:
             if len(parts) < 4 or parts[3] != "matrix":
                 raise InputError(f"bad action line: {line!r}")
             arrow = parts[1]
-            d = int(parts[2])
+            d = parse_number(parts[2], line)
             body = " ".join(parts[4:])
             rows = [r for r in body.split(";") if r.strip()]
-            mat = [[exact(x) for x in r.split(",")] for r in rows]
+            mat = [[parse_number(x, line, exact) for x in r.split(",")] for r in rows]
             arrow_action[(arrow, d)] = mat
         elif kw == "end":
             ended = True

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix, exact
-from .algebra import GradedAlgebra, InputError
+from .algebra import GradedAlgebra, InputError, parse_number
 
 
 @dataclass(frozen=True)
@@ -317,14 +317,16 @@ def parse_algebra_source(text: str, path_length_bound: int = 12):
                 raise InputError("algebra line needs a name")
             name = parts[1]
         elif kw == "vertices":
-            vertices = int(parts[1])
+            if len(parts) != 2:
+                raise InputError(f"bad vertices line: {line!r}")
+            vertices = parse_number(parts[1], line)
             if vertices <= 0:
                 raise InputError("vertex count must be positive")
         elif kw == "arrow":
             if len(parts) != 5:
                 raise InputError(f"bad arrow line: {line!r}")
             arrows.append(
-                Arrow(parts[1], int(parts[2]), int(parts[3]), int(parts[4]))
+                Arrow(parts[1], *(parse_number(f, line) for f in parts[2:]))
             )
         elif kw == "relation":
             relations.append(_parse_relation(line[len("relation"):].strip()))

@@ -17,81 +17,50 @@ from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import modules as mo
 
 
-class FormalProjective:
-    """Direct sum of e_v Lambda <d> with explicit realization."""
+class FormalProjective(mo.DirectSum):
+    """Direct sum of e_v Lambda <d>, one part per generator (v, d) in gens."""
 
     def __init__(self, alg: GradedAlgebra, gens):
-        self.gens = list(gens)  # list of (vertex, degree)
-        self.parts = [mo.projective_module(alg, v, d) for (v, d) in self.gens]
-        if self.parts:
-            self.module, self.injections, self.projections = mo.direct_sum(
-                alg, self.parts
-            )
-        else:
-            self.module = mo.zero_module(alg)
-            self.injections, self.projections = [], []
-        # column map: block key -> list of (gen index, algebra basis index)
-        self.colmap = {}
-        for key in self.module.dims:
-            cols = [None] * self.module.dims[key]
-            for p_i, part in enumerate(self.parts):
-                inj = self.injections[p_i].blocks.get(key)
-                if inj is None:
-                    continue
-                ix = part.basis_index.get(key, [])
-                for c_i, b in enumerate(ix):
-                    row = next(r for r in range(inj.rows) if inj.data[r][c_i])
-                    cols[row] = (p_i, b)
-            self.colmap[key] = cols
+        self.gens = list(gens)
+        super().__init__(alg, [mo.projective_module(alg, v, d) for (v, d) in self.gens])
 
     @property
     def rank(self) -> int:
         return len(self.gens)
 
     def generator_element(self, k: int) -> dict:
-        return self.injections[k].apply(mo.generator(self.parts[k], *self.gens[k]))
+        return self.embed(k, mo.generator(self.parts[k], *self.gens[k]))
 
     def element_to_formal(self, elem: dict):
         """Decompose an explicit element into algebra elements per generator."""
-        out = [dict() for _ in self.gens]
+        out = [{} for _ in self.gens]
         for key, vec in elem.items():
-            cols = self.colmap[key]
-            for pos, val in enumerate(vec):
-                if val:
-                    p_i, b = cols[pos]
-                    out[p_i][b] = out[p_i].get(b, 0) + val
-        return [{b: c for b, c in comp.items() if c} for comp in out]
+            for comp, part, off in zip(out, self.parts, self.offsets):
+                if key in off:
+                    for b, c in zip(part.basis_index[key], vec[off[key]:]):
+                        if c:
+                            comp[b] = c
+        return out
 
     def formal_to_element(self, column) -> dict:
         """Inverse of element_to_formal for a single formal column."""
+        alg = self.algebra
         elem = {}
-        for p_i, comp in enumerate(column):
-            part = self.parts[p_i]
+        for (v, d), part, off, comp in zip(self.gens, self.parts, self.offsets, column):
             for b, c in comp.items():
-                key = None
-                for blk, ix in part.basis_index.items():
-                    if b in ix:
-                        key = blk
-                        pos = ix.index(b)
-                        break
-                if key is None:
+                if alg.source[b] != v:
                     raise InternalCheckError("formal entry outside projective")
-                vec = [0] * part.dims[key]
-                vec[pos] = c
-                img = self.injections[p_i].apply({key: vec})
-                for k2, v2 in img.items():
-                    if k2 not in elem:
-                        elem[k2] = [0] * len(v2)
-                    for i, x in enumerate(v2):
-                        elem[k2][i] += x
+                key = (alg.target[b], alg.degree[b] + d)
+                vec = elem.setdefault(key, [0] * self.dims[key])
+                vec[off[key] + part.basis_index[key].index(b)] += c
         return {k: v for k, v in elem.items() if any(v)}
 
 
 def formal_explicit_hom(source: FormalProjective, target: FormalProjective, columns):
     """Explicit hom for a formal matrix given as columns (per source gen)."""
-    homs = [mo.map_from_projective(part, target.module, target.formal_to_element(col))
-            for part, col in zip(source.parts, columns)]
-    return mo.map_from_sum(source.module, target.module, source.injections, homs)
+    return mo.place(source, target, [
+        (mo.map_from_projective(part, target, target.formal_to_element(col)), off, {})
+        for part, off, col in zip(source.parts, source.offsets, columns)])
 
 
 def compose_formal(alg: GradedAlgebra, a_cols, a_rank, b_cols):
@@ -152,25 +121,25 @@ class MinimalResolution:
             if len(self.terms) > 1:
                 self.diff_cols.append([])
                 self.diff_homs.append(
-                    mo.zero_hom(self.terms[-1].module, self.terms[-2].module)
+                    mo.zero_hom(self.terms[-1], self.terms[-2])
                 )
             else:
-                self.eps = mo.zero_hom(self.terms[-1].module, self.module)
+                self.eps = mo.zero_hom(self.terms[-1], self.module)
             self._extend_once_zero = True
             return
         P, epi, tags = mo.projective_cover(cur)
         fp = FormalProjective(alg, tags)
         # identify: the cover produced by projective_cover matches fp part order
         if len(self.terms) == 0:
-            # eps: fp.module -> M via the cover epi (same explicit module layout)
-            self.eps = mo.GradedModuleHom(fp.module, self.module, dict(epi.blocks))
+            # eps: fp -> M via the cover epi (same explicit module layout)
+            self.eps = mo.GradedModuleHom(fp, self.module, dict(epi.blocks))
             K, incl = mo.kernel_submodule(epi, name="Omega^1")
             self.terms.append(fp)
             self._last_incl = incl
             self.syzygies.append(K)
             return
         prev_fp = self.terms[-1]
-        prev_incl = self._last_incl  # K_{i-1} -> P_{i-1}.module
+        prev_incl = self._last_incl  # K_{i-1} -> P_{i-1}
         cols = []
         gens = mo.top_data(cur)
         # projective_cover used the same top_data order; map generators through
@@ -180,7 +149,7 @@ class MinimalResolution:
         dhom = formal_explicit_hom(fp, prev_fp, cols)
         # kernel of the cover epi of cur gives next syzygy, embedded via incl
         K, incl_k = mo.kernel_submodule(epi, name=f"Omega^{len(self.terms) + 1}")
-        # embed K into P_i.module, then push into explicit chain:
+        # embed K into P_i, then push into explicit chain:
         self.terms.append(fp)
         self.diff_cols.append(cols)
         self.diff_homs.append(dhom)
@@ -585,7 +554,7 @@ def decompose_in_add(m: mo.GradedModule, summands, rng=None):
         parts.extend([s] * c)
     if not parts:
         return None
-    total, _, _ = mo.direct_sum(m.algebra, parts)
+    total = mo.DirectSum(m.algebra, parts)
     verdict = mo.is_isomorphic(m, total, rng=rng)
     if verdict.isomorphic:
         return mults
@@ -601,7 +570,7 @@ def tilting_module_check(a0: GradedAlgebra, summands, pd_cap: int = 16,
     """
     if not a0.is_concentrated_degree_zero():
         raise InputError("tilting check expects an algebra in degree 0")
-    T, _, _ = mo.direct_sum(a0, list(summands))
+    T = mo.DirectSum(a0, summands)
     pd, res = projective_dimension_upto(T, pd_cap)
     if pd is None:
         return TiltingReport(False, inconclusive=True,
@@ -611,7 +580,7 @@ def tilting_module_check(a0: GradedAlgebra, summands, pd_cap: int = 16,
             return TiltingReport(False, pd=pd, ext_checked_upto=i,
                                  reason=f"Ext^{i}(T,T) nonzero")
     # coresolution 0 -> A -> T^0 -> ... -> T^l -> 0
-    current, _, _ = mo.regular_module(a0)
+    current = mo.regular_module(a0)
     mults = []
     cap = pd + a0.dim + 1
     step = 0
@@ -629,11 +598,9 @@ def tilting_module_check(a0: GradedAlgebra, summands, pd_cap: int = 16,
             return TiltingReport(False, pd=pd, ext_checked_upto=pd,
                                  reason="no maps into add T; regular module "
                                         "does not embed")
-        parts = [T] * len(homs)
-        total, injections, _ = mo.direct_sum(a0, parts)
-        univ = mo.zero_hom(current, total)
-        for h_i, h in enumerate(homs):
-            univ = univ.add(injections[h_i].compose(h))
+        total = mo.DirectSum(a0, [T] * len(homs))
+        univ = mo.place(current, total,
+                        [(h, {}, off) for h, off in zip(homs, total.offsets)])
         if not univ.is_injective():
             return TiltingReport(False, pd=pd, ext_checked_upto=pd,
                                  reason="universal map into add T not injective")

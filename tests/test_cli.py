@@ -39,6 +39,30 @@ def test_build_rejects_bad_file(tmp_path, capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("suffix, text, field", [
+    (".alg", "algebra bad\nvertices two\nend\n", "'two'"),
+    (".alg", "algebra bad\nvertices 1\narrow x 1 1 one\nend\n", "'one'"),
+    (".mod", "module k over x3\nspace 1 zero 1\nend\n", "'zero'"),
+    (".mod", "module k over x3\nspace 1 0 1\naction x 0 matrix y\nend\n", "'y'"),
+    (".alg", "algebra bad\nvertices\nend\n", "'vertices'"),
+    (".mod", "module k over x3\nspace 1 0\nend\n", "'space 1 0'"),
+], ids=["vertices", "arrow", "space", "action", "short-vertices", "short-space"])
+def test_malformed_number_field_is_an_input_error(tmp_path, capsys, suffix,
+                                                  text, field):
+    # a field that is not a number, or missing, exits 2 and names its line
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_text(text)
+    if suffix == ".alg":
+        argv = ["build", "--algebra", str(bad)]
+    else:
+        argv = ["verify", "nrepfin-char", "--algebra", data_path("x3.alg"),
+                "--module", str(bad), "--n", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and field in err
+
+
 @pytest.mark.parametrize("argv, flag, bound", [
     (["build", "--n", "0"], "--n", "must be positive"),
     (["build", "--i-max", "-1"], "--i-max", "must be non-negative"),

@@ -170,7 +170,7 @@ def modules_and_ext(t_summands, delta_a4, kron_summands, delta_kron):
     out = {}
     for name, alg, parts in (("T", delta_a4, t_summands),
                              ("kron", delta_kron, kron_summands)):
-        m = mo.direct_sum(alg, parts)[0]
+        m = mo.DirectSum(alg, parts)
         out[name] = (m, ext_dims(m, m, I_MAX))
     return out
 

@@ -120,7 +120,7 @@ def test_derived_nu_inverse_examples(a2, kron, point):
     assert tables[1] == {0: 1}
     assert pieces[0].module.dims == {(1, 0): 1}
     # Kronecker: powers of the regular module stay stalks
-    reg, _, _ = mo.regular_module(kron)
+    reg = mo.regular_module(kron)
     pieces, tables = hd.derived_nu_inverse_power(kron, reg, 4, 1)
     for j in range(1, 5):
         assert set(tables[j]) == {0}
@@ -294,6 +294,68 @@ def injective_sums():
     return get
 
 
+def dense_injections_projections(total):
+    """The identity-block injections and projections of a DirectSum."""
+    injections, projections = [], []
+    for part, off in zip(total.parts, total.offsets):
+        inj, prj = {}, {}
+        for key, m in part.dims.items():
+            inj[key] = Matrix.zero(total.dims[key], m)
+            prj[key] = Matrix.zero(m, total.dims[key])
+            for i in range(m):
+                inj[key].data[off[key] + i][i] = 1
+                prj[key].data[i][off[key] + i] = 1
+        injections.append(mo.GradedModuleHom(part, total, inj))
+        projections.append(mo.GradedModuleHom(total, part, prj))
+    return injections, projections
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_place_and_slice_match_dense_injections(a4, kron, delta_a4, data):
+    # random part-level components between labeled sums: placing them at
+    # the offsets gives the sum of inj_j o comp o proj_i, slicing gives
+    # each component back, and the embedded and restricted elements agree
+    # with the dense injections and projections
+    alg = data.draw(st.sampled_from([a4, kron, delta_a4]))
+    sums = [hd.LabeledSum(alg, data.draw(st.lists(st.sampled_from(alg.vertices),
+                                                  max_size=3)),
+                          data.draw(st.sampled_from(["proj", "inj"])))
+            for _ in range(2)]
+    src, tgt = sums
+    comps = {}
+    for i, p in enumerate(src.parts):
+        for j, q in enumerate(tgt.parts):
+            basis = mo.hom_space(p, q)
+            coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis),
+                                        max_size=len(basis)))
+            comps[(i, j)] = mo.linear_combination(p, q, basis, coeffs)
+    placed = mo.place(src, tgt, [(h, src.offsets[i], tgt.offsets[j])
+                                 for (i, j), h in comps.items()])
+    src_inj, src_prj = dense_injections_projections(src)
+    tgt_inj, tgt_prj = dense_injections_projections(tgt)
+    ref = mo.zero_hom(src, tgt)
+    for (i, j), h in comps.items():
+        ref = ref.add(tgt_inj[j].compose(h).compose(src_prj[i]))
+    assert placed.blocks == ref.blocks
+    assert placed.check_commutes()
+    for (i, j), h in comps.items():
+        got = mo.slice_hom(placed, src.parts[i], src.offsets[i],
+                           tgt.parts[j], tgt.offsets[j])
+        assert got.blocks == h.blocks
+    if src.parts:
+        assert src.name == "(+)".join(p.name for p in src.parts)
+    else:
+        assert src.name == "0" and src.is_zero()
+    for k, part in enumerate(src.parts):
+        for key, i in part.basis_elements():
+            x = part.unit_vector(key, i)
+            assert src.embed(k, x) == src_inj[k].apply(x)
+            y = placed.apply(src.embed(k, x))
+            for j, q in enumerate(tgt.parts):
+                assert nonzero_part(tgt.component(j, y)) == tgt_prj[j].apply(y)
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_map_into_injectives_matches_constrained_hom_solve(a4, kron, delta_a4,
@@ -305,16 +367,16 @@ def test_map_into_injectives_matches_constrained_hom_solve(a4, kron, delta_a4,
     # every prescribed value
     mods = [(delta_a4, t) for t in t_summands]
     for alg in (a4, kron, delta_a4):
-        reg, _, _ = mo.regular_module(alg)
+        reg = mo.regular_module(alg)
         mods += [(alg, reg), (alg, mo.graded_dual_module(alg))]
     alg, m = data.draw(st.sampled_from(mods))
     labels = data.draw(st.lists(st.sampled_from(alg.vertices), min_size=1,
                                 max_size=3))
     tgt = injective_sums(alg, labels)
-    basis = mo.hom_space(m, tgt.module)
+    basis = mo.hom_space(m, tgt)
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
                                 max_size=len(basis)))
-    h = mo.linear_combination(m, tgt.module, basis, coeffs)
+    h = mo.linear_combination(m, tgt, basis, coeffs)
     blocks = m.blocks()
     constraints = []
     for _ in range(data.draw(st.integers(0, 3))):
@@ -325,13 +387,13 @@ def test_map_into_injectives_matches_constrained_hom_solve(a4, kron, delta_a4,
         constraints.append((elem, h.apply(elem)))
     perturbed = constraints and data.draw(st.booleans())
     if perturbed:
-        key = data.draw(st.sampled_from(tgt.module.blocks()))
-        i = data.draw(st.integers(0, tgt.module.dims[key] - 1))
+        key = data.draw(st.sampled_from(tgt.blocks()))
+        i = data.draw(st.integers(0, tgt.dims[key] - 1))
         elem, image = constraints[0]
-        vec = list(image.get(key, [Fraction(0)] * tgt.module.dims[key]))
+        vec = list(image.get(key, [Fraction(0)] * tgt.dims[key]))
         vec[i] += 1
         constraints[0] = (elem, {**image, key: vec})
-    ref = mo.hom_space_with_constraints(m, tgt.module, constraints)
+    ref = mo.hom_space_with_constraints(m, tgt, constraints)
     got = hd.solve_map_into_injectives(m, tgt, constraints)
     event(f"perturbed={bool(perturbed)} solvable={got is not None}")
     assert (got is None) == (ref is None)

@@ -310,7 +310,7 @@ def test_ext_group_reps_match_dense_greedy_selection(delta_a4, t_summands):
     from koszulity import modules as mo
     from koszulity import resolution as rs
 
-    T = mo.direct_sum(delta_a4, t_summands)[0]
+    T = mo.DirectSum(delta_a4, t_summands)
     res = rs.MinimalResolution(T)
     for i in range(5):
         for j in rs.hom_window(res, T, i):

@@ -30,7 +30,7 @@ def test_map_from_projective_matches_constrained_solve(request, name):
     # constrained solve finds from the generator's value alone.
     alg = request.getfixturevalue(name)
     rng = random.Random(0)
-    reg, _, _ = mo.regular_module(alg)
+    reg = mo.regular_module(alg)
     for n in (reg, mo.graded_dual_module(alg)):
         for (v, d), dim in sorted(n.dims.items(), key=lambda kv: (kv[0][1], kv[0][0])):
             p = mo.projective_module(alg, v, d)
@@ -51,7 +51,7 @@ def injective_test_modules(request):
     out = []
     for name in ("a4", "kron", "delta_a4"):
         alg = request.getfixturevalue(name)
-        reg, _, _ = mo.regular_module(alg)
+        reg = mo.regular_module(alg)
         out += [(alg, reg), (alg, mo.graded_dual_module(alg))]
     delta = request.getfixturevalue("delta_a4")
     out += [(delta, t) for t in request.getfixturevalue("t_summands")]
@@ -95,18 +95,18 @@ def test_map_into_injective_spans_hom_space(request):
                 assert all(closed.contains(h) for h in solved)
 
 
-def test_map_into_sum_places_components(delta_a4, t_summands):
+def test_place_into_sum_places_components(delta_a4, t_summands):
     parts = [mo.dual_of_left_projective(delta_a4, w) for w in (1, 3, 3)]
-    total, injections, projections = mo.direct_sum(delta_a4, parts)
+    total = mo.DirectSum(delta_a4, parts)
     m = t_summands[0]
     rng = random.Random(1)
     homs = [mo.map_into_injective(
         m, q, w, [Fraction(rng.randint(-2, 2)) for _ in range(m.block_dim(w, 0))])
         for q, w in zip(parts, (1, 3, 3))]
-    f = mo.map_into_sum(m, total, injections, homs)
+    f = mo.place(m, total, [(h, {}, off) for h, off in zip(homs, total.offsets)])
     assert f.check_commutes()
-    for prj, h in zip(projections, homs):
-        assert prj.compose(f).blocks == h.blocks
+    for q, off, h in zip(parts, total.offsets, homs):
+        assert mo.slice_hom(f, m, {}, q, off).blocks == h.blocks
 
 
 def test_module_validation(t_summands):
@@ -123,7 +123,7 @@ def test_shift_roundtrip(t_summands):
 
 def test_hom_evaluation_dimension(delta_a4, t_summands):
     # Hom(Lambda, M) is the degree-0 part of M as a vector space
-    reg, _, _ = mo.regular_module(delta_a4)
+    reg = mo.regular_module(delta_a4)
     for m in t_summands:
         hom = mo.hom_space(reg, m)
         assert len(hom) == sum(
@@ -138,7 +138,7 @@ def test_hom_distinct_simples(a2):
 
 
 def test_hom_end_T_is_ten(delta_a4, t_summands):
-    T, _, _ = mo.direct_sum(delta_a4, t_summands)
+    T = mo.DirectSum(delta_a4, t_summands)
     assert len(mo.hom_space(T, T)) == 10
 
 
@@ -194,6 +194,8 @@ def test_is_isomorphic_certificates(a2, t_summands):
     s2 = mo.simple_module(a2, 2, 0)
     v2 = mo.is_isomorphic(s1, s2)
     assert v2.isomorphic is False and v2.certified
+    # blocks at different keys: no hom between them is an isomorphism
+    assert not mo.zero_hom(s1, s2).is_isomorphism()
 
 
 def test_is_indecomposable(delta_a4, t_summands):
@@ -201,7 +203,7 @@ def test_is_indecomposable(delta_a4, t_summands):
         ok, ne, head = mo.is_indecomposable(m)
         assert ok and head == 1
     s1 = mo.simple_module(delta_a4, 1, 0)
-    double, _, _ = mo.direct_sum(delta_a4, [s1, s1])
+    double = mo.DirectSum(delta_a4, [s1, s1])
     ok, ne, head = mo.is_indecomposable(double)
     assert not ok and ne == 4 and head == 4
 
@@ -226,7 +228,7 @@ def test_twist_by_swap(nak2):
 
 
 def test_truncations(delta_a4, t_summands):
-    reg, _, _ = mo.regular_module(delta_a4)
+    reg = mo.regular_module(delta_a4)
     top = mo.truncation_above(reg, 1)
     assert top.dim == 8 and set(top.degrees()) == {1}
     bot = mo.truncation_below(reg, 0)
@@ -239,7 +241,7 @@ def test_truncations(delta_a4, t_summands):
 
 
 def test_truncation_exact_sequence(delta_a4):
-    reg, _, _ = mo.regular_module(delta_a4)
+    reg = mo.regular_module(delta_a4)
     for i in (-1, 0, 1, 2):
         above = mo.truncation_above(reg, i)
         below = mo.truncation_below(reg, i - 1)
@@ -247,7 +249,7 @@ def test_truncation_exact_sequence(delta_a4):
 
 
 def test_stable_hom_projective_source_vanishes(delta_a4, t_summands):
-    reg, _, _ = mo.regular_module(delta_a4)
+    reg = mo.regular_module(delta_a4)
     for m in t_summands:
         qdim, _, _ = mo.stable_hom(reg, m)
         assert qdim == 0
@@ -256,7 +258,7 @@ def test_stable_hom_projective_source_vanishes(delta_a4, t_summands):
 def test_stable_hom_equals_hom_in_degree_zero(delta_a4, t_summands):
     # modules concentrated in degree 0 over a graded Frobenius algebra with
     # a >= 1: the stable and plain Hom spaces agree
-    T, _, _ = mo.direct_sum(delta_a4, t_summands)
+    T = mo.DirectSum(delta_a4, t_summands)
     qdim, _, _ = mo.stable_hom(T, T)
     assert qdim == len(mo.hom_space(T, T)) == 10
 
@@ -296,7 +298,7 @@ end
 
 def test_strip_projective_summand(delta_a4, t_summands):
     p = mo.projective_module(delta_a4, 2, -1)
-    m, _, _ = mo.direct_sum(delta_a4, [t_summands[1], p])
+    m = mo.DirectSum(delta_a4, [t_summands[1], p])
     core, stripped = mo.strip_projective_summands(m)
     assert stripped == [(2, -1)]
     v = mo.is_isomorphic(core, t_summands[1])
@@ -318,7 +320,7 @@ def test_graded_dual_module(point, dualnum, delta_a4):
 
 def test_dual_shifted_is_isomorphic_to_regular_for_frobenius(delta_a2):
     # DL <a> is isomorphic to the regular module for a graded Frobenius algebra
-    reg, _, _ = mo.regular_module(delta_a2)
+    reg = mo.regular_module(delta_a2)
     dual = mo.shift_module(mo.graded_dual_module(delta_a2), 1)
     v = mo.is_isomorphic(reg, dual)
     assert v.isomorphic

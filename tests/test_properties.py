@@ -20,7 +20,7 @@ def random_module(alg, rng, max_parts=2):
         for _ in range(rng.randint(1, max_parts)):
             v = rng.choice(alg.vertices)
             parts.append(mo.projective_module(alg, v, rng.randint(-1, 1)))
-        total, _, _ = mo.direct_sum(alg, parts)
+        total = mo.DirectSum(alg, parts)
         spans = {key: [] for key in total.dims}
         for _ in range(rng.randint(0, 2)):
             keys = sorted(total.dims, key=str)
@@ -183,7 +183,7 @@ def test_truncation_dims_split(i):
 
     alg = trivial_extension(
         build_algebra(Quiver(2, (Arrow("al", 1, 2, 0),)), [], 2, name="a2"))
-    reg, _, _ = mo.regular_module(alg)
+    reg = mo.regular_module(alg)
     above = mo.truncation_above(reg, i)
     below = mo.truncation_below(reg, i - 1)
     assert above.dim + below.dim == reg.dim

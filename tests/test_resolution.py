@@ -51,7 +51,7 @@ def test_ext_table_dual_numbers(dualnum):
 
 
 def test_ext_zero_row_is_hom(delta_a4, t_summands):
-    T, _, _ = mo.direct_sum(delta_a4, t_summands)
+    T = mo.DirectSum(delta_a4, t_summands)
     res = rs.MinimalResolution(T)
     eg = rs.ext_group(res, T, 0, 0)
     assert eg.dim == len(mo.hom_space(T, T))
@@ -65,7 +65,7 @@ def test_ungraded_ext_matches_row_sum(dualnum, x3):
 
 
 def test_ungraded_ext_projective_vanishes(delta_a4):
-    reg, _, _ = mo.regular_module(delta_a4)
+    reg = mo.regular_module(delta_a4)
     s = mo.simple_module(delta_a4, 1, 0)
     assert rs.ungraded_ext_dim(reg, s, 2) == 0
 
@@ -166,7 +166,7 @@ def test_graded_self_orthogonal_column_equals_ungraded_total(delta_a4,
                                                              t_summands):
     # for the graded 2-self-orthogonal module the whole ungraded Ext^2 sits
     # in the single graded column j = 1
-    T, _, _ = mo.direct_sum(delta_a4, t_summands)
+    T = mo.DirectSum(delta_a4, t_summands)
     total = rs.ungraded_ext_dim(T, T, 2)
     res = rs.MinimalResolution(T)
     assert total == rs.ext_group(res, T, 2, 1).dim
@@ -195,3 +195,23 @@ def test_cover_of_simple_over_delta_a2(delta_a2):
     assert P.dim == 3
     K, _ = mo.kernel_submodule(epi)
     assert K.dim == 2
+
+
+def test_formal_coordinates_round_trip_on_resolution_terms(t_summands):
+    # every basis element of every term of the minimal resolutions of
+    # T1..T4 over the trivial extension of a4, up to degree 4, goes to
+    # one algebra basis element of one generator and back
+    for t in t_summands:
+        res = rs.MinimalResolution(t).extend(4)
+        assert len(res.terms) == 5
+        for fp in res.terms:
+            for key, i in fp.basis_elements():
+                x = fp.unit_vector(key, i)
+                formal = fp.element_to_formal(x)
+                assert [len(comp) for comp in formal].count(1) == 1
+                assert sum(map(len, formal)) == 1
+                assert fp.formal_to_element(formal) == x
+            for k, (v, _d) in enumerate(fp.gens):
+                formal = fp.element_to_formal(fp.generator_element(k))
+                e_v = t.algebra.idempotent_index(v)
+                assert formal == [{e_v: 1} if j == k else {} for j in range(fp.rank)]
