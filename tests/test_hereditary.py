@@ -318,11 +318,10 @@ def test_place_and_slice_match_dense_injections(a4, kron, delta_a4, data):
     # each component back, and the embedded and restricted elements agree
     # with the dense injections and projections
     alg = data.draw(st.sampled_from([a4, kron, delta_a4]))
-    sums = [hd.LabeledSum(alg, data.draw(st.lists(st.sampled_from(alg.vertices),
-                                                  max_size=3)),
-                          data.draw(st.sampled_from(["proj", "inj"])))
-            for _ in range(2)]
-    src, tgt = sums
+    src, tgt = [hd.LabeledSum(alg, data.draw(st.lists(st.sampled_from(alg.vertices),
+                                                      max_size=3)),
+                              data.draw(st.sampled_from(["proj", "inj"])))
+                for _ in range(2)]
     comps = {}
     for i, p in enumerate(src.parts):
         for j, q in enumerate(tgt.parts):
