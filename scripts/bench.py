@@ -13,8 +13,13 @@ pair, so a drift in the machine's speed does not favour one side. The
 output file records every run, the median and quartiles of each end-to-end
 metric on each side, how many pairs the change won per metric, the
 operations attempted and failed and the runs not correct per side, and the
-line counts of `src/koszulity` in both trees. After writing the file, the
-script exits 1 if any run was not correct.
+line counts of `src/koszulity` in both trees.
+
+After the pairs, one `perfbench/run.py --trace 1` run per side and
+workload, at seed 0, records whether it was correct and the exact work
+counts of WORK_COUNTS, and names the counts that differ between the sides:
+a "same work" statement read off the runs. After writing the file, the
+script exits 1 if any run, timed or traced, was not correct.
 
 The script changes nothing under `perfbench/`; it only reads the last line
 run.py prints.
@@ -36,6 +41,9 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SECONDS = BENCHMARK["run_seconds"]
 SIDES = ("parent", "change")
+# Exact work counts of a traced run: the same inputs give the same values.
+WORK_COUNTS = ("linalg.rref.calls", "linalg.rref.cells", "resolution.proj_rank_total",
+               "modules.is_isomorphic.calls", "modules.hom_space.calls")
 
 
 def git(*args) -> str:
@@ -55,11 +63,11 @@ def source_lines(tree: Path) -> int:
                for p in sorted((tree / "src" / "koszulity").glob("*.py")))
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """The result line of one `perfbench/run.py --trace 0` run in tree."""
+def run_perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """The result line of one `perfbench/run.py` run in tree."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -69,6 +77,18 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     return {"correct": out["correct"], "attempted": out["attempted"],
             "failed": out["failed"],
             "metrics": {k: v["value"] for k, v in out["metrics"].items()}}
+
+
+def traced_work(trees: dict, workload: str) -> dict:
+    """Correctness and exact work counts of one traced run per side."""
+    out = {}
+    for side in SIDES:
+        run = run_perfbench(trees[side], workload, 0, 1)
+        out[side] = {"correct": run["correct"],
+                     **{k: run["metrics"][k] for k in WORK_COUNTS}}
+    out["changed"] = [k for k in WORK_COUNTS
+                      if out["parent"][k] != out["change"][k]]
+    return out
 
 
 def spread(values) -> dict:
@@ -119,27 +139,32 @@ def main(argv=None) -> int:
             for workload in workloads:
                 record = {"pair": pair, "seed": pair, "first": order[0]}
                 for side in order:
-                    record[side] = run_once(trees[side], workload, pair)
+                    record[side] = run_perfbench(trees[side], workload, pair, 0)
                 runs[workload].append(record)
                 print(f"pair {pair} {workload}: " + ", ".join(
                     f"{side} wall_s {record[side]['metrics']['wall_s']:.3f}"
                     for side in SIDES), file=sys.stderr)
+        traced = {w: traced_work(trees, w) for w in workloads}
         loc = {side: source_lines(trees[side]) for side in SIDES}
     report = {
         **shas,
         "command": "perfbench/run.py --trace 0",
+        "traced_command": "perfbench/run.py --trace 1 --seed 0",
         "seconds": SECONDS,
         "pairs": args.pairs,
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "src_koszulity_lines": {**loc, "net": loc["change"] - loc["parent"]},
-        "workloads": {w: {"summary": summarize(runs[w]), "runs": runs[w]}
+        "workloads": {w: {"summary": summarize(runs[w]), "traced": traced[w],
+                          "runs": runs[w]}
                       for w in workloads},
     }
     (ROOT / args.out).write_text(json.dumps(report, indent=1) + "\n",
                                  encoding="utf-8")
     incorrect = [f"{w} {side} pair {r['pair']}" for w in workloads
                  for r in runs[w] for side in SIDES if not r[side]["correct"]]
+    incorrect += [f"{w} {side} traced" for w in workloads
+                  for side in SIDES if not traced[w][side]["correct"]]
     if incorrect:
         print("runs not correct: " + ", ".join(incorrect), file=sys.stderr)
         return 1

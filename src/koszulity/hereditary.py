@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import solve_combination
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import modules as mo
 from . import resolution as rs
@@ -110,43 +109,6 @@ def transport_sum_hom(src: LabeledSum, tgt: LabeledSum, h: mo.GradedModuleHom,
     return mo.place(src_to, tgt_to, pieces)
 
 
-def solve_map_into_injectives(m: mo.GradedModule, tgt: LabeledSum, constraints):
-    """A map m -> tgt with prescribed values, or None if there is none.
-
-    constraints = [(elem, image), ...]: elem an element dict of m, image one
-    of tgt. Hom(M, D(Ae_w)) is D(M_(w,0)), so the component into part
-    j, with w = tgt.labels[j], is `mo.map_into_injective` for a functional
-    phi on M_(w,0), and its psi_b coordinate at elem is phi(elem . b). Each
-    (constraint, psi_b) pair is one linear equation in phi, solved by one
-    `solve_combination` per part. The assembled map is checked against every
-    prescribed value.
-    """
-    pieces = []
-    for j, (w, part) in enumerate(zip(tgt.labels, tgt.parts)):
-        index = {}
-        columns = [{} for _ in range(m.block_dim(w, 0))]
-        values = {}
-        for k, (elem, image) in enumerate(constraints):
-            for key, vec in elem.items():
-                for r_i, b in enumerate(part.basis_index.get(key, [])):
-                    for i, y in enumerate(m.act(b, key[1]).apply(vec)):
-                        if y:
-                            columns[i][index.setdefault((k, key, r_i), len(index))] = y
-            for key, vec in tgt.component(j, image).items():
-                for r_i, y in enumerate(vec):
-                    if y:
-                        values[index.setdefault((k, key, r_i), len(index))] = y
-        phi = solve_combination(columns, values)
-        if phi is None:
-            return None
-        pieces.append((mo.map_into_injective(m, part, w, phi), {}, tgt.offsets[j]))
-    out = mo.place(m, tgt, pieces)
-    for elem, image in constraints:
-        if out.apply(elem) != {key: vec for key, vec in image.items() if any(vec)}:
-            raise InternalCheckError("map into injectives misses a prescribed value")
-    return out
-
-
 def identify_injective(a: GradedAlgebra, m: mo.GradedModule, rng=None):
     """(v, probabilistic): v with m isomorphic to D(Ae_v), or None.
 
@@ -172,30 +134,14 @@ def identify_injective(a: GradedAlgebra, m: mo.GradedModule, rng=None):
 def injective_envelope_ungraded(m: mo.GradedModule):
     """Minimal injective envelope; returns (LabeledSum, mono).
 
-    One copy of D(Ae_v) per basis vector of the socle at v. The mono sends
-    each socle vector to the generator psi_(e_v) of its copy; it is solved
-    in closed form, one functional per copy, by `solve_map_into_injectives`.
+    `mo.injective_envelope` relabeled: its parts are the D(Ae_v) of the
+    socle vectors at (v, 0), so the mono's blocks carry over unchanged.
     """
-    a = m.algebra
-    soc = mo.socle_spans(m)
-    labels, soc_list = [], []
-    for key in sorted(soc, key=lambda vd: (vd[1], str(vd[0]))):
-        (v, d) = key
-        if d != 0:
-            raise InputError("ungraded envelope expects degree-0 modules")
-        for vec in soc[key]:
-            labels.append(v)
-            soc_list.append((key, vec))
-    I = LabeledSum(a, labels, "inj")
-    constraints = [({key: vec}, I.embed(k, mo.generator(part, v)))
-                   for k, ((key, vec), v, part)
-                   in enumerate(zip(soc_list, labels, I.parts))]
-    mono = solve_map_into_injectives(m, I, constraints)
-    if mono is None:
-        raise InternalCheckError("socle embedding does not extend")
-    if not mono.is_injective():
-        raise InternalCheckError("envelope map not injective")
-    return I, mono
+    _I, mono, tags = mo.injective_envelope(m)
+    if any(d for _v, d in tags):
+        raise InputError("ungraded envelope expects degree-0 modules")
+    I = LabeledSum(m.algebra, [v for v, _d in tags], "inj")
+    return I, mo.GradedModuleHom(m, I, mono.blocks)
 
 
 @dataclass
@@ -341,7 +287,7 @@ def _lift_stalk_map_into_injectives(res: InjectiveResolution, start_pos: int,
     Psi_j is prescribed on d(x) for the generators x of the previous term
     (on mono(x) for the generators x of the module, at j = 0) and solved
     into the injective sum jterms[start_pos + j] by
-    `solve_map_into_injectives`, one functional per summand, without a Hom
+    `mo.solve_map_into_injectives`, one functional per summand, without a Hom
     basis. Any solution will do: a lift into a complex of injectives is
     unique up to homotopy, so the maps it induces on cohomology do not
     depend on the choice.
@@ -373,7 +319,8 @@ def _lift_stalk_map_into_injectives(res: InjectiveResolution, start_pos: int,
                 if dj is not None and prev is not None:
                     val = dj.apply(prev.apply(x))
                 constraints.append((dsrc.apply(x), val))
-        u = solve_map_into_injectives(src_term, tgt, constraints)
+        u = mo.solve_map_into_injectives(src_term, tgt, [(w, 0) for w in tgt.labels],
+                                         constraints)
         if u is None:
             raise InternalCheckError("stalk lift into injective complex failed")
         chain.append(u)

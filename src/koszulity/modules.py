@@ -73,8 +73,11 @@ class GradedModule:
         """Action matrix of basis element x on the degree-d source block."""
         alg = self.algebra
         if x < alg.num_vertices:
-            n = self.block_dim(alg.source[x], d)
-            return Matrix.identity(n)
+            # one shared identity per block: callers only read what act returns
+            key = ("identity", alg.source[x], d)
+            if key not in self.memo:
+                self.memo[key] = Matrix.identity(self.block_dim(alg.source[x], d))
+            return self.memo[key]
         sv, tv, dx = alg.source[x], alg.target[x], alg.degree[x]
         src_dim = self.block_dim(sv, d)
         tgt_dim = self.block_dim(tv, d + dx)
@@ -650,20 +653,6 @@ def hom_space(m: GradedModule, n: GradedModule):
     return list(out)
 
 
-def hom_space_with_constraints(m, n, constraints):
-    """Homs m -> n with prescribed values: constraints = [(elem, image), ...].
-
-    Each elem is an element dict of m, image an element dict of n. Returns
-    one solution hom or None.
-    """
-    basis = hom_space(m, n)
-    index = {}
-    coeffs = solve_combination(
-        [_values([h.apply(elem) for elem, _ in constraints], index) for h in basis],
-        _values([image for _, image in constraints], index))
-    return None if coeffs is None else linear_combination(m, n, basis, coeffs)
-
-
 def _values(elems, index) -> dict:
     """A list of elements as one sparse vector; index numbers (k, block, row)."""
     out = {}
@@ -830,6 +819,43 @@ def map_into_injective(m: GradedModule, q: GradedModule, w, phi) -> GradedModule
                             row[c_i] += f * a
         blocks[(u, d)] = mat
     return GradedModuleHom(m, q, blocks)
+
+
+def solve_map_into_injectives(m: GradedModule, tgt: DirectSum, socles, constraints):
+    """A map m -> tgt with prescribed values, or None if there is none.
+
+    Part j of tgt is D(Lambda e_w)<s> with (w, s) = socles[j], and
+    constraints = [(elem, image), ...]: elem an element dict of m, image one
+    of tgt. Hom(M, D(Lambda e_w)<s>) is D(M_(w,s)), so the component into
+    part j is `map_into_injective` for a functional phi on M_(w,s), and its
+    psi_b coordinate at elem is phi(elem . b). Each (constraint, psi_b) pair
+    is one linear equation in phi, solved by one `solve_combination` per
+    part. The assembled map is checked against every prescribed value.
+    """
+    pieces = []
+    for j, ((w, s), part) in enumerate(zip(socles, tgt.parts)):
+        index = {}
+        columns = [{} for _ in range(m.block_dim(w, s))]
+        values = {}
+        for k, (elem, image) in enumerate(constraints):
+            for key, vec in elem.items():
+                for r_i, b in enumerate(part.basis_index.get(key, [])):
+                    for i, y in enumerate(m.act(b, key[1]).apply(vec)):
+                        if y:
+                            columns[i][index.setdefault((k, key, r_i), len(index))] = y
+            for key, vec in tgt.component(j, image).items():
+                for r_i, y in enumerate(vec):
+                    if y:
+                        values[index.setdefault((k, key, r_i), len(index))] = y
+        phi = solve_combination(columns, values)
+        if phi is None:
+            return None
+        pieces.append((map_into_injective(m, part, w, phi), {}, tgt.offsets[j]))
+    out = place(m, tgt, pieces)
+    for elem, image in constraints:
+        if out.apply(elem) != {key: vec for key, vec in image.items() if any(vec)}:
+            raise InternalCheckError("map into injectives misses a prescribed value")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1047,8 +1073,8 @@ def syzygy(m: GradedModule, strip: bool = False):
 
 
 def _socle_info(alg: GradedAlgebra):
-    """For each vertex v: (socle vertex, socle degree, socle element coeff dict)
-    of the projective e_v Lambda. Requires a simple socle (basic self-injective)."""
+    """For each vertex v, the socle element of e_v Lambda as a coefficient
+    dict. Requires a simple socle (basic self-injective)."""
     hit = alg.memo.get("socle_info")
     if hit is not None:
         return hit
@@ -1056,61 +1082,36 @@ def _socle_info(alg: GradedAlgebra):
     for v in alg.vertices:
         P = projective_module(alg, v)
         spans = socle_spans(P)
-        keys = [k for k, vecs in spans.items() if vecs]
-        total = sum(len(spans[k]) for k in keys)
-        if total != 1:
+        if sum(map(len, spans.values())) != 1:
             raise InputError(
                 f"socle of projective at vertex {v!r} is not simple; "
                 "algebra is not basic self-injective in the supported sense"
             )
-        (w, d) = keys[0]
-        vec = spans[(w, d)][0]
-        idx_by_block = P.basis_index[(w, d)]
-        elt = {}
-        for i, c in enumerate(vec):
-            if c:
-                elt[idx_by_block[i]] = c
-        info[v] = (w, d, elt)
+        [(key, [vec])] = spans.items()
+        info[v] = {b: c for b, c in zip(P.basis_index[key], vec) if c}
     alg.memo["socle_info"] = info
     return info
 
 
 def injective_envelope(m: GradedModule):
-    """Minimal injective envelope over a self-injective graded algebra.
+    """Minimal injective envelope: returns (I, mono, socle tags).
 
-    Returns (I, mono, tags) with I a sum of shifted projectives e_w L <j>.
+    One D(Lambda e_v)<d> per basis vector of soc M at (v, d), in the order
+    of the tags. The mono sends each socle vector to the generator
+    psi_(e_v) of its copy; it is solved in closed form, one functional per
+    copy, by `solve_map_into_injectives`.
     """
     alg = m.algebra
-    info = _socle_info(alg)
     soc = socle_spans(m)
-    soc_to = {}  # vertex v -> projective vertex w with soc(e_w L) = S_v
-    for w, (sv, _sd, _e) in info.items():
-        if sv in soc_to:
-            raise InputError("socle assignment not a permutation")
-        soc_to[sv] = w
-    parts = []
-    tags = []
-    soc_list = []
+    tags, socle = [], []
     for key in sorted(soc, key=lambda vd: (vd[1], str(vd[0]))):
-        (v, d) = key
         for vec in soc[key]:
-            w = soc_to.get(v)
-            if w is None:
-                raise InputError("no projective with matching socle vertex")
-            _sv, sd, _elt = info[w]
-            shift = d - sd
-            parts.append(projective_module(alg, w, shift))
-            tags.append((w, shift))
-            soc_list.append(((v, d), vec))
-    if not parts:
-        return zero_module(alg), zero_hom(m, zero_module(alg)), []
-    I = DirectSum(alg, parts)
-    constraints = []
-    for k, ((key, vec), part, (w, shift)) in enumerate(zip(soc_list, parts, tags)):
-        # the generator times the socle element spans soc of the part
-        img = part.apply_element(generator(part, w, shift), info[w][2])
-        constraints.append(({key: vec}, I.embed(k, img)))
-    mono = hom_space_with_constraints(m, I, constraints)
+            tags.append(key)
+            socle.append({key: vec})
+    I = DirectSum(alg, [dual_of_left_projective(alg, v, d) for (v, d) in tags])
+    constraints = [(x, I.embed(k, generator(part, *key)))
+                   for k, (x, part, key) in enumerate(zip(socle, I.parts, tags))]
+    mono = solve_map_into_injectives(m, I, tags, constraints)
     if mono is None:
         raise InternalCheckError("socle embedding does not extend to the module")
     if not mono.is_injective():
@@ -1135,10 +1136,9 @@ def find_projective_summand(m: GradedModule):
     alg = m.algebra
     info = _socle_info(alg)
     for (v, j) in m.blocks():
-        _w, _d, selt = info[v]
         # the map M_(v,j) -> M_(t, j+h), x -> x . socle-element of e_v L
         for i in range(m.dims[(v, j)]):
-            img = m.apply_element(m.unit_vector((v, j), i), selt)
+            img = m.apply_element(m.unit_vector((v, j), i), info[v])
             if img:
                 return v, j, m.unit_vector((v, j), i)
     return None
@@ -1160,14 +1160,9 @@ def strip_projective_summands(m: GradedModule):
         f = map_from_projective(P, current, elem)
         if not f.is_injective():
             raise InternalCheckError("projective summand detection produced a non-mono")
-        # retraction g with g o f = id
-        gen = generator(P, v, j)
-        g = hom_space_with_constraints(current, P, [(f.apply(gen), gen)])
-        if g is None:
-            raise InternalCheckError("projective summand does not split")
-        C, _incl = kernel_submodule(g, name=current.name + "-proj")
+        # P is injective, so f splits and its cokernel is the complement
+        current, _proj = cokernel(f, name=current.name + "-proj")
         stripped.append((v, j))
-        current = C
     return current, stripped
 
 

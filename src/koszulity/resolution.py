@@ -140,11 +140,11 @@ class MinimalResolution:
             return
         prev_fp = self.terms[-1]
         prev_incl = self._last_incl  # K_{i-1} -> P_{i-1}
+        # fp has the cover's parts in order, so epi sends its k-th generator
+        # to the k-th top generator of cur
         cols = []
-        gens = mo.top_data(cur)
-        # projective_cover used the same top_data order; map generators through
-        for (key, lift) in gens:
-            img = prev_incl.apply({key: lift})
+        for k in range(fp.rank):
+            img = prev_incl.apply(epi.apply(fp.generator_element(k)))
             cols.append(prev_fp.element_to_formal(img))
         dhom = formal_explicit_hom(fp, prev_fp, cols)
         # kernel of the cover epi of cur gives next syzygy, embedded via incl

@@ -4,6 +4,7 @@ import pytest
 
 from koszulity.presentation import Quiver, Arrow, Relation, build_algebra
 from koszulity.algebra import trivial_extension
+from koszulity.linalg import solve_combination
 from koszulity import modules as mo
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -11,6 +12,30 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def data_path(name):
     return os.path.join(DATA, name)
+
+
+def hom_space_with_constraints(m, n, constraints):
+    """Reference solve over a full Hom basis: a hom m -> n with prescribed
+    values, constraints = [(elem, image), ...], or None if there is none.
+
+    The package solves in closed form instead (`mo.map_from_projective`,
+    `mo.solve_map_into_injectives`); tests compare the two.
+    """
+    basis = mo.hom_space(m, n)
+    index = {}
+
+    def flat(elems):
+        out = {}
+        for k, elem in enumerate(elems):
+            for key, vec in elem.items():
+                for i, x in enumerate(vec):
+                    if x:
+                        out[index.setdefault((k, key, i), len(index))] = x
+        return out
+
+    coeffs = solve_combination([flat([h.apply(x) for x, _ in constraints]) for h in basis],
+                               flat([y for _, y in constraints]))
+    return None if coeffs is None else mo.linear_combination(m, n, basis, coeffs)
 
 
 def rel(*paths):

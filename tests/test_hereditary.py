@@ -8,6 +8,7 @@ from koszulity.algebra import InternalCheckError
 from koszulity.linalg import Matrix
 from koszulity import modules as mo
 from koszulity import hereditary as hd
+from conftest import hom_space_with_constraints
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +282,15 @@ def nonzero_part(elem):
 
 @pytest.fixture(scope="module")
 def injective_sums():
-    """LabeledSum of injectives by (algebra name, labels), built once per
-    label list, so hom_space's memo serves repeated draws."""
+    """The sum of the D(Lambda e_w)<s> for the socle blocks (w, s), built once
+    per list, so hom_space's memo serves repeated draws."""
     sums = {}
 
-    def get(alg, labels):
-        key = (alg.name, tuple(labels))
+    def get(alg, socles):
+        key = (alg.name, tuple(socles))
         if key not in sums:
-            sums[key] = hd.LabeledSum(alg, labels, "inj")
+            sums[key] = mo.DirectSum(alg, [mo.dual_of_left_projective(alg, w, s)
+                                           for w, s in socles])
         return sums[key]
 
     return get
@@ -360,18 +362,20 @@ def test_place_and_slice_match_dense_injections(a4, kron, delta_a4, data):
 def test_map_into_injectives_matches_constrained_hom_solve(a4, kron, delta_a4,
                                                            t_summands,
                                                            injective_sums, data):
-    # values taken from a random hom into a sum of injectives, one of them
-    # perturbed or not: the per-summand closed-form solve and the solve
-    # over a full Hom basis agree on solvability, and the map found meets
-    # every prescribed value
+    # values taken from a random hom into a sum of injectives, shifted by
+    # -1, 0 or 1 over Delta(a4), one of them perturbed or not: the
+    # per-summand closed-form solve and the solve over a full Hom basis
+    # agree on solvability, and the map found meets every prescribed value
     mods = [(delta_a4, t) for t in t_summands]
     for alg in (a4, kron, delta_a4):
         reg = mo.regular_module(alg)
         mods += [(alg, reg), (alg, mo.graded_dual_module(alg))]
     alg, m = data.draw(st.sampled_from(mods))
-    labels = data.draw(st.lists(st.sampled_from(alg.vertices), min_size=1,
-                                max_size=3))
-    tgt = injective_sums(alg, labels)
+    shifts = [-1, 0, 1] if alg is delta_a4 else [0]
+    socles = data.draw(st.lists(st.tuples(st.sampled_from(alg.vertices),
+                                          st.sampled_from(shifts)),
+                                min_size=1, max_size=3))
+    tgt = injective_sums(alg, socles)
     basis = mo.hom_space(m, tgt)
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
                                 max_size=len(basis)))
@@ -392,9 +396,10 @@ def test_map_into_injectives_matches_constrained_hom_solve(a4, kron, delta_a4,
         vec = list(image.get(key, [Fraction(0)] * tgt.dims[key]))
         vec[i] += 1
         constraints[0] = (elem, {**image, key: vec})
-    ref = mo.hom_space_with_constraints(m, tgt, constraints)
-    got = hd.solve_map_into_injectives(m, tgt, constraints)
-    event(f"perturbed={bool(perturbed)} solvable={got is not None}")
+    ref = hom_space_with_constraints(m, tgt, constraints)
+    got = mo.solve_map_into_injectives(m, tgt, socles, constraints)
+    event(f"perturbed={bool(perturbed)} solvable={got is not None} "
+          f"shifted={any(s for _w, s in socles)}")
     assert (got is None) == (ref is None)
     if not perturbed:
         assert got is not None

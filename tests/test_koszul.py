@@ -209,6 +209,14 @@ def test_basic_validation_rejects_duplicates(delta_a4, t_summands):
         ko.validate_basic([t_summands[0], t_summands[0]])
 
 
+def test_cosyzygy_chain_rejects_non_self_injective(a4):
+    # the envelope needs no self-injective base, but the projective-summand
+    # check after it still rejects a4: the socle of e_1 A is S_2 + S_3
+    chain = ko.CosyzygyChain(simple(a4))
+    with pytest.raises(InputError, match="not basic self-injective"):
+        chain.ensure(1)
+
+
 def test_stable_end_of_dual_numbers_is_scalar(dualnum):
     k = simple(dualnum)
     tilde = ko.build_t_tilde(dualnum, [k], 1, 1)

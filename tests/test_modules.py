@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from koszulity import modules as mo
+from koszulity import hereditary as hd
 from koszulity.linalg import EchelonBasis
 from koszulity.algebra import InputError
-from conftest import data_path
+from conftest import data_path, hom_space_with_constraints
 
 
 def test_projective_dims(delta_a4):
@@ -41,7 +42,7 @@ def test_map_from_projective_matches_constrained_solve(request, name):
                 f = mo.map_from_projective(p, n, elem)
                 assert f.check_commutes()
                 assert f.apply(gen) == {k: x for k, x in elem.items() if any(x)}
-                g = mo.hom_space_with_constraints(p, n, [(gen, elem)])
+                g = hom_space_with_constraints(p, n, [(gen, elem)])
                 assert f.blocks == g.blocks
 
 
@@ -152,11 +153,74 @@ def test_cosyzygies_of_first_summand(t_summands):
     assert c2.dim == 7
 
 
-def test_envelope_of_summand(t_summands):
+def test_envelope_of_summand(delta_a4, t_summands):
     t1 = t_summands[0]
     I, mono, tags = mo.injective_envelope(t1)
-    assert I.dim == 8 and sorted(tags) == [(2, -1), (3, -1)]
+    assert I.dim == 8 and sorted(tags) == [(2, 0), (3, 0)]
     assert mono.is_injective() and mono.check_commutes()
+    # over the graded Frobenius algebra D(Lambda e_v) is e_w Lambda<-1>
+    shifted = mo.DirectSum(delta_a4, [mo.projective_module(delta_a4, w, -1)
+                                      for w in (2, 3)])
+    v = mo.is_isomorphic(I, shifted)
+    assert v.isomorphic and v.certified
+
+
+def old_injective_envelope(m):
+    """The envelope into shifted projectives e_w Lambda<d - sd> over a
+    self-injective algebra, with soc(e_w Lambda) = S_v at degree sd for each
+    socle vector at (v, d), solved over a full Hom basis."""
+    alg = m.algebra
+    socle_of = {}  # v -> (w, sd, socle element of e_w Lambda)
+    for w in alg.vertices:
+        p = mo.projective_module(alg, w)
+        [((v, sd), [vec])] = mo.socle_spans(p).items()
+        socle_of[v] = (w, sd, dict(zip(p.basis_index[(v, sd)], vec)))
+    soc = mo.socle_spans(m)
+    parts, constraints = [], []
+    for key in sorted(soc, key=lambda vd: (vd[1], str(vd[0]))):
+        w, sd, elt = socle_of[key[0]]
+        for vec in soc[key]:
+            p = mo.projective_module(alg, w, key[1] - sd)
+            parts.append(p)
+            constraints.append(({key: vec},
+                                p.apply_element(mo.generator(p, w, key[1] - sd), elt)))
+    I = mo.DirectSum(alg, parts)
+    return hom_space_with_constraints(
+        m, I, [(x, I.embed(k, y)) for k, (x, y) in enumerate(constraints)])
+
+
+@pytest.mark.parametrize("name", ["delta_a2", "delta_a4", "delta_kron"])
+def test_envelope_matches_shifted_projective_envelope(request, name):
+    # the closed-form envelope into D(Lambda e_v)<d> is an injective module
+    # map, and its cokernel is isomorphic to that of the envelope into
+    # shifted projectives the constrained solve finds
+    alg = request.getfixturevalue(name)
+    mods = [mo.simple_module(alg, v) for v in alg.vertices]
+    mods += [mo.projective_module(alg, v) for v in alg.vertices]
+    if name == "delta_a4":
+        mods += request.getfixturevalue("t_summands")
+    for m in mods:
+        I, mono, tags = mo.injective_envelope(m)
+        assert mono.is_injective() and mono.check_commutes()
+        assert sorted(tags) == sorted(key for key, vecs in mo.socle_spans(m).items()
+                                      for _ in vecs)
+        old = old_injective_envelope(m)
+        assert old is not None and old.is_injective()
+        assert I.dims == old.codomain.dims
+        v = mo.is_isomorphic(mo.cokernel(mono)[0], mo.cokernel(old)[0])
+        assert v.isomorphic and v.certified
+
+
+def test_graded_envelope_matches_ungraded_over_a4(a4):
+    # a4 is not self-injective: the graded envelope needs no socle data of
+    # the projectives, and over a degree-0 module it is the ungraded one
+    for v in a4.vertices:
+        s = mo.simple_module(a4, v)
+        I, mono, tags = mo.injective_envelope(s)
+        J, mono_u = hd.injective_envelope_ungraded(s)
+        assert [w for w, _d in tags] == J.labels == [v]
+        assert [p.dims for p in I.parts] == [p.dims for p in J.parts]
+        assert mono.is_injective() and mono.blocks == mono_u.blocks
 
 
 def test_syzygy_of_projective_is_zero(delta_a4):
@@ -303,6 +367,19 @@ def test_strip_projective_summand(delta_a4, t_summands):
     assert stripped == [(2, -1)]
     v = mo.is_isomorphic(core, t_summands[1])
     assert v.isomorphic
+
+
+def test_strip_two_projective_summands(delta_a4, t_summands):
+    # the cokernel of each split mono is the complement, in either order of
+    # the summands; an all-projective module leaves a zero core
+    p, q = mo.projective_module(delta_a4, 2, -1), mo.projective_module(delta_a4, 4, 1)
+    for parts in ([p, t_summands[2], q], [q, t_summands[2], p]):
+        core, stripped = mo.strip_projective_summands(mo.DirectSum(delta_a4, parts))
+        assert sorted(stripped) == [(2, -1), (4, 1)]
+        v = mo.is_isomorphic(core, t_summands[2])
+        assert v.isomorphic and v.certified
+    core, stripped = mo.strip_projective_summands(mo.DirectSum(delta_a4, [q, p]))
+    assert core.is_zero() and sorted(stripped) == [(2, -1), (4, 1)]
 
 
 def test_graded_dual_module(point, dualnum, delta_a4):
