@@ -351,3 +351,26 @@ def trivial_extension(a0: GradedAlgebra) -> GradedAlgebra:
     if delta.highest_degree() != 1 or delta.dim != 2 * n:
         raise InternalCheckError("trivial extension shape wrong")
     return delta
+
+
+def degree_zero_part(alg: GradedAlgebra) -> GradedAlgebra:
+    """The degree-0 subalgebra, on the same vertices."""
+    idx = alg.degree_zero_indices()
+    pos = {b: i for i, b in enumerate(idx)}
+    table = {}
+    for (i, j), prod in alg.table.items():
+        if i in pos and j in pos:
+            entry = {pos[k]: c for k, c in prod.items()}
+            if entry:
+                table[(pos[i], pos[j])] = entry
+    a0 = GradedAlgebra(
+        name=f"{alg.name}_0",
+        num_vertices=alg.num_vertices,
+        labels=[alg.labels[i] for i in idx],
+        source=[alg.source[i] for i in idx],
+        target=[alg.target[i] for i in idx],
+        degree=[0] * len(idx),
+        table=table,
+        vertices=list(alg.vertices),
+    )
+    return a0

@@ -12,15 +12,17 @@ import json
 import random
 import sys
 
-from .algebra import InputError, trivial_extension
+from .algebra import InputError, degree_zero_part, trivial_extension
 from .frobenius import frobenius_analysis
-from .presentation import parse_algebra_file
-from . import modules as mo
-from . import resolution as rs
-from . import truncated as tr
-from . import koszul as ko
-from . import hereditary as hd
-from . import verify as vf
+from .presentation import dump_algebra, parse_algebra_file
+
+# Each command handler imports the modules it runs, so that start-up loads
+# only those; this module imports just what argument parsing and loading need.
+
+# The theorems `verify` checks, one verifier each in `verify.py`.
+THEOREMS = ("characterization", "nrepfin-char", "param-consistency",
+            "preproj-veronese", "serre-identity", "trivext-dual",
+            "trivext-koszul")
 
 # Smallest accepted value of each integer option, in the order checked.
 MINIMUM = {"n": 1, "i_max": 0, "degree_max": 0, "depth": 0, "orbit_cap": 0,
@@ -47,13 +49,15 @@ def _load_algebra(args):
 
 
 def _load_summands(args, alg, base):
+    from . import modules as mo
+
     files = args.tilting or args.module
     if files:
         mods = [mo.parse_module_file(p, base) for p in files]
         if args.trivext:
             mods = [mo.inflate_module(m, alg) for m in mods]
         return mods
-    a0 = ko.degree_zero_part(alg)
+    a0 = degree_zero_part(alg)
     parts = [mo.projective_module(a0, v) for v in a0.vertices]
     return [mo.inflate_module(p, alg) for p in parts]
 
@@ -72,16 +76,15 @@ def _emit(args, text_lines, payload, exit_code: int) -> int:
 
 
 def cmd_build(args) -> int:
+    from .resolution import gldim_upto
+
     alg, base = _load_algebra(args)
     alg.validate()
     if args.dump:
-        from .presentation import dump_algebra
-
         with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write(dump_algebra(alg) + "\n")
     fr = frobenius_analysis(alg, rng=random.Random(args.seed))
-    a0 = ko.degree_zero_part(alg)
-    gl = rs.gldim_upto(a0, args.i_max)
+    gl = gldim_upto(degree_zero_part(alg), args.i_max)
     dims = alg.dims_by_degree()
     lines = [
         f"algebra {alg.name}",
@@ -114,6 +117,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_ext(args) -> int:
+    from . import modules as mo
+    from . import resolution as rs
+
     alg, base = _load_algebra(args)
     if not args.M or not args.N:
         raise InputError("ext needs --M and --N module files")
@@ -134,9 +140,11 @@ def cmd_ext(args) -> int:
 
 
 def cmd_koszul(args) -> int:
+    from .koszul import check_n_T_koszul
+
     alg, base = _load_algebra(args)
     summands = _load_summands(args, alg, base)
-    rep = ko.check_n_T_koszul(alg, summands, args.n, args.i_max)
+    rep = check_n_T_koszul(alg, summands, args.n, args.i_max)
     lines = [f"n-T-Koszul check (n = {args.n}, i_max = {args.i_max}): {rep.verdict}"]
     if rep.counterexample:
         lines.append(f"counterexample (i, j, dim): {rep.counterexample}")
@@ -149,6 +157,8 @@ def cmd_koszul(args) -> int:
 
 
 def cmd_nrep(args) -> int:
+    from . import hereditary as hd
+
     alg, base = _load_algebra(args)
     if not alg.is_concentrated_degree_zero():
         raise InputError("nrep expects an ungraded algebra (degree 0 only)")
@@ -171,10 +181,12 @@ def cmd_nrep(args) -> int:
 
 
 def cmd_preprojective(args) -> int:
+    from .hereditary import preprojective_algebra
+
     alg, base = _load_algebra(args)
     if not alg.is_concentrated_degree_zero():
         raise InputError("preprojective expects an ungraded algebra")
-    pp = hd.preprojective_algebra(alg, args.n, args.degree_max)
+    pp = preprojective_algebra(alg, args.n, args.degree_max)
     dims = pp.algebra.dims()
     lines = ["preprojective degree dims: "
              + ",".join(str(dims[d]) for d in range(args.degree_max + 1))]
@@ -186,6 +198,8 @@ def cmd_preprojective(args) -> int:
 
 
 def cmd_veronese(args) -> int:
+    from . import truncated as tr
+
     alg, base = _load_algebra(args)
     G = tr.truncate_algebra(alg, args.degree_max)
     GV = tr.quasi_veronese(G, args.r)
@@ -194,15 +208,19 @@ def cmd_veronese(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    from .truncated import koszul_dual
+
     alg, base = _load_algebra(args)
     summands = _load_summands(args, alg, base)
-    dual = tr.koszul_dual(alg, summands, args.n, args.degree_max)
+    dual = koszul_dual(alg, summands, args.n, args.degree_max)
     payload = {"dims": {str(d): dual.algebra.dim(d)
                         for d in range(args.degree_max + 1)}}
     return _emit(args, [dual.algebra.dump()], payload, 0)
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf
+
     alg, base = _load_algebra(args)
     theorem = args.theorem
     if theorem in ("trivext-koszul", "trivext-dual"):
@@ -303,7 +321,7 @@ def make_parser() -> argparse.ArgumentParser:
     command("dual", cmd_dual, "Ext algebra of a tilting module", modules=True)
     sp = command("verify", cmd_verify, "two-sided theorem verification",
                  modules=True)
-    sp.add_argument("theorem", choices=sorted(vf.THEOREMS))
+    sp.add_argument("theorem", choices=THEOREMS)
     return p
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import Matrix
-from .algebra import GradedAlgebra, InputError, InternalCheckError
+from .algebra import (GradedAlgebra, InputError, InternalCheckError,
+                      degree_zero_part)
 from .frobenius import GradedAlgebraMorphism, frobenius_analysis
 from . import modules as mo
 from . import resolution as rs
@@ -100,28 +101,6 @@ class AlmostParams:
 # ---------------------------------------------------------------------------
 # degree-0 part and summand validation
 # ---------------------------------------------------------------------------
-
-def degree_zero_part(alg: GradedAlgebra) -> GradedAlgebra:
-    idx = alg.degree_zero_indices()
-    pos = {b: i for i, b in enumerate(idx)}
-    table = {}
-    for (i, j), prod in alg.table.items():
-        if i in pos and j in pos:
-            entry = {pos[k]: c for k, c in prod.items()}
-            if entry:
-                table[(pos[i], pos[j])] = entry
-    a0 = GradedAlgebra(
-        name=f"{alg.name}_0",
-        num_vertices=alg.num_vertices,
-        labels=[alg.labels[i] for i in idx],
-        source=[alg.source[i] for i in idx],
-        target=[alg.target[i] for i in idx],
-        degree=[0] * len(idx),
-        table=table,
-        vertices=list(alg.vertices),
-    )
-    return a0
-
 
 def restrict_to_degree_zero_part(m: mo.GradedModule, a0: GradedAlgebra):
     """A graded module concentrated in degree 0 as a module over Lambda_0."""

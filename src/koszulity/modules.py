@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .linalg import (EchelonBasis, Matrix, candidate_combinations,
+from .linalg import (EchelonBasis, Matrix, _inexact, candidate_combinations,
                      complement_basis, exact, kernel_vectors, solve_combination)
 from .algebra import GradedAlgebra, InputError, InternalCheckError, parse_number
 
@@ -104,10 +104,16 @@ class GradedModule:
             for (v, d), vec in elem.items():
                 if v != sv:
                     continue
-                mat = self.act(x, d)
-                if mat.rows == 0 or mat.cols == 0:
-                    continue
-                img = mat.apply(vec)
+                if x < alg.num_vertices:
+                    # an idempotent acts as the identity on its own blocks
+                    if float in map(type, vec):
+                        raise _inexact(vec)
+                    img = vec
+                else:
+                    mat = self.act(x, d)
+                    if mat.rows == 0 or mat.cols == 0:
+                        continue
+                    img = mat.apply(vec)
                 key = (tv, d + dx)
                 if key not in out:
                     out[key] = [0] * self.block_dim(tv, d + dx)

@@ -403,14 +403,3 @@ def verify_serre_identity(alg: GradedAlgebra, summands, n: int,
         bounds={"i_max": i_max, "l_abs": l_abs},
         details={"mismatches": mism} if mism else {"window_dims": len(table)},
     )
-
-
-THEOREMS = {
-    "characterization": verify_characterization,
-    "trivext-koszul": verify_trivext_koszul,
-    "trivext-dual": verify_trivext_dual,
-    "preproj-veronese": verify_preproj_veronese,
-    "nrepfin-char": verify_nrepfin_char,
-    "param-consistency": verify_param_consistency,
-    "serre-identity": verify_serre_identity,
-}

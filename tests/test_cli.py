@@ -6,6 +6,7 @@ from koszulity.cli import main
 from koszulity import hereditary as hd
 from koszulity import modules as mo
 from koszulity import truncated as tr
+from koszulity import verify as vf
 from conftest import data_path
 
 
@@ -236,6 +237,49 @@ def test_verify_probabilistic_disagree_is_inconclusive(capsys, monkeypatch,
     code, out, _ = run(capsys, "verify", *argv)
     assert "disagree" in out and "probabilistic: True" in out
     assert code == 3
+
+
+THEOREM_IDS = ["characterization", "nrepfin-char", "param-consistency",
+               "preproj-veronese", "serre-identity", "trivext-dual",
+               "trivext-koszul"]
+
+
+def test_verify_help_lists_the_theorem_ids(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(THEOREM_IDS) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_every_theorem_id_reaches_its_verifier(capsys, monkeypatch, theorem):
+    # each id the parser accepts calls the verifier of the same name
+    reached = []
+
+    def fake(name):
+        return lambda *args, **kw: (reached.append(name)
+                                    or vf.VerifyReport(name, True))
+
+    for name in dir(vf):
+        if name.startswith("verify_"):
+            monkeypatch.setattr(vf, name, fake(name))
+    code, out, _ = run(capsys, "verify", theorem,
+                       "--algebra", data_path("a2.alg"))
+    assert code == 0 and out.startswith("verify verify_")
+    assert reached == ["verify_" + theorem.replace("-", "_")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "--algebra", "a4.alg", "--M", "T1.mod"],
+    ["nrep", "--algebra", "x3.alg"],
+    ["verify", "trivext-dual", "--algebra", "x3.alg"],
+], ids=["ext", "nrep", "verify"])
+def test_input_error_after_a_handlers_imports_exits_2(capsys, argv):
+    argv = [data_path(a) if a.endswith((".alg", ".mod")) else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
 
 
 def test_reports_deterministic(capsys, tmp_path):

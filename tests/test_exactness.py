@@ -109,6 +109,10 @@ def test_float_raises_in_module_element(delta_a4, t_summands):
     elem[key][0] = 1
     with pytest.raises(InternalCheckError):
         m.apply_element(elem, {x: 0.5})
+    # an idempotent acts without a matrix, and still refuses floats
+    elem[key][0] = 0.5
+    with pytest.raises(InternalCheckError):
+        m.apply_element(elem, {alg.idempotent_index(key[0]): 1})
 
 
 def test_elimination_keeps_ints_ints():

@@ -5,7 +5,7 @@ import pytest
 from koszulity import modules as mo
 from koszulity import koszul as ko
 from koszulity import truncated as tr
-from koszulity.algebra import InputError
+from koszulity.algebra import InputError, degree_zero_part
 from koszulity.frobenius import frobenius_analysis
 
 
@@ -199,7 +199,7 @@ def test_serre_identity_x3(x3):
 
 
 def test_degree_zero_part(delta_a4, a4):
-    a0 = ko.degree_zero_part(delta_a4)
+    a0 = degree_zero_part(delta_a4)
     assert a0.dim == a4.dim
     assert sorted(a0.labels) == sorted(a4.labels)
 

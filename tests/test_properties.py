@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from koszulity import modules as mo
 from koszulity import resolution as rs
 from koszulity import koszul as ko
+from koszulity.algebra import degree_zero_part
 from koszulity.frobenius import frobenius_analysis
 
 
@@ -63,7 +64,7 @@ def frobenius_algebra(request):
 
 def degree_zero_test_modules(alg):
     out = [mo.simple_module(alg, v, 0) for v in alg.vertices]
-    a0 = ko.degree_zero_part(alg)
+    a0 = degree_zero_part(alg)
     for v in alg.vertices:
         p = mo.inflate_module(mo.projective_module(a0, v), alg)
         out.append(p)
@@ -160,6 +161,43 @@ def test_block_structure_bug_trap_never_fires(delta_a2, a2_summands, x3,
         dual = tr.koszul_dual(alg, summands, n, max(a - 1, 1))
         bdata = ko.stable_endomorphism_algebra(alg, tilde, dual=dual)
         assert bdata.algebra.validate()
+
+
+def dense_action(m, elem, coeffs):
+    """Reference for `apply_element`: every basis element, idempotents too,
+    acts through its dense matrix `act`."""
+    alg = m.algebra
+    out = {}
+    for x, c in coeffs.items():
+        for (v, d), vec in elem.items():
+            if v != alg.source[x]:
+                continue
+            key = (alg.target[x], d + alg.degree[x])
+            acc = out.setdefault(key, [0] * m.block_dim(*key))
+            for i, val in enumerate(m.act(x, d).apply(vec)):
+                acc[i] += c * val
+    return {k: v for k, v in out.items() if any(v)}
+
+
+@given(st.integers(min_value=0, max_value=2 ** 16), st.data())
+@settings(max_examples=25, deadline=None)
+def test_apply_element_matches_dense_action(delta_a4, delta_kron, seed, data):
+    entries = st.one_of(st.integers(-3, 3),
+                        st.fractions(min_value=-2, max_value=2,
+                                     max_denominator=3))
+    for alg in (delta_a4, delta_kron):
+        m = random_module(alg, random.Random(seed))
+        blocks = sorted(m.dims, key=str)
+        keys = data.draw(st.lists(st.sampled_from(blocks), min_size=1,
+                                  max_size=3, unique=True))
+        elem = {k: data.draw(st.lists(entries, min_size=m.dims[k],
+                                      max_size=m.dims[k])) for k in keys}
+        coeffs = data.draw(st.dictionaries(
+            st.integers(0, alg.dim - 1), entries, min_size=1, max_size=4))
+        # every idempotent on one of the element's vertices acts too
+        for v in {v for v, _d in keys}:
+            coeffs.setdefault(alg.idempotent_index(v), 1)
+        assert m.apply_element(elem, coeffs) == dense_action(m, elem, coeffs)
 
 
 @given(st.integers(min_value=-3, max_value=3),
