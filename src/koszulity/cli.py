@@ -17,7 +17,7 @@ from .frobenius import frobenius_analysis
 from .presentation import dump_algebra, parse_algebra_file
 
 # Each command handler imports the modules it runs, so that start-up loads
-# only those; this module imports just what argument parsing and loading need.
+# only those. The imports above serve loading an algebra and `build`.
 
 # The theorems `verify` checks, one verifier each in `verify.py`.
 THEOREMS = ("characterization", "nrepfin-char", "param-consistency",
