@@ -2,22 +2,22 @@
 higher preprojective algebras.
 
 Modules here live over an algebra concentrated in degree 0. Objects of the
-derived category are carried as formal sums of shifted stalk modules where
-possible. One inverse Nakayama step resolves a stalk by injectives,
-relabels the terms as projectives and reads off cohomology. The Nakayama
-correspondence Hom(D(Ae_v), D(Ae_w)) = e_w A e_v = Hom(e_v A, e_w A) is a
-closed form both ways: a map of projectives is left multiplication by the
-image x of e_v, and a map of injectives is the dual of right multiplication
-by x, whose coefficients form the row of e_w in its (w, 0) block. A
-result concentrated in one cohomological degree is replaced by the shifted
-stalk; over a hereditary base a spread-out result splits as the sum of its
-shifted cohomology stalks. When cohomology spreads over several degrees on a
-non-hereditary base, the iteration switches to honest bounded complexes,
-resolved by a mapping-cone construction that validates itself (square-zero
-differentials, comparison chain map, cohomology preserved). Morphism
-transport, needed for preprojective multiplication, is only performed
-along single-stalk chains, which keeps it an honest application of the
-functor.
+derived category are bounded complexes, and a shifted stalk M[s] is the
+one-term complex with M at position -s. One inverse Nakayama step takes an
+injective resolution of a complex, keyed by position (for a stalk, its
+minimal injective resolution; otherwise a mapping cone that validates
+itself: square-zero differentials, comparison chain map, cohomology
+preserved), relabels the injective terms as projectives, shifts by [n] and
+reads off cohomology. The Nakayama correspondence
+Hom(D(Ae_v), D(Ae_w)) = e_w A e_v = Hom(e_v A, e_w A) is a closed form both
+ways: a map of projectives is left multiplication by the image x of e_v,
+and a map of injectives is the dual of right multiplication by x, whose
+coefficients form the row of e_w in its (w, 0) block. A result whose
+cohomology sits in one degree is replaced by that shifted stalk; over a
+hereditary base any result splits as the sum of its shifted cohomology
+stalks. Morphism transport, needed for preprojective multiplication, is
+only performed along single-stalk chains, which keeps it an honest
+application of the functor.
 """
 
 from __future__ import annotations
@@ -145,30 +145,6 @@ def injective_envelope_ungraded(m: mo.GradedModule):
 
 
 @dataclass
-class InjectiveResolution:
-    module: mo.GradedModule
-    terms: list           # LabeledSum per level
-    diffs: list           # diffs[i]: terms[i] -> terms[i+1]
-    mono: mo.GradedModuleHom
-
-
-def injective_resolution_module(m: mo.GradedModule, cap: int = 32):
-    if m.is_zero():
-        return InjectiveResolution(m, [], [], mo.zero_hom(m, m))
-    I0, mono = injective_envelope_ungraded(m)
-    terms, diffs = [I0], []
-    current, prev_proj = mo.cokernel(mono)
-    while not current.is_zero():
-        if len(terms) > cap:
-            raise InputError(f"injective resolution exceeds cap {cap}")
-        I, mo_k = injective_envelope_ungraded(current)
-        diffs.append(mo_k.compose(prev_proj))
-        terms.append(I)
-        current, prev_proj = mo.cokernel(mo_k)
-    return InjectiveResolution(m, terms, diffs, mono)
-
-
-@dataclass
 class BoundedComplex:
     algebra: GradedAlgebra
     terms: dict          # cohomological degree -> module
@@ -217,6 +193,42 @@ def cohomology_dims(cx: BoundedComplex) -> dict:
             if data.module.dim}
 
 
+@dataclass
+class ComplexResolution:
+    """Bounded complex of labeled injective sums quasi-isomorphic to a
+    bounded complex, together with the comparison chain map."""
+    terms: dict      # position -> LabeledSum
+    diffs: dict      # position -> hom terms[p] -> terms[p+1]
+    qis: dict        # position -> hom (original term -> terms[p])
+
+    def as_complex(self, algebra) -> BoundedComplex:
+        return BoundedComplex(algebra, dict(self.terms), dict(self.diffs))
+
+
+def injective_resolution_module(m: mo.GradedModule, pos: int,
+                                cap: int = 32) -> ComplexResolution:
+    """Minimal injective resolution of the one-term complex m at position pos.
+
+    Its terms sit at pos, pos + 1, ...; the envelope mono m -> terms[pos] is
+    its one comparison map.
+    """
+    if m.is_zero():
+        return ComplexResolution({}, {}, {})
+    I0, mono = injective_envelope_ungraded(m)
+    terms, diffs = {pos: I0}, {}
+    current, prev_proj = mo.cokernel(mono)
+    p = pos
+    while not current.is_zero():
+        if len(terms) > cap:
+            raise InputError(f"injective resolution exceeds cap {cap}")
+        I, mo_k = injective_envelope_ungraded(current)
+        diffs[p] = mo_k.compose(prev_proj)
+        p += 1
+        terms[p] = I
+        current, prev_proj = mo.cokernel(mo_k)
+    return ComplexResolution(terms, diffs, {pos: mono})
+
+
 # ---------------------------------------------------------------------------
 # the inverse Nakayama step
 # ---------------------------------------------------------------------------
@@ -231,100 +243,77 @@ class Piece:
 
 @dataclass
 class StepData:
-    resolution: InjectiveResolution
-    proj_terms: list             # LabeledSum per level (nu^{-1} images)
-    positions: list              # complex position of each level
-    diffs: list                  # transported differentials
-    cohomology: dict             # position -> CohomologyData
-    result_pieces: dict          # position (absolute) -> output piece
+    n: int
+    resolution: ComplexResolution  # of the stalk, at position -shift
+    complex: BoundedComplex        # nu_n^{-1} of the stalk, before splitting
+    cohomology: dict               # position -> CohomologyData
+    result_pieces: dict            # position (absolute) -> output piece
 
 
-def nu_inverse_step(a: GradedAlgebra, piece: Piece, n: int,
-                    hereditary_split: bool, cap: int = 32):
-    """Apply nu_n^{-1} = nu^{-1}(-)[n] to a shifted stalk.
+def nu_inverse_step(a: GradedAlgebra, piece: Piece, n: int, cap: int = 32):
+    """Apply nu_n^{-1} = nu^{-1}(-)[n] to a shifted stalk, the one-term
+    complex at position -shift.
 
-    Returns (new pieces, h_dims, flags); h_dims keys are absolute
-    cohomological degrees of nu_n^{-1}(piece).
+    Returns (new pieces, h_dims): one stalk per nonzero cohomology degree,
+    in increasing order, and the dimensions keyed by absolute cohomological
+    degree of nu_n^{-1}(piece).
     """
     if piece.module.is_zero():
-        return [], {}, []
-    res = injective_resolution_module(piece.module, cap)
-    proj_terms = [LabeledSum(a, t.labels, "proj") for t in res.terms]
-    # complex positions: level i sits at i - n, then shifted by the piece shift
-    positions = [i - n - piece.shift for i in range(len(proj_terms))]
-    diffs = []
-    for i, diff in enumerate(res.diffs):
-        diffs.append(transport_sum_hom(res.terms[i], res.terms[i + 1], diff,
-                                       proj_terms[i], proj_terms[i + 1]))
-    cx = BoundedComplex(
-        a,
-        {positions[i]: proj_terms[i] for i in range(len(proj_terms))},
-        {positions[i]: diffs[i] for i in range(len(diffs))},
-    )
+        return [], {}
+    res = injective_resolution_module(piece.module, -piece.shift, cap)
+    cx = nu_inverse_of_resolution(a, res, n)
     coh = complex_cohomology(cx)
-    h_dims = {d: data.module.dim for d, data in coh.items() if data.module.dim}
-    nonzero = sorted(h_dims)
-    flags = []
-    result = {}
-    pieces = []
-    if len(nonzero) > 1 and not hereditary_split:
-        flags.append("cohomology spread over several degrees on a "
-                     "non-hereditary base")
-    for d in nonzero:
-        p = Piece(coh[d].module, -d)
-        result[d] = p
-        pieces.append(p)
-    piece.step_data = StepData(res, proj_terms, positions, diffs, coh, result)
-    return pieces, h_dims, flags
+    result = {d: Piece(data.module, -d) for d, data in sorted(coh.items())
+              if data.module.dim}
+    piece.step_data = StepData(n, res, cx, coh, result)
+    return list(result.values()), {d: p.module.dim for d, p in result.items()}
 
 
-def _lift_stalk_map_into_injectives(res: InjectiveResolution, start_pos: int,
+def _lift_stalk_map_into_injectives(res: ComplexResolution,
                                     psi0: mo.GradedModuleHom, jterms: dict,
                                     jdiffs: dict):
-    """Chain maps Psi_j: res.terms[j] -> jterms[start_pos + j] with
-    Psi_0 o mono = psi0 and the usual commutation squares.
+    """Chain maps Psi_p: res.terms[p] -> jterms[p], keyed by position, for
+    the resolution res of a stalk M at position lo, with Psi_lo o mono = psi0
+    and the usual commutation squares.
 
-    Psi_j is prescribed on d(x) for the generators x of the previous term
-    (on mono(x) for the generators x of the module, at j = 0) and solved
-    into the injective sum jterms[start_pos + j] by
-    `mo.solve_map_into_injectives`, one functional per summand, without a Hom
-    basis. Any solution will do: a lift into a complex of injectives is
-    unique up to homotopy, so the maps it induces on cohomology do not
-    depend on the choice.
+    Psi_p is prescribed on d(x) for the generators x of the previous term
+    (on mono(x) for the generators x of M, at p = lo) and solved into the
+    injective sum jterms[p] by `mo.solve_map_into_injectives`, one
+    functional per summand, without a Hom basis. Any solution will do: a
+    lift into a complex of injectives is unique up to homotopy, so the maps
+    it induces on cohomology do not depend on the choice. A position with no
+    target term gets no map.
     """
-    chain = []
+    ((lo, mono),) = res.qis.items()
+    chain = {}
     prev = None
-    for j in range(len(res.terms)):
-        tgt = jterms.get(start_pos + j)
-        src_term = res.terms[j]
+    for p in sorted(res.terms):
+        tgt = jterms.get(p)
         if tgt is None:
             # the commutation square must be trivially satisfiable
-            if prev is not None and (start_pos + j - 1) in jdiffs:
-                leak = jdiffs[start_pos + j - 1].compose(prev)
+            if prev is not None and (p - 1) in jdiffs:
+                leak = jdiffs[p - 1].compose(prev)
                 if not leak.is_zero():
                     raise InternalCheckError("chain lift leaks past the complex")
-            chain.append(None)
             prev = None
             continue
         constraints = []
-        if j == 0:
-            for x in mo.generator_elements(res.module):
-                constraints.append((res.mono.apply(x), psi0.apply(x)))
+        if p == lo:
+            for x in mo.generator_elements(mono.domain):
+                constraints.append((mono.apply(x), psi0.apply(x)))
         else:
-            dom_prev = res.terms[j - 1]
-            dsrc = res.diffs[j - 1]
-            dj = jdiffs.get(start_pos + j - 1)
-            for x in mo.generator_elements(dom_prev):
+            dsrc = res.diffs[p - 1]
+            dj = jdiffs.get(p - 1)
+            for x in mo.generator_elements(res.terms[p - 1]):
                 val = {}
                 if dj is not None and prev is not None:
                     val = dj.apply(prev.apply(x))
                 constraints.append((dsrc.apply(x), val))
-        u = mo.solve_map_into_injectives(src_term, tgt, [(w, 0) for w in tgt.labels],
-                                         constraints)
+        u = mo.solve_map_into_injectives(res.terms[p], tgt,
+                                         [(w, 0) for w in tgt.labels], constraints)
         if u is None:
             raise InternalCheckError("stalk lift into injective complex failed")
-        chain.append(u)
-        prev = u
+        chain[p] = prev = u
     return chain
 
 
@@ -332,7 +321,9 @@ def transport_stalk_hom(a: GradedAlgebra, h: mo.GradedModuleHom,
                         src_piece: Piece, tgt_piece: Piece):
     """nu_n^{-1}(h) for same-shift single-stalk pieces already stepped.
 
-    Returns {position: hom between the result pieces at that position}.
+    Both stalks are resolved at the same position, so the chain lift of h is
+    keyed by position, and the resolution term behind output position p sits
+    at p + n. Returns {position: hom between the result pieces there}.
     """
     if src_piece.shift != tgt_piece.shift:
         raise InternalCheckError("transport requires equal shifts")
@@ -340,26 +331,23 @@ def transport_stalk_hom(a: GradedAlgebra, h: mo.GradedModuleHom,
     td: StepData = tgt_piece.step_data
     if sd is None or td is None:
         raise InternalCheckError("pieces must be stepped before transport")
-    tres = td.resolution
-    chain = _lift_stalk_map_into_injectives(
-        sd.resolution, 0, tres.mono.compose(h),
-        dict(enumerate(tres.terms)), dict(enumerate(tres.diffs)))
+    sres, tres = sd.resolution, td.resolution
+    ((_pos, tmono),) = tres.qis.items()
+    chain = _lift_stalk_map_into_injectives(sres, tmono.compose(h),
+                                            tres.terms, tres.diffs)
     out = {}
     for pos in sd.result_pieces:
         if pos not in td.result_pieces:
             continue
-        i = sd.positions.index(pos)
-        j = td.positions.index(pos)
-        if i != j:
-            raise InternalCheckError("position alignment failed in transport")
-        u = chain[i] if i < len(chain) else None
         csrc = sd.cohomology[pos]
         ctgt = td.cohomology[pos]
+        q = pos + sd.n
+        u = chain.get(q)
         if u is None:
             out[pos] = mo.zero_hom(csrc.module, ctgt.module)
             continue
-        moved = transport_sum_hom(sd.resolution.terms[i], tres.terms[i],
-                                  u, sd.proj_terms[i], td.proj_terms[i])
+        moved = transport_sum_hom(sres.terms[q], tres.terms[q], u,
+                                  sd.complex.terms[pos], td.complex.terms[pos])
         # the chain map sends boundaries to boundaries, so any section works
         cycles = mo.post_invert_mono(
             ctgt.incl, moved.compose(csrc.incl).compose(csrc.section))
@@ -440,7 +428,7 @@ def is_n_rep_finite(a: GradedAlgebra, n: int, orbit_cap: int = 24,
             if m >= orbit_cap:
                 return report(None, reason=f"orbit of {v} exceeded cap {orbit_cap}")
             piece = Piece(current, 0)
-            pieces, h_dims, flags = nu_inverse_step(a, piece, n, False)
+            pieces, h_dims = nu_inverse_step(a, piece, n)
             orbit.h_tables.append(h_dims)
             if sorted(h_dims) != [0]:
                 return report(
@@ -463,18 +451,16 @@ def is_n_rep_infinite_upto(a: GradedAlgebra, n: int, depth: int = 6) -> NRepRepo
     if gl.le(n) is not True:
         return NRepReport("infinite", n, False, depth=0,
                           reason=f"global dimension {gl} exceeds {n}")
-    hereditary = gl.value is not None and gl.value <= 1
     pieces = [Piece(mo.projective_module(a, v), 0) for v in a.vertices]
     for j in range(1, depth + 1):
         new_pieces = []
         table = {}
         for p in pieces:
-            outs, h_dims, flags = nu_inverse_step(a, p, n, hereditary)
+            # a step's table is exact, so cohomology spread over several
+            # degrees already has a nonzero degree other than 0
+            outs, h_dims = nu_inverse_step(a, p, n)
             for d, c in h_dims.items():
                 table[d] = table.get(d, 0) + c
-            if flags:
-                return NRepReport("infinite", n, None, depth=j - 1,
-                                  reason="; ".join(flags))
             new_pieces.extend(outs)
         bad = [d for d in table if d != 0]
         if bad:
@@ -487,54 +473,37 @@ def is_n_rep_infinite_upto(a: GradedAlgebra, n: int, depth: int = 6) -> NRepRepo
     return NRepReport("infinite", n, True, depth=depth)
 
 
-def _pieces_to_complex(a: GradedAlgebra, pieces) -> "BoundedComplex":
-    """Formal sum of shifted stalks as a complex with zero differentials."""
-    by_pos = {}
-    for p in pieces:
-        by_pos.setdefault(-p.shift, []).append(p.module)
-    terms = {}
-    for pos, mods in by_pos.items():
-        if len(mods) == 1:
-            terms[pos] = mods[0]
-        else:
-            terms[pos] = mo.DirectSum(a, mods)
-    return BoundedComplex(a, terms, {})
-
-
 def derived_nu_inverse_power(a: GradedAlgebra, start: mo.GradedModule,
                              power: int, n: int, hereditary=None):
-    """Iterate nu_n^{-1} on a stalk; returns (pieces-or-complex, H tables).
+    """Iterate nu_n^{-1} on a stalk; returns (bounded complexes, H tables).
 
-    Fast path: formal sums of shifted stalks (valid collapses only). When a
-    step spreads cohomology over several degrees on a non-hereditary base,
-    the iteration switches to honest bounded complexes resolved by the
-    mapping-cone construction.
+    Each step resolves every complex by injectives and applies nu_n^{-1}. A
+    result whose cohomology sits in one degree, or any result over a
+    hereditary base, splits into its shifted cohomology stalks; otherwise
+    the complex is carried on. tables[j] sums the cohomology dimensions of
+    nu_n^{-j}(start) by degree.
     """
     if hereditary is None:
         gl = rs.gldim_upto(a, max(n, 4))
         hereditary = gl.value is not None and gl.value <= 1
-    pieces = [Piece(start, 0)]
+    objs = [BoundedComplex(a, {0: start}, {})]
     tables = [{0: start.dim} if start.dim else {}]
-    for _j in range(power):
-        new_pieces = []
+    for _ in range(power):
+        new_objs = []
         table = {}
-        switch = False
-        for p in pieces:
-            outs, h_dims, flags = nu_inverse_step(a, p, n, hereditary)
-            if flags:
-                switch = True
-                break
-            for d, c in h_dims.items():
-                table[d] = table.get(d, 0) + c
-            new_pieces.extend(outs)
-        if switch:
-            cx = _pieces_to_complex(a, pieces)
-            remaining = power - _j
-            final, extra = derived_nu_inverse_power_complex(a, cx, remaining, n)
-            return final, tables + extra[1:]
-        pieces = new_pieces
+        for cx in objs:
+            nxt = nu_inverse_of_resolution(a, injective_resolution_of_complex(cx), n)
+            coh = {d: data.module for d, data in complex_cohomology(nxt).items()
+                   if data.module.dim}
+            for d, h in coh.items():
+                table[d] = table.get(d, 0) + h.dim
+            if len(coh) > 1 and not hereditary:
+                new_objs.append(nxt)
+            else:
+                new_objs.extend(BoundedComplex(a, {d: coh[d]}, {}) for d in sorted(coh))
+        objs = new_objs
         tables.append(table)
-    return pieces, tables
+    return objs, tables
 
 
 # ---------------------------------------------------------------------------
@@ -559,15 +528,12 @@ def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
     gl = rs.gldim_upto(a, max(n, 4))
     if gl.le(n) is not True:
         raise InputError(f"global dimension {gl} exceeds {n}")
-    hereditary = gl.value is not None and gl.value <= 1
     name = name or f"Pi_{n + 1}({a.name})"
     chains = {}
     for v in a.vertices:
         chain = [Piece(mo.projective_module(a, v), 0)]
         for d in range(d_max):
-            outs, h_dims, flags = nu_inverse_step(a, chain[-1], n, hereditary)
-            if flags:
-                raise InputError("; ".join(flags))
+            outs, _h_dims = nu_inverse_step(a, chain[-1], n)
             if len(outs) > 1:
                 raise InputError(
                     "orbit does not stay a single stalk; preprojective "
@@ -710,18 +676,6 @@ def serre_rhs_table(b: GradedAlgebra, n_serre: int, i_max: int, l_range):
 # injective resolutions of bounded complexes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ComplexResolution:
-    """Bounded complex of labeled injective sums quasi-isomorphic to a
-    bounded complex, together with the comparison chain map."""
-    terms: dict      # position -> LabeledSum
-    diffs: dict      # position -> hom terms[p] -> terms[p+1]
-    qis: dict        # position -> hom (original term -> terms[p])
-
-    def as_complex(self, algebra) -> BoundedComplex:
-        return BoundedComplex(algebra, dict(self.terms), dict(self.diffs))
-
-
 def injective_resolution_of_complex(cx: BoundedComplex,
                                     cap: int = 32) -> ComplexResolution:
     """Quasi-isomorphic bounded complex of injectives.
@@ -738,40 +692,35 @@ def injective_resolution_of_complex(cx: BoundedComplex,
         return ComplexResolution({}, {}, {})
     lo = degs[0]
     if len(degs) == 1:
-        res = injective_resolution_module(cx.terms[lo], cap)
-        terms = {lo + j: res.terms[j] for j in range(len(res.terms))}
-        diffs = {lo + j: res.diffs[j] for j in range(len(res.diffs))}
-        return ComplexResolution(terms, diffs, {lo: res.mono})
+        return injective_resolution_module(cx.terms[lo], lo, cap)
     upper = BoundedComplex(
         a,
         {d: t for d, t in cx.terms.items() if d > lo},
         {d: h for d, h in cx.diffs.items() if d > lo},
     )
     sub = injective_resolution_of_complex(upper, cap)
-    res = injective_resolution_module(cx.terms[lo], cap)
+    # the lowest term is resolved one position up, so the lift psi of its
+    # differential is a chain map res -> sub keyed by position
+    res = injective_resolution_module(cx.terms[lo], lo + 1, cap)
     if len(res.terms) > cap:
         raise InputError(f"complex resolution exceeds cap {cap}")
     delta = cx.diffs.get(lo)
     if delta is None:
         raise InternalCheckError("missing differential out of the lowest term")
-    q_next = sub.qis[lo + 1]
-    psi0 = q_next.compose(delta)
-    psi = _lift_stalk_map_into_injectives(res, lo + 1, psi0, sub.terms, sub.diffs)
+    psi = _lift_stalk_map_into_injectives(res, sub.qis[lo + 1].compose(delta),
+                                          sub.terms, sub.diffs)
 
-    def level(seq, p):
-        return seq[p - lo] if 0 <= p - lo < len(seq) else None
-
-    # the cone term at p is I = res.terms[p - lo] (+) J = sub.terms[p], so J
+    # the cone term at p is I = res.terms[p + 1] (+) J = sub.terms[p], so J
     # sits at the offsets I.dims; the differential is [[-d_I, 0], [psi, d_J]]
     # and the comparison map is [mono; q_J]
     def j_offsets(p):
-        i_term = level(res.terms, p)
+        i_term = res.terms.get(p + 1)
         return i_term.dims if i_term is not None else {}
 
-    all_pos = sorted(set(sub.terms) | {lo + j for j in range(len(res.terms))})
+    all_pos = sorted(set(sub.terms) | {p - 1 for p in res.terms})
     terms = {}
     for p in all_pos:
-        i_term, j_term = level(res.terms, p), sub.terms.get(p)
+        i_term, j_term = res.terms.get(p + 1), sub.terms.get(p)
         terms[p] = LabeledSum(a, (i_term.labels if i_term is not None else [])
                               + (j_term.labels if j_term is not None else []), "inj")
     diffs = {}
@@ -779,17 +728,16 @@ def injective_resolution_of_complex(cx: BoundedComplex,
         if p + 1 not in terms:
             continue
         pieces = []
-        d_i, psi_p = level(res.diffs, p), level(psi, p)
-        if d_i is not None:
-            pieces.append((d_i.scale(-1), {}, {}))
-        if psi_p is not None:
-            pieces.append((psi_p, {}, j_offsets(p + 1)))
+        if p + 1 in res.diffs:
+            pieces.append((res.diffs[p + 1].scale(-1), {}, {}))
+        if p + 1 in psi:
+            pieces.append((psi[p + 1], {}, j_offsets(p + 1)))
         if p in sub.diffs:
             pieces.append((sub.diffs[p], j_offsets(p), j_offsets(p + 1)))
         diffs[p] = mo.place(terms[p], terms[p + 1], pieces)
     qis = {}
     for p in degs:
-        pieces = [(res.mono, {}, {})] if p == lo else []
+        pieces = [(res.qis[lo + 1], {}, {})] if p == lo else []
         if p in sub.qis:
             pieces.append((sub.qis[p], {}, j_offsets(p)))
         qis[p] = mo.place(cx.terms[p], terms[p], pieces)
@@ -821,45 +769,21 @@ def _validate_complex_resolution(cx: BoundedComplex, out: ComplexResolution):
 
 
 def nu_inverse_of_resolution(a: GradedAlgebra, cres: ComplexResolution,
-                             n: int):
+                             n: int) -> BoundedComplex:
     """Apply nu^{-1} levelwise to an injective resolution and shift by [n].
 
-    Returns (complex of projectives, labeled sums keyed by position).
+    The terms are labeled projective sums: the term at position p comes from
+    the resolution term at p + n.
     """
     proj_terms = {p: LabeledSum(a, ls.labels, "proj")
                   for p, ls in cres.terms.items()}
-    terms = {p - n: proj_terms[p] for p in proj_terms}
     diffs = {}
     for p, d in cres.diffs.items():
         if p + 1 not in cres.terms:
             continue
         diffs[p - n] = transport_sum_hom(cres.terms[p], cres.terms[p + 1], d,
                                          proj_terms[p], proj_terms[p + 1])
-    labeled = {p - n: proj_terms[p] for p in proj_terms}
-    return BoundedComplex(a, terms, diffs), labeled
-
-
-def derived_nu_inverse_power_complex(a: GradedAlgebra, start: BoundedComplex,
-                                     power: int, n: int, cap: int = 32):
-    """Iterate nu_n^{-1} on an arbitrary bounded complex.
-
-    After each step a complex whose cohomology sits in a single degree is
-    replaced by that stalk; otherwise the honest complex is carried along.
-    Returns (final complex, list of cohomology tables per step).
-    """
-    cur = start
-    tables = [cohomology_dims(cur)]
-    for _ in range(power):
-        cres = injective_resolution_of_complex(cur, cap)
-        nxt, _labels = nu_inverse_of_resolution(a, cres, n)
-        table = cohomology_dims(nxt)
-        if len(table) == 1:
-            (d,) = table
-            coh = complex_cohomology(nxt)
-            nxt = BoundedComplex(a, {d: coh[d].module}, {})
-        cur = nxt
-        tables.append(table)
-    return cur, tables
+    return BoundedComplex(a, {p - n: t for p, t in proj_terms.items()}, diffs)
 
 
 def nu_forward_of_labeled(a: GradedAlgebra, labeled: dict, diffs: dict,

@@ -833,7 +833,7 @@ class TwistedResolution:
         self.diff_homs = [None]
         for i, fp in enumerate(res.terms):
             gens = [(inv_vperm[v], d) for (v, d) in fp.gens]
-            self.terms.append(rs.FormalProjective(alg, gens))
+            self.terms.append(mo.FormalProjective(alg, gens))
         for i in range(1, len(res.terms)):
             cols = []
             for col in res.diff_cols[i - 1]:

@@ -835,27 +835,42 @@ def solve_map_into_injectives(m: GradedModule, tgt: DirectSum, socles, constrain
     of tgt. Hom(M, D(Lambda e_w)<s>) is D(M_(w,s)), so the component into
     part j is `map_into_injective` for a functional phi on M_(w,s), and its
     psi_b coordinate at elem is phi(elem . b). Each (constraint, psi_b) pair
-    is one linear equation in phi, solved by one `solve_combination` per
-    part. The assembled map is checked against every prescribed value.
+    is one linear equation in phi. The columns of that system depend only
+    on (w, s), so they are eliminated once per distinct socle block, and
+    each part reads its phi off with `EchelonBasis.coords`, 0 on columns
+    that depend on earlier ones. The assembled map is checked against every
+    prescribed value.
     """
+    systems = {}
     pieces = []
     for j, ((w, s), part) in enumerate(zip(socles, tgt.parts)):
-        index = {}
-        columns = [{} for _ in range(m.block_dim(w, s))]
+        if (w, s) not in systems:
+            index = {}
+            columns = [{} for _ in range(m.block_dim(w, s))]
+            for k, (elem, _image) in enumerate(constraints):
+                for key, vec in elem.items():
+                    for r_i, b in enumerate(part.basis_index.get(key, [])):
+                        for i, y in enumerate(m.act(b, key[1]).apply(vec)):
+                            if y:
+                                columns[i][index.setdefault((k, key, r_i), len(index))] = y
+            basis = EchelonBasis()
+            kept = [basis.add(col) for col in columns]
+            systems[w, s] = index, basis, kept
+        index, basis, kept = systems[w, s]
         values = {}
-        for k, (elem, image) in enumerate(constraints):
-            for key, vec in elem.items():
-                for r_i, b in enumerate(part.basis_index.get(key, [])):
-                    for i, y in enumerate(m.act(b, key[1]).apply(vec)):
-                        if y:
-                            columns[i][index.setdefault((k, key, r_i), len(index))] = y
+        for k, (_elem, image) in enumerate(constraints):
             for key, vec in tgt.component(j, image).items():
                 for r_i, y in enumerate(vec):
                     if y:
-                        values[index.setdefault((k, key, r_i), len(index))] = y
-        phi = solve_combination(columns, values)
-        if phi is None:
+                        row = index.get((k, key, r_i))
+                        if row is None:
+                            return None  # no column reaches this value
+                        values[row] = y
+        coords = basis.coords(values)
+        if coords is None:
             return None
+        found = iter(coords)
+        phi = [next(found) if k else 0 for k in kept]
         pieces.append((map_into_injective(m, part, w, phi), {}, tgt.offsets[j]))
     out = place(m, tgt, pieces)
     for elem, image in constraints:
@@ -1047,17 +1062,57 @@ def socle_spans(m: GradedModule):
     return {k: v for k, v in out.items() if v}
 
 
+class FormalProjective(DirectSum):
+    """Direct sum of e_v Lambda <d>, one part per generator (v, d) in gens."""
+
+    def __init__(self, alg: GradedAlgebra, gens):
+        self.gens = list(gens)
+        super().__init__(alg, [projective_module(alg, v, d) for (v, d) in self.gens])
+
+    @property
+    def rank(self) -> int:
+        return len(self.gens)
+
+    def generator_element(self, k: int) -> dict:
+        return self.embed(k, generator(self.parts[k], *self.gens[k]))
+
+    def element_to_formal(self, elem: dict):
+        """Decompose an explicit element into algebra elements per generator."""
+        out = [{} for _ in self.gens]
+        for key, vec in elem.items():
+            for comp, part, off in zip(out, self.parts, self.offsets):
+                if key in off:
+                    for b, c in zip(part.basis_index[key], vec[off[key]:]):
+                        if c:
+                            comp[b] = c
+        return out
+
+    def formal_to_element(self, column) -> dict:
+        """Inverse of element_to_formal for a single formal column."""
+        alg = self.algebra
+        elem = {}
+        for (v, d), part, off, comp in zip(self.gens, self.parts, self.offsets, column):
+            for b, c in comp.items():
+                if alg.source[b] != v:
+                    raise InternalCheckError("formal entry outside projective")
+                key = (alg.target[b], alg.degree[b] + d)
+                vec = elem.setdefault(key, [0] * self.dims[key])
+                vec[off[key] + part.basis_index[key].index(b)] += c
+        return {k: v for k, v in elem.items() if any(v)}
+
+
 def projective_cover(m: GradedModule):
     """Minimal projective cover: returns (P, epi, generator tags).
 
-    generator tags: list of (vertex, degree) matching the summands
-    e_v Lambda <degree> of P in order.
+    P is the FormalProjective on the generator tags: a list of
+    (vertex, degree) matching the summands e_v Lambda <degree> of P in
+    order, so P.gens == tags.
     """
     alg = m.algebra
     alg.assert_split_basic()
     gens = top_data(m)
     tags = [key for key, _vec in gens]
-    P = DirectSum(alg, [projective_module(alg, v, d) for (v, d) in tags])
+    P = FormalProjective(alg, tags)
     epi = place(P, m, [(map_from_projective(part, m, {key: vec}), off, {})
                        for part, off, (key, vec) in zip(P.parts, P.offsets, gens)])
     if not epi.is_surjective():

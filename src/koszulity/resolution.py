@@ -17,46 +17,8 @@ from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import modules as mo
 
 
-class FormalProjective(mo.DirectSum):
-    """Direct sum of e_v Lambda <d>, one part per generator (v, d) in gens."""
-
-    def __init__(self, alg: GradedAlgebra, gens):
-        self.gens = list(gens)
-        super().__init__(alg, [mo.projective_module(alg, v, d) for (v, d) in self.gens])
-
-    @property
-    def rank(self) -> int:
-        return len(self.gens)
-
-    def generator_element(self, k: int) -> dict:
-        return self.embed(k, mo.generator(self.parts[k], *self.gens[k]))
-
-    def element_to_formal(self, elem: dict):
-        """Decompose an explicit element into algebra elements per generator."""
-        out = [{} for _ in self.gens]
-        for key, vec in elem.items():
-            for comp, part, off in zip(out, self.parts, self.offsets):
-                if key in off:
-                    for b, c in zip(part.basis_index[key], vec[off[key]:]):
-                        if c:
-                            comp[b] = c
-        return out
-
-    def formal_to_element(self, column) -> dict:
-        """Inverse of element_to_formal for a single formal column."""
-        alg = self.algebra
-        elem = {}
-        for (v, d), part, off, comp in zip(self.gens, self.parts, self.offsets, column):
-            for b, c in comp.items():
-                if alg.source[b] != v:
-                    raise InternalCheckError("formal entry outside projective")
-                key = (alg.target[b], alg.degree[b] + d)
-                vec = elem.setdefault(key, [0] * self.dims[key])
-                vec[off[key] + part.basis_index[key].index(b)] += c
-        return {k: v for k, v in elem.items() if any(v)}
-
-
-def formal_explicit_hom(source: FormalProjective, target: FormalProjective, columns):
+def formal_explicit_hom(source: mo.FormalProjective, target: mo.FormalProjective,
+                        columns):
     """Explicit hom for a formal matrix given as columns (per source gen)."""
     return mo.place(source, target, [
         (mo.map_from_projective(part, target, target.formal_to_element(col)), off, {})
@@ -117,7 +79,7 @@ class MinimalResolution:
         alg = self.module.algebra
         cur = self.syzygies[-1]
         if cur.is_zero():
-            self.terms.append(FormalProjective(alg, []))
+            self.terms.append(mo.FormalProjective(alg, []))
             if len(self.terms) > 1:
                 self.diff_cols.append([])
                 self.diff_homs.append(
@@ -127,30 +89,27 @@ class MinimalResolution:
                 self.eps = mo.zero_hom(self.terms[-1], self.module)
             self._extend_once_zero = True
             return
-        P, epi, tags = mo.projective_cover(cur)
-        fp = FormalProjective(alg, tags)
-        # identify: the cover produced by projective_cover matches fp part order
+        # the cover is the formal projective on its top generators, and epi
+        # sends its k-th generator to the k-th top generator of cur
+        P, epi, _tags = mo.projective_cover(cur)
         if len(self.terms) == 0:
-            # eps: fp -> M via the cover epi (same explicit module layout)
-            self.eps = mo.GradedModuleHom(fp, self.module, dict(epi.blocks))
+            self.eps = epi
             K, incl = mo.kernel_submodule(epi, name="Omega^1")
-            self.terms.append(fp)
+            self.terms.append(P)
             self._last_incl = incl
             self.syzygies.append(K)
             return
         prev_fp = self.terms[-1]
         prev_incl = self._last_incl  # K_{i-1} -> P_{i-1}
-        # fp has the cover's parts in order, so epi sends its k-th generator
-        # to the k-th top generator of cur
         cols = []
-        for k in range(fp.rank):
-            img = prev_incl.apply(epi.apply(fp.generator_element(k)))
+        for k in range(P.rank):
+            img = prev_incl.apply(epi.apply(P.generator_element(k)))
             cols.append(prev_fp.element_to_formal(img))
-        dhom = formal_explicit_hom(fp, prev_fp, cols)
+        dhom = formal_explicit_hom(P, prev_fp, cols)
         # kernel of the cover epi of cur gives next syzygy, embedded via incl
         K, incl_k = mo.kernel_submodule(epi, name=f"Omega^{len(self.terms) + 1}")
         # embed K into P_i, then push into explicit chain:
-        self.terms.append(fp)
+        self.terms.append(P)
         self.diff_cols.append(cols)
         self.diff_homs.append(dhom)
         self._last_incl = incl_k

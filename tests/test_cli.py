@@ -149,6 +149,24 @@ def test_nrep_infinite_fail_exit(capsys):
     assert code == 1
 
 
+def test_nrep_infinite_fails_at_first_spread_step(capsys):
+    # over a4 (gldim 2) nu_2^{-1} A has cohomology in degrees -2 and -1; the
+    # step's table is exact, so it settles "no" at depth 1
+    code, out, _ = run(capsys, "nrep", "--algebra", data_path("a4.alg"),
+                       "--mode", "infinite", "--n", "2", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] is False and payload["depth"] == 1
+    assert payload["reason"] == "H^-2(nu_n^-1 A) nonzero"
+
+
+def test_preprojective_rejects_spread_orbit(capsys):
+    code, _, err = run(capsys, "preprojective", "--algebra", data_path("a4.alg"),
+                       "--n", "2")
+    assert code == 2
+    assert "orbit does not stay a single stalk" in err
+
+
 def test_preprojective_dims(capsys):
     code, out, _ = run(capsys, "preprojective", "--algebra",
                        data_path("a2.alg"), "--n", "1", "--degree-max", "4")
@@ -186,6 +204,17 @@ def test_verify_exit_codes_disagree_is_not_used_for_joint_failure(capsys):
                        "--algebra", data_path("a2.alg"), "--n", "1",
                        "--i-max", "5", "--depth", "5")
     assert code == 0
+
+
+def test_verify_trivext_koszul_a4_agrees_on_failure(capsys):
+    # Delta(a4) is not 3-Koszul wrt a4, and a4 is not 2-rep-infinite
+    code, out, _ = run(capsys, "verify", "trivext-koszul",
+                       "--algebra", data_path("a4.alg"), "--n", "2", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["agree"] is True
+    assert payload["left"].endswith(": fail")
+    assert payload["right"].startswith("A 2-rep-infinite to depth 6: False ")
 
 
 @pytest.mark.parametrize("argv, recorded", [
