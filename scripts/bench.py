@@ -18,8 +18,15 @@ line counts of `src/koszulity` in both trees.
 After the pairs, one `perfbench/run.py --trace 1` run per side and
 workload, at seed 0, records whether it was correct and the exact work
 counts of WORK_COUNTS, and names the counts that differ between the sides:
-a "same work" statement read off the runs. After writing the file, the
-script exits 1 if any run, timed or traced, was not correct.
+a "same work" statement read off the runs.
+
+Last, each of DEEP_WINDOWS, two deep CLI windows, runs DEEP_RUNS times per
+side, each run in a fresh interpreter and alternating which side goes
+first. The file records the wall time, the peak RSS (reaped with wait4)
+and the exit code of every run, and whether both sides printed the same
+stdout. After writing the file, the script exits 1 if any run, timed or
+traced, was not correct, or if a deep window's stdout differs between the
+sides.
 
 The script changes nothing under `perfbench/`; it only reads the last line
 run.py prints.
@@ -35,6 +42,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +52,16 @@ SIDES = ("parent", "change")
 # Exact work counts of a traced run: the same inputs give the same values.
 WORK_COUNTS = ("linalg.rref.calls", "linalg.rref.cells", "resolution.proj_rank_total",
                "modules.is_isomorphic.calls", "modules.hom_space.calls")
+# Deep windows of the CLI, timed outside perfbench, and the runs per side.
+TILTING = [f"tests/data/T{k}.mod" for k in range(1, 5)]
+DEEP_WINDOWS = {
+    "trivext-dual-d6": ["verify", "trivext-dual", "--algebra", "tests/data/kron.alg",
+                        "--n", "1", "--degree-max", "6"],
+    "ext-i30": ["ext", "--algebra", "tests/data/a4.alg", "--trivext", "--n", "2",
+                "--i-max", "30", *[x for t in TILTING for x in ("--M", t)],
+                *[x for t in TILTING for x in ("--N", t)]],
+}
+DEEP_RUNS = 3
 
 
 def git(*args) -> str:
@@ -88,6 +106,49 @@ def traced_work(trees: dict, workload: str) -> dict:
                      **{k: run["metrics"][k] for k in WORK_COUNTS}}
     out["changed"] = [k for k in WORK_COUNTS
                       if out["parent"][k] != out["change"][k]]
+    return out
+
+
+def run_cli(tree: Path, argv) -> tuple:
+    """(costs, stdout) of `python3 -m koszulity.cli argv` in a fresh
+    interpreter in tree; the child is reaped with wait4 for its rusage."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "koszulity.cli", *argv],
+                            cwd=tree, env=env, stdin=subprocess.DEVNULL,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    with proc.stdout:
+        out = proc.stdout.read()
+    _pid, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024,
+            "exit": proc.returncode}, out
+
+
+def deep_windows(trees: dict) -> dict:
+    """DEEP_RUNS alternating runs per side of each deep window."""
+    out = {}
+    for name, argv in DEEP_WINDOWS.items():
+        runs = []
+        for k in range(DEEP_RUNS):
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            record, stdout = {"first": order[0]}, {}
+            for side in order:
+                record[side], stdout[side] = run_cli(trees[side], argv)
+            record["stdout_equal"] = stdout["parent"] == stdout["change"]
+            runs.append(record)
+            print(f"deep {name} run {k}: " + ", ".join(
+                f"{side} wall_s {record[side]['wall_s']:.3f}" for side in SIDES),
+                file=sys.stderr)
+        out[name] = {
+            "command": "python3 -m koszulity.cli " + " ".join(argv),
+            "median": {side: {m: statistics.median(r[side][m] for r in runs)
+                              for m in ("wall_s", "peak_rss_mb")}
+                       for side in SIDES},
+            "stdout_equal": all(r["stdout_equal"] for r in runs),
+            "runs": runs,
+        }
     return out
 
 
@@ -145,6 +206,7 @@ def main(argv=None) -> int:
                     f"{side} wall_s {record[side]['metrics']['wall_s']:.3f}"
                     for side in SIDES), file=sys.stderr)
         traced = {w: traced_work(trees, w) for w in workloads}
+        deep = deep_windows(trees)
         loc = {side: source_lines(trees[side]) for side in SIDES}
     report = {
         **shas,
@@ -158,6 +220,7 @@ def main(argv=None) -> int:
         "workloads": {w: {"summary": summarize(runs[w]), "traced": traced[w],
                           "runs": runs[w]}
                       for w in workloads},
+        "deep_windows": deep,
     }
     (ROOT / args.out).write_text(json.dumps(report, indent=1) + "\n",
                                  encoding="utf-8")
@@ -165,6 +228,8 @@ def main(argv=None) -> int:
                  for r in runs[w] for side in SIDES if not r[side]["correct"]]
     incorrect += [f"{w} {side} traced" for w in workloads
                   for side in SIDES if not traced[w][side]["correct"]]
+    incorrect += [f"{name} stdout differs" for name, d in deep.items()
+                  if not d["stdout_equal"]]
     if incorrect:
         print("runs not correct: " + ", ".join(incorrect), file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, candidate_combinations
+from .linalg import Matrix, candidate_combinations, exact
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 
 
@@ -167,14 +167,9 @@ def _nakayama_from_gram(alg: GradedAlgebra, g: Matrix) -> GradedAlgebraMorphism:
     ginv = g.inverse()
     if ginv is None:
         raise InternalCheckError("gram matrix not invertible")
-    images = {}
-    for x in range(alg.dim):
-        rhs = [g.data[x][y] for y in range(alg.dim)]
-        # solve sum_z u_z f(y z) = f(x y) for all y
-        u = g.solve(rhs)
-        if u is None:
-            raise InternalCheckError("nakayama system inconsistent")
-        images[x] = {z: c for z, c in enumerate(u) if c}
+    # u solves sum_z u_z f(y z) = f(x y) for all y: u = g^{-1} (row x of g)
+    images = {x: {z: exact(c) for z, c in enumerate(ginv.apply(g.data[x])) if c}
+              for x in range(alg.dim)}
     return GradedAlgebraMorphism(alg, alg, images)
 
 

@@ -515,7 +515,32 @@ class PreprojectiveData:
     algebra: TruncatedGradedAlgebra
     chains: dict       # vertex -> list of Piece per degree (single-stalk)
     n: int
+    index: dict        # (degree, u, v, c) -> position in the degree's basis
     flags: list = field(default_factory=list)
+
+
+def _transport_step(a: GradedAlgebra, h: mo.GradedModuleHom, src: Piece,
+                    tgt: Piece, nxt_src: Piece, nxt_tgt: Piece, flags: list):
+    """One orbit step: h: src.module -> tgt.module goes to nu_n^{-1}(h):
+    nxt_src.module -> nxt_tgt.module."""
+    zero = mo.zero_hom(nxt_src.module, nxt_tgt.module)
+    if (h.is_zero() or nxt_src.module.is_zero() or nxt_tgt.module.is_zero()
+            or src.shift != tgt.shift):
+        return zero
+    comps = transport_stalk_hom(a, h, src, tgt)
+    if nxt_src.shift != nxt_tgt.shift:
+        # the image can only be a shifted-degree class; certify that no such
+        # class exists, else record a completeness flag
+        delta = nxt_src.shift - nxt_tgt.shift
+        if delta > 0:
+            eres = rs.MinimalResolution(nxt_src.module)
+            if rs.ext_group(eres, nxt_tgt.module, delta, 0).dim:
+                flags.append(
+                    f"dropped a possible degree-{delta} extension "
+                    f"component in orbit transport"
+                )
+        return zero
+    return comps.get(-nxt_src.shift, zero)
 
 
 def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
@@ -545,9 +570,11 @@ def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
                 chain.append(outs[0])
         chains[v] = chain
 
-    # basis of degree d: for orbit u, the (v, 0) block of the shift-0 stalk
+    # basis of degree d: for orbit u, the (v, 0) block of the shift-0 stalk;
+    # homs[(d, u)] lists its (v, c, index) in index order
     basis = {}
     index = {}
+    homs = {}
     for d in range(d_max + 1):
         items = []
         for u in a.vertices:
@@ -558,12 +585,15 @@ def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
                 cnt = piece.module.block_dim(v, 0)
                 for c in range(cnt):
                     index[(d, u, v, c)] = len(items)
+                    homs.setdefault((d, u), []).append((v, c, len(items)))
                     items.append((u, v, f"p[{d}]({u}<-{v}){c}"))
         basis[d] = items
 
-    # products: f in degree d1 block (u, v) given by an element of
-    # M_{d1}^{(u)} at (v, 0); f . g = T^{d2}(f) o g with T the stepwise
-    # transport of homs along the orbit chains.
+    # products: f in degree d1 block (u, v) is the hom e_v A -> M_{d1}^{(u)}
+    # sending e_v to basis vector c1 of the (v, 0) block. With T the
+    # stepwise transport of homs along the orbit chains, f . g = T^{d2}(f) o g
+    # for g = (d2, v, w, c2), and g(e_w) is basis vector c2 of the (w, 0)
+    # block, so f . g is column c2 of the (w, 0) block of T^{d2}(f).
     products = {}
     unit = {}
     flags = []
@@ -573,82 +603,34 @@ def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
             a.idempotent_index(u))
         unit[index[(0, u, u, gen_pos)]] = 1
 
-    transport_cache = {}
-
-    def hom_of_basis(d, u, v, c):
-        """The module hom e_v A -> chains[u][d] for basis element c."""
-        module = chains[u][d].module
-        return mo.map_from_projective(mo.projective_module(a, v), module,
-                                      module.unit_vector((v, 0), c))
-
-    def transported(d1, u, v, c, d2):
-        """T^{d2}(basis hom): chains[v][d2].module -> chains[u][d1+d2].module."""
-        key = (d1, u, v, c, d2)
-        if key in transport_cache:
-            return transport_cache[key]
-        h = hom_of_basis(d1, u, v, c)
-        for step in range(d2):
-            src_piece = chains[v][step]
-            tgt_piece = chains[u][d1 + step]
-            nxt_src = chains[v][step + 1]
-            nxt_tgt = chains[u][d1 + step + 1]
-            if h.is_zero() or nxt_src.module.is_zero() or nxt_tgt.module.is_zero():
-                h = mo.zero_hom(nxt_src.module, nxt_tgt.module)
-                continue
-            if src_piece.shift != tgt_piece.shift:
-                h = mo.zero_hom(nxt_src.module, nxt_tgt.module)
-                continue
-            comps = transport_stalk_hom(a, h, src_piece, tgt_piece)
-            pos = -nxt_src.shift
-            if nxt_src.shift != nxt_tgt.shift:
-                # the image can only be a shifted-degree class; certify that
-                # no such class exists, else record a completeness flag
-                delta = nxt_src.shift - nxt_tgt.shift
-                if delta > 0:
-                    eres = rs.MinimalResolution(nxt_src.module)
-                    if rs.ext_group(eres, nxt_tgt.module, delta, 0).dim:
-                        flags.append(
-                            f"dropped a possible degree-{delta} extension "
-                            f"component in orbit transport"
-                        )
-                h = mo.zero_hom(nxt_src.module, nxt_tgt.module)
-            else:
-                h = comps.get(pos,
-                              mo.zero_hom(nxt_src.module, nxt_tgt.module))
-        transport_cache[key] = h
-        return h
-
-    for d1 in range(d_max + 1):
-        for d2 in range(d_max + 1 - d1):
-            for (dd1, u, v, c1), i_f in index.items():
-                if dd1 != d1:
-                    continue
-                for (dd2, v2, w, c2), i_g in index.items():
-                    if dd2 != d2 or v2 != v:
-                        continue
-                    tf = transported(d1, u, v, c1, d2)
-                    g = hom_of_basis(d2, v, w, c2)
-                    comp = tf.compose(g)
-                    # evaluate at the generator e_w to get the element
-                    val = comp.apply(mo.generator(comp.domain, w))
-                    entry = {}
-                    for key2, vec2 in val.items():
-                        if key2[1] != 0:
-                            raise InternalCheckError("product value off degree 0")
-                        for t, x in enumerate(vec2):
-                            if x:
-                                pk = (d1 + d2, u, key2[0], t)
-                                if pk not in index:
-                                    raise InternalCheckError(
-                                        "nonzero product lands in a shifted piece"
-                                    )
-                                entry[index[pk]] = x
-                    if entry:
-                        products[((d1, i_f), (d2, i_g))] = entry
+    for (d1, u, v, c1), i_f in index.items():
+        target = chains[u][d1].module
+        h = mo.map_from_projective(mo.projective_module(a, v), target,
+                                   target.unit_vector((v, 0), c1))
+        last = max(d2 for d2 in range(d_max + 1 - d1) if (d2, v) in homs)
+        for d2 in range(last + 1):
+            if d2:
+                h = _transport_step(a, h, chains[v][d2 - 1], chains[u][d1 + d2 - 1],
+                                    chains[v][d2], chains[u][d1 + d2], flags)
+            for w, c2, i_g in homs.get((d2, v), ()):
+                entry = {}
+                for key2, vec2 in h.apply(h.domain.unit_vector((w, 0), c2)).items():
+                    if key2[1] != 0:
+                        raise InternalCheckError("product value off degree 0")
+                    for t, x in enumerate(vec2):
+                        if x:
+                            pk = (d1 + d2, u, key2[0], t)
+                            if pk not in index:
+                                raise InternalCheckError(
+                                    "nonzero product lands in a shifted piece"
+                                )
+                            entry[index[pk]] = x
+                if entry:
+                    products[((d1, i_f), (d2, i_g))] = entry
     G = TruncatedGradedAlgebra(name, d_max, list(a.vertices), basis, products,
                                unit)
     G.check()
-    return PreprojectiveData(G, chains, n, flags)
+    return PreprojectiveData(G, chains, n, index, flags)
 
 
 # ---------------------------------------------------------------------------

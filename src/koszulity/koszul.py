@@ -329,6 +329,7 @@ class StableEndData:
     reps: dict           # (a_tag_idx, b_tag_idx) -> list of hom reps
     reducers: dict
     tilde: TTilde
+    index: dict          # (a_tag_idx, b_tag_idx, rep) -> basis index of B
     gamma: dict | None = None    # basis index -> (degree, coords) in the dual
 
 
@@ -406,7 +407,7 @@ def stable_endomorphism_algebra(alg: GradedAlgebra, tilde: TTilde,
         vertices=list(tags),
     )
     B.validate()
-    return StableEndData(B, reps, reducers, tilde)
+    return StableEndData(B, reps, reducers, tilde, index)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +472,7 @@ def gamma_block_map(bdata: StableEndData, dual: tr.DualData,
             syz_cache[key] = SyzygyChain(mod)
         return syz_cache[key]
 
-    for (a1, b1, c1), idx in _b_index(bdata).items():
+    for (a1, b1, c1), idx in bdata.index.items():
         f = bdata.reps[(a1, b1)][c1]
         (s, j) = tilde.tags[b1]
         (s2, i) = tilde.tags[a1]
@@ -516,24 +517,6 @@ def gamma_block_map(bdata: StableEndData, dual: tr.DualData,
         gamma[idx] = ((i - j, s, s2), coords)
     bdata.gamma = gamma
     return gamma
-
-
-def _b_index(bdata: StableEndData):
-    """Rebuild the (a, b, c) -> basis index map of B."""
-    tilde = bdata.tilde
-    t = len(tilde.parts)
-    index = {}
-    pos = 0
-    for a_i in range(t):
-        index[(a_i, a_i, 0)] = pos
-        pos += 1
-    for a_i in range(t):
-        for b_i in range(t):
-            start = 1 if a_i == b_i else 0
-            for c in range(start, len(bdata.reps[(a_i, b_i)])):
-                index[(a_i, b_i, c)] = pos
-                pos += 1
-    return index
 
 
 # ---------------------------------------------------------------------------

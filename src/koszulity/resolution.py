@@ -59,63 +59,44 @@ def compose_formal(alg: GradedAlgebra, a_cols, a_rank, b_cols):
 
 
 class MinimalResolution:
-    """Minimal projective resolution built by iterated covers and kernels."""
+    """Minimal projective resolution built by iterated covers and kernels.
+
+    d_i is the kernel inclusion Omega^i M -> P_{i-1} after the cover epi
+    P_i -> Omega^i M; a zero syzygy gets the rank-0 cover, and the
+    resolution stops there.
+    """
 
     def __init__(self, m: mo.GradedModule):
         self.module = m
         self.terms = []       # FormalProjective per homological degree
-        self.diff_cols = []   # diff_cols[i]: columns of d_i : P_i -> P_{i-1}, i>=1
+        self.diff_cols = []   # diff_cols[i]: columns of d_{i+1} : P_{i+1} -> P_i
         self.diff_homs = [None]  # explicit homs, diff_homs[i] for i>=1
         self.eps = None
         self.syzygies = [m]   # syzygies[i] = Omega^i M (no stripping here)
-        self._extend_once_zero = False
+        self._last_incl = None  # Omega^i M -> P_{i-1} for the last syzygy
 
     def extend(self, upto: int):
-        while len(self.terms) <= upto and not self._extend_once_zero:
+        while len(self.terms) <= upto and (not self.terms or self.terms[-1].rank):
             self._step()
         return self
 
     def _step(self):
-        alg = self.module.algebra
-        cur = self.syzygies[-1]
-        if cur.is_zero():
-            self.terms.append(mo.FormalProjective(alg, []))
-            if len(self.terms) > 1:
-                self.diff_cols.append([])
-                self.diff_homs.append(
-                    mo.zero_hom(self.terms[-1], self.terms[-2])
-                )
-            else:
-                self.eps = mo.zero_hom(self.terms[-1], self.module)
-            self._extend_once_zero = True
-            return
         # the cover is the formal projective on its top generators, and epi
-        # sends its k-th generator to the k-th top generator of cur
-        P, epi, _tags = mo.projective_cover(cur)
-        if len(self.terms) == 0:
+        # sends its k-th generator to the k-th top generator of the syzygy;
+        # its kernel lies in the radical of P, so the resolution is minimal
+        i = len(self.terms)
+        P, epi, _tags = mo.projective_cover(self.syzygies[-1])
+        K, incl = mo.kernel_submodule(epi, name=f"Omega^{i + 1}")
+        if i == 0:
             self.eps = epi
-            K, incl = mo.kernel_submodule(epi, name="Omega^1")
-            self.terms.append(P)
-            self._last_incl = incl
-            self.syzygies.append(K)
-            return
-        prev_fp = self.terms[-1]
-        prev_incl = self._last_incl  # K_{i-1} -> P_{i-1}
-        cols = []
-        for k in range(P.rank):
-            img = prev_incl.apply(epi.apply(P.generator_element(k)))
-            cols.append(prev_fp.element_to_formal(img))
-        dhom = formal_explicit_hom(P, prev_fp, cols)
-        # kernel of the cover epi of cur gives next syzygy, embedded via incl
-        K, incl_k = mo.kernel_submodule(epi, name=f"Omega^{len(self.terms) + 1}")
-        # embed K into P_i, then push into explicit chain:
+        else:
+            dhom = self._last_incl.compose(epi)
+            self.diff_homs.append(dhom)
+            self.diff_cols.append([self.terms[-1].element_to_formal(
+                dhom.apply(P.generator_element(k))) for k in range(P.rank)])
         self.terms.append(P)
-        self.diff_cols.append(cols)
-        self.diff_homs.append(dhom)
-        self._last_incl = incl_k
+        self._last_incl = incl
         self.syzygies.append(K)
-        # minimality: syzygy contained in the radical of the cover
-        # (guaranteed by top-based construction)
 
     def term_gens(self, i: int):
         return self.terms[i].gens if i < len(self.terms) else []
@@ -444,19 +425,9 @@ def gldim_upto(a0: GradedAlgebra, bound: int) -> GldimResult:
     """Global dimension via minimal resolutions of the simple modules."""
     worst = 0
     for v in a0.vertices:
-        s = mo.simple_module(a0, v, 0)
-        res = MinimalResolution(s)
-        res.extend(bound + 1)
-        pd = None
-        for i in range(len(res.terms)):
-            if res.terms[i].rank == 0:
-                pd = i - 1
-                break
+        pd, _res = projective_dimension_upto(mo.simple_module(a0, v, 0), bound)
         if pd is None:
-            if res.syzygies[-1].is_zero():
-                pd = len(res.terms) - 1
-            else:
-                return GldimResult(None, True, bound)
+            return GldimResult(None, True, bound)
         worst = max(worst, pd)
     return GldimResult(worst, False, bound)
 

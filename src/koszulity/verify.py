@@ -155,10 +155,9 @@ def dual_phi0_from_pp(pp: hd.PreprojectiveData, a0: GradedAlgebra,
         raise InputError("degree-0 dimensions differ")
     mat = Matrix.zero(n0, G.dim(0))
     pos_of_vertex = {v: i for i, v in enumerate(a0.vertices)}
-    counters = {}
-    for col, (u, v, _lab) in enumerate(G.basis[0]):
-        c = counters.get((u, v), 0)
-        counters[(u, v)] = c + 1
+    for (d, u, v, c), col in pp.index.items():
+        if d:
+            continue
         x = pp.chains[u][0].module.basis_index[(v, 0)][c]
         i, j = pos_of_vertex[v], pos_of_vertex[u]
         lm = hd.left_mult_hom(a0, v, u, {x: 1})
@@ -271,18 +270,13 @@ def _phi0_blocks(bdata: ko.StableEndData, dual: tr.DualData, target,
     lookup = {}
     for p, (s_tag, t_tag, lab) in enumerate(target.basis.get(0, [])):
         lookup[lab] = p
-    index_b = ko._b_index(bdata)
-    gamma_of_b = {}
-    tag_level = {}
-    for (a1, b1, c1), bidx in index_b.items():
-        gamma_of_b[bidx] = bdata.gamma[bidx]
-        tag_level[bidx] = (bdata.tilde.tags[b1][1], bdata.tilde.tags[a1][1])
-    counters = {}
-    for col, (u, v, _lab) in enumerate(G.basis[0]):
-        c = counters.get((u, v), 0)
-        counters[(u, v)] = c + 1
+    tag_level = {bidx: (bdata.tilde.tags[b1][1], bdata.tilde.tags[a1][1])
+                 for (a1, b1, _c), bidx in bdata.index.items()}
+    for (d, u, v, c), col in pp.index.items():
+        if d:
+            continue
         bidx = pp.chains[u][0].module.basis_index[(v, 0)][c]
-        (dd, s, s2), coords = gamma_of_b[bidx]
+        (dd, s, s2), coords = bdata.gamma[bidx]
         j, i = tag_level[bidx]
         for cc, coeff in enumerate(coords):
             di = dual.index[(dd, s, s2, cc)]

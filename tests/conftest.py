@@ -38,6 +38,58 @@ def hom_space_with_constraints(m, n, constraints):
     return None if coeffs is None else mo.linear_combination(m, n, basis, coeffs)
 
 
+def preprojective_products_by_restart(a, pp):
+    """Reference product table of a `hd.PreprojectiveData`: for every pair
+    f = (d1, u, v, c1), g = (d2, v, w, c2) of basis homs, transport f from
+    step 0 along the orbit chains for d2 steps, compose with g and evaluate
+    at the generator e_w.
+
+    The package transports each f once, one step at a time, and reads every
+    product with it off a column of the running transport; tests compare
+    the two.
+    """
+    from koszulity import hereditary as hd
+
+    chains, index = pp.chains, pp.index
+    transported = {}
+
+    def hom_of_basis(d, u, v, c):
+        module = chains[u][d].module
+        return mo.map_from_projective(mo.projective_module(a, v), module,
+                                      module.unit_vector((v, 0), c))
+
+    def transport(d1, u, v, c, d2):
+        key = (d1, u, v, c, d2)
+        if key not in transported:
+            h = hom_of_basis(d1, u, v, c)
+            for step in range(d2):
+                src, tgt = chains[v][step], chains[u][d1 + step]
+                nxt_src, nxt_tgt = chains[v][step + 1], chains[u][d1 + step + 1]
+                zero = mo.zero_hom(nxt_src.module, nxt_tgt.module)
+                if (h.is_zero() or nxt_src.module.is_zero()
+                        or nxt_tgt.module.is_zero() or src.shift != tgt.shift
+                        or nxt_src.shift != nxt_tgt.shift):
+                    h = zero
+                else:
+                    h = hd.transport_stalk_hom(a, h, src, tgt).get(
+                        -nxt_src.shift, zero)
+            transported[key] = h
+        return transported[key]
+
+    products = {}
+    for (d1, u, v, c1), i_f in index.items():
+        for (d2, v2, w, c2), i_g in index.items():
+            if v2 != v or d1 + d2 > pp.algebra.cutoff:
+                continue
+            comp = transport(d1, u, v, c1, d2).compose(hom_of_basis(d2, v, w, c2))
+            val = comp.apply(mo.generator(comp.domain, w))
+            entry = {index[(d1 + d2, u, key[0], t)]: x
+                     for key, vec in val.items() for t, x in enumerate(vec) if x}
+            if entry:
+                products[((d1, i_f), (d2, i_g))] = entry
+    return products
+
+
 def rel(*paths):
     """Zero relation from one or more (coeff, path) terms given as strings."""
     terms = []

@@ -9,7 +9,7 @@ from koszulity.algebra import InternalCheckError
 from koszulity.linalg import Matrix
 from koszulity import modules as mo
 from koszulity import hereditary as hd
-from conftest import hom_space_with_constraints
+from conftest import hom_space_with_constraints, preprojective_products_by_restart
 
 
 # ---------------------------------------------------------------------------
@@ -469,3 +469,14 @@ def test_derived_route_is_pinned(a4, a2, kron):
         digest = hashlib.sha256(dump.encode()).hexdigest()
         assert digest == PINNED_PREPROJECTIVE_SHA256[(alg.name, d_max)]
 
+
+
+def test_preprojective_products_match_restarted_transport(kron, a2, point):
+    """One running transport per basis hom gives the same product table as
+    restarting the transport for every pair, and raises no flag."""
+    for alg, n, d_max in ((kron, 1, 5), (a2, 1, 4), (kron, 2, 3), (a2, 2, 3),
+                          (point, 1, 3)):
+        pp = hd.preprojective_algebra(alg, n, d_max)
+        assert pp.algebra.products == preprojective_products_by_restart(alg, pp), \
+            (alg.name, n, d_max)
+        assert pp.flags == []

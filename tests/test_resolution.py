@@ -215,3 +215,36 @@ def test_formal_coordinates_round_trip_on_resolution_terms(t_summands):
                 formal = fp.element_to_formal(fp.generator_element(k))
                 e_v = t.algebra.idempotent_index(v)
                 assert formal == [{e_v: 1} if j == k else {} for j in range(fp.rank)]
+
+
+def _check_differentials(res):
+    """Each d_i = incl o epi equals the hom its formal columns give."""
+    for i in range(1, len(res.terms)):
+        formal = rs.formal_explicit_hom(res.terms[i], res.terms[i - 1],
+                                        res.diff_cols[i - 1])
+        assert res.diff_homs[i].blocks == formal.blocks, i
+
+
+def test_differentials_match_formal_columns(delta_a4, t_summands, delta_kron):
+    res = rs.MinimalResolution(mo.DirectSum(delta_a4, t_summands)).extend(6)
+    assert len(res.terms) == 7
+    _check_differentials(res)
+    for v in delta_kron.vertices:
+        res = rs.MinimalResolution(mo.simple_module(delta_kron, v)).extend(4)
+        _check_differentials(res)
+
+
+def test_resolution_stops_after_rank_zero_term(delta_a4):
+    res = rs.MinimalResolution(mo.zero_module(delta_a4)).extend(5)
+    assert [t.rank for t in res.terms] == [0]
+    assert res.eps.is_zero() and res.eps.codomain is res.module
+    assert res.diff_cols == [] and res.diff_homs == [None]
+
+    P = mo.projective_module(delta_a4, 1)
+    res = rs.MinimalResolution(P).extend(5)
+    assert [t.gens for t in res.terms] == [[(1, 0)], []]
+    assert res.eps.is_isomorphism()
+    assert res.diff_cols == [[]] and res.diff_homs[1].is_zero()
+    _check_differentials(res)
+    assert rs.projective_dimension_upto(P, 5)[0] == 0
+    assert rs.projective_dimension_upto(mo.zero_module(delta_a4), 5)[0] == -1
