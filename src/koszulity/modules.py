@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .linalg import (EchelonBasis, Matrix, _inexact, candidate_combinations,
                      complement_basis, exact, kernel_vectors, solve_combination)
@@ -1062,6 +1063,12 @@ def socle_spans(m: GradedModule):
     return {k: v for k, v in out.items() if v}
 
 
+# The zero entry of every formal column: most entries of a resolution's
+# differential are zero, and one shared read-only mapping keeps them from
+# holding a dict each.
+_ZERO_ENTRY = MappingProxyType({})
+
+
 class FormalProjective(DirectSum):
     """Direct sum of e_v Lambda <d>, one part per generator (v, d) in gens."""
 
@@ -1085,7 +1092,7 @@ class FormalProjective(DirectSum):
                     for b, c in zip(part.basis_index[key], vec[off[key]:]):
                         if c:
                             comp[b] = c
-        return out
+        return [comp or _ZERO_ENTRY for comp in out]
 
     def formal_to_element(self, column) -> dict:
         """Inverse of element_to_formal for a single formal column."""
