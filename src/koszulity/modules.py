@@ -612,10 +612,12 @@ def hom_space(m: GradedModule, n: GradedModule):
     if m.algebra is not n.algebra and m.algebra.labels != n.algebra.labels:
         raise InputError("hom_space requires the same base algebra")
     # Keyed by id(n) and keeping n alive beside the result, so no id is reused.
+    # The memo holds the sparse kernel, not the homs: a hom refers back to m,
+    # so a memo of homs would keep a short-lived m in a reference cycle.
     memo_key = ("hom_space", id(n))
     hit = m.memo.get(memo_key)
     if hit is not None and hit[0] is n:
-        return list(hit[1])
+        return [hom_unflatten(m, n, hit[1], v) for v in hit[2]]
     alg = m.algebra
     layout, total = hom_frame(m, n)
     if total == 0:
@@ -655,9 +657,8 @@ def hom_space(m: GradedModule, n: GradedModule):
                                 row[col] = row.get(col, 0) - c
                     equations.add(row)
     kernel = kernel_vectors(equations.rows, total)
-    out = [hom_unflatten(m, n, layout, v) for v in kernel]
-    m.memo[memo_key] = (n, out)
-    return list(out)
+    m.memo[memo_key] = (n, layout, kernel)
+    return [hom_unflatten(m, n, layout, v) for v in kernel]
 
 
 def _values(elems, index) -> dict:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -401,3 +403,20 @@ def test_dual_shifted_is_isomorphic_to_regular_for_frobenius(delta_a2):
     dual = mo.shift_module(mo.graded_dual_module(delta_a2), 1)
     v = mo.is_isomorphic(reg, dual)
     assert v.isomorphic
+
+
+def test_hom_space_memo_does_not_keep_its_module_alive(delta_a4, t_summands):
+    """A repeated hom_space gives equal homs, and the memo holds no
+    reference cycle: a module dies with its last reference, without the
+    cyclic garbage collector."""
+    gc.disable()
+    try:
+        m = mo.DirectSum(delta_a4, t_summands[:2])
+        homs = mo.hom_space(m, t_summands[0])
+        again = mo.hom_space(m, t_summands[0])
+        assert homs and [h.blocks for h in again] == [h.blocks for h in homs]
+        ref = weakref.ref(m)
+        del m, homs, again
+        assert ref() is None
+    finally:
+        gc.enable()
