@@ -51,17 +51,17 @@ def preprojective_products_by_restart(a, pp):
     from koszulity import hereditary as hd
 
     chains, index = pp.chains, pp.index
-    transported = {}
+    lifts = {}
 
-    def hom_of_basis(d, u, v, c):
+    def basis_hom(d, u, v, c):
         module = chains[u][d].module
         return mo.map_from_projective(mo.projective_module(a, v), module,
                                       module.unit_vector((v, 0), c))
 
     def transport(d1, u, v, c, d2):
         key = (d1, u, v, c, d2)
-        if key not in transported:
-            h = hom_of_basis(d1, u, v, c)
+        if key not in lifts:
+            h = basis_hom(d1, u, v, c)
             for step in range(d2):
                 src, tgt = chains[v][step], chains[u][d1 + step]
                 nxt_src, nxt_tgt = chains[v][step + 1], chains[u][d1 + step + 1]
@@ -73,15 +73,15 @@ def preprojective_products_by_restart(a, pp):
                 else:
                     h = hd.transport_stalk_hom(a, h, src, tgt).get(
                         -nxt_src.shift, zero)
-            transported[key] = h
-        return transported[key]
+            lifts[key] = h
+        return lifts[key]
 
     products = {}
     for (d1, u, v, c1), i_f in index.items():
         for (d2, v2, w, c2), i_g in index.items():
             if v2 != v or d1 + d2 > pp.algebra.cutoff:
                 continue
-            comp = transport(d1, u, v, c1, d2).compose(hom_of_basis(d2, v, w, c2))
+            comp = transport(d1, u, v, c1, d2).compose(basis_hom(d2, v, w, c2))
             val = comp.apply(mo.generator(comp.domain, w))
             entry = {index[(d1 + d2, u, key[0], t)]: x
                      for key, vec in val.items() for t, x in enumerate(vec) if x}
