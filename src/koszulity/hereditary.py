@@ -102,11 +102,22 @@ def transport_sum_hom(src: LabeledSum, tgt: LabeledSum, h: mo.GradedModuleHom,
     pieces = []
     for i, (v, p, off_p) in enumerate(zip(src.labels, src.parts, src.offsets)):
         for j, (w, q, off_q) in enumerate(zip(tgt.labels, tgt.parts, tgt.offsets)):
-            comp = mo.slice_hom(h, p, off_p, q, off_q)
-            if not comp.is_zero():
+            if _meets(h, p, off_p, q, off_q):
+                comp = mo.slice_hom(h, p, off_p, q, off_q)
                 pieces.append((move(src.algebra, v, w, comp),
                                src_to.offsets[i], tgt_to.offsets[j]))
     return mo.place(src_to, tgt_to, pieces)
+
+
+def _meets(h, p, off_p, q, off_q) -> bool:
+    """Whether h has a nonzero entry in the rectangle `mo.slice_hom` reads."""
+    for key, mat in h.blocks.items():
+        nr, nc = q.block_dim(*key), p.block_dim(*key)
+        if nr and nc:
+            r0, c0 = off_q.get(key, 0), off_p.get(key, 0)
+            if any(any(row[c0:c0 + nc]) for row in mat.data[r0:r0 + nr]):
+                return True
+    return False
 
 
 def identify_injective(a: GradedAlgebra, m: mo.GradedModule, rng=None):

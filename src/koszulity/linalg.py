@@ -144,11 +144,13 @@ class Matrix:
             raise ValueError("vector length mismatch")
         if float in map(type, vec):
             raise _inexact(vec)
+        nz = [(j, v) for j, v in enumerate(vec) if v]
         out = []
         for row in self.data:
             s = 0
-            for a, v in zip(row, vec):
-                if a and v:
+            for j, v in nz:
+                a = row[j]
+                if a:
                     s += a * v
             out.append(s)
         return out

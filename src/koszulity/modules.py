@@ -609,6 +609,14 @@ def hom_space(m: GradedModule, n: GradedModule):
     Results are cached per module pair; modules are immutable after
     construction so the cache stays valid.
     """
+    layout, kernel = _hom_kernel(m, n)
+    return [hom_unflatten(m, n, layout, v) for v in kernel]
+
+
+def _hom_kernel(m: GradedModule, n: GradedModule):
+    """(layout, vectors): `hom_space` as sparse vectors in the hom_frame
+    layout. A vector has no zero entry, so hom_flatten of its hom is itself.
+    """
     if m.algebra is not n.algebra and m.algebra.labels != n.algebra.labels:
         raise InputError("hom_space requires the same base algebra")
     # Keyed by id(n) and keeping n alive beside the result, so no id is reused.
@@ -617,11 +625,11 @@ def hom_space(m: GradedModule, n: GradedModule):
     memo_key = ("hom_space", id(n))
     hit = m.memo.get(memo_key)
     if hit is not None and hit[0] is n:
-        return [hom_unflatten(m, n, hit[1], v) for v in hit[2]]
+        return hit[1], hit[2]
     alg = m.algebra
     layout, total = hom_frame(m, n)
     if total == 0:
-        return []
+        return layout, []
     pos = {key: (off, m.dims[key], n.dims[key]) for key, off, _ in layout}
     equations = EchelonBasis()
     gens = alg.generating_set()
@@ -658,7 +666,7 @@ def hom_space(m: GradedModule, n: GradedModule):
                     equations.add(row)
     kernel = kernel_vectors(equations.rows, total)
     m.memo[memo_key] = (n, layout, kernel)
-    return [hom_unflatten(m, n, layout, v) for v in kernel]
+    return layout, kernel
 
 
 def _values(elems, index) -> dict:
@@ -1246,19 +1254,15 @@ def stable_hom(m: GradedModule, n: GradedModule, prefer=None):
     reducer(h) gives coordinates of the class of h in the quotient basis.
     Homs in `prefer` are tried first as representatives.
     """
-    H = hom_space(m, n)
+    layout, H = _hom_kernel(m, n)
     if not H:
         return 0, [], lambda h: []
     P, epi, tags = projective_cover(n)
-    F = []
-    if tags:
-        for u in hom_space(m, P):
-            F.append(epi.compose(u))
-    layout, _total = hom_frame(m, n)
-    basis = EchelonBasis(hom_flatten(h, layout) for h in F)
+    basis = EchelonBasis(hom_flatten(epi.compose(u), layout)
+                         for u in (hom_space(m, P) if tags else []))
     frank = basis.rank
-    reps = [h for h in (list(prefer) if prefer else []) + H
-            if basis.add(hom_flatten(h, layout))]
+    reps = [h for h in prefer or () if basis.add(hom_flatten(h, layout))]
+    reps += [hom_unflatten(m, n, layout, v) for v in H if basis.add(v)]
     qdim = basis.rank - frank
 
     def reducer(h):
@@ -1294,12 +1298,10 @@ def is_isomorphic(m: GradedModule, n: GradedModule, rng=None):
             return IsoVerdict(False, True, reason="graded dimension vectors differ")
     if m.is_zero():
         return IsoVerdict(True, True, certificate=zero_hom(m, n))
-    H = hom_space(m, n)
+    layout, H = _hom_kernel(m, n)
     if not H:
         return IsoVerdict(False, True, reason="no nonzero homomorphisms")
-    layout, _total = hom_frame(m, n)
-    for vec in candidate_combinations([hom_flatten(h, layout) for h in H], rng,
-                                      ISO_SAMPLES):
+    for vec in candidate_combinations(H, rng, ISO_SAMPLES):
         h = hom_unflatten(m, n, layout, vec)
         if h.is_isomorphism():
             return IsoVerdict(True, True, certificate=h)
@@ -1312,9 +1314,9 @@ def is_isomorphic(m: GradedModule, n: GradedModule, rng=None):
 
 def endomorphism_table(m: GradedModule):
     """Basis of End(M) and structure constants of composition."""
-    E = hom_space(m, m)
-    layout, _total = hom_frame(m, m)
-    basis = EchelonBasis(hom_flatten(h, layout) for h in E)
+    layout, vecs = _hom_kernel(m, m)
+    E = [hom_unflatten(m, m, layout, v) for v in vecs]
+    basis = EchelonBasis(vecs)
     table = {}
     for i, hi in enumerate(E):
         for j, hj in enumerate(E):

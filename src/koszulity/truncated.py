@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, candidate_combinations
+from .linalg import EchelonBasis, Matrix, candidate_combinations, kernel_vectors
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import resolution as rs
 
@@ -529,16 +529,6 @@ def find_graded_iso(G1, G2, phi0: Matrix, vertex_map, rng=None,
     n0, n1 = G1.dim(0), G1.dim(1)
     if G2.dim(0) != n0 or G2.dim(1) != n1:
         return GradedIsoReport(False, False, reason="dimension mismatch")
-
-    def phi0_apply(vec):
-        out = {}
-        for j, c in vec.items():
-            for i in range(n0):
-                x = phi0.data[i][j]
-                if x:
-                    out[i] = out.get(i, 0) + c * x
-        return {k: v for k, v in out.items() if v}
-
     if n1 == 0:
         mats = {0: phi0}
         cand = TruncatedAlgebraMorphism(G1, G2, mats)
@@ -546,57 +536,7 @@ def find_graded_iso(G1, G2, phi0: Matrix, vertex_map, rng=None,
         if ok is True:
             return GradedIsoReport(True, True, morphism=cand)
         return GradedIsoReport(False, True, reason=str(ok))
-
-    # bimodule constraints on the degree-1 matrix F (n1' x n1)
-    rows = []
-    unknowns = G2.dim(1) * n1
-
-    def entry(i, j):
-        return i * n1 + j
-
-    for u in range(n0):
-        for x in range(n1):
-            # phi(u * x) = phi0(u) * F(x)
-            ux = G1.mult(0, {u: 1}, 1, {x: 1})
-            pu = phi0_apply({u: 1})
-            for i2 in range(G2.dim(1)):
-                row = [0] * unknowns
-                hit = False
-                for z, cz in ux.items():
-                    row[entry(i2, z)] += cz
-                    hit = True
-                # minus G2-left-mult of pu acting on column x
-                for j2 in range(G2.dim(1)):
-                    coef = 0
-                    for p_i, cp in pu.items():
-                        prod = G2.mult(0, {p_i: 1}, 1, {j2: 1})
-                        coef += cp * prod.get(i2, 0)
-                    if coef:
-                        row[entry(j2, x)] -= coef
-                        hit = True
-                if hit:
-                    rows.append(row)
-            # phi(x * u) = F(x) * phi0(u)
-            xu = G1.mult(1, {x: 1}, 0, {u: 1})
-            for i2 in range(G2.dim(1)):
-                row = [0] * unknowns
-                hit = False
-                for z, cz in xu.items():
-                    row[entry(i2, z)] += cz
-                    hit = True
-                for j2 in range(G2.dim(1)):
-                    coef = 0
-                    prod = G2.mult(1, {j2: 1}, 0, pu)
-                    coef = prod.get(i2, 0)
-                    if coef:
-                        row[entry(j2, x)] -= coef
-                        hit = True
-                if hit:
-                    rows.append(row)
-    if rows:
-        space = Matrix(len(rows), unknowns, rows).kernel_basis()
-    else:
-        space = [list(r) for r in Matrix.identity(unknowns).data]
+    space = _degree_one_space(G1, G2, phi0)
     if not space:
         return GradedIsoReport(False, True,
                                reason="no bimodule maps in degree 1")
@@ -615,6 +555,33 @@ def find_graded_iso(G1, G2, phi0: Matrix, vertex_map, rng=None,
         last_reason = str(ok)
     return GradedIsoReport(False, True, reason=last_reason,
                            probabilistic=len(space) > 1)
+
+
+def _degree_one_space(G1, G2, phi0: Matrix):
+    """Sparse basis of the degree-1 maps F with F(ux) = phi0(u) F(x) and
+    F(xu) = F(x) phi0(u) for every degree-0 u and degree-1 x; F's entry
+    (i2, j) is unknown i2 * n1 + j. G1 and G2 have equal dims in degree 1."""
+    n1 = G1.dim(1)
+    equations = EchelonBasis()
+    for u in range(G1.dim(0)):
+        pu = {i: row[u] for i, row in enumerate(phi0.data) if row[u]}
+        # phi0(u)'s left and right actions on degree 1: i2 -> [(j2, coef)]
+        left, right = {}, {}
+        for j2 in range(n1):
+            for i2, c in G2.mult(0, pu, 1, {j2: 1}).items():
+                left.setdefault(i2, []).append((j2, c))
+            for i2, c in G2.mult(1, {j2: 1}, 0, pu).items():
+                right.setdefault(i2, []).append((j2, c))
+        for x in range(n1):
+            for prod, act in ((G1.mult(0, {u: 1}, 1, {x: 1}), left),
+                              (G1.mult(1, {x: 1}, 0, {u: 1}), right)):
+                for i2 in range(n1):
+                    row = {i2 * n1 + z: cz for z, cz in prod.items()}
+                    for j2, c in act.get(i2, ()):
+                        col = j2 * n1 + x
+                        row[col] = row.get(col, 0) - c
+                    equations.add(row)
+    return kernel_vectors(equations.rows, n1 * n1)
 
 
 def _extend_and_check(G1, G2, cand: TruncatedAlgebraMorphism, cutoff):

@@ -4,7 +4,7 @@ import pytest
 
 from koszulity.presentation import Quiver, Arrow, Relation, build_algebra
 from koszulity.algebra import trivial_extension
-from koszulity.linalg import solve_combination
+from koszulity.linalg import Matrix, candidate_combinations, solve_combination
 from koszulity import modules as mo
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -36,6 +36,71 @@ def hom_space_with_constraints(m, n, constraints):
     coeffs = solve_combination([flat([h.apply(x) for x, _ in constraints]) for h in basis],
                                flat([y for _, y in constraints]))
     return None if coeffs is None else mo.linear_combination(m, n, basis, coeffs)
+
+
+def graded_iso_space_dense(G1, G2, phi0):
+    """Reference degree-1 space of `tr.find_graded_iso`: one dense row per
+    (u, x, i2, side) over all n1 * n1 unknowns, each coefficient summed over
+    phi0(u)'s terms, and the kernel of the dense matrix. Returns the kernel
+    vectors as sparse dicts.
+
+    The package feeds sparse rows to one elimination instead, with phi0(u)'s
+    actions computed once per u; tests compare the two.
+    """
+    n0, n1 = G1.dim(0), G1.dim(1)
+    unknowns = n1 * n1
+    rows = []
+    for u in range(n0):
+        pu = {i: phi0.data[i][u] for i in range(n0) if phi0.data[i][u]}
+        for x in range(n1):
+            ux = G1.mult(0, {u: 1}, 1, {x: 1})
+            xu = G1.mult(1, {x: 1}, 0, {u: 1})
+            for i2 in range(n1):
+                row = [0] * unknowns
+                for z, cz in ux.items():
+                    row[i2 * n1 + z] += cz
+                for j2 in range(n1):
+                    coef = 0
+                    for p_i, cp in pu.items():
+                        coef += cp * G2.mult(0, {p_i: 1}, 1, {j2: 1}).get(i2, 0)
+                    row[j2 * n1 + x] -= coef
+                rows.append(row)
+            for i2 in range(n1):
+                row = [0] * unknowns
+                for z, cz in xu.items():
+                    row[i2 * n1 + z] += cz
+                for j2 in range(n1):
+                    row[j2 * n1 + x] -= G2.mult(1, {j2: 1}, 0, pu).get(i2, 0)
+                rows.append(row)
+    space = Matrix(len(rows), unknowns, rows).kernel_basis()
+    return [{c: x for c, x in enumerate(vec) if x} for vec in space]
+
+
+def is_isomorphic_by_flatten(m, n, rng=None):
+    """Reference `mo.is_isomorphic`: the Hom basis as homs from
+    `mo.hom_space`, flattened back to vectors for the candidate stream, and
+    every candidate unflattened.
+
+    The package streams the sparse kernel of the Hom system directly;
+    tests compare the two.
+    """
+    for key in set(m.dims) | set(n.dims):
+        if m.block_dim(*key) != n.block_dim(*key):
+            return mo.IsoVerdict(False, True,
+                                 reason="graded dimension vectors differ")
+    if m.is_zero():
+        return mo.IsoVerdict(True, True, certificate=mo.zero_hom(m, n))
+    H = mo.hom_space(m, n)
+    if not H:
+        return mo.IsoVerdict(False, True, reason="no nonzero homomorphisms")
+    layout, _total = mo.hom_frame(m, n)
+    for vec in candidate_combinations([mo.hom_flatten(h, layout) for h in H],
+                                      rng, mo.ISO_SAMPLES):
+        h = mo.hom_unflatten(m, n, layout, vec)
+        if h.is_isomorphism():
+            return mo.IsoVerdict(True, True, certificate=h)
+    return mo.IsoVerdict(None, False, reason=f"no invertible combination found "
+                         f"in {mo.ISO_SAMPLES} samples (probabilistic)")
 
 
 def preprojective_products_by_restart(a, pp):

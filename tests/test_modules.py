@@ -7,9 +7,9 @@ import pytest
 
 from koszulity import modules as mo
 from koszulity import hereditary as hd
-from koszulity.linalg import EchelonBasis
+from koszulity.linalg import EchelonBasis, Matrix
 from koszulity.algebra import InputError
-from conftest import data_path, hom_space_with_constraints
+from conftest import data_path, hom_space_with_constraints, is_isomorphic_by_flatten
 
 
 def test_projective_dims(delta_a4):
@@ -420,3 +420,54 @@ def test_hom_space_memo_does_not_keep_its_module_alive(delta_a4, t_summands):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def kronecker_band(kron, delta_kron, lam):
+    """R_lam over Delta(kron): k at both vertices, a acting by 1, b by lam."""
+    action = {kron.index_of["a"]: {0: Matrix(1, 1, [[1]])},
+              kron.index_of["b"]: {0: Matrix(1, 1, [[lam]])}}
+    return mo.inflate_module(
+        mo.GradedModule(kron, {(1, 0): 1, (2, 0): 1}, action, name=f"R{lam}"),
+        delta_kron)
+
+
+def iso_test_modules(alg, parts):
+    """parts, their sums in both orders, their syzygies and a copy of each
+    over a basis rescaled by non-integral rationals."""
+    from test_exactness import rescale
+
+    mods = list(parts)
+    mods += [mo.DirectSum(alg, [p, q]) for p in parts for q in parts if p is not q]
+    mods += [mo.syzygy(p, strip=True)[0] for p in parts]
+    mods = [m for m in mods if not m.is_zero()]
+    scales = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 3)]
+    return mods + [rescale(m, {key: [scales[(i + k) % 3] for i in range(dim)]
+                                 for k, (key, dim) in enumerate(sorted(m.dims.items()))})
+                   for m in mods]
+
+
+@pytest.mark.parametrize("name", ["a4", "kron"])
+def test_is_isomorphic_matches_flattened_hom_basis(request, name):
+    alg = request.getfixturevalue(f"delta_{name}")
+    if name == "a4":
+        # T1 = P(1) has the dims of S1 + S2 + S3 but is not isomorphic to it
+        parts = request.getfixturevalue("t_summands") + [mo.DirectSum(
+            alg, [mo.simple_module(alg, v) for v in (1, 2, 3)])]
+    else:
+        kron = request.getfixturevalue("kron")
+        parts = [kronecker_band(kron, alg, lam) for lam in (1, 2, Fraction(1, 2))]
+    mods = iso_test_modules(alg, parts)
+    outcomes = set()
+    for m in mods:
+        for n in mods:
+            if m.dims != n.dims:
+                continue
+            got = mo.is_isomorphic(m, n, rng=random.Random(1))
+            ref = is_isomorphic_by_flatten(m, n, rng=random.Random(1))
+            assert (got.isomorphic, got.certified, got.reason) == (
+                ref.isomorphic, ref.certified, ref.reason)
+            if ref.certificate is not None:
+                assert got.certificate.blocks == ref.certificate.blocks
+            outcomes.add(got.isomorphic)
+    # over Delta(kron), R_1 and R_2 have no nonzero hom between them
+    assert outcomes == ({True, None} if name == "a4" else {True, False, None})

@@ -252,3 +252,19 @@ def test_random_radical_square_zero_trivial_extensions(nv, data):
     delta = trivial_extension(alg)
     rep = frobenius_analysis(delta)
     assert rep.is_frobenius and rep.a == 1 and rep.symmetric
+
+
+@given(st.integers(min_value=0, max_value=2 ** 16))
+@settings(max_examples=15, deadline=None)
+def test_hom_kernel_is_the_flattened_hom_basis(delta_a4, delta_kron, seed):
+    # is_isomorphic and stable_hom read the kernel vectors where they once
+    # flattened hom_space's homs: the two must be the same vectors in order
+    rng = random.Random(seed)
+    for alg in (delta_a4, delta_kron):
+        m, n = random_module(alg, rng), random_module(alg, rng)
+        for src, tgt in ((m, n), (n, m), (m, m)):
+            layout, vectors = mo._hom_kernel(src, tgt)
+            homs = mo.hom_space(src, tgt)
+            assert layout == mo.hom_frame(src, tgt)[0]
+            assert [mo.hom_flatten(h, layout) for h in homs] == vectors
+            assert all(h.check_commutes() for h in homs)

@@ -6,6 +6,7 @@ import pytest
 from koszulity import modules as mo
 from koszulity import truncated as tr
 from koszulity.algebra import InputError, InternalCheckError
+from conftest import graded_iso_space_dense
 
 
 def poly_ring_truncation(dualnum, cutoff=7):
@@ -260,3 +261,43 @@ def test_check_multiplies_twice_per_composable_triple(checked_algebras):
             del G.mult
         assert composable
         assert len(calls) == 2 * sum(G.dims().values()) + 2 * composable
+
+
+def trivext_dual_pair(a0, n, d_max):
+    """Pi_{n+1}(A), the Koszul dual of Delta A, the degree-0 map between
+    them and the vertex map, as `verify trivext-dual` builds them."""
+    from koszulity import hereditary as hd, verify as vf
+    from koszulity.algebra import trivial_extension
+
+    delta = trivial_extension(a0)
+    summands = vf.inflated_regular_summands(a0, delta)
+    pp = hd.preprojective_algebra(a0, n, d_max)
+    dual = tr.koszul_dual(delta, summands, n + 1, d_max)
+    return (pp.algebra, dual.algebra, vf.dual_phi0_from_pp(pp, a0, dual, summands),
+            {v: i for i, v in enumerate(a0.vertices)})
+
+
+@pytest.mark.parametrize("name, d_max", [("kron", 2), ("kron", 3), ("kron", 4),
+                                         ("kron", 5), ("a2", 2), ("a2", 3)])
+def test_degree_one_space_matches_dense_rows(request, name, d_max):
+    G1, G2, phi0, vertex_map = trivext_dual_pair(request.getfixturevalue(name),
+                                                 1, d_max)
+    space = tr._degree_one_space(G1, G2, phi0)
+    assert space and space == graded_iso_space_dense(G1, G2, phi0)
+    assert tr.find_graded_iso(G1, G2, phi0, vertex_map,
+                              rng=random.Random(0)).found
+
+
+def test_degree_one_space_matches_dense_rows_on_automorphisms(delta_a4, t_summands):
+    from koszulity.linalg import Matrix
+    from koszulity.presentation import Arrow, Quiver, build_algebra
+
+    # the Kronecker quiver with its arrows in degree 1: every invertible
+    # 2 x 2 matrix on ka + kb extends, so the space is 4-dimensional
+    kron1 = build_algebra(Quiver(2, (Arrow("a", 1, 2, 1), Arrow("b", 1, 2, 1))),
+                          [], 2, name="kron1")
+    for G, dim in ((tr.truncate_algebra(kron1, 1), 4),
+                   (tr.koszul_dual(delta_a4, t_summands, 2, 2).algebra, 1)):
+        one = Matrix.identity(G.dim(0))
+        space = tr._degree_one_space(G, G, one)
+        assert len(space) == dim and space == graded_iso_space_dense(G, G, one)
