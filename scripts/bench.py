@@ -20,7 +20,7 @@ workload, at seed 0, records whether it was correct and the exact work
 counts of WORK_COUNTS, and names the counts that differ between the sides:
 a "same work" statement read off the runs.
 
-Last, each of DEEP_WINDOWS, two deep CLI windows, runs DEEP_RUNS times per
+Last, each of DEEP_WINDOWS, four deep CLI windows, runs DEEP_RUNS times per
 side, each run in a fresh interpreter and alternating which side goes
 first. The file records the wall time, the peak RSS (reaped with wait4)
 and the exit code of every run, and whether both sides printed the same
@@ -60,6 +60,10 @@ DEEP_WINDOWS = {
     "ext-i30": ["ext", "--algebra", "tests/data/a4.alg", "--trivext", "--n", "2",
                 "--i-max", "30", *[x for t in TILTING for x in ("--M", t)],
                 *[x for t in TILTING for x in ("--N", t)]],
+    "beil2-nrep-depth4": ["nrep", "--algebra", "tests/data/beil2.alg", "--mode",
+                          "infinite", "--n", "2", "--depth", "4"],
+    "beil2-trivext-dual-d2": ["verify", "trivext-dual", "--algebra",
+                              "tests/data/beil2.alg", "--n", "2", "--degree-max", "2"],
 }
 DEEP_RUNS = 3
 

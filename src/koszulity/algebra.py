@@ -48,7 +48,7 @@ class GradedAlgebra:
     generator_labels: list | None = None
     path_witness: dict | None = None
     vertices: list = field(default=None)
-    # Derived data built on first use (radical, generators, projectives,
+    # Derived data built on first use (radical, arrows, projectives,
     # injectives, socles); not part of the algebra's value.
     memo: dict = field(default_factory=dict, init=False, compare=False,
                        repr=False)
@@ -209,45 +209,35 @@ class GradedAlgebra:
                 "unsupported ground data"
             )
 
-    def generating_set(self):
-        """Deterministic greedy generating set (basis indices, idempotents excluded).
+    def arrows(self):
+        """Lifts of a basis of rad/rad^2, each a coefficient dict inside one
+        (source, target, degree) block: plain basis elements first, then the
+        block components of `radical_basis`.
 
-        The subalgebra generated by the idempotents and the returned elements
-        is the whole algebra; homomorphism constraints only need these.
+        With the idempotents they generate the algebra, since rad is
+        nilpotent; so M.rad = sum of M.a, soc M is the common kernel of the
+        a, and a linear map is a module map iff it commutes with the
+        idempotents and the a. That needs a split basic algebra.
         """
-        hit = self.memo.get("generating_set")
+        hit = self.memo.get("arrows")
         if hit is not None:
             return hit
-        span = EchelonBasis()
-        elements = []  # coefficient dicts currently in the multiplicative closure
-        for v in range(self.num_vertices):
-            e = {v: 1}
-            span.add(e)
-            elements.append(e)
-        gens = []
-
-        def close():
-            changed = True
-            while changed:
-                changed = False
-                fresh = []
-                for a in list(elements):
-                    for b in list(elements):
-                        p = self.mult(a, b)
-                        if p and span.add(p):
-                            fresh.append(p)
-                            changed = True
-                elements.extend(fresh)
-
-        close()
-        for i in range(self.dim):
-            probe = {i: 1}
-            if span.add(probe):
-                gens.append(i)
-                elements.append(probe)
-                close()
-        self.memo["generating_set"] = gens
-        return gens
+        self.assert_split_basic()
+        rad = self.radical_basis()
+        current = EchelonBasis(self.mult(r1, r2) for r1 in rad for r2 in rad)
+        rad_span = EchelonBasis(rad)
+        out = [{i: 1} for i in range(self.dim)
+               if rad_span.contains({i: 1}) and current.add({i: 1})]
+        for r in rad:
+            blocks = {}
+            for k, c in r.items():
+                blocks.setdefault((self.source[k], self.target[k], self.degree[k]),
+                                  {})[k] = c
+            out.extend(comp for comp in blocks.values() if current.add(comp))
+        if current.rank != rad_span.rank:
+            raise InputError("could not lift a homogeneous arrow basis")
+        self.memo["arrows"] = out
+        return out
 
     # -- constructions -------------------------------------------------------
 

@@ -272,23 +272,18 @@ def verify_form_identity(alg: GradedAlgebra, f: dict, mu: GradedAlgebraMorphism)
 
 
 def socle_degrees(alg: GradedAlgebra):
-    """Degrees of a basis of the right socle (elements killed by rad)."""
-    rad = alg.radical_basis()
+    """Degrees of a basis of the right socle (elements killed by the arrows)."""
+    arrows = alg.arrows()
     n = alg.dim
-    if not rad:
+    if not arrows:
         return sorted(alg.degree)
-    # socle = kernel of x -> (x r)_r : stack right-multiplication matrices
-    cols = []
-    for r in rad:
-        rm = Matrix.zero(n, n)
+    # socle = kernel of x -> (x a)_a : stack right-multiplication matrices
+    stacked = Matrix(n * len(arrows), n)
+    for r, a in enumerate(arrows):
         for i in range(n):
-            for j, c in r.items():
+            for j, c in a.items():
                 for k, ck in alg.mult_basis(i, j).items():
-                    rm.data[k][i] += c * ck
-        cols.append(rm)
-    stacked = cols[0]
-    for extra in cols[1:]:
-        stacked = stacked.vstack(extra)
+                    stacked.data[r * n + k][i] += c * ck
     kernel = stacked.kernel_basis()
     out = []
     for vec in kernel:

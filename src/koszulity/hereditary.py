@@ -185,15 +185,9 @@ def complex_cohomology(cx: BoundedComplex):
         if dout is None:
             dout = mo.zero_hom(term, mo.zero_module(cx.algebra))
         K, incl = mo.kernel_submodule(dout, name=f"Z^{d}")
-        spans = {key: [] for key in K.dims}
+        # din factors through the cycles: one solve per block gives the boundaries
         din = cx.diffs.get(d - 1)
-        if din is not None:
-            for (key, i) in din.domain.basis_elements():
-                pre = mo.solve_preimage(incl, din.apply(din.domain.unit_vector(key, i)))
-                if pre is None:
-                    raise InternalCheckError("boundary is not a cycle")
-                for k2, sol in pre.items():
-                    spans.setdefault(k2, []).append(sol)
+        spans = {} if din is None else mo.image_spans(mo.post_invert_mono(incl, din))
         H, proj, section = mo.quotient_module(K, spans, name=f"H^{d}")
         out[d] = CohomologyData(H, K, incl, proj, section)
     return out

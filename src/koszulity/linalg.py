@@ -170,13 +170,6 @@ class Matrix:
         m.data = [ra + rb for ra, rb in zip(self.data, other.data)]
         return m
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError("col mismatch in vstack")
-        m = Matrix(self.rows + other.rows, self.cols)
-        m.data = [row[:] for row in self.data] + [row[:] for row in other.data]
-        return m
-
     # -- elimination ----------------------------------------------------
 
     def rref(self):

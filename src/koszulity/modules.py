@@ -89,6 +89,12 @@ class GradedModule:
             raise InternalCheckError("action matrix shape mismatch")
         return m
 
+    def act_element(self, elem: dict, d: int) -> Matrix:
+        """Action matrix of sum c*act(y, d) over elem = {y: c}, whose basis
+        elements y share one (source, target, degree) block."""
+        terms = [self.act(y, d).scale(c) for y, c in elem.items()]
+        return sum(terms[1:], terms[0])
+
     def apply_element(self, elem: dict, coeffs: dict) -> dict:
         """Right action of the algebra element given by coefficient dict.
 
@@ -399,14 +405,8 @@ def twist_module(m: GradedModule, phi) -> GradedModule:
             tdim = dims.get((tv, d + dx), 0)
             if not sdim or not tdim:
                 continue
-            mat = Matrix.zero(tdim, sdim)
-            any_nz = False
-            for y, c in img.items():
-                sub = m.act(y, d)
-                if sub.rows and sub.cols and not sub.is_zero():
-                    mat = mat + sub.scale(c)
-                    any_nz = True
-            if any_nz and not mat.is_zero():
+            mat = m.act_element(img, d)
+            if not mat.is_zero():
                 per_deg[d] = mat
         if per_deg:
             action[x] = per_deg
@@ -632,13 +632,12 @@ def _hom_kernel(m: GradedModule, n: GradedModule):
         return layout, []
     pos = {key: (off, m.dims[key], n.dims[key]) for key, off, _ in layout}
     equations = EchelonBasis()
-    gens = alg.generating_set()
-    for x in gens:
+    # a linear map is a module map iff it commutes with the arrows
+    for a in alg.arrows():
+        x = next(iter(a))
         sv, tv, dx = alg.source[x], alg.target[x], alg.degree[x]
         degs = sorted({d for (v, d) in m.dims if v == sv})
         for d in degs:
-            a_m = m.act(x, d)            # m-block (sv,d) -> (tv,d+dx)
-            a_n = n.act(x, d)
             src_m = m.block_dim(sv, d)
             tgt_m = m.block_dim(tv, d + dx)
             src_n = n.block_dim(sv, d)
@@ -647,6 +646,8 @@ def _hom_kernel(m: GradedModule, n: GradedModule):
             # rows indexed by (tgt_n, src_m)
             if tgt_n * src_m == 0:
                 continue
+            a_m = m.act_element(a, d)    # m-block (sv,d) -> (tv,d+dx)
+            a_n = n.act_element(a, d)
             for i in range(tgt_n):
                 for j in range(src_m):
                     row = {}
@@ -1020,14 +1021,17 @@ def cokernel(f: GradedModuleHom, name="coker"):
 # ---------------------------------------------------------------------------
 
 def radical_span(m: GradedModule):
-    """Per-block spanning vectors of M . rad(Lambda)."""
+    """Per-block spanning vectors of M . rad(Lambda), the nonzero columns of
+    the arrows' actions: M . rad is the sum of the M . a."""
     alg = m.algebra
     spans = {key: [] for key in m.dims}
-    for r in alg.radical_basis():
-        for (key, i) in m.basis_elements():
-            img = m.apply_element(m.unit_vector(key, i), r)
-            for k2, vec in img.items():
-                spans[k2].append(vec)
+    for a in alg.arrows():
+        x = next(iter(a))
+        sv, tv, dx = alg.source[x], alg.target[x], alg.degree[x]
+        for (v, d) in m.dims:
+            if v == sv and (tv, d + dx) in m.dims:
+                cols = m.act_element(a, d).transpose().data
+                spans[(tv, d + dx)].extend(col for col in cols if any(col))
     return spans
 
 
@@ -1045,30 +1049,17 @@ def top_data(m: GradedModule):
 
 
 def socle_spans(m: GradedModule):
-    """Per-block basis of soc M = elements killed by rad."""
+    """Per-block basis of soc M = elements killed by rad, the common kernel
+    of the arrows' actions."""
     alg = m.algebra
-    rad = alg.radical_basis()
     out = {}
-    for key, dimk in m.dims.items():
+    for (v, d), dimk in m.dims.items():
         stacked = []
-        for r in rad:
-            # matrix of (.r) restricted to this block: collect rows per target block
-            per_target = {}
-            for i in range(dimk):
-                img = m.apply_element(m.unit_vector(key, i), r)
-                for k2, vec in img.items():
-                    per_target.setdefault(k2, [[0] * dimk
-                                               for _ in range(len(vec))])
-                    col = per_target[k2]
-                    for r_i, val in enumerate(vec):
-                        col[r_i][i] = val
-            for k2, rows in per_target.items():
-                stacked.extend(rows)
-        if stacked:
-            mat = Matrix(len(stacked), dimk, stacked)
-            out[key] = mat.kernel_basis()
-        else:
-            out[key] = [list(v) for v in Matrix.identity(dimk).data]
+        for a in alg.arrows():
+            x = next(iter(a))
+            if alg.source[x] == v and (alg.target[x], d + alg.degree[x]) in m.dims:
+                stacked.extend(m.act_element(a, d).data)
+        out[(v, d)] = Matrix(len(stacked), dimk, stacked).kernel_basis()
     return {k: v for k, v in out.items() if v}
 
 

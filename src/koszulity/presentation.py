@@ -414,38 +414,17 @@ def recover_presentation(alg, max_length: int = 24):
     """
     from .linalg import EchelonBasis, Matrix
 
-    alg.assert_split_basic()
-    rad = alg.radical_basis()
     nb = alg.dim
-
-    # arrow lifts: complete rad^2 to rad, preferring plain basis elements
+    # name the arrows: a plain basis element keeps its label where it can
+    arrow_elems = alg.arrows()
     arrows = []
-    arrow_elems = []
-    current = EchelonBasis(alg.mult(r1, r2) for r1 in rad for r2 in rad)
-
-    def try_add(vec_dict, src, tgt, deg, name=None):
-        if current.add(vec_dict):
-            taken = {a.name for a in arrows}
-            if name is None or name in taken or "*" in name or " " in name:
-                name = f"r{len(arrows)}"
-            arrows.append(Arrow(name, src, tgt, deg))
-            arrow_elems.append(vec_dict)
-
-    rad_span = EchelonBasis(rad)
-    for i in range(nb):
-        if not rad_span.contains({i: 1}):
-            continue
-        try_add({i: 1}, alg.source[i], alg.target[i], alg.degree[i],
-                name=alg.labels[i])
-    for r in rad:
-        blocks = {}
-        for k, c in r.items():
-            blocks.setdefault((alg.source[k], alg.target[k], alg.degree[k]),
-                              {})[k] = c
-        for (src, tgt, deg), comp in blocks.items():
-            try_add(comp, src, tgt, deg)
-    if current.rank != rad_span.rank:
-        raise InputError("could not lift a homogeneous arrow basis")
+    for elem in arrow_elems:
+        x = next(iter(elem))
+        name = alg.labels[x]
+        if elem != {x: 1} or name in {a.name for a in arrows} or "*" in name \
+                or " " in name:
+            name = f"r{len(arrows)}"
+        arrows.append(Arrow(name, alg.source[x], alg.target[x], alg.degree[x]))
 
     quiver = Quiver(alg.num_vertices, tuple(arrows))
     # evaluate paths in the algebra and collect per-length kernels

@@ -4,7 +4,8 @@ import pytest
 
 from koszulity.presentation import Quiver, Arrow, Relation, build_algebra
 from koszulity.algebra import trivial_extension
-from koszulity.linalg import Matrix, candidate_combinations, solve_combination
+from koszulity.linalg import (EchelonBasis, Matrix, candidate_combinations,
+                              kernel_vectors, solve_combination)
 from koszulity import modules as mo
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -36,6 +37,150 @@ def hom_space_with_constraints(m, n, constraints):
     coeffs = solve_combination([flat([h.apply(x) for x, _ in constraints]) for h in basis],
                                flat([y for _, y in constraints]))
     return None if coeffs is None else mo.linear_combination(m, n, basis, coeffs)
+
+
+def generating_set(alg):
+    """Reference generators: basis indices, idempotents excluded, taken
+    greedily in basis order whenever one leaves the span of the all-pairs
+    product closure of the idempotents and the generators so far.
+
+    The package reads the arrows (`GradedAlgebra.arrows`) instead; tests
+    compare the two through the Hom systems they give.
+    """
+    span = EchelonBasis()
+    elements = []
+    for v in range(alg.num_vertices):
+        span.add({v: 1})
+        elements.append({v: 1})
+    gens = []
+
+    def close():
+        changed = True
+        while changed:
+            changed = False
+            fresh = []
+            for a in list(elements):
+                for b in list(elements):
+                    p = alg.mult(a, b)
+                    if p and span.add(p):
+                        fresh.append(p)
+                        changed = True
+            elements.extend(fresh)
+
+    close()
+    for i in range(alg.dim):
+        if span.add({i: 1}):
+            gens.append(i)
+            elements.append({i: 1})
+            close()
+    return gens
+
+
+def hom_kernel_by_generating_set(m, n):
+    """Reference `mo._hom_kernel`: one equation per entry of
+    f a_m = a_n f for each element a of `generating_set`, in place of the
+    arrows."""
+    alg = m.algebra
+    layout, total = mo.hom_frame(m, n)
+    pos = {key: (off, m.dims[key]) for key, off, _ in layout}
+    equations = EchelonBasis()
+    for x in generating_set(alg):
+        sv, tv, dx = alg.source[x], alg.target[x], alg.degree[x]
+        for d in sorted({d for (v, d) in m.dims if v == sv}):
+            a_m, a_n = m.act(x, d), n.act(x, d)
+            for i in range(n.block_dim(tv, d + dx)):
+                for j in range(m.block_dim(sv, d)):
+                    row = {}
+                    if (tv, d + dx) in pos:
+                        off, cols = pos[(tv, d + dx)]
+                        for k in range(m.block_dim(tv, d + dx)):
+                            if a_m.data[k][j]:
+                                row[off + i * cols + k] = a_m.data[k][j]
+                    if (sv, d) in pos:
+                        off, cols = pos[(sv, d)]
+                        for k in range(n.block_dim(sv, d)):
+                            col = off + k * cols + j
+                            row[col] = row.get(col, 0) - a_n.data[i][k]
+                    equations.add(row)
+    return layout, kernel_vectors(equations.rows, total) if total else []
+
+
+def radical_span_by_radical_basis(m):
+    """Reference `mo.radical_span`: every element of `radical_basis()`
+    applied to every unit vector."""
+    spans = {key: [] for key in m.dims}
+    for r in m.algebra.radical_basis():
+        for key, i in m.basis_elements():
+            for k2, vec in m.apply_element(m.unit_vector(key, i), r).items():
+                spans[k2].append(vec)
+    return spans
+
+
+def socle_spans_by_radical_basis(m):
+    """Reference `mo.socle_spans`: per block, the kernel of the matrices of
+    every element of `radical_basis()`, identity rows when none acts."""
+    rad = m.algebra.radical_basis()
+    out = {}
+    for key, dimk in m.dims.items():
+        stacked = []
+        for r in rad:
+            per_target = {}
+            for i in range(dimk):
+                img = m.apply_element(m.unit_vector(key, i), r)
+                for k2, vec in img.items():
+                    rows = per_target.setdefault(k2, [[0] * dimk for _ in vec])
+                    for r_i, val in enumerate(vec):
+                        rows[r_i][i] = val
+            for rows in per_target.values():
+                stacked.extend(rows)
+        if stacked:
+            out[key] = Matrix(len(stacked), dimk, stacked).kernel_basis()
+        else:
+            out[key] = [list(v) for v in Matrix.identity(dimk).data]
+    return {k: v for k, v in out.items() if v}
+
+
+def socle_degrees_by_radical_basis(alg):
+    """Reference `frobenius.socle_degrees`: one dense right-multiplication
+    matrix per element of `radical_basis()`."""
+    rad = alg.radical_basis()
+    n = alg.dim
+    if not rad:
+        return sorted(alg.degree)
+    stacked = []
+    for r in rad:
+        rm = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j, c in r.items():
+                for k, ck in alg.mult_basis(i, j).items():
+                    rm[k][i] += c * ck
+        stacked.extend(rm)
+    out = []
+    for vec in Matrix(len(stacked), n, stacked).kernel_basis():
+        out.extend(sorted({alg.degree[i] for i, c in enumerate(vec) if c}))
+    return out
+
+
+def cohomology_by_vectors(cx):
+    """Reference `hd.complex_cohomology`, as {degree: H module}: the
+    preimage of each boundary under the cycle inclusion, one
+    `mo.solve_preimage` per basis vector of the previous term."""
+    out = {}
+    for d, term in cx.terms.items():
+        dout = cx.diffs.get(d)
+        if dout is None:
+            dout = mo.zero_hom(term, mo.zero_module(cx.algebra))
+        K, incl = mo.kernel_submodule(dout)
+        spans = {}
+        din = cx.diffs.get(d - 1)
+        if din is not None:
+            for key, i in din.domain.basis_elements():
+                pre = mo.solve_preimage(incl, din.apply(din.domain.unit_vector(key, i)))
+                assert pre is not None, "boundary is not a cycle"
+                for k2, sol in pre.items():
+                    spans.setdefault(k2, []).append(sol)
+        out[d] = mo.quotient_module(K, spans)[0]
+    return out
 
 
 def graded_iso_space_dense(G1, G2, phi0):

@@ -20,7 +20,7 @@ def test_equality_ignores_memoized_data():
     # Derived data built on first use must not change the algebra's value.
     a, b = (parse_algebra_file(data_path("a4.alg"))[0] for _ in range(2))
     assert a == b
-    a.generating_set()
+    a.arrows()
     a.radical_degree_zero()
     assert a == b and b == a
 
@@ -98,10 +98,22 @@ def test_socle_in_top_degree(delta_a4, x3, nak2, dualnum):
         assert set(socle_degrees(alg)) == {a}
 
 
-def test_generating_set_spans(delta_a4):
-    gens = delta_a4.generating_set()
-    # arrows of the degree-0 part plus duals; never more than the basis
-    assert 0 < len(gens) <= delta_a4.dim - delta_a4.num_vertices
+def arrow_labels(alg):
+    return [" + ".join(f"{c}*{alg.labels[k]}" if c != 1 else alg.labels[k]
+                       for k, c in a.items()) for a in alg.arrows()]
+
+
+def test_exact_arrows(a4, delta_a4):
+    beil2 = parse_algebra_file(data_path("beil2.alg"))[0]
+    assert arrow_labels(a4) == ["a1", "a2", "a3", "a4"]
+    assert arrow_labels(beil2) == ["x0", "x1", "x2", "y0", "y1", "y2"]
+    assert len(delta_a4.arrows()) == 8
+    assert len(trivial_extension(beil2).arrows()) == 12
+    # with the idempotents they generate: every arrow lies in one block
+    for alg in (a4, beil2, delta_a4):
+        for a in alg.arrows():
+            assert len({(alg.source[k], alg.target[k], alg.degree[k])
+                        for k in a}) == 1
 
 
 def test_radical_degree_zero(a4, point):
