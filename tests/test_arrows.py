@@ -114,8 +114,8 @@ def test_arrow_routes_match_radical_basis_routes(algebras, data):
 
 
 def test_rebased_loop_needs_a_combination_lift(x3):
-    # k[x]/x^3 over the basis e, e + 2/3 x, e - 1/2 x^2: no plain basis
-    # element but e is in degree 0, so the one arrow is a combination
+    # k[x]/x^3 over the basis e, e + 2/3 x, e - 1/2 x^2: no basis element
+    # lies in the radical, so the one arrow is a combination with e
     alg = rebase(x3.forget_grading(), [Fraction(2, 3), Fraction(-1, 2)])
     [arrow] = alg.arrows()
     assert len(arrow) > 1 and 0 in arrow
