@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .linalg import (EchelonBasis, Matrix, _inexact, candidate_combinations,
-                     complement_basis, exact, kernel_vectors, solve_combination)
+                     complement_basis, exact, kernel_vectors)
 from .algebra import GradedAlgebra, InputError, InternalCheckError, parse_number
 
 
@@ -192,8 +192,11 @@ def zero_module(alg: GradedAlgebra) -> GradedModule:
 
 
 def simple_module(alg: GradedAlgebra, v, degree: int = 0) -> GradedModule:
-    """The simple S_v placed in the given degree (radical acts by zero)."""
-    return GradedModule(alg, {(v, degree): 1}, {}, name=f"S{v}<{degree}>")
+    """The simple S_v placed in the given degree: the top P/rad P of
+    P = e_v Lambda<degree>. A degree-0 basis element outside the radical
+    acts on it by a scalar."""
+    p = projective_module(alg, v, degree)
+    return quotient_module(p, radical_span(p), name=f"S{v}<{degree}>")[0]
 
 
 def projective_module(alg: GradedAlgebra, v, shift: int = 0) -> GradedModule:
@@ -670,41 +673,21 @@ def _hom_kernel(m: GradedModule, n: GradedModule):
     return layout, kernel
 
 
-def _values(elems, index) -> dict:
-    """A list of elements as one sparse vector; index numbers (k, block, row)."""
-    out = {}
-    for k, elem in enumerate(elems):
-        for key, vec in elem.items():
-            for i, x in enumerate(vec):
-                if x:
-                    out[index.setdefault((k, key, i), len(index))] = x
-    return out
-
-
-def linear_combination(m, n, homs, coeffs) -> GradedModuleHom:
-    """sum_k coeffs[k] homs[k] as a hom m -> n."""
-    out = zero_hom(m, n)
-    for c, h in zip(coeffs, homs):
-        if c:
-            out = out.add(h.scale(c))
-    return out
-
-
 def solve_hom_factorization(p: GradedModuleHom, v: GradedModuleHom):
     """u with p o u = v, or None when v does not factor through p.
 
-    Two maps out of v's domain agree iff they agree on its generators, so
-    the system only asks for equality there.
+    v's domain must be a FormalProjective. Hom(e_w Lambda<d>, N) is
+    N_(w,d), so u is fixed by where it sends the generators: each goes to
+    a preimage under p of v's value there.
     """
-    basis = hom_space(v.domain, p.domain)
-    gens = generator_elements(v.domain)
-    index = {}
-    coeffs = solve_combination(
-        [_values([p.apply(h.apply(x)) for x in gens], index) for h in basis],
-        _values([v.apply(x) for x in gens], index))
-    if coeffs is None:
-        return None
-    return linear_combination(v.domain, p.domain, basis, coeffs)
+    P = v.domain
+    pieces = []
+    for k, (part, off) in enumerate(zip(P.parts, P.offsets)):
+        x = solve_preimage(p, v.apply(P.generator_element(k)))
+        if x is None:
+            return None
+        pieces.append((map_from_projective(part, p.domain, x), off, {}))
+    return place(P, p.domain, pieces)
 
 
 def post_invert_mono(iota: GradedModuleHom, w: GradedModuleHom):
@@ -897,19 +880,21 @@ def solve_map_into_injectives(m: GradedModule, tgt: DirectSum, socles, constrain
 def submodule(m: GradedModule, spans: dict, name="sub"):
     """Submodule from per-block row-span lists {block: [vector, ...]}.
 
-    The spans must be action-closed; returns (module, inclusion hom).
+    The spans must be action-closed; returns (module, inclusion hom). Each
+    block's basis is the reduced echelon rows of its span, so a vector of
+    the span has its coordinates at their pivot columns: the action is read
+    off there, with no solve, and checked.
     """
     alg = m.algebra
-    bases = {}
+    bases, pivots = {}, {}
     for key, vecs in spans.items():
         if not vecs:
             continue
-        mat = Matrix(len(vecs), m.dims[key], vecs)
-        R, piv = mat.rref()
-        rows = [R.data[i] for i in range(len(piv))]
-        if rows:
-            bases[key] = Matrix(len(rows), m.dims[key], rows)
-    dims = {key: b.rows for key, b in bases.items()}
+        R, piv = Matrix(len(vecs), m.dims[key], vecs).rref()
+        if piv:
+            bases[key] = Matrix(len(piv), m.dims[key], R.data[:len(piv)]).transpose()
+            pivots[key] = piv
+    dims = {key: b.cols for key, b in bases.items()}
     action = {}
     for x in range(alg.num_vertices, alg.dim):
         sv, tv, dx = alg.source[x], alg.target[x], alg.degree[x]
@@ -918,22 +903,19 @@ def submodule(m: GradedModule, spans: dict, name="sub"):
             if v != sv:
                 continue
             tgt = bases.get((tv, d + dx))
-            amb = m.act(x, d)
-            img = amb * b.transpose()  # columns = images of sub-basis vectors
+            img = m.act(x, d) * b  # columns = images of sub-basis vectors
             if img.is_zero():
                 continue
             if tgt is None:
                 raise InternalCheckError("span not action-closed")
-            sol = tgt.transpose().solve_matrix(img)
-            if sol is None:
+            sol = Matrix(tgt.cols, img.cols, [img.data[p] for p in pivots[(tv, d + dx)]])
+            if tgt * sol != img:
                 raise InternalCheckError("span not action-closed")
-            if not sol.is_zero():
-                per[d] = sol
+            per[d] = sol
         if per:
             action[x] = per
     sub = GradedModule(alg, dims, action, name=name)
-    incl = GradedModuleHom(sub, m, {key: b.transpose() for key, b in bases.items()})
-    return sub, incl
+    return sub, GradedModuleHom(sub, m, bases)
 
 
 def kernel_submodule(f: GradedModuleHom, name="ker"):

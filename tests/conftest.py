@@ -24,19 +24,77 @@ def hom_space_with_constraints(m, n, constraints):
     """
     basis = mo.hom_space(m, n)
     index = {}
+    coeffs = solve_combination([flat_values([h.apply(x) for x, _ in constraints], index)
+                                for h in basis],
+                               flat_values([y for _, y in constraints], index))
+    return None if coeffs is None else linear_combination(m, n, basis, coeffs)
 
-    def flat(elems):
-        out = {}
-        for k, elem in enumerate(elems):
-            for key, vec in elem.items():
-                for i, x in enumerate(vec):
-                    if x:
-                        out[index.setdefault((k, key, i), len(index))] = x
-        return out
 
-    coeffs = solve_combination([flat([h.apply(x) for x, _ in constraints]) for h in basis],
-                               flat([y for _, y in constraints]))
-    return None if coeffs is None else mo.linear_combination(m, n, basis, coeffs)
+def flat_values(elems, index) -> dict:
+    """A list of elements as one sparse vector; index numbers (k, block, row)."""
+    out = {}
+    for k, elem in enumerate(elems):
+        for key, vec in elem.items():
+            for i, x in enumerate(vec):
+                if x:
+                    out[index.setdefault((k, key, i), len(index))] = x
+    return out
+
+
+def linear_combination(m, n, homs, coeffs):
+    """sum_k coeffs[k] homs[k] as a hom m -> n."""
+    out = mo.zero_hom(m, n)
+    for c, h in zip(coeffs, homs):
+        if c:
+            out = out.add(h.scale(c))
+    return out
+
+
+def hom_factorization_by_system(p, v):
+    """Reference `mo.solve_hom_factorization`: u with p o u = v, or None,
+    solved as a combination of a full basis of Hom(v.domain, p.domain),
+    with equality asked for on the generators of v's domain.
+
+    The package reads u off the generators of a projective domain instead;
+    tests compare the two.
+    """
+    basis = mo.hom_space(v.domain, p.domain)
+    gens = mo.generator_elements(v.domain)
+    index = {}
+    coeffs = solve_combination([flat_values([p.apply(h.apply(x)) for x in gens], index)
+                                for h in basis],
+                               flat_values([v.apply(x) for x in gens], index))
+    return None if coeffs is None else linear_combination(v.domain, p.domain, basis, coeffs)
+
+
+def submodule_by_solve(m, spans):
+    """Reference `mo.submodule`: each block's action solved by one
+    `solve_matrix` per (basis element, block) against the target block's
+    reduced echelon basis.
+
+    The package reads the coordinates at the basis' pivot columns instead;
+    tests compare the two.
+    """
+    alg = m.algebra
+    bases = {}
+    for key, vecs in spans.items():
+        if vecs:
+            R, piv = Matrix(len(vecs), m.dims[key], vecs).rref()
+            if piv:
+                bases[key] = Matrix(len(piv), m.dims[key], R.data[:len(piv)])
+    action = {}
+    for x in range(alg.num_vertices, alg.dim):
+        sv, tv, dx = alg.source[x], alg.target[x], alg.degree[x]
+        for (v, d), b in bases.items():
+            if v != sv:
+                continue
+            img = m.act(x, d) * b.transpose()
+            if img.is_zero():
+                continue
+            sol = bases[(tv, d + dx)].transpose().solve_matrix(img)
+            assert sol is not None, "span not action-closed"
+            action.setdefault(x, {})[d] = sol
+    return mo.GradedModule(alg, {key: b.rows for key, b in bases.items()}, action)
 
 
 def generating_set(alg):

@@ -79,10 +79,7 @@ def draw_module(alg, data):
     elif kind == "injective":
         m = mo.dual_of_left_projective(alg, v)
     elif kind == "simple":
-        # P_v / rad P_v: `mo.simple_module` lets every non-idempotent basis
-        # element act by 0, which a rebased loop e_v + s x does not
-        p = mo.projective_module(alg, v)
-        m = mo.quotient_module(p, mo.radical_span(p))[0]
+        m = mo.simple_module(alg, v)
     elif kind == "regular":
         m = mo.regular_module(alg)
     elif kind == "syzygy":

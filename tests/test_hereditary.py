@@ -9,7 +9,8 @@ from koszulity.algebra import InternalCheckError
 from koszulity.linalg import Matrix
 from koszulity import modules as mo
 from koszulity import hereditary as hd
-from conftest import hom_space_with_constraints, preprojective_products_by_restart
+from conftest import (hom_space_with_constraints, linear_combination,
+                      preprojective_products_by_restart)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +332,7 @@ def test_place_and_slice_match_dense_injections(a4, kron, delta_a4, data):
             basis = mo.hom_space(p, q)
             coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis),
                                         max_size=len(basis)))
-            comps[(i, j)] = mo.linear_combination(p, q, basis, coeffs)
+            comps[(i, j)] = linear_combination(p, q, basis, coeffs)
     placed = mo.place(src, tgt, [(h, src.offsets[i], tgt.offsets[j])
                                  for (i, j), h in comps.items()])
     src_inj, src_prj = dense_injections_projections(src)
@@ -380,7 +381,7 @@ def test_map_into_injectives_matches_constrained_hom_solve(a4, kron, delta_a4,
     basis = mo.hom_space(m, tgt)
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
                                 max_size=len(basis)))
-    h = mo.linear_combination(m, tgt, basis, coeffs)
+    h = linear_combination(m, tgt, basis, coeffs)
     blocks = m.blocks()
     constraints = []
     for _ in range(data.draw(st.integers(0, 3))):
@@ -418,7 +419,7 @@ def test_map_into_injectives_one_system_per_socle_block(a4):
     socles = [(4, 0), (4, 0)]
     tgt = mo.DirectSum(a4, [mo.dual_of_left_projective(a4, w, s) for w, s in socles])
     basis = mo.hom_space(m, tgt)
-    h = mo.linear_combination(m, tgt, basis, list(range(1, len(basis) + 1)))
+    h = linear_combination(m, tgt, basis, list(range(1, len(basis) + 1)))
     constraints = [(x, h.apply(x)) for x in
                    (m.unit_vector(key, i) for key, i in m.basis_elements())]
     assert any(tgt.component(0, y) != tgt.component(1, y) for _x, y in constraints)
