@@ -97,6 +97,11 @@ def submodule_by_solve(m, spans):
     return mo.GradedModule(alg, {key: b.rows for key, b in bases.items()}, action)
 
 
+def kernel_spans(f):
+    """The spans `mo.kernel_submodule` hands to `mo.submodule`."""
+    return {key: f.block(*key).kernel_basis() for key in f.domain.dims}
+
+
 def generating_set(alg):
     """Reference generators: basis indices, idempotents excluded, taken
     greedily in basis order whenever one leaves the span of the all-pairs

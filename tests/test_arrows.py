@@ -7,7 +7,8 @@ module map iff it commutes with the a. These tests compare each route with
 its reference in `conftest`, which uses every element of `radical_basis()`
 or the greedy `generating_set` closure, and compare `complex_cohomology`,
 which solves one system per block, with the per-vector preimages of
-`cohomology_by_vectors`.
+`cohomology_by_vectors`; its cycle modules, whose actions `mo.submodule`
+reads at pivot columns, with the per-block solves of `submodule_by_solve`.
 """
 
 from fractions import Fraction
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (cohomology_by_vectors, data_path,
-                      hom_kernel_by_generating_set, radical_span_by_radical_basis,
-                      socle_degrees_by_radical_basis, socle_spans_by_radical_basis)
+                      hom_kernel_by_generating_set, kernel_spans,
+                      radical_span_by_radical_basis, socle_degrees_by_radical_basis,
+                      socle_spans_by_radical_basis, submodule_by_solve)
 from koszulity import hereditary as hd
 from koszulity import modules as mo
 from koszulity.algebra import GradedAlgebra, InputError
@@ -70,6 +72,14 @@ def algebras(delta_a4, delta_kron, x3):
             "beil2": beil2(), "k[x]/x^3": x3.forget_grading()}
 
 
+def draw_algebra(algebras, data):
+    """One of algebras, over a rebased basis or not."""
+    alg = algebras[data.draw(st.sampled_from(sorted(algebras)))]
+    if data.draw(st.booleans()):
+        return rebase(alg, data.draw(st.lists(SCALES, min_size=1, max_size=4)))
+    return alg
+
+
 def draw_module(alg, data):
     v = data.draw(st.sampled_from(alg.vertices))
     kind = data.draw(st.sampled_from(["projective", "injective", "simple",
@@ -100,9 +110,7 @@ def row_spans(spans):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_arrow_routes_match_radical_basis_routes(algebras, data):
-    alg = algebras[data.draw(st.sampled_from(sorted(algebras)))]
-    if data.draw(st.booleans()):
-        alg = rebase(alg, data.draw(st.lists(SCALES, min_size=1, max_size=4)))
+    alg = draw_algebra(algebras, data)
     m, n = draw_module(alg, data), draw_module(alg, data)
     assert row_spans(mo.radical_span(m)) == row_spans(radical_span_by_radical_basis(m))
     assert mo.socle_spans(m) == socle_spans_by_radical_basis(m)
@@ -138,7 +146,12 @@ def test_cohomology_matches_per_vector_solve(kron, name, n, steps):
             want = cohomology_by_vectors(piece.step_data.complex)
             assert {d: (h.dims, h.action) for d, h in got.items()} \
                 == {d: (h.dims, h.action) for d, h in want.items()}
-            compared += len(piece.step_data.complex.diffs)
+            for d, data in piece.step_data.cohomology.items():
+                dout = piece.step_data.complex.diffs.get(d)
+                if dout is not None:
+                    want = submodule_by_solve(dout.domain, kernel_spans(dout))
+                    assert (data.cycles.dims, data.cycles.action) == (want.dims, want.action)
+                    compared += 1
         pieces = nxt
     assert compared
 

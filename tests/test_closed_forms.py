@@ -5,8 +5,9 @@ span, so the coordinates of a vector of the span sit at the pivot columns;
 `mo.solve_hom_factorization` sends each generator of a projective domain to
 a preimage of its value. These tests compare both with the solves they
 replace (`conftest.submodule_by_solve` and
-`conftest.hom_factorization_by_system`), cover the traps the closed forms
-keep, and check that a simple module is the top of its projective.
+`conftest.hom_factorization_by_system`; `test_arrows` compares the cycle
+modules of orbit complexes), cover the traps the closed forms keep, and
+check that a simple module is the top of its projective.
 """
 
 from fractions import Fraction
@@ -14,33 +15,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (hom_factorization_by_system, linear_combination,
+from conftest import (hom_factorization_by_system, kernel_spans, linear_combination,
                       submodule_by_solve)
-from koszulity import hereditary as hd
 from koszulity import modules as mo
 from koszulity import resolution as rs
 from koszulity.algebra import InternalCheckError
-from test_arrows import beil2, draw_module, rebase
-from test_exactness import SCALES
-
-
-@pytest.fixture(scope="module")
-def algebras(delta_a4, delta_kron, x3):
-    return {"Delta(a4)": delta_a4, "Delta(kron)": delta_kron, "x3": x3,
-            "beil2": beil2(), "k[x]/x^3": x3.forget_grading()}
-
-
-def draw_algebra(algebras, data):
-    """(algebra, rebased): one of algebras, over a rebased basis or not."""
-    alg = algebras[data.draw(st.sampled_from(sorted(algebras)))]
-    if data.draw(st.booleans()):
-        return rebase(alg, data.draw(st.lists(SCALES, min_size=1, max_size=4))), True
-    return alg, False
-
-
-def kernel_spans(f):
-    """The spans `mo.kernel_submodule` hands to `mo.submodule`."""
-    return {key: f.block(*key).kernel_basis() for key in f.domain.dims}
+from test_arrows import algebras, beil2, draw_algebra, draw_module, rebase  # noqa: F401
 
 
 def assert_same_submodule(got, want):
@@ -73,35 +53,12 @@ def random_map_from(P, n, data):
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_kernel_submodule_matches_per_block_solve(algebras, data):
-    alg, _rebased = draw_algebra(algebras, data)
+    alg = draw_algebra(algebras, data)
     m, n = draw_module(alg, data), draw_module(alg, data)
     f = random_hom(m, n, data)
     K, incl = mo.kernel_submodule(f)
     assert_same_submodule(K, submodule_by_solve(m, kernel_spans(f)))
     assert f.compose(incl).is_zero() and incl.check_commutes()
-
-
-@pytest.mark.parametrize("name, n, steps", [("kron", 1, 3), ("beil2", 2, 2)])
-def test_cycle_modules_match_per_block_solve(kron, name, n, steps):
-    a = kron if name == "kron" else beil2()
-    pieces = [hd.Piece(mo.projective_module(a, v), 0) for v in a.vertices]
-    compared = 0
-    for _ in range(steps):
-        nxt = []
-        for piece in pieces:
-            nxt.extend(hd.nu_inverse_step(a, piece, n)[0])
-            if piece.step_data is None:
-                continue
-            cx = piece.step_data.complex
-            for d, data in piece.step_data.cohomology.items():
-                dout = cx.diffs.get(d)
-                if dout is not None:
-                    assert_same_submodule(data.cycles,
-                                          submodule_by_solve(dout.domain,
-                                                             kernel_spans(dout)))
-                    compared += 1
-        pieces = nxt
-    assert compared
 
 
 def assert_factors(p, v, u):
@@ -113,7 +70,7 @@ def assert_factors(p, v, u):
 @settings(max_examples=40, deadline=None)
 def test_lift_through_covers_matches_hom_system(algebras, data):
     # Omega's lift: v = f o epi_M out of M's cover, through N's cover
-    alg, _rebased = draw_algebra(algebras, data)
+    alg = draw_algebra(algebras, data)
     m, n = draw_module(alg, data), draw_module(alg, data)
     src, tgt = mo.cover_data(m), mo.cover_data(n)
     v = random_hom(m, n, data).compose(src.epi)
@@ -127,11 +84,12 @@ def test_lift_of_resolution_terms_matches_hom_system(algebras, data):
     # the lift of `koszul.stable_to_ext`: a map out of a resolution term
     # through the projection of an injective envelope onto its cokernel, or
     # through a cover (envelopes need a path basis)
-    alg, rebased = draw_algebra(algebras, data)
+    alg = draw_algebra(algebras, data)
+    path_basis = any(alg is a for a in algebras.values())
     m, n = draw_module(alg, data), draw_module(alg, data)
     res = rs.MinimalResolution(m).extend(2)
     P = res.terms[data.draw(st.integers(0, len(res.terms) - 1))]
-    if rebased or data.draw(st.booleans()):
+    if not path_basis or data.draw(st.booleans()):
         p = mo.cover_data(n).epi
     else:
         p = mo.envelope_data(n).proj
