@@ -142,19 +142,6 @@ def identify_injective(a: GradedAlgebra, m: mo.GradedModule, rng=None):
 # injective resolutions (ungraded) and complexes
 # ---------------------------------------------------------------------------
 
-def injective_envelope_ungraded(m: mo.GradedModule):
-    """Minimal injective envelope; returns (LabeledSum, mono).
-
-    `mo.injective_envelope` relabeled: its parts are the D(Ae_v) of the
-    socle vectors at (v, 0), so the mono's blocks carry over unchanged.
-    """
-    _I, mono, tags = mo.injective_envelope(m)
-    if any(d for _v, d in tags):
-        raise InputError("ungraded envelope expects degree-0 modules")
-    I = LabeledSum(m.algebra, [v for v, _d in tags], "inj")
-    return I, mo.GradedModuleHom(m, I, mono.blocks)
-
-
 @dataclass
 class BoundedComplex:
     algebra: GradedAlgebra
@@ -214,24 +201,23 @@ def injective_resolution_module(m: mo.GradedModule, pos: int,
                                 cap: int = 32) -> ComplexResolution:
     """Minimal injective resolution of the one-term complex m at position pos.
 
-    Its terms sit at pos, pos + 1, ...; the envelope mono m -> terms[pos] is
-    its one comparison map.
+    Its terms sit at pos, pos + 1, ...: the envelopes of `rs.MinimalCoresolution`,
+    relabeled as sums of the D(Ae_v) of their socle vectors at (v, 0), so
+    the maps' blocks carry over unchanged; d = mono_{k+1} o proj_k. The
+    envelope mono m -> terms[pos] is its one comparison map.
     """
-    if m.is_zero():
-        return ComplexResolution({}, {}, {})
-    I0, mono = injective_envelope_ungraded(m)
-    terms, diffs = {pos: I0}, {}
-    current, prev_proj = mo.cokernel(mono)
-    p = pos
-    while not current.is_zero():
-        if len(terms) > cap:
-            raise InputError(f"injective resolution exceeds cap {cap}")
-        I, mo_k = injective_envelope_ungraded(current)
-        diffs[p] = mo_k.compose(prev_proj)
-        p += 1
-        terms[p] = I
-        current, prev_proj = mo.cokernel(mo_k)
-    return ComplexResolution(terms, diffs, {pos: mono})
+    core = rs.MinimalCoresolution(m).extend(cap)
+    if any(d for tags in core.tags for _v, d in tags):
+        raise InputError("ungraded envelope expects degree-0 modules")
+    if not core.cosyzygies[-1].is_zero():
+        raise InputError(f"injective resolution exceeds cap {cap}")
+    inj = [LabeledSum(m.algebra, [v for v, _d in tags], "inj") for tags in core.tags]
+    terms = {pos + k: I for k, I in enumerate(inj)}
+    diffs = {pos + k: mo.GradedModuleHom(inj[k], inj[k + 1],
+                                         core.monos[k + 1].compose(core.projs[k]).blocks)
+             for k in range(len(inj) - 1)}
+    qis = {pos: mo.GradedModuleHom(m, inj[0], core.monos[0].blocks)} if inj else {}
+    return ComplexResolution(terms, diffs, qis)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ standing assumption.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .linalg import Matrix
@@ -136,65 +137,6 @@ def validate_basic(summands, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# cosyzygy / syzygy chains
-# ---------------------------------------------------------------------------
-
-class CosyzygyChain:
-    """Minimal cosyzygies of a module with the envelope data of each step."""
-
-    def __init__(self, m: mo.GradedModule):
-        self.modules = [m]
-        self.steps = []   # EnvelopeData per step
-
-    def ensure(self, k: int):
-        while len(self.modules) <= k:
-            cur = self.modules[-1]
-            if cur.is_zero():
-                self.steps.append(None)
-                self.modules.append(cur)
-                continue
-            env = mo.envelope_data(cur)
-            if mo.find_projective_summand(env.cokernel) is not None:
-                raise InternalCheckError(
-                    "cosyzygy of a minimal envelope has a projective summand"
-                )
-            self.steps.append(env)
-            self.modules.append(env.cokernel)
-        return self
-
-    def module(self, k: int) -> mo.GradedModule:
-        self.ensure(k)
-        return self.modules[k]
-
-
-class SyzygyChain:
-    def __init__(self, m: mo.GradedModule):
-        self.modules = [m]
-        self.steps = []   # CoverData per step
-
-    def ensure(self, k: int):
-        while len(self.modules) <= k:
-            cur = self.modules[-1]
-            if cur.is_zero():
-                self.steps.append(None)
-                self.modules.append(cur)
-                continue
-            cov = mo.cover_data(cur)
-            if not cov.kernel.is_zero():
-                if mo.find_projective_summand(cov.kernel) is not None:
-                    raise InternalCheckError(
-                        "syzygy of a minimal cover has a projective summand"
-                    )
-            self.steps.append(cov)
-            self.modules.append(cov.kernel)
-        return self
-
-    def module(self, k: int) -> mo.GradedModule:
-        self.ensure(k)
-        return self.modules[k]
-
-
-# ---------------------------------------------------------------------------
 # graded n-self-orthogonality and n-T-Koszulity
 # ---------------------------------------------------------------------------
 
@@ -262,32 +204,50 @@ def check_n_T_koszul(alg: GradedAlgebra, summands, n: int, i_max: int,
 # T-tilde, rigidity and the stable endomorphism algebra
 # ---------------------------------------------------------------------------
 
+def omega(record, k: int) -> mo.GradedModule:
+    """Omega^k M read off a `rs.MinimalResolution` of M, or Omega^{-k} M off
+    a `rs.MinimalCoresolution` of M.
+
+    Over a self-injective algebra no minimal (co)syzygy has a projective
+    summand; each step the read builds is checked once.
+    """
+    if isinstance(record, rs.MinimalResolution):
+        built, read = record.syzygies, record.syzygy
+        trap = "syzygy of a minimal cover has a projective summand"
+    else:
+        built, read = record.cosyzygies, record.cosyzygy
+        trap = "cosyzygy of a minimal envelope has a projective summand"
+    start = len(built)
+    out = read(k)
+    for m in built[start:]:
+        if mo.find_projective_summand(m) is not None:
+            raise InternalCheckError(trap)
+    return out
+
+
 @dataclass
 class TTilde:
     parts: list          # modules X^{(s,i)} = Omega^{-n i} T^s <i>
     tags: list           # (s, i)
-    chains: list         # CosyzygyChain per summand
+    chains: list         # rs.MinimalCoresolution per summand
     n: int
     a: int
 
 
 def build_t_tilde(alg: GradedAlgebra, summands, n: int, a: int) -> TTilde:
-    chains = [CosyzygyChain(m) for m in summands]
+    chains = [rs.MinimalCoresolution(m) for m in summands]
     parts, tags = [], []
     for i in range(a):
         for s, chain in enumerate(chains):
-            x = chain.module(n * i)
+            x = omega(chain, n * i)
             parts.append(mo.shift_module(x, i))
             tags.append((s, i))
     return TTilde(parts, tags, chains, n, a)
 
 
-def _tilde_translate(tilde: TTilde, syz_chains, s, i, e, extra_shift):
+def _tilde_translate(tilde: TTilde, syz_res, s, i, e, extra_shift):
     """Omega^{-e} applied to chain summand s, shifted by i + extra_shift."""
-    if e >= 0:
-        m = tilde.chains[s].module(e)
-    else:
-        m = syz_chains[s].module(-e)
+    m = omega(tilde.chains[s], e) if e >= 0 else omega(syz_res[s], -e)
     return mo.shift_module(m, i + extra_shift)
 
 
@@ -297,7 +257,7 @@ def rigidity_check(alg: GradedAlgebra, tilde: TTilde, l_bound: int | None = None
     n, a = tilde.n, tilde.a
     if l_bound is None:
         l_bound = 2 * n * a + 2
-    syz_chains = [SyzygyChain(c.modules[0]) for c in tilde.chains]
+    syz_res = [rs.MinimalResolution(c.module) for c in tilde.chains]
     for l in range(1, l_bound + 1):
         for sign in (+1, -1):
             ll = sign * l
@@ -306,7 +266,7 @@ def rigidity_check(alg: GradedAlgebra, tilde: TTilde, l_bound: int | None = None
             for (s2, i2), src in zip(tilde.tags, tilde.parts):
                 for (s, i) in tilde.tags:
                     e = n * i + ll
-                    tgt = _tilde_translate(tilde, syz_chains, s, i, e, 0)
+                    tgt = _tilde_translate(tilde, syz_res, s, i, e, 0)
                     if tgt.is_zero() or src.is_zero():
                         continue
                     d = mo.stable_hom(src, tgt)[0]
@@ -414,11 +374,11 @@ def stable_endomorphism_algebra(alg: GradedAlgebra, tilde: TTilde,
 # stable-hom to Ext translation (for block identification and mu-bar)
 # ---------------------------------------------------------------------------
 
-def stable_to_ext(res: rs.MinimalResolution, chain: CosyzygyChain,
+def stable_to_ext(res: rs.MinimalResolution, chain: rs.MinimalCoresolution,
                   k: int, q: int, g: mo.GradedModuleHom):
     """Cocycle values of the Ext^k class of g: M -> Omega^{-k} N <q>.
 
-    g must be a hom from res.module to shift(chain.module(k), q).
+    g must be a hom from res.module to shift(omega(chain, k), q).
     """
     def unshift(vals):
         return [{(v, d - q): vec for (v, d), vec in val.items()}
@@ -428,17 +388,16 @@ def stable_to_ext(res: rs.MinimalResolution, chain: CosyzygyChain,
         cocycle = g.compose(res.eps)
         return unshift([cocycle.apply(res.terms[0].generator_element(t))
                         for t in range(res.terms[0].rank)])
-    chain.ensure(k)
+    omega(chain, k)   # builds and checks the envelopes up to C_k
     res.extend(k + 1)
     v = g.compose(res.eps)   # P_0 -> C_k<q>
     for r in range(k, 0, -1):
-        env = chain.steps[r - 1]
-        # shifted envelope data of C_{r-1}
-        I_q = mo.shift_module(env.envelope, q)
-        Cr_q = mo.shift_module(env.cokernel, q)
-        Cprev_q = mo.shift_module(env.module, q)
-        proj_q = mo.shift_hom(env.proj, q, dom=I_q, cod=Cr_q)
-        mono_q = mo.shift_hom(env.mono, q, dom=Cprev_q, cod=I_q)
+        # the shifted envelope of C_{r-1} and its cokernel C_r
+        I_q = mo.shift_module(chain.terms[r - 1], q)
+        Cr_q = mo.shift_module(chain.cosyzygies[r], q)
+        Cprev_q = mo.shift_module(chain.cosyzygies[r - 1], q)
+        proj_q = mo.shift_hom(chain.projs[r - 1], q, dom=I_q, cod=Cr_q)
+        mono_q = mo.shift_hom(chain.monos[r - 1], q, dom=Cprev_q, cod=I_q)
         # rebind v's codomain to the canonical shifted module
         v = mo.GradedModuleHom(v.domain, Cr_q, dict(v.blocks))
         u = mo.solve_hom_factorization(proj_q, v)
@@ -467,9 +426,9 @@ def gamma_block_map(bdata: StableEndData, dual: tr.DualData,
     gamma = {}
     syz_cache = {}
 
-    def syzygy_chain_of(mod, key):
+    def resolution_of(mod, key):
         if key not in syz_cache:
-            syz_cache[key] = SyzygyChain(mod)
+            syz_cache[key] = rs.MinimalResolution(mod)
         return syz_cache[key]
 
     for (a1, b1, c1), idx in bdata.index.items():
@@ -480,31 +439,27 @@ def gamma_block_map(bdata: StableEndData, dual: tr.DualData,
             raise InternalCheckError("nonzero block below the diagonal")
         k = n * (i - j)
         # unshift by j on both sides
-        dom0 = tilde.chains[s].module(n * j)
-        cod0 = mo.shift_module(tilde.chains[s2].module(n * i), i - j)
+        dom0 = omega(tilde.chains[s], n * j)
+        cod0 = mo.shift_module(omega(tilde.chains[s2], n * i), i - j)
         f0 = mo.GradedModuleHom(dom0, cod0,
                                 {(v, d - j): m for (v, d), m in f.blocks.items()})
         # apply the syzygy functor n*j times
-        src_chain = syzygy_chain_of(dom0, ("dom", s, j))
-        tgt_chain = syzygy_chain_of(cod0, ("cod", s2, i, j))
+        src_res = resolution_of(dom0, ("dom", s, j))
+        tgt_res = resolution_of(cod0, ("cod", s2, i, j))
+        dom_fin, cod_fin = omega(src_res, n * j), omega(tgt_res, n * j)
         cur = f0
         for step in range(n * j):
-            src_chain.ensure(step + 1)
-            tgt_chain.ensure(step + 1)
-            cur = mo.syzygy_of_hom(cur, src_chain.steps[step],
-                                   tgt_chain.steps[step])
+            cur = rs.syzygy_of_hom(cur, src_res, tgt_res, step)
         # align domain with T^s and codomain with the stored chain module
         if n * j == 0:
             g = cur
         else:
-            dom_fin = src_chain.module(n * j)
-            om = mo.is_isomorphic(dom_fin, tilde.chains[s].modules[0], rng=rng)
+            om = mo.is_isomorphic(dom_fin, tilde.chains[s].module, rng=rng)
             if not om.isomorphic:
                 raise InternalCheckError(
                     "syzygy-of-cosyzygy is not isomorphic to the module"
                 )
-            cod_fin = tgt_chain.module(n * j)
-            target = mo.shift_module(tilde.chains[s2].module(k), i - j)
+            target = mo.shift_module(omega(tilde.chains[s2], k), i - j)
             om2 = mo.is_isomorphic(cod_fin, target, rng=rng)
             if not om2.isomorphic:
                 raise InternalCheckError(
@@ -618,14 +573,14 @@ def check_almost_self_orthogonal(alg: GradedAlgebra, summands, n: int,
     """Find (l_i, g_i) with Omega^{-l_i} T^i = T' <-g_i> and verify the
     vanishing below l_i."""
     flags = validate_basic(summands, rng=rng)
-    chains = [CosyzygyChain(m) for m in summands]
+    chains = [rs.MinimalCoresolution(m) for m in summands]
     ls, gs, targets = [], [], []
     anomalies = []
     probabilistic = bool(flags)
     for s, chain in enumerate(chains):
         hit = None
         for k in range(1, l_max + 1):
-            c = chain.module(k)
+            c = omega(chain, k)
             d0 = c.concentrated_degree()
             if d0 is None:
                 continue
@@ -719,12 +674,12 @@ def check_n_m_sigma_koszul(alg: GradedAlgebra, summands, n: int,
         ms.append(m_i)
         sigmas.append(sigma_i)
     # minimality: no 0 < nk < l_i with Omega^{-nk} T^i = T'<-k>
-    chains = [CosyzygyChain(m) for m in summands]
+    chains = [rs.MinimalCoresolution(m) for m in summands]
     for s in range(t):
         for k in range(1, (almost.l[s] - 1) // n + 1):
             if n * k >= almost.l[s]:
                 break
-            c = chains[s].module(n * k)
+            c = omega(chains[s], n * k)
             if c.concentrated_degree() == -k:
                 for m2 in summands:
                     v = mo.is_isomorphic(c, mo.shift_module(m2, -k), rng=rng)
@@ -783,14 +738,8 @@ def _perm_order(perm):
             seen[x] = True
             x = perm[x]
             length += 1
-        order = _lcm(order, length)
+        order = math.lcm(order, length)
     return order
-
-
-def _lcm(x, y):
-    from math import gcd
-
-    return x * y // gcd(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +872,7 @@ def build_mu_bar(alg: GradedAlgebra, dual: tr.DualData,
 def serre_lhs_table(alg: GradedAlgebra, tilde: TTilde, i_max: int, l_range):
     """dims of stable Hom(T~, Omega^{-(n a i + l)} T~ <a i>) over the window."""
     n, a = tilde.n, tilde.a
-    syz_chains = [SyzygyChain(c.modules[0]) for c in tilde.chains]
+    syz_res = [rs.MinimalResolution(c.module) for c in tilde.chains]
     table = {}
     for i in range(i_max + 1):
         for l in l_range:
@@ -931,7 +880,7 @@ def serre_lhs_table(alg: GradedAlgebra, tilde: TTilde, i_max: int, l_range):
             for src in tilde.parts:
                 for (s, i2) in tilde.tags:
                     e = n * a * i + l + n * i2
-                    tgt = _tilde_translate(tilde, syz_chains, s, i2, e, a * i)
+                    tgt = _tilde_translate(tilde, syz_res, s, i2, e, a * i)
                     if src.is_zero() or tgt.is_zero():
                         continue
                     total += mo.stable_hom(src, tgt)[0]

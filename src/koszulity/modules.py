@@ -1333,47 +1333,6 @@ def shift_hom(f: GradedModuleHom, j: int, dom=None, cod=None) -> GradedModuleHom
     return GradedModuleHom(dom, cod, blocks)
 
 
-@dataclass
-class CoverData:
-    module: GradedModule
-    cover: GradedModule          # P
-    epi: GradedModuleHom         # P -> module
-    tags: list
-    kernel: GradedModule         # Omega(module)
-    incl: GradedModuleHom        # kernel -> P
-
-
-def cover_data(m: GradedModule) -> CoverData:
-    P, epi, tags = projective_cover(m)
-    K, incl = kernel_submodule(epi, name=f"Syz({m.name})")
-    return CoverData(m, P, epi, tags, K, incl)
-
-
-@dataclass
-class EnvelopeData:
-    module: GradedModule
-    envelope: GradedModule       # I
-    mono: GradedModuleHom        # module -> I
-    tags: list
-    cokernel: GradedModule       # Omega^{-1}(module)
-    proj: GradedModuleHom        # I -> cokernel
-
-
-def envelope_data(m: GradedModule) -> EnvelopeData:
-    I, mono, tags = injective_envelope(m)
-    C, proj = cokernel(mono, name=f"Cosyz({m.name})")
-    return EnvelopeData(m, I, mono, tags, C, proj)
-
-
-def syzygy_of_hom(f: GradedModuleHom, src: CoverData, tgt: CoverData):
-    """Omega(f): Omega(M) -> Omega(N) through chosen minimal covers."""
-    # u: src.cover -> tgt.cover with tgt.epi o u = f o src.epi
-    u = solve_hom_factorization(tgt.epi, f.compose(src.epi))
-    if u is None:
-        raise InternalCheckError("cover lifting failed")
-    return post_invert_mono(tgt.incl, u.compose(src.incl))
-
-
 # ---------------------------------------------------------------------------
 # module file format
 # ---------------------------------------------------------------------------

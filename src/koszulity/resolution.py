@@ -1,9 +1,14 @@
-"""Minimal graded projective resolutions, Ext tables and Yoneda products.
+"""Minimal graded (co)resolutions, Ext tables and Yoneda products.
 
-A term of a resolution is a formal direct sum of shifted projectives
-e_v Lambda<d>, realized as an explicit module on demand. A map between
-formal projectives is a matrix of algebra elements: entry (l, k) lies in
-e_{v_l} Lambda e_{v_k} and acts by left multiplication on the k-th
+The package walks "cover, then kernel" and "envelope, then cokernel" in one
+place each: `MinimalResolution` and `MinimalCoresolution` keep the minimal
+(co)syzygies of a module with the maps that made them, and every reader of
+Omega^k M or Omega^{-k} M reads them off these two records.
+
+A term of a projective resolution is a formal direct sum of shifted
+projectives e_v Lambda<d>, realized as an explicit module on demand. A map
+between formal projectives is a matrix of algebra elements: entry (l, k)
+lies in e_{v_l} Lambda e_{v_k} and acts by left multiplication on the k-th
 generator. Hom(P, N) is then a direct sum of blocks of N and the induced
 maps are right actions, which keeps Ext computations small.
 """
@@ -25,7 +30,7 @@ def formal_explicit_hom(source: mo.FormalProjective, target: mo.FormalProjective
         for part, off, col in zip(source.parts, source.offsets, columns)])
 
 
-def compose_formal(alg: GradedAlgebra, a_cols, a_rank, b_cols):
+def compose_formal(alg: GradedAlgebra, a_cols, b_cols):
     """Columns of A o B where B: Q -> R and A: R -> S are formal matrices.
 
     a_cols: columns of A (per generator of R), each a list over gens of S.
@@ -61,9 +66,9 @@ def compose_formal(alg: GradedAlgebra, a_cols, a_rank, b_cols):
 class MinimalResolution:
     """Minimal projective resolution built by iterated covers and kernels.
 
-    d_i is the kernel inclusion Omega^i M -> P_{i-1} after the cover epi
-    P_i -> Omega^i M; a zero syzygy gets the rank-0 cover, and the
-    resolution stops there.
+    d_i is the kernel inclusion incls[i]: Omega^i M -> P_{i-1} after the
+    cover epi P_i -> Omega^i M; a zero syzygy gets the rank-0 cover, and the
+    resolution stops there. The epis are not kept: `cover` reads them back.
     """
 
     def __init__(self, m: mo.GradedModule):
@@ -73,7 +78,7 @@ class MinimalResolution:
         self.diff_homs = [None]  # explicit homs, diff_homs[i] for i>=1
         self.eps = None
         self.syzygies = [m]   # syzygies[i] = Omega^i M (no stripping here)
-        self._last_incl = None  # Omega^i M -> P_{i-1} for the last syzygy
+        self.incls = [None]   # incls[i]: Omega^i M -> P_{i-1}, for i>=1
 
     def extend(self, upto: int):
         while len(self.terms) <= upto and (not self.terms or self.terms[-1].rank):
@@ -90,19 +95,75 @@ class MinimalResolution:
         if i == 0:
             self.eps = epi
         else:
-            dhom = self._last_incl.compose(epi)
+            dhom = self.incls[i].compose(epi)
             self.diff_homs.append(dhom)
             self.diff_cols.append([self.terms[-1].element_to_formal(
                 dhom.apply(P.generator_element(k))) for k in range(P.rank)])
         self.terms.append(P)
-        self._last_incl = incl
+        self.incls.append(incl)
         self.syzygies.append(K)
+
+    def syzygy(self, k: int) -> mo.GradedModule:
+        """Omega^k M; the zero module past a finite resolution's end."""
+        self.extend(k - 1)
+        return self.syzygies[min(k, len(self.syzygies) - 1)]
+
+    def cover(self, i: int) -> mo.GradedModuleHom:
+        """The cover epi P_i -> Omega^i M. Past degree 0 it is the one map
+        through which the mono incls[i] factors d_i."""
+        self.extend(i)
+        if i == 0:
+            return self.eps
+        return mo.post_invert_mono(self.incls[i], self.diff_homs[i])
 
     def term_gens(self, i: int):
         return self.terms[i].gens if i < len(self.terms) else []
 
     def generator_degrees(self, i: int):
         return sorted(d for (_v, d) in self.term_gens(i))
+
+
+def syzygy_of_hom(f: mo.GradedModuleHom, src: MinimalResolution,
+                  tgt: MinimalResolution, i: int) -> mo.GradedModuleHom:
+    """Omega(f): Omega^{i+1} M -> Omega^{i+1} N for f: Omega^i M -> Omega^i N,
+    through the minimal covers of the resolutions src of M and tgt of N."""
+    u = mo.solve_hom_factorization(tgt.cover(i), f.compose(src.cover(i)))
+    if u is None:
+        raise InternalCheckError("cover lifting failed")
+    return mo.post_invert_mono(tgt.incls[i + 1], u.compose(src.incls[i + 1]))
+
+
+class MinimalCoresolution:
+    """Minimal injective coresolution built by iterated envelopes and cokernels.
+
+    monos[i]: Omega^{-i} M -> terms[i] is the minimal injective envelope,
+    on the socle tags tags[i], and projs[i]: terms[i] -> Omega^{-(i+1)} M
+    its cokernel. The coresolution stops at a zero cosyzygy.
+    """
+
+    def __init__(self, m: mo.GradedModule):
+        self.module = m
+        self.terms = []
+        self.tags = []
+        self.monos = []
+        self.projs = []
+        self.cosyzygies = [m]   # cosyzygies[i] = Omega^{-i} M
+
+    def extend(self, upto: int):
+        while len(self.terms) <= upto and not self.cosyzygies[-1].is_zero():
+            I, mono, tags = mo.injective_envelope(self.cosyzygies[-1])
+            C, proj = mo.cokernel(mono, name=f"Omega^-{len(self.terms) + 1}")
+            self.terms.append(I)
+            self.tags.append(tags)
+            self.monos.append(mono)
+            self.projs.append(proj)
+            self.cosyzygies.append(C)
+        return self
+
+    def cosyzygy(self, k: int) -> mo.GradedModule:
+        """Omega^{-k} M; the zero module past a finite coresolution's end."""
+        self.extend(k - 1)
+        return self.cosyzygies[min(k, len(self.cosyzygies) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +418,7 @@ class CocycleLift:
                 prev_cols = self.stages[m - 1]
                 d_src = self.src_res.diff_cols[self.p + m - 1]
                 d_tgt_hom = self.tgt_res.diff_homs[m]
-                rhs_cols = compose_formal(alg, prev_cols,
-                                          len(prev_cols), d_src)
+                rhs_cols = compose_formal(alg, prev_cols, d_src)
                 prev_tgt_fp = self.tgt_res.terms[m - 1]
                 for k in range(src_fp.rank):
                     rhs = prev_tgt_fp.formal_to_element(rhs_cols[k])

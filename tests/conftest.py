@@ -246,6 +246,62 @@ def cohomology_by_vectors(cx):
     return out
 
 
+def injective_resolution_by_envelope_loop(m, pos, cap=32):
+    """Reference `hd.injective_resolution_module`: the envelope of m
+    relabeled as a `hd.LabeledSum`, then envelope after envelope of each
+    cokernel, relabeled the same way, until a cokernel is zero.
+
+    The package reads the envelopes and cokernels off one
+    `rs.MinimalCoresolution` instead; tests compare the two.
+    """
+    from koszulity import hereditary as hd
+    from koszulity.algebra import InputError
+
+    def envelope(x):
+        _I, mono, tags = mo.injective_envelope(x)
+        if any(d for _v, d in tags):
+            raise InputError("ungraded envelope expects degree-0 modules")
+        inj = hd.LabeledSum(x.algebra, [v for v, _d in tags], "inj")
+        return inj, mo.GradedModuleHom(x, inj, mono.blocks)
+
+    if m.is_zero():
+        return hd.ComplexResolution({}, {}, {})
+    I0, mono = envelope(m)
+    terms, diffs = {pos: I0}, {}
+    current, prev_proj = mo.cokernel(mono)
+    p = pos
+    while not current.is_zero():
+        if len(terms) > cap:
+            raise InputError(f"injective resolution exceeds cap {cap}")
+        inj, mono_k = envelope(current)
+        diffs[p] = mono_k.compose(prev_proj)
+        p += 1
+        terms[p] = inj
+        current, prev_proj = mo.cokernel(mono_k)
+    return hd.ComplexResolution(terms, diffs, {pos: mono})
+
+
+def cover_data(m):
+    """Reference step of `rs.MinimalResolution`: (epi, kernel, inclusion)
+    of the minimal projective cover of m, built afresh from m."""
+    _P, epi, _tags = mo.projective_cover(m)
+    kernel, incl = mo.kernel_submodule(epi)
+    return epi, kernel, incl
+
+
+def syzygy_of_hom_by_cover_data(f, src, tgt):
+    """Reference `rs.syzygy_of_hom`: Omega(f) through the `cover_data` src
+    of f's domain and tgt of its codomain.
+
+    The package reads the covers and inclusions off two
+    `rs.MinimalResolution` records instead; tests compare the two.
+    """
+    (src_epi, _k, src_incl), (tgt_epi, _l, tgt_incl) = src, tgt
+    u = mo.solve_hom_factorization(tgt_epi, f.compose(src_epi))
+    assert u is not None, "cover lifting failed"
+    return mo.post_invert_mono(tgt_incl, u.compose(src_incl))
+
+
 def graded_iso_space_dense(G1, G2, phi0):
     """Reference degree-1 space of `tr.find_graded_iso`: one dense row per
     (u, x, i2, side) over all n1 * n1 unknowns, each coefficient summed over

@@ -243,9 +243,9 @@ def test_criterion_7_property_suites(a4, a2, kron, point, delta_a4, delta_a2,
     for alg in corpus:
         a = alg.highest_degree()
         m = mo.simple_module(alg, alg.vertices[0], 0)
-        chain = ko.CosyzygyChain(m)
+        chain = rs.MinimalCoresolution(m)
         for i in (1, 2):
-            c = chain.module(i)
+            c = ko.omega(chain, i)
             if not c.is_zero():
                 assert c.highest_degree() <= 0
                 for j in (-1, -2):

@@ -72,10 +72,10 @@ def test_lift_through_covers_matches_hom_system(algebras, data):
     # Omega's lift: v = f o epi_M out of M's cover, through N's cover
     alg = draw_algebra(algebras, data)
     m, n = draw_module(alg, data), draw_module(alg, data)
-    src, tgt = mo.cover_data(m), mo.cover_data(n)
-    v = random_hom(m, n, data).compose(src.epi)
-    assert_factors(tgt.epi, v, mo.solve_hom_factorization(tgt.epi, v))
-    assert_factors(tgt.epi, v, hom_factorization_by_system(tgt.epi, v))
+    src, tgt = mo.projective_cover(m)[1], mo.projective_cover(n)[1]
+    v = random_hom(m, n, data).compose(src)
+    assert_factors(tgt, v, mo.solve_hom_factorization(tgt, v))
+    assert_factors(tgt, v, hom_factorization_by_system(tgt, v))
 
 
 @given(data=st.data())
@@ -90,9 +90,9 @@ def test_lift_of_resolution_terms_matches_hom_system(algebras, data):
     res = rs.MinimalResolution(m).extend(2)
     P = res.terms[data.draw(st.integers(0, len(res.terms) - 1))]
     if not path_basis or data.draw(st.booleans()):
-        p = mo.cover_data(n).epi
+        p = mo.projective_cover(n)[1]
     else:
-        p = mo.envelope_data(n).proj
+        p = mo.cokernel(mo.injective_envelope(n)[1])[1]
     v = random_map_from(P, p.codomain, data)
     assert_factors(p, v, mo.solve_hom_factorization(p, v))
     assert_factors(p, v, hom_factorization_by_system(p, v))
@@ -100,10 +100,10 @@ def test_lift_of_resolution_terms_matches_hom_system(algebras, data):
 
 def test_no_factorization_through_a_non_epi(a4):
     # the identity of P_1 does not factor through rad P_1 -> P_1
-    cd = mo.cover_data(mo.simple_module(a4, 1))
-    v = mo.identity_hom(cd.cover)
-    assert mo.solve_hom_factorization(cd.incl, v) is None
-    assert hom_factorization_by_system(cd.incl, v) is None
+    res = rs.MinimalResolution(mo.simple_module(a4, 1)).extend(0)
+    v = mo.identity_hom(res.terms[0])
+    assert mo.solve_hom_factorization(res.incls[1], v) is None
+    assert hom_factorization_by_system(res.incls[1], v) is None
 
 
 def test_submodule_traps_a_span_that_is_not_closed(kron):

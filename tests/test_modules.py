@@ -219,7 +219,8 @@ def test_graded_envelope_matches_ungraded_over_a4(a4):
     for v in a4.vertices:
         s = mo.simple_module(a4, v)
         I, mono, tags = mo.injective_envelope(s)
-        J, mono_u = hd.injective_envelope_ungraded(s)
+        res = hd.injective_resolution_module(s, 0)
+        J, mono_u = res.terms[0], res.qis[0]
         assert [w for w, _d in tags] == J.labels == [v]
         assert [p.dims for p in I.parts] == [p.dims for p in J.parts]
         assert mono.is_injective() and mono.blocks == mono_u.blocks
