@@ -41,8 +41,8 @@ def main():
     print(f"tilting over the degree-0 part: {tilt.is_tilting} (pd {tilt.pd})")
 
     parts = [mo.inflate_module(m, delta) for m in base_parts]
-    c1, _ = mo.cosyzygy(parts[0], strip=True)
-    c2, _ = mo.cosyzygy(c1, strip=True)
+    chain = rs.MinimalCoresolution(parts[0])
+    c1, c2 = ko.omega(chain, 1), ko.omega(chain, 2)
     print(f"first cosyzygy of the projective summand: dim {c1.dim}, "
           f"graded {c1.dims_by_degree()}; second: dim {c2.dim}")
 

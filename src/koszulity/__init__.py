@@ -21,12 +21,12 @@ _PUBLIC = {
                      "build_algebra", "parse_algebra_file",
                      "parse_algebra_source", "path_count"),
     "modules": ("modules", "DirectSum", "GradedModule", "GradedModuleHom",
-                "cosyzygy", "dual_of_left_projective", "graded_dual_module",
+                "dual_of_left_projective", "graded_dual_module",
                 "hom_space", "inflate_module", "injective_envelope",
                 "is_indecomposable", "is_isomorphic", "parse_module_file",
                 "parse_module_source", "projective_cover", "projective_module",
                 "regular_module", "shift_module", "simple_module",
-                "stable_hom", "syzygy", "twist_module"),
+                "stable_hom", "twist_module"),
     "resolution": ("resolution", "ExtTable", "MinimalResolution", "ext_table",
                    "gldim_upto", "tilting_module_check", "ungraded_ext_dim"),
     "truncated": ("truncated", "TruncatedGradedAlgebra", "find_graded_iso",

@@ -375,22 +375,21 @@ def stable_endomorphism_algebra(alg: GradedAlgebra, tilde: TTilde,
 # ---------------------------------------------------------------------------
 
 def stable_to_ext(res: rs.MinimalResolution, chain: rs.MinimalCoresolution,
-                  k: int, q: int, g: mo.GradedModuleHom):
+                  k: int, q: int, v: mo.GradedModuleHom):
     """Cocycle values of the Ext^k class of g: M -> Omega^{-k} N <q>.
 
-    g must be a hom from res.module to shift(omega(chain, k), q).
+    v is g o res.eps: P_0 -> shift(omega(chain, k), q), all of g the
+    translation reads.
     """
     def unshift(vals):
         return [{(v, d - q): vec for (v, d), vec in val.items()}
                 for val in vals]
 
     if k == 0:
-        cocycle = g.compose(res.eps)
-        return unshift([cocycle.apply(res.terms[0].generator_element(t))
+        return unshift([v.apply(res.terms[0].generator_element(t))
                         for t in range(res.terms[0].rank)])
     omega(chain, k)   # builds and checks the envelopes up to C_k
     res.extend(k + 1)
-    v = g.compose(res.eps)   # P_0 -> C_k<q>
     for r in range(k, 0, -1):
         # the shifted envelope of C_{r-1} and its cokernel C_r
         I_q = mo.shift_module(chain.terms[r - 1], q)
@@ -413,13 +412,14 @@ def stable_to_ext(res: rs.MinimalResolution, chain: rs.MinimalCoresolution,
                     for tt in range(term.rank)])
 
 
-def gamma_block_map(bdata: StableEndData, dual: tr.DualData,
-                    resolutions=None, rng=None):
+def gamma_block_map(bdata: StableEndData, dual: tr.DualData, rng=None):
     """Coordinates in the dual of every basis element of B.
 
     For f: X^{(s,j)} -> X^{(s',i)}, gamma(f) is the Ext class of the
     syzygy translate Omega^{n j}(f)<-j>, computed with certified
     isomorphisms aligning translated modules with the stored chains.
+    Omega^{n j}(f) is read off stage n j of a chain map lifting f through
+    two minimal resolutions; its Ext class does not depend on the lift.
     """
     tilde = bdata.tilde
     n = tilde.n
@@ -437,23 +437,20 @@ def gamma_block_map(bdata: StableEndData, dual: tr.DualData,
         (s2, i) = tilde.tags[a1]
         if i < j:
             raise InternalCheckError("nonzero block below the diagonal")
-        k = n * (i - j)
+        k, nj = n * (i - j), n * j
         # unshift by j on both sides
-        dom0 = omega(tilde.chains[s], n * j)
+        dom0 = omega(tilde.chains[s], nj)
         cod0 = mo.shift_module(omega(tilde.chains[s2], n * i), i - j)
         f0 = mo.GradedModuleHom(dom0, cod0,
                                 {(v, d - j): m for (v, d), m in f.blocks.items()})
-        # apply the syzygy functor n*j times
-        src_res = resolution_of(dom0, ("dom", s, j))
-        tgt_res = resolution_of(cod0, ("cod", s2, i, j))
-        dom_fin, cod_fin = omega(src_res, n * j), omega(tgt_res, n * j)
-        cur = f0
-        for step in range(n * j):
-            cur = rs.syzygy_of_hom(cur, src_res, tgt_res, step)
-        # align domain with T^s and codomain with the stored chain module
-        if n * j == 0:
-            g = cur
+        res = dual.resolutions[s]
+        if nj == 0:
+            v = f0.compose(res.eps)
         else:
+            src_res = resolution_of(dom0, ("dom", s, j))
+            tgt_res = resolution_of(cod0, ("cod", s2, i, j))
+            dom_fin, cod_fin = omega(src_res, nj), omega(tgt_res, nj)
+            # align domain with T^s and codomain with the stored chain module
             om = mo.is_isomorphic(dom_fin, tilde.chains[s].module, rng=rng)
             if not om.isomorphic:
                 raise InternalCheckError(
@@ -465,8 +462,19 @@ def gamma_block_map(bdata: StableEndData, dual: tr.DualData,
                 raise InternalCheckError(
                     "syzygy translate misses the stored cosyzygy"
                 )
-            g = om2.certificate.compose(cur).compose(om.certificate.inverse())
-        vals = stable_to_ext(dual.resolutions[s], tilde.chains[s2], k, i - j, g)
+            # Omega^{nj}(f0) o src cover = tgt cover o u, u the lift at nj
+            p0 = src_res.terms[0]
+            lift = rs.CocycleLift(src_res, tgt_res, 0, [
+                f0.apply(src_res.eps.apply(p0.generator_element(t)))
+                for t in range(p0.rank)]).ensure(nj)
+            u = rs.formal_explicit_hom(src_res.terms[nj], tgt_res.terms[nj],
+                                       lift.stages[nj])
+            w = mo.solve_hom_factorization(src_res.cover(nj),
+                                           om.certificate.inverse().compose(res.eps))
+            if w is None:
+                raise InternalCheckError("cover lifting failed")
+            v = om2.certificate.compose(tgt_res.cover(nj)).compose(u).compose(w)
+        vals = stable_to_ext(res, tilde.chains[s2], k, i - j, v)
         eg = dual.groups[(s, s2, i - j)]
         coords = eg.reduce(rs.values_to_vec(eg, vals))
         gamma[idx] = ((i - j, s, s2), coords)

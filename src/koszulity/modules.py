@@ -1109,19 +1109,6 @@ def projective_cover(m: GradedModule):
     return P, epi, tags
 
 
-def syzygy(m: GradedModule, strip: bool = False):
-    """Kernel of the projective cover. With strip=True (self-injective use),
-    projective summands of the result are split off and reported."""
-    P, epi, tags = projective_cover(m)
-    if not tags:
-        return zero_module(m.algebra), []
-    K, _incl = kernel_submodule(epi, name=f"Syz({m.name})")
-    stripped = []
-    if strip:
-        K, stripped = strip_projective_summands(K)
-    return K, stripped
-
-
 def _socle_info(alg: GradedAlgebra):
     """For each vertex v, the socle element of e_v Lambda as a coefficient
     dict. Requires a simple socle (basic self-injective)."""
@@ -1169,18 +1156,6 @@ def injective_envelope(m: GradedModule):
     return I, mono, tags
 
 
-def cosyzygy(m: GradedModule, strip: bool = False):
-    """Cokernel of the injective envelope; see syzygy for stripping."""
-    I, mono, tags = injective_envelope(m)
-    if not tags:
-        return zero_module(m.algebra), []
-    C, _proj = cokernel(mono, name=f"Cosyz({m.name})")
-    stripped = []
-    if strip:
-        C, stripped = strip_projective_summands(C)
-    return C, stripped
-
-
 def find_projective_summand(m: GradedModule):
     """Find (v, j, element) such that e_v L <j> splits off via gen -> element."""
     alg = m.algebra
@@ -1192,28 +1167,6 @@ def find_projective_summand(m: GradedModule):
             if img:
                 return v, j, m.unit_vector((v, j), i)
     return None
-
-
-def strip_projective_summands(m: GradedModule):
-    """Split off all projective direct summands (self-injective base).
-
-    Returns (module without projective summands, list of (v, j) stripped).
-    """
-    stripped = []
-    current = m
-    while not current.is_zero():
-        found = find_projective_summand(current)
-        if found is None:
-            break
-        v, j, elem = found
-        P = projective_module(current.algebra, v, j)
-        f = map_from_projective(P, current, elem)
-        if not f.is_injective():
-            raise InternalCheckError("projective summand detection produced a non-mono")
-        # P is injective, so f splits and its cokernel is the complement
-        current, _proj = cokernel(f, name=current.name + "-proj")
-        stripped.append((v, j))
-    return current, stripped
 
 
 # ---------------------------------------------------------------------------

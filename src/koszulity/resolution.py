@@ -2,11 +2,12 @@
 
 The package walks "cover, then kernel" and "envelope, then cokernel" in one
 place each: `MinimalResolution` and `MinimalCoresolution` keep the minimal
-(co)syzygies of a module with the maps that made them, and every reader of
-Omega^k M or Omega^{-k} M reads them off these two records.
+(co)syzygies of a module with the maps their readers need, and every reader
+of Omega^k M or Omega^{-k} M reads them off these two records.
 
 A term of a projective resolution is a formal direct sum of shifted
-projectives e_v Lambda<d>, realized as an explicit module on demand. A map
+projectives e_v Lambda<d>. As a `DirectSum` it builds the dense
+block-diagonal action of its parts when it is constructed. A map
 between formal projectives is a matrix of algebra elements: entry (l, k)
 lies in e_{v_l} Lambda e_{v_k} and acts by left multiplication on the k-th
 generator. Hom(P, N) is then a direct sum of blocks of N and the induced
@@ -66,9 +67,10 @@ def compose_formal(alg: GradedAlgebra, a_cols, b_cols):
 class MinimalResolution:
     """Minimal projective resolution built by iterated covers and kernels.
 
-    d_i is the kernel inclusion incls[i]: Omega^i M -> P_{i-1} after the
-    cover epi P_i -> Omega^i M; a zero syzygy gets the rank-0 cover, and the
-    resolution stops there. The epis are not kept: `cover` reads them back.
+    d_i is the kernel inclusion Omega^i M -> P_{i-1} after the cover epi
+    P_i -> Omega^i M; a zero syzygy gets the rank-0 cover, and the
+    resolution stops there. Only the last inclusion is kept, and past
+    degree 0 the epis are not kept: `cover` builds them again.
     """
 
     def __init__(self, m: mo.GradedModule):
@@ -77,8 +79,8 @@ class MinimalResolution:
         self.diff_cols = []   # diff_cols[i]: columns of d_{i+1} : P_{i+1} -> P_i
         self.diff_homs = [None]  # explicit homs, diff_homs[i] for i>=1
         self.eps = None
-        self.syzygies = [m]   # syzygies[i] = Omega^i M (no stripping here)
-        self.incls = [None]   # incls[i]: Omega^i M -> P_{i-1}, for i>=1
+        self.syzygies = [m]   # syzygies[i] = Omega^i M
+        self._last_incl = None  # Omega^i M -> P_{i-1} for the last syzygy
 
     def extend(self, upto: int):
         while len(self.terms) <= upto and (not self.terms or self.terms[-1].rank):
@@ -95,12 +97,12 @@ class MinimalResolution:
         if i == 0:
             self.eps = epi
         else:
-            dhom = self.incls[i].compose(epi)
+            dhom = self._last_incl.compose(epi)
             self.diff_homs.append(dhom)
             self.diff_cols.append([self.terms[-1].element_to_formal(
                 dhom.apply(P.generator_element(k))) for k in range(P.rank)])
         self.terms.append(P)
-        self.incls.append(incl)
+        self._last_incl = incl
         self.syzygies.append(K)
 
     def syzygy(self, k: int) -> mo.GradedModule:
@@ -109,28 +111,18 @@ class MinimalResolution:
         return self.syzygies[min(k, len(self.syzygies) - 1)]
 
     def cover(self, i: int) -> mo.GradedModuleHom:
-        """The cover epi P_i -> Omega^i M. Past degree 0 it is the one map
-        through which the mono incls[i] factors d_i."""
+        """The cover epi P_i -> Omega^i M; `projective_cover` is
+        deterministic, so past degree 0 this is the epi the step built."""
         self.extend(i)
         if i == 0:
             return self.eps
-        return mo.post_invert_mono(self.incls[i], self.diff_homs[i])
+        return mo.projective_cover(self.syzygies[i])[1]
 
     def term_gens(self, i: int):
         return self.terms[i].gens if i < len(self.terms) else []
 
     def generator_degrees(self, i: int):
         return sorted(d for (_v, d) in self.term_gens(i))
-
-
-def syzygy_of_hom(f: mo.GradedModuleHom, src: MinimalResolution,
-                  tgt: MinimalResolution, i: int) -> mo.GradedModuleHom:
-    """Omega(f): Omega^{i+1} M -> Omega^{i+1} N for f: Omega^i M -> Omega^i N,
-    through the minimal covers of the resolutions src of M and tgt of N."""
-    u = mo.solve_hom_factorization(tgt.cover(i), f.compose(src.cover(i)))
-    if u is None:
-        raise InternalCheckError("cover lifting failed")
-    return mo.post_invert_mono(tgt.incls[i + 1], u.compose(src.incls[i + 1]))
 
 
 class MinimalCoresolution:

@@ -290,16 +290,49 @@ def cover_data(m):
 
 
 def syzygy_of_hom_by_cover_data(f, src, tgt):
-    """Reference `rs.syzygy_of_hom`: Omega(f) through the `cover_data` src
-    of f's domain and tgt of its codomain.
-
-    The package reads the covers and inclusions off two
-    `rs.MinimalResolution` records instead; tests compare the two.
-    """
+    """Omega(f) through the `cover_data` src of f's domain and tgt of its
+    codomain: one step of `gamma_by_cover_data`'s walk."""
     (src_epi, _k, src_incl), (tgt_epi, _l, tgt_incl) = src, tgt
     u = mo.solve_hom_factorization(tgt_epi, f.compose(src_epi))
     assert u is not None, "cover lifting failed"
     return mo.post_invert_mono(tgt_incl, u.compose(src_incl))
+
+
+def gamma_by_cover_data(bdata, dual, rng=None):
+    """Reference `ko.gamma_block_map`: Omega^{n j}(f) walked one syzygy at a
+    time with `syzygy_of_hom_by_cover_data`, the covers built afresh.
+
+    The package reads Omega^{n j}(f) off a chain lift instead. Both make the
+    same `is_isomorphic` calls in the same order, so one seed gives both the
+    same certificates; tests compare the coordinates.
+    """
+    from koszulity import koszul as ko
+    from koszulity import resolution as rs
+
+    tilde, n = bdata.tilde, bdata.tilde.n
+    gamma = {}
+    for (a1, b1, c1), idx in bdata.index.items():
+        f = bdata.reps[(a1, b1)][c1]
+        (s, j), (s2, i) = tilde.tags[b1], tilde.tags[a1]
+        k = n * (i - j)
+        dom0 = ko.omega(tilde.chains[s], n * j)
+        cod0 = mo.shift_module(ko.omega(tilde.chains[s2], n * i), i - j)
+        g = mo.GradedModuleHom(dom0, cod0,
+                               {(v, d - j): m for (v, d), m in f.blocks.items()})
+        if n * j:
+            for _ in range(n * j):
+                src, tgt = cover_data(g.domain), cover_data(g.codomain)
+                g = syzygy_of_hom_by_cover_data(g, src, tgt)
+            om = mo.is_isomorphic(g.domain, tilde.chains[s].module, rng=rng)
+            target = mo.shift_module(ko.omega(tilde.chains[s2], k), i - j)
+            om2 = mo.is_isomorphic(g.codomain, target, rng=rng)
+            assert om.isomorphic and om2.isomorphic
+            g = om2.certificate.compose(g).compose(om.certificate.inverse())
+        res = dual.resolutions[s]
+        vals = ko.stable_to_ext(res, tilde.chains[s2], k, i - j, g.compose(res.eps))
+        eg = dual.groups[(s, s2, i - j)]
+        gamma[idx] = ((i - j, s, s2), eg.reduce(rs.values_to_vec(eg, vals)))
+    return gamma
 
 
 def graded_iso_space_dense(G1, G2, phi0):

@@ -22,6 +22,7 @@ from conftest import (cohomology_by_vectors, data_path,
                       socle_spans_by_radical_basis, submodule_by_solve)
 from koszulity import hereditary as hd
 from koszulity import modules as mo
+from koszulity import resolution as rs
 from koszulity.algebra import GradedAlgebra, InputError
 from koszulity.frobenius import socle_degrees
 from koszulity.linalg import EchelonBasis, exact
@@ -93,7 +94,7 @@ def draw_module(alg, data):
     elif kind == "regular":
         m = mo.regular_module(alg)
     elif kind == "syzygy":
-        m = mo.syzygy(mo.dual_of_left_projective(alg, v))[0]
+        m = rs.MinimalResolution(mo.dual_of_left_projective(alg, v)).syzygy(1)
     else:
         m = mo.DirectSum(alg, [mo.projective_module(alg, v),
                                mo.dual_of_left_projective(alg, v)])

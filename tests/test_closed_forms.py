@@ -100,10 +100,11 @@ def test_lift_of_resolution_terms_matches_hom_system(algebras, data):
 
 def test_no_factorization_through_a_non_epi(a4):
     # the identity of P_1 does not factor through rad P_1 -> P_1
-    res = rs.MinimalResolution(mo.simple_module(a4, 1)).extend(0)
+    res = rs.MinimalResolution(mo.simple_module(a4, 1))
+    incl = mo.kernel_submodule(res.cover(0))[1]
     v = mo.identity_hom(res.terms[0])
-    assert mo.solve_hom_factorization(res.incls[1], v) is None
-    assert hom_factorization_by_system(res.incls[1], v) is None
+    assert mo.solve_hom_factorization(incl, v) is None
+    assert hom_factorization_by_system(incl, v) is None
 
 
 def test_submodule_traps_a_span_that_is_not_closed(kron):
@@ -127,7 +128,7 @@ def test_simple_module_is_the_top_of_its_projective(a4, delta_kron, x3):
     assert s.dims == {(1, 0): 1} and s.name == "S1<0>"
     assert {x: per[0].data for x, per in s.action.items()} == {1: [[1]], 2: [[1]]}
     assert not any(map(any, mo.radical_span(s).values()))
-    assert mo.syzygy(s)[0].dim == 2
+    assert rs.MinimalResolution(s).syzygy(1).dim == 2
     # over path bases only the radical acts, by 0
     for a in (a4, delta_kron, x3, beil2()):
         for v in a.vertices:

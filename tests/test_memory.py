@@ -20,6 +20,8 @@ DATA = ROOT / "tests" / "data"
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 MIB = 2 ** 20
 TILTING = [x for k in range(1, 5) for x in ("--tilting", f"{DATA}/T{k}.mod")]
+EXT_MODULES = [x for flag in ("--M", "--N") for k in range(1, 5)
+               for x in (flag, f"{DATA}/T{k}.mod")]
 
 # Peak of Python allocations while one command runs, after every koszulity
 # module is imported, so import-time allocations are left out.
@@ -51,7 +53,11 @@ def traced_peak(argv):
     # about 2.5 MiB with sparse constraint rows; 4.9 MiB with dense ones
     (["verify", "trivext-dual", "--algebra", f"{DATA}/kron.alg", "--n", "1",
       "--degree-max", "4"], 3.8),
-], ids=["characterization-a4", "trivext-dual-kron-d4"])
+    # about 3.7 MiB keeping one kernel inclusion per resolution; 3.9 MiB
+    # keeping every one
+    (["ext", "--algebra", f"{DATA}/a4.alg", "--trivext", "--n", "2",
+      "--i-max", "12", *EXT_MODULES], 3.8),
+], ids=["characterization-a4", "trivext-dual-kron-d4", "ext-a4-i12"])
 def test_traced_peak_is_bounded(argv, bound_mib):
     code, peak = traced_peak(argv)
     assert code == 0

@@ -3,23 +3,27 @@ envelope-then-cokernel (`rs.MinimalCoresolution`).
 
 Every reader of Omega^k M or Omega^{-k} M reads these two records. These
 tests compare them with the routes they replace
-(`conftest.injective_resolution_by_envelope_loop`, `conftest.cover_data`
-with `conftest.syzygy_of_hom_by_cover_data`), read past the end of a
-finite resolution, and reach the traps of the readers: a non-minimal cover
-or envelope, an injective resolution longer than its cap, and a module
-outside degree 0 for the ungraded envelope.
+(`conftest.injective_resolution_by_envelope_loop`, `conftest.cover_data`),
+compare the gamma map, which reads Omega^{nj}(f) off a chain lift, with
+`conftest.gamma_by_cover_data`, which walks it one syzygy at a time, read
+past the end of a finite resolution, and reach the traps of the readers: a
+non-minimal cover or envelope, an injective resolution longer than its cap,
+and a module outside degree 0 for the ungraded envelope.
 """
+
+import random
 
 import pytest
 
-from conftest import (cover_data, data_path, injective_resolution_by_envelope_loop,
-                      syzygy_of_hom_by_cover_data)
+from conftest import (cover_data, data_path, gamma_by_cover_data,
+                      injective_resolution_by_envelope_loop, rel)
 from koszulity import hereditary as hd
 from koszulity import koszul as ko
 from koszulity import modules as mo
 from koszulity import resolution as rs
+from koszulity import truncated as tr
 from koszulity.algebra import InputError, InternalCheckError
-from koszulity.presentation import parse_algebra_file
+from koszulity.presentation import Arrow, Quiver, build_algebra, parse_algebra_file
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +60,7 @@ def assert_same_module(got, want):
 
 
 @pytest.mark.parametrize("name", ["delta_a4", "x3"])
-def test_syzygy_of_hom_matches_the_cover_data_route(name, request):
+def test_covers_match_the_cover_data_route(name, request):
     alg = request.getfixturevalue(name)
     if name == "x3":
         k = mo.simple_module(alg, 1)
@@ -65,22 +69,54 @@ def test_syzygy_of_hom_matches_the_cover_data_route(name, request):
             {(1, 2): [1]}))[0]]
     else:
         mods = request.getfixturevalue("t_summands")
-    pairs = [(m, n, h) for m in mods for n in mods for h in mo.hom_space(m, n)[:2]]
-    assert pairs
-    for m, n, f in pairs:
-        src, tgt = rs.MinimalResolution(m), rs.MinimalResolution(n)
-        ref_src, ref_tgt = cover_data(m), cover_data(n)
-        cur = ref = f
+    for m in mods:
+        res, ref = rs.MinimalResolution(m), cover_data(m)
         for i in range(3):
-            # the epi read back through the inclusion is the one the step built
-            assert src.cover(i).blocks == ref_src[0].blocks
-            assert tgt.cover(i).blocks == ref_tgt[0].blocks
-            cur = rs.syzygy_of_hom(cur, src, tgt, i)
-            ref = syzygy_of_hom_by_cover_data(ref, ref_src, ref_tgt)
-            assert cur.blocks == ref.blocks and cur.check_commutes()
-            assert_same_module(src.syzygy(i + 1), ref_src[1])
-            assert_same_module(tgt.syzygy(i + 1), ref_tgt[1])
-            ref_src, ref_tgt = cover_data(ref_src[1]), cover_data(ref_tgt[1])
+            # the epi built again from the syzygy is the one the step built
+            assert res.cover(i).blocks == ref[0].blocks
+            assert res.cover(i).domain.gens == res.terms[i].gens
+            assert_same_module(res.syzygy(i + 1), ref[1])
+            ref = cover_data(ref[1])
+
+
+def truncated_polynomial(k):
+    """k[x]/x^k with x in degree 1."""
+    q = Quiver(1, (Arrow("x", 1, 1, 1),))
+    return build_algebra(q, [rel("*".join("x" * k))], k, name=f"x{k}")
+
+
+def cyclic_nakayama(length):
+    """The self-injective Nakayama algebra on the cycle 1 -> 2 -> 1 with
+    Loewy length `length`, arrows in degree 1."""
+    q = Quiver(2, (Arrow("a", 1, 2, 1), Arrow("b", 2, 1, 1)))
+    paths = ["*".join((("a", "b") * length)[i:i + length]) for i in (0, 1)]
+    return build_algebra(q, [rel(p) for p in paths], length, name=f"nak{length}")
+
+
+GAMMA_INPUTS = ([(f"x{k}", n) for k in (3, 4, 5) for n in (1, 2, 3)]
+                + [(f"nak{length}", n) for length in (3, 4) for n in (1, 2)]
+                + [("delta_a4", 2)])
+
+
+@pytest.mark.parametrize("name, n", GAMMA_INPUTS,
+                         ids=[f"{name}-n{n}" for name, n in GAMMA_INPUTS])
+def test_gamma_matches_the_cover_data_route(name, n, request):
+    # simples as summands (T1-T4 over Delta(a4)), a the highest degree;
+    # gamma reads Omega^{nj}(f) off a chain lift, the reference walks it
+    if name == "delta_a4":
+        alg, summands = request.getfixturevalue(name), request.getfixturevalue("t_summands")
+    else:
+        k = int(name[-1])
+        alg = truncated_polynomial(k) if name[0] == "x" else cyclic_nakayama(k)
+        summands = [mo.simple_module(alg, v) for v in alg.vertices]
+    a = alg.highest_degree()
+    tilde = ko.build_t_tilde(alg, summands, n, a)
+    dual = tr.koszul_dual(alg, summands, n, max(a - 1, 1))
+    bdata = ko.stable_endomorphism_algebra(alg, tilde, dual=dual)
+    got = ko.gamma_block_map(bdata, dual, rng=random.Random(0))
+    assert got == gamma_by_cover_data(bdata, dual, rng=random.Random(0))
+    assert len(got) == bdata.algebra.dim
+    assert all(any(coords) for _key, coords in got.values())
 
 
 def test_syzygies_past_the_end_are_zero(a4):

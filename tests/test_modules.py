@@ -7,6 +7,8 @@ import pytest
 
 from koszulity import modules as mo
 from koszulity import hereditary as hd
+from koszulity import koszul as ko
+from koszulity import resolution as rs
 from koszulity.linalg import EchelonBasis, Matrix
 from koszulity.algebra import InputError
 from conftest import data_path, hom_space_with_constraints, is_isomorphic_by_flatten
@@ -146,12 +148,11 @@ def test_hom_end_T_is_ten(delta_a4, t_summands):
 
 
 def test_cosyzygies_of_first_summand(t_summands):
-    t1 = t_summands[0]
-    c1, stripped = mo.cosyzygy(t1, strip=True)
-    assert stripped == []
+    # `ko.omega` raises if a cosyzygy has a projective summand
+    chain = rs.MinimalCoresolution(t_summands[0])
+    c1 = ko.omega(chain, 1)
     assert c1.dim == 5 and c1.dims_by_degree() == {-1: 4, 0: 1}
-    c2, stripped = mo.cosyzygy(c1, strip=True)
-    assert stripped == []
+    c2 = ko.omega(chain, 2)
     assert c2.dim == 7
 
 
@@ -228,27 +229,24 @@ def test_graded_envelope_matches_ungraded_over_a4(a4):
 
 def test_syzygy_of_projective_is_zero(delta_a4):
     p = mo.projective_module(delta_a4, 1)
-    k, stripped = mo.syzygy(p, strip=True)
-    assert k.is_zero()
+    assert ko.omega(rs.MinimalResolution(p), 1).is_zero()
 
 
 def test_omega_inverse_chain_delta_a2(a2, delta_a2):
     e1 = mo.inflate_module(mo.projective_module(a2, 1), delta_a2)
     e2 = mo.inflate_module(mo.projective_module(a2, 2), delta_a2)
-    c, _ = mo.cosyzygy(e1, strip=True)
+    c = ko.omega(rs.MinimalCoresolution(e1), 1)
     v = mo.is_isomorphic(c, mo.shift_module(e2, -1))
     assert v.isomorphic and v.certified
-    c2 = e2
-    for _ in range(3):
-        c2, _ = mo.cosyzygy(c2, strip=True)
+    c2 = ko.omega(rs.MinimalCoresolution(e2), 3)
     v2 = mo.is_isomorphic(c2, mo.shift_module(e1, -2))
     assert v2.isomorphic and v2.certified
 
 
 def test_syzygy_cosyzygy_mutually_inverse(t_summands):
     m = t_summands[0]
-    c, _ = mo.cosyzygy(m, strip=True)
-    back, _ = mo.syzygy(c, strip=True)
+    c = ko.omega(rs.MinimalCoresolution(m), 1)
+    back = ko.omega(rs.MinimalResolution(c), 1)
     v = mo.is_isomorphic(back, m)
     assert v.isomorphic
 
@@ -363,28 +361,6 @@ end
         mo.parse_module_source(src, a2)
 
 
-def test_strip_projective_summand(delta_a4, t_summands):
-    p = mo.projective_module(delta_a4, 2, -1)
-    m = mo.DirectSum(delta_a4, [t_summands[1], p])
-    core, stripped = mo.strip_projective_summands(m)
-    assert stripped == [(2, -1)]
-    v = mo.is_isomorphic(core, t_summands[1])
-    assert v.isomorphic
-
-
-def test_strip_two_projective_summands(delta_a4, t_summands):
-    # the cokernel of each split mono is the complement, in either order of
-    # the summands; an all-projective module leaves a zero core
-    p, q = mo.projective_module(delta_a4, 2, -1), mo.projective_module(delta_a4, 4, 1)
-    for parts in ([p, t_summands[2], q], [q, t_summands[2], p]):
-        core, stripped = mo.strip_projective_summands(mo.DirectSum(delta_a4, parts))
-        assert sorted(stripped) == [(2, -1), (4, 1)]
-        v = mo.is_isomorphic(core, t_summands[2])
-        assert v.isomorphic and v.certified
-    core, stripped = mo.strip_projective_summands(mo.DirectSum(delta_a4, [q, p]))
-    assert core.is_zero() and sorted(stripped) == [(2, -1), (4, 1)]
-
-
 def test_graded_dual_module(point, dualnum, delta_a4):
     # a field: dual concentrated in degree 0
     d0 = mo.graded_dual_module(point)
@@ -439,7 +415,7 @@ def iso_test_modules(alg, parts):
 
     mods = list(parts)
     mods += [mo.DirectSum(alg, [p, q]) for p in parts for q in parts if p is not q]
-    mods += [mo.syzygy(p, strip=True)[0] for p in parts]
+    mods += [ko.omega(rs.MinimalResolution(p), 1) for p in parts]
     mods = [m for m in mods if not m.is_zero()]
     scales = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 3)]
     return mods + [rescale(m, {key: [scales[(i + k) % 3] for i in range(dim)]

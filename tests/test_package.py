@@ -29,7 +29,7 @@ PUBLIC = [
     "TruncatedGradedAlgebra", "algebra", "build_algebra", "build_mu_bar",
     "build_t_tilde", "check_almost_self_orthogonal",
     "check_classic_almost_koszul", "check_n_T_koszul", "check_n_m_sigma_koszul",
-    "check_self_orthogonal", "cosyzygy", "derived_nu_inverse_power",
+    "check_self_orthogonal", "derived_nu_inverse_power",
     "dual_of_left_projective", "ext_table", "find_graded_iso", "frobenius",
     "frobenius_analysis", "gldim_upto", "graded_dual_module", "hereditary",
     "hom_space", "inflate_module", "injective_envelope", "injective_module",
@@ -40,14 +40,14 @@ PUBLIC = [
     "preprojective_algebra", "presentation", "projective_cover",
     "projective_module", "quasi_veronese", "regular_module", "resolution",
     "rigidity_check", "serre_dimension_identity", "shift_module",
-    "simple_module", "stable_endomorphism_algebra", "stable_hom", "syzygy",
+    "simple_module", "stable_endomorphism_algebra", "stable_hom",
     "tilting_module_check", "trivial_extension", "truncate_algebra",
     "truncated", "twist_algebra", "twist_module", "ungraded_ext_dim", "verify",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 74
+    assert len(PUBLIC) == 72
     assert koszulity.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(koszulity))
 
