@@ -20,11 +20,11 @@ workload, at seed 0, records whether it was correct and the exact work
 counts of WORK_COUNTS, and names the counts that differ between the sides:
 a "same work" statement read off the runs.
 
-Last, each of DEEP_WINDOWS, six deep CLI windows, runs DEEP_RUNS times per
-side, each run in a fresh interpreter and alternating which side goes
-first. The file records the wall time, the peak RSS (reaped with wait4)
-and the exit code of every run, and whether both sides printed the same
-stdout. After writing the file, the script exits 1 if any run, timed or
+Last, each of DEEP_WINDOWS, seven deep CLI windows, runs DEEP_RUNS times
+per side, each run in a fresh interpreter under a CHILD_AS_CAP address-space
+cap and alternating which side goes first. The file records the wall time,
+the peak RSS (reaped with wait4) and the exit code of every run, and whether
+both sides printed the same stdout. After writing the file, the script exits 1 if any run, timed or
 traced, was not correct, or if a deep window's stdout differs between the
 sides.
 
@@ -38,6 +38,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -69,8 +70,13 @@ DEEP_WINDOWS = {
     "beil2-characterization": ["verify", "characterization", "--algebra",
                                "tests/data/beil2.alg", "--trivext", "--n", "3",
                                "--i-max", "4", "--depth", "3"],
+    "beil3-nrep-depth1": ["nrep", "--algebra", "tests/data/beil3.alg", "--mode",
+                          "infinite", "--n", "3", "--depth", "1"],
 }
 DEEP_RUNS = 3
+# Address-space cap of each deep-window child, so a run that outgrows it
+# fails alone instead of exhausting the machine.
+CHILD_AS_CAP = 3 * 1024 ** 3
 
 
 def git(*args) -> str:
@@ -118,14 +124,21 @@ def traced_work(trees: dict, workload: str) -> dict:
     return out
 
 
+def cap_child() -> None:
+    """Limit the address space of the calling (child) process."""
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_CAP, CHILD_AS_CAP))
+
+
 def run_cli(tree: Path, argv) -> tuple:
     """(costs, stdout) of `python3 -m koszulity.cli argv` in a fresh
-    interpreter in tree; the child is reaped with wait4 for its rusage."""
+    interpreter in tree, under CHILD_AS_CAP; the child is reaped with wait4
+    for its rusage."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "koszulity.cli", *argv],
                             cwd=tree, env=env, stdin=subprocess.DEVNULL,
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                            preexec_fn=cap_child)
     with proc.stdout:
         out = proc.stdout.read()
     _pid, status, usage = os.wait4(proc.pid, 0)

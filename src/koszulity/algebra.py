@@ -177,20 +177,12 @@ class GradedAlgebra:
         z = self.degree_zero_indices()
         n = len(z)
         # trace of left multiplication by basis product
-        gram = Matrix(n, n)
-        for a_i, a in enumerate(z):
-            for b_i, b in enumerate(z):
-                prod = self.mult_basis(a, b)
-                tr = 0
-                for k, c in prod.items():
-                    # tr(L_k) over the degree-0 part
-                    for m in z:
-                        km = self.mult_basis(k, m)
-                        tr += c * km.get(m, 0)
-                gram.data[a_i][b_i] = tr
-        rad = []
-        for v in gram.kernel_basis():
-            rad.append({z[i]: c for i, c in enumerate(v) if c})
+        # tr(L_k) over the degree-0 part, for each k in a product
+        gram = Matrix.from_entries(n, n, {
+            (a_i, b_i): sum(c * self.mult_basis(k, m).get(m, 0)
+                            for k, c in self.mult_basis(a, b).items() for m in z)
+            for a_i, a in enumerate(z) for b_i, b in enumerate(z)})
+        rad = [{z[i]: c for i, c in sorted(v.items())} for v in gram.kernel_basis()]
         self.memo["radical_degree_zero"] = rad
         return rad
 

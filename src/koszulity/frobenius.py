@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, candidate_combinations, exact
+from .linalg import Matrix, candidate_combinations
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 
 
@@ -40,12 +40,9 @@ class GradedAlgebraMorphism:
         return out
 
     def matrix(self) -> Matrix:
-        n, m = self.codomain.dim, self.domain.dim
-        mat = Matrix.zero(n, m)
-        for j in range(m):
-            for k, c in self.apply_basis(j).items():
-                mat.data[k][j] = c
-        return mat
+        return Matrix.from_entries(self.codomain.dim, self.domain.dim, {
+            (k, j): c for j in range(self.domain.dim)
+            for k, c in self.apply_basis(j).items()})
 
     def is_identity(self) -> bool:
         if self.domain is not self.codomain and self.domain.labels != self.codomain.labels:
@@ -110,10 +107,9 @@ class GradedAlgebraMorphism:
         inv = self.matrix().inverse()
         if inv is None:
             raise InputError("morphism is not invertible")
-        images = {}
-        for j in range(self.codomain.dim):
-            images[j] = {k: inv.data[k][j] for k in range(self.domain.dim)
-                         if inv.data[k][j]}
+        cols = inv.transpose().srows
+        images = {j: dict(sorted(cols.get(j, {}).items()))
+                  for j in range(self.codomain.dim)}
         return GradedAlgebraMorphism(self.codomain, self.domain, images)
 
 
@@ -150,26 +146,19 @@ def _pairing_block_dims_match(alg: GradedAlgebra, a: int) -> bool:
 
 def _gram(alg: GradedAlgebra, f: dict) -> Matrix:
     n = alg.dim
-    g = Matrix.zero(n, n)
-    for i in range(n):
-        for j in range(n):
-            prod = alg.mult_basis(i, j)
-            val = 0
-            for k, c in prod.items():
-                fv = f.get(k)
-                if fv:
-                    val += c * fv
-            g.data[i][j] = val
-    return g
+    return Matrix.from_entries(n, n, {
+        (i, j): sum(c * f.get(k, 0) for k, c in alg.mult_basis(i, j).items())
+        for i in range(n) for j in range(n)})
 
 
 def _nakayama_from_gram(alg: GradedAlgebra, g: Matrix) -> GradedAlgebraMorphism:
     ginv = g.inverse()
     if ginv is None:
         raise InternalCheckError("gram matrix not invertible")
-    # u solves sum_z u_z f(y z) = f(x y) for all y: u = g^{-1} (row x of g)
-    images = {x: {z: exact(c) for z, c in enumerate(ginv.apply(g.data[x])) if c}
-              for x in range(alg.dim)}
+    # u solves sum_z u_z f(y z) = f(x y) for all y: u = g^{-1} (row x of g),
+    # so the images are the rows of g g^{-T}
+    rows = (g * ginv.transpose()).srows
+    images = {x: dict(sorted(rows.get(x, {}).items())) for x in range(alg.dim)}
     return GradedAlgebraMorphism(alg, alg, images)
 
 
@@ -188,21 +177,12 @@ def frobenius_analysis(alg: GradedAlgebra, rng=None):
     rows = []
     for i in range(alg.dim):
         for j in range(alg.dim):
-            row = [0] * len(top)
             pij = alg.mult_basis(i, j)
             pji = alg.mult_basis(j, i)
-            hit = False
-            for t_i, t in enumerate(top):
-                c = pij.get(t, 0) - pji.get(t, 0)
-                if c:
-                    row[t_i] = c
-                    hit = True
-            if hit:
+            row = {t_i: pij.get(t, 0) - pji.get(t, 0) for t_i, t in enumerate(top)}
+            if any(row.values()):
                 rows.append(row)
-    if rows:
-        sym_space = Matrix(len(rows), len(top), rows).kernel_basis()
-    else:
-        sym_space = [list(r) for r in Matrix.identity(len(top)).data]
+    sym_space = Matrix(len(rows), len(top), rows).kernel_basis()
 
     def invertible_forms(space):
         """(f, Gram matrix of f) for each nondegenerate f the stream gives."""
@@ -226,7 +206,7 @@ def frobenius_analysis(alg: GradedAlgebra, rng=None):
             functional=f,
         )
 
-    full_space = [list(r) for r in Matrix.identity(len(top)).data]
+    full_space = [{i: 1} for i in range(len(top))]
     hit = next(invertible_forms(full_space), None)
     if hit is None:
         if top:
@@ -258,17 +238,10 @@ def frobenius_analysis(alg: GradedAlgebra, rng=None):
 
 
 def verify_form_identity(alg: GradedAlgebra, f: dict, mu: GradedAlgebraMorphism):
-    """Check <x, y> = <y, mu(x)> on all basis pairs."""
+    """Check <x, y> = <y, mu(x)> on all basis pairs: g = M^T g^T for the
+    Gram matrix g and M = mu.matrix()."""
     g = _gram(alg, f)
-    for x in range(alg.dim):
-        for y in range(alg.dim):
-            lhs = g.data[x][y]
-            rhs = 0
-            for z, c in mu.apply_basis(x).items():
-                rhs += c * g.data[y][z]
-            if lhs != rhs:
-                return False
-    return True
+    return g == mu.matrix().transpose() * g.transpose()
 
 
 def socle_degrees(alg: GradedAlgebra):
@@ -278,15 +251,13 @@ def socle_degrees(alg: GradedAlgebra):
     if not arrows:
         return sorted(alg.degree)
     # socle = kernel of x -> (x a)_a : stack right-multiplication matrices
-    stacked = Matrix(n * len(arrows), n)
+    cells = {}
     for r, a in enumerate(arrows):
         for i in range(n):
             for j, c in a.items():
                 for k, ck in alg.mult_basis(i, j).items():
-                    stacked.data[r * n + k][i] += c * ck
-    kernel = stacked.kernel_basis()
+                    cells[r * n + k, i] = cells.get((r * n + k, i), 0) + c * ck
     out = []
-    for vec in kernel:
-        degs = {alg.degree[i] for i, c in enumerate(vec) if c}
-        out.extend(sorted(degs))
+    for vec in Matrix.from_entries(n * len(arrows), n, cells).kernel_basis():
+        out.extend(sorted({alg.degree[i] for i in vec}))
     return out

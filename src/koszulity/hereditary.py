@@ -63,8 +63,8 @@ def injective_to_projective_hom(a: GradedAlgebra, v, w, h: mo.GradedModuleHom):
     (w, 0) block holds the coefficients of x on the basis of e_w A e_v.
     """
     e_w = h.codomain.basis_index[(w, 0)].index(a.idempotent_index(w))
-    row = h.block(w, 0).data[e_w]
-    coeffs = {b: c for b, c in zip(h.domain.basis_index.get((w, 0), []), row) if c}
+    row = h.block(w, 0).srows.get(e_w, {})
+    coeffs = {h.domain.basis_index[(w, 0)][j]: c for j, c in sorted(row.items())}
     if dual_right_mult_hom(a, v, w, coeffs).blocks != h.blocks:
         raise InternalCheckError("injective hom outside the dual-basis span")
     return left_mult_hom(a, v, w, coeffs)
@@ -102,22 +102,11 @@ def transport_sum_hom(src: LabeledSum, tgt: LabeledSum, h: mo.GradedModuleHom,
     pieces = []
     for i, (v, p, off_p) in enumerate(zip(src.labels, src.parts, src.offsets)):
         for j, (w, q, off_q) in enumerate(zip(tgt.labels, tgt.parts, tgt.offsets)):
-            if _meets(h, p, off_p, q, off_q):
-                comp = mo.slice_hom(h, p, off_p, q, off_q)
+            comp = mo.slice_hom(h, p, off_p, q, off_q)
+            if not comp.is_zero():
                 pieces.append((move(src.algebra, v, w, comp),
                                src_to.offsets[i], tgt_to.offsets[j]))
     return mo.place(src_to, tgt_to, pieces)
-
-
-def _meets(h, p, off_p, q, off_q) -> bool:
-    """Whether h has a nonzero entry in the rectangle `mo.slice_hom` reads."""
-    for key, mat in h.blocks.items():
-        nr, nc = q.block_dim(*key), p.block_dim(*key)
-        if nr and nc:
-            r0, c0 = off_q.get(key, 0), off_p.get(key, 0)
-            if any(any(row[c0:c0 + nc]) for row in mat.data[r0:r0 + nr]):
-                return True
-    return False
 
 
 def identify_injective(a: GradedAlgebra, m: mo.GradedModule, rng=None):

@@ -838,7 +838,7 @@ def build_mu_bar(alg: GradedAlgebra, dual: tr.DualData,
         ndim = G.dim(dd)
         if ndim == 0:
             continue
-        mat = Matrix.zero(ndim, ndim)
+        cells = {}
         for s in range(t):
             for s2 in range(t):
                 eg = dual.groups[(s, s2, dd)]
@@ -861,10 +861,8 @@ def build_mu_bar(alg: GradedAlgebra, dual: tr.DualData,
                     coords = eg_out.reduce(vec)
                     col = dual.index[(dd, s, s2, c)]
                     for c2, coeff in enumerate(coords):
-                        if coeff:
-                            row = dual.index[(dd, perm[s], perm[s2], c2)]
-                            mat.data[row][col] = coeff
-        mats[dd] = mat
+                        cells[dual.index[(dd, perm[s], perm[s2], c2)], col] = coeff
+        mats[dd] = Matrix.from_entries(ndim, ndim, cells)
     out = tr.TruncatedAlgebraMorphism(G, G, mats)
     if not out.is_invertible():
         raise InternalCheckError("mu-bar is not invertible")

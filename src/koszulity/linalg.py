@@ -6,9 +6,14 @@ and `div` is the package's one division, so rank, kernels and solutions are
 exact; there is no tolerance anywhere in the package. All elimination runs
 through `EchelonBasis`, which keeps sparse rows ({column: value}) in reduced
 echelon form, normalised, as vectors are added one at a time, in the manner
-of structured Gaussian elimination. `Matrix` is the dense container the rest
-of the package builds, multiplies and solves with; matrices are treated as
+of structured Gaussian elimination. `Matrix` is the container the rest of
+the package builds, multiplies and solves with. It holds the same sparse
+rows, its nonzero ones only, so a product or a solve reads nonzero entries
+only and `EchelonBasis` takes the rows as they are. Matrices are treated as
 immutable once constructed (no method mutates `self`).
+
+A sparse vector, for `EchelonBasis` and the functions below, is a dict
+{index: entry} of nonzero entries, each normalised by `exact`.
 
 The randomized isomorphism searches all draw their candidates from one
 lazy stream, `candidate_combinations`: the basis, its sum, then random
@@ -47,34 +52,62 @@ def div(a, b):
 
 
 class Matrix:
-    __slots__ = ("rows", "cols", "data")
+    """A rows x cols matrix kept sparse: `srows` maps the index of each
+    nonzero row to a dict {column: entry} of its nonzero entries, each
+    normalised as `exact` gives it. Operations read only these entries.
+
+    A matrix is not changed once built, so operations may share row dicts
+    between matrices: a caller fills in only a matrix it has just made.
+    """
+
+    __slots__ = ("rows", "cols", "srows")
 
     def __init__(self, rows: int, cols: int, data=None):
+        """data: one entry per row, a dense list or a dict {column: entry}."""
         self.rows = rows
         self.cols = cols
+        self.srows = {}
         if data is None:
-            self.data = [[0] * cols for _ in range(rows)]
-        else:
-            if len(data) != rows:
-                raise ValueError("row count mismatch")
-            self.data = [[x if type(x) is int else exact(x) for x in row]
-                         for row in data]
-            for row in self.data:
-                if len(row) != cols:
-                    raise ValueError("column count mismatch")
+            return
+        if len(data) != rows:
+            raise ValueError("row count mismatch")
+        for i, row in enumerate(data):
+            if isinstance(row, dict):
+                items = row.items()
+            elif len(row) != cols:
+                raise ValueError("column count mismatch")
+            else:
+                items = enumerate(row)
+            row = {c: x if type(x) is int else exact(x) for c, x in items}
+            row = {c: x for c, x in row.items() if x}
+            if row:
+                self.srows[i] = row
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def sparse(rows: int, cols: int, srows: dict) -> "Matrix":
+        """The matrix with the nonzero rows srows, taken as they are."""
+        m = Matrix.__new__(Matrix)
+        m.rows, m.cols, m.srows = rows, cols, srows
+        return m
+
+    @staticmethod
+    def from_entries(rows: int, cols: int, entries: dict) -> "Matrix":
+        """The matrix with the cells {(row, column): entry}, 0 elsewhere."""
+        srows = {}
+        for (i, j), x in entries.items():
+            if x:
+                srows.setdefault(i, {})[j] = x if type(x) is int else exact(x)
+        return Matrix.sparse(rows, cols, srows)
+
+    @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols)
+        return Matrix.sparse(rows, cols, {})
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        m = Matrix(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
+        return Matrix.sparse(n, n, {i: {i: 1} for i in range(n)})
 
     @staticmethod
     def from_rows(rows) -> "Matrix":
@@ -85,55 +118,81 @@ class Matrix:
 
     # -- basics --------------------------------------------------------
 
+    @property
+    def data(self):
+        """The rows as fresh dense lists, for display and for tests."""
+        return [[row.get(j, 0) for j in range(self.cols)]
+                for row in (self.srows.get(i, {}) for i in range(self.rows))]
+
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.srows == other.srows
         )
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, {self.data!r})"
+        return f"Matrix({self.rows}x{self.cols}, {self.srows!r})"
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.data))
+        return not self.srows
 
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
+    def submatrix(self, r0: int, c0: int, nr: int, nc: int) -> "Matrix":
+        """The nr x nc block whose corner is at (r0, c0)."""
+        srows = {}
+        for i in range(nr):
+            row = self.srows.get(r0 + i)
+            if row:
+                sub = {j - c0: x for j, x in row.items() if c0 <= j < c0 + nc}
+                if sub:
+                    srows[i] = sub
+        return Matrix.sparse(nr, nc, srows)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
-        m = Matrix(self.rows, self.cols)
-        m.data = [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ]
-        return m
+        srows = dict(self.srows)
+        for i, row in other.srows.items():
+            if i in srows:
+                row = dict(srows[i])
+                _axpy(row, -1, other.srows[i])
+            if row:
+                srows[i] = row
+            else:
+                del srows[i]
+        return Matrix.sparse(self.rows, self.cols, srows)
 
     def scale(self, c) -> "Matrix":
         c = exact(c)
-        m = Matrix(self.rows, self.cols)
-        m.data = [[c * a for a in row] for row in self.data]
-        return m
+        if c == 1:
+            return self
+        srows = {}
+        if c:
+            for i, row in self.srows.items():
+                srows[i] = {j: y if type(y) is int else exact(y)
+                            for j, y in ((j, c * x) for j, x in row.items())}
+        return Matrix.sparse(self.rows, self.cols, srows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul")
-        out = Matrix(self.rows, other.cols)
-        odata = out.data
-        bdata = other.data
-        for i, arow in enumerate(self.data):
-            orow = odata[i]
-            for k, a in enumerate(arow):
-                if a:
-                    brow = bdata[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] += a * b
-        return out
+        bsrows = other.srows
+        srows = {}
+        for i, arow in self.srows.items():
+            acc = {}
+            for k, a in arow.items():
+                brow = bsrows.get(k)
+                if brow is not None:
+                    for j, b in brow.items():
+                        acc[j] = acc.get(j, 0) + a * b
+            row = {j: y if type(y) is int else exact(y)
+                   for j, y in acc.items() if y}
+            if row:
+                srows[i] = row
+        return Matrix.sparse(self.rows, other.cols, srows)
 
     def apply(self, vec):
         """Matrix times column vector (vector given and returned as a list).
@@ -144,31 +203,35 @@ class Matrix:
             raise ValueError("vector length mismatch")
         if float in map(type, vec):
             raise _inexact(vec)
-        nz = [(j, v) for j, v in enumerate(vec) if v]
-        out = []
-        for row in self.data:
+        out = [0] * self.rows
+        for i, row in self.srows.items():
             s = 0
-            for j, v in nz:
-                a = row[j]
-                if a:
+            for j, a in row.items():
+                v = vec[j]
+                if v:
                     s += a * v
-            out.append(s)
+            out[i] = s
         return out
 
     def transpose(self) -> "Matrix":
-        m = Matrix(self.cols, self.rows)
-        if self.rows == 0:
-            m.data = [[] for _ in range(self.cols)]
-        else:
-            m.data = [list(col) for col in zip(*self.data)]
-        return m
+        srows = {}
+        for i, row in self.srows.items():
+            for j, x in row.items():
+                col = srows.get(j)
+                if col is None:
+                    srows[j] = {i: x}
+                else:
+                    col[i] = x
+        return Matrix.sparse(self.cols, self.rows, srows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        m = Matrix(self.rows, self.cols + other.cols)
-        m.data = [ra + rb for ra, rb in zip(self.data, other.data)]
-        return m
+        srows = dict(self.srows)
+        c0 = self.cols
+        for i, row in other.srows.items():
+            srows[i] = {**srows.get(i, {}), **{c0 + j: x for j, x in row.items()}}
+        return Matrix.sparse(self.rows, self.cols + other.cols, srows)
 
     # -- elimination ----------------------------------------------------
 
@@ -179,72 +242,75 @@ class Matrix:
         increasing list of pivot columns. Row space is preserved.
         """
         basis = EchelonBasis()
-        for row in self.data:
+        for row in self.srows.values():
             if basis.rank == self.cols:
                 break
             basis.add(row)
         pivots = sorted(basis.rows)
-        out = Matrix(self.rows, self.cols)
-        for r, pc in enumerate(pivots):
-            dense = out.data[r]
-            for c, x in basis.rows[pc].items():
-                dense[c] = x
-        return out, pivots
+        srows = {r: basis.rows[pc] for r, pc in enumerate(pivots)}
+        return Matrix.sparse(self.rows, self.cols, srows), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel_basis(self):
-        """Basis of the right kernel {x : self @ x = 0}, as lists."""
+        """Basis of the right kernel {x : self @ x = 0}, as sparse dicts:
+        one per free column, as `kernel_vectors` gives them."""
         R, pivots = self.rref()
-        rows = {pc: _sparse(R.data[r]) for r, pc in enumerate(pivots)}
-        out = []
-        for vec in kernel_vectors(rows, self.cols):
-            v = [0] * self.cols
-            for c, x in vec.items():
-                v[c] = x
-            out.append(v)
-        return out
+        return kernel_vectors({pc: R.srows[r] for r, pc in enumerate(pivots)},
+                              self.cols)
 
     def solve(self, b):
         """Solve self @ x = b exactly; returns a list or None if inconsistent."""
         if len(b) != self.rows:
             raise ValueError("rhs length mismatch")
-        return solve_combination([self.column(j) for j in range(self.cols)], b)
+        cols = self.transpose().srows
+        target = Matrix(1, self.rows, [b]).srows.get(0, {})
+        return solve_combination([cols.get(j, {}) for j in range(self.cols)], target)
+
+    def _right_block(self, B: "Matrix"):
+        """(pivots, X) of the rref of [self | B]: X holds each reduced row's
+        B part, keyed by the row's pivot."""
+        R, pivots = self.hstack(B).rref()
+        c0 = self.cols
+        X = {}
+        for r, pc in enumerate(pivots):
+            row = {j - c0: x for j, x in R.srows[r].items() if j >= c0}
+            if row:
+                X[pc] = row
+        return pivots, X
 
     def solve_matrix(self, B: "Matrix"):
         """Solve self @ X = B columnwise; returns Matrix or None."""
         if B.rows != self.rows:
             raise ValueError("shape mismatch")
-        aug = self.hstack(B)
-        R, pivots = aug.rref()
-        if any(p >= self.cols for p in pivots):
+        pivots, X = self._right_block(B)
+        if pivots and pivots[-1] >= self.cols:
             return None
-        X = Matrix(self.cols, B.cols)
-        for r, pc in enumerate(pivots):
-            X.data[pc] = R.data[r][self.cols :]
-        return X
+        return Matrix.sparse(self.cols, B.cols, X)
 
     def inverse(self):
         """Exact inverse, or None when not square or singular."""
         if self.rows != self.cols:
             return None
-        aug = self.hstack(Matrix.identity(self.rows))
-        R, pivots = aug.rref()
+        pivots, X = self._right_block(Matrix.identity(self.rows))
         if pivots != list(range(self.rows)):
             return None
-        inv = Matrix(self.rows, self.cols)
-        inv.data = [row[self.cols :] for row in R.data]
-        return inv
+        return Matrix.sparse(self.rows, self.cols, X)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
 
 
-def _sparse(vec) -> dict:
-    """{column: entry} of the nonzero entries of a dense list or a dict."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {c: x if type(x) is int else exact(x) for c, x in items if x}
+def assemble(rows: int, cols: int, pieces) -> Matrix:
+    """The rows x cols matrix made of pieces = [(sub, r0, c0), ...], each
+    sub written with its corner at (r0, c0); pieces must not overlap."""
+    srows = {}
+    for sub, r0, c0 in pieces:
+        for i, row in sub.srows.items():
+            srows.setdefault(r0 + i, {}).update(
+                {c0 + j: x for j, x in row.items()} if c0 else row)
+    return Matrix.sparse(rows, cols, srows)
 
 
 def _axpy(v: dict, f, row: dict) -> None:
@@ -272,8 +338,7 @@ class EchelonBasis:
     the row holds 1 there and every other row holds 0 there. Each row also
     records itself as a combination {k: coefficient} of the accepted
     vectors, the k-th accepted vector being the k-th one `add` kept, so
-    `coords` reads coordinates off without solving. Vectors are given as
-    dense lists or as sparse dicts.
+    `coords` reads coordinates off without solving. Vectors are sparse.
     """
 
     __slots__ = ("rows", "combos")
@@ -292,9 +357,11 @@ class EchelonBasis:
         """(remainder, [(pivot, coefficient)]) of vec against the rows.
 
         The rows are zero in each other's pivot columns, so one pass over
-        the pivot entries of vec clears them all.
+        the pivot entries of vec clears them all. A float in vec raises.
         """
-        v = _sparse(vec)
+        v = dict(vec)
+        if float in map(type, v.values()):
+            raise _inexact(vec)
         taken = [(p, x) for p, x in v.items() if p in self.rows]
         for p, x in taken:
             _axpy(v, x, self.rows[p])
@@ -358,7 +425,7 @@ def solve_combination(vectors, target):
 
     A vector that depends on earlier ones gets coefficient 0. This is the
     solution of the column system that sets every non-pivot unknown to 0.
-    Vectors and target are dense lists or sparse dicts.
+    Vectors and target are sparse.
     """
     basis = EchelonBasis()
     kept = [basis.add(vec) for vec in vectors]
@@ -393,11 +460,11 @@ def candidate_combinations(vectors, rng, samples: int):
     order. A polynomial of degree deg on the span, such as a determinant,
     that is not identically zero vanishes at such a sample with probability
     at most deg/11 (Schwartz-Zippel), so a found candidate is a certificate
-    and a miss is only probable evidence. Vectors are dense lists or sparse
-    dicts; candidates are sparse dicts. rng=None means random.Random(0);
+    and a miss is only probable evidence. Vectors and candidates are
+    sparse; the vectors are yielded as given. rng=None means random.Random(0);
     nothing is drawn before the first sample is asked for.
     """
-    vectors = [_sparse(vec) for vec in vectors]
+    vectors = list(vectors)
     yield from vectors
     yield _combine(vectors, [1] * len(vectors))
     if rng is None:

@@ -12,22 +12,25 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .linalg import (EchelonBasis, Matrix, _inexact, candidate_combinations,
-                     complement_basis, exact, kernel_vectors)
+from .linalg import (EchelonBasis, Matrix, _axpy, _inexact, assemble,
+                     candidate_combinations, complement_basis, exact,
+                     kernel_vectors)
 from .algebra import GradedAlgebra, InputError, InternalCheckError, parse_number
 
 
 class GradedModule:
     def __init__(self, algebra: GradedAlgebra, dims: dict, action: dict, name="",
                  basis_index=None):
-        """dims: {(vertex, degree): dim > 0}; action: {basis index: {degree: Matrix}}.
+        """dims: {(vertex, degree): dim > 0}; action: {basis index: {degree: Matrix}},
+        None for a subclass that builds its action on demand.
 
         basis_index, on projectives and injectives built from the algebra's
         basis: {(vertex, degree): algebra basis indices spanning that block}.
         """
         self.algebra = algebra
         self.dims = {k: v for k, v in dims.items() if v}
-        self.action = action
+        if action is not None:
+            self.action = action
         self.name = name
         self.basis_index = basis_index
         self.memo = {}  # Hom bases and generators, built on first use
@@ -223,11 +226,9 @@ def projective_module(alg: GradedAlgebra, v, shift: int = 0) -> GradedModule:
             if not tgt_ix:
                 continue
             pos = {b: r for r, b in enumerate(tgt_ix)}
-            mat = Matrix.zero(len(tgt_ix), len(ix))
-            for c_i, b in enumerate(ix):
-                prod = alg.mult_basis(b, x)
-                for z, cz in prod.items():
-                    mat.data[pos[z]][c_i] = cz
+            mat = Matrix.from_entries(len(tgt_ix), len(ix), {
+                (pos[z], c_i): cz for c_i, b in enumerate(ix)
+                for z, cz in alg.mult_basis(b, x).items()})
             if not mat.is_zero():
                 per_deg[d] = mat
         if per_deg:
@@ -270,15 +271,10 @@ def dual_of_left_projective(alg: GradedAlgebra, v, shift: int = 0) -> GradedModu
             tgt_ix = idx_by_block.get((tv, d + dx), [])
             if not tgt_ix:
                 continue
-            pos = {b: r for r, b in enumerate(tgt_ix)}
-            mat = Matrix.zero(len(tgt_ix), len(ix))
             # (psi_b . x) = sum_y coeff_b(x*y) psi_y over y in e_tv L e_v
-            for c_i, b in enumerate(ix):
-                for y in tgt_ix:
-                    prod = alg.mult_basis(x, y)
-                    cb = prod.get(b)
-                    if cb:
-                        mat.data[pos[y]][c_i] = cb
+            mat = Matrix.from_entries(len(tgt_ix), len(ix), {
+                (r_i, c_i): alg.mult_basis(x, y).get(b)
+                for c_i, b in enumerate(ix) for r_i, y in enumerate(tgt_ix)})
             if not mat.is_zero():
                 per_deg[d] = mat
         if per_deg:
@@ -314,20 +310,14 @@ def inflate_module(m0: GradedModule, big: GradedAlgebra) -> GradedModule:
     return out
 
 
-def _put(out: Matrix, sub: Matrix, r0: int, c0: int):
-    """Write the nonzero entries of sub into out, its corner at (r0, c0)."""
-    for srow, row in zip(sub.data, out.data[r0:]):
-        for j, x in enumerate(srow, c0):
-            if x:
-                row[j] = x
-
-
 class DirectSum(GradedModule):
     """The direct sum of parts, kept as the row offset of each part in each
     block: part k's block at key fills the rows from offsets[k][key] on.
 
     Maps into, out of and between sums are written at these offsets by
     `place` and read back by `slice_hom`; the empty sum is the zero module.
+    The action is the parts' actions placed block-diagonally. It is built
+    on each read and never held, so a sum holds no more than its parts.
     """
 
     def __init__(self, alg: GradedAlgebra, parts):
@@ -340,22 +330,30 @@ class DirectSum(GradedModule):
                 off[key] = dims.get(key, 0)
                 dims[key] = off[key] + m
             self.offsets.append(off)
-        action = {}
-        for x in range(alg.num_vertices, alg.dim):
-            sv, tv, dx = alg.source[x], alg.target[x], alg.degree[x]
-            per_deg = {}
-            for p, off in zip(self.parts, self.offsets):
-                for d, sub in p.action.get(x, {}).items():
-                    if sub.is_zero():
-                        continue
-                    mat = per_deg.get(d)
-                    if mat is None:
-                        mat = per_deg[d] = Matrix.zero(dims[(tv, d + dx)], dims[(sv, d)])
-                    _put(mat, sub, off[(tv, d + dx)], off[(sv, d)])
-            if per_deg:
-                action[x] = per_deg
-        super().__init__(alg, dims, action,
+        super().__init__(alg, dims, None,
                          name="(+)".join(p.name for p in self.parts) or "0")
+
+    @property
+    def action(self) -> dict:
+        """{x: {d: Matrix}} of the nonzero actions, built on this read."""
+        alg = self.algebra
+        out = {}
+        for x in range(alg.num_vertices, alg.dim):
+            degs = {d for p in self.parts for d in p.action.get(x, ())}
+            per = {d: self.act(x, d) for d in sorted(degs)}
+            per = {d: mat for d, mat in per.items() if not mat.is_zero()}
+            if per:
+                out[x] = per
+        return out
+
+    def act(self, x: int, d: int) -> Matrix:
+        alg = self.algebra
+        if x < alg.num_vertices:
+            return super().act(x, d)
+        src, tgt = (alg.source[x], d), (alg.target[x], d + alg.degree[x])
+        return assemble(self.block_dim(*tgt), self.block_dim(*src), [
+            (p.act(x, d), off[tgt], off[src])
+            for p, off in zip(self.parts, self.offsets) if src in off and tgt in off])
 
     def embed(self, k: int, elem: dict) -> dict:
         """The element elem of part k as an element of the sum."""
@@ -585,10 +583,9 @@ def hom_flatten(h: GradedModuleHom, layout) -> dict:
         mat = h.blocks.get(key)
         if mat is None:
             continue
-        for i, row in enumerate(mat.data):
-            for j, x in enumerate(row, off + i * mat.cols):
-                if x:
-                    vec[j] = x
+        for i, row in mat.srows.items():
+            for j, x in row.items():
+                vec[off + i * mat.cols + j] = x
     return vec
 
 
@@ -602,7 +599,7 @@ def hom_unflatten(domain, codomain, layout, vec: dict) -> GradedModuleHom:
         if mat is None:
             mat = blocks[key] = Matrix.zero(codomain.dims[key], domain.dims[key])
         i, j = divmod(c - off, mat.cols)
-        mat.data[i][j] = x
+        mat.srows.setdefault(i, {})[j] = x
     return GradedModuleHom(domain, codomain, blocks)
 
 
@@ -649,25 +646,18 @@ def _hom_kernel(m: GradedModule, n: GradedModule):
             # rows indexed by (tgt_n, src_m)
             if tgt_n * src_m == 0:
                 continue
-            a_m = m.act_element(a, d)    # m-block (sv,d) -> (tv,d+dx)
-            a_n = n.act_element(a, d)
+            # m-block (sv,d) -> (tv,d+dx): its columns, and n's rows
+            a_m = m.act_element(a, d).transpose().srows if tgt_m else {}
+            a_n = n.act_element(a, d).srows if src_n else {}
+            off_t, cols_t, _r = pos.get((tv, d + dx), (0, 0, 0))
+            off_s, cols_s, _r = pos.get((sv, d), (0, 0, 0))
             for i in range(tgt_n):
                 for j in range(src_m):
-                    row = {}
-                    if (tv, d + dx) in pos and tgt_m:
-                        off, cols, _r = pos[(tv, d + dx)]
-                        for k in range(tgt_m):
-                            c = a_m.data[k][j]
-                            if c:
-                                row[off + i * cols + k] = c
-                    if (sv, d) in pos and src_n:
-                        off, cols, _r = pos[(sv, d)]
-                        for k in range(src_n):
-                            c = a_n.data[i][k]
-                            if c:
-                                col = off + k * cols + j
-                                row[col] = row.get(col, 0) - c
-                    equations.add(row)
+                    row = {off_t + i * cols_t + k: c for k, c in a_m.get(j, {}).items()}
+                    _axpy(row, 1, {off_s + k * cols_s + j: c
+                                   for k, c in a_n.get(i, {}).items()})
+                    if row:
+                        equations.add(row)
     kernel = kernel_vectors(equations.rows, total)
     m.memo[memo_key] = (n, layout, kernel)
     return layout, kernel
@@ -740,24 +730,19 @@ def place(domain, codomain, pieces) -> GradedModuleHom:
     blocks = {}
     for h, cols, rows in pieces:
         for key, mat in h.blocks.items():
-            out = blocks.get(key)
-            if out is None:
-                out = blocks[key] = Matrix.zero(codomain.dims[key], domain.dims[key])
-            _put(out, mat, rows.get(key, 0), cols.get(key, 0))
-    return GradedModuleHom(domain, codomain, blocks)
+            blocks.setdefault(key, []).append((mat, rows.get(key, 0), cols.get(key, 0)))
+    return GradedModuleHom(domain, codomain, {
+        key: assemble(codomain.dims[key], domain.dims[key], ps)
+        for key, ps in blocks.items()})
 
 
 def slice_hom(h: GradedModuleHom, domain, cols, codomain, rows) -> GradedModuleHom:
     """The piece of h from the summand domain, at column offsets cols, to
     the summand codomain, at row offsets rows: what `place` wrote there."""
-    blocks = {}
-    for key, mat in h.blocks.items():
-        nr, nc = codomain.block_dim(*key), domain.block_dim(*key)
-        if nr and nc:
-            r0, c0 = rows.get(key, 0), cols.get(key, 0)
-            sub = blocks[key] = Matrix(nr, nc)
-            sub.data = [row[c0:c0 + nc] for row in mat.data[r0:r0 + nr]]
-    return GradedModuleHom(domain, codomain, blocks)
+    return GradedModuleHom(domain, codomain, {
+        key: mat.submatrix(rows.get(key, 0), cols.get(key, 0),
+                           codomain.block_dim(*key), domain.block_dim(*key))
+        for key, mat in h.blocks.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -782,13 +767,9 @@ def map_from_projective(p: GradedModule, n: GradedModule, elem: dict) -> GradedM
         rows = n.block_dim(*key)
         if not rows:
             continue
-        mat = Matrix.zero(rows, len(ix))
-        for c_i, b in enumerate(ix):
-            vec = n.apply_element(elem, {b: 1}).get(key)
-            if vec:
-                for r_i, val in enumerate(vec):
-                    mat.data[r_i][c_i] = val
-        blocks[key] = mat
+        blocks[key] = Matrix.from_entries(rows, len(ix), {
+            (r_i, c_i): val for c_i, b in enumerate(ix)
+            for r_i, val in enumerate(n.apply_element(elem, {b: 1}).get(key, ()))})
     return GradedModuleHom(p, n, blocks)
 
 
@@ -808,16 +789,15 @@ def map_into_injective(m: GradedModule, q: GradedModule, w, phi) -> GradedModule
         cols = m.block_dim(u, d)
         if not cols:
             continue
-        mat = Matrix.zero(len(ix), cols)
+        srows = {}
         for r_i, b in enumerate(ix):
-            act = m.act(b, d).data
-            row = mat.data[r_i]
-            for f, arow in zip(phi, act):
-                if f:
-                    for c_i, a in enumerate(arow):
-                        if a:
-                            row[c_i] += f * a
-        blocks[(u, d)] = mat
+            row = {}
+            for k, arow in m.act(b, d).srows.items():
+                if phi[k]:
+                    _axpy(row, -phi[k], arow)
+            if row:
+                srows[r_i] = row
+        blocks[(u, d)] = Matrix.sparse(len(ix), cols, srows)
     return GradedModuleHom(m, q, blocks)
 
 
@@ -846,7 +826,7 @@ def solve_map_into_injectives(m: GradedModule, tgt: DirectSum, socles, constrain
                     for r_i, b in enumerate(part.basis_index.get(key, [])):
                         for i, y in enumerate(m.act(b, key[1]).apply(vec)):
                             if y:
-                                columns[i][index.setdefault((k, key, r_i), len(index))] = y
+                                columns[i][index.setdefault((k, key, r_i), len(index))] = exact(y)
             basis = EchelonBasis()
             kept = [basis.add(col) for col in columns]
             systems[w, s] = index, basis, kept
@@ -859,7 +839,7 @@ def solve_map_into_injectives(m: GradedModule, tgt: DirectSum, socles, constrain
                         row = index.get((k, key, r_i))
                         if row is None:
                             return None  # no column reaches this value
-                        values[row] = y
+                        values[row] = exact(y)
         coords = basis.coords(values)
         if coords is None:
             return None
@@ -892,7 +872,7 @@ def submodule(m: GradedModule, spans: dict, name="sub"):
             continue
         R, piv = Matrix(len(vecs), m.dims[key], vecs).rref()
         if piv:
-            bases[key] = Matrix(len(piv), m.dims[key], R.data[:len(piv)]).transpose()
+            bases[key] = Matrix.sparse(len(piv), m.dims[key], R.srows).transpose()
             pivots[key] = piv
     dims = {key: b.cols for key, b in bases.items()}
     action = {}
@@ -908,7 +888,9 @@ def submodule(m: GradedModule, spans: dict, name="sub"):
                 continue
             if tgt is None:
                 raise InternalCheckError("span not action-closed")
-            sol = Matrix(tgt.cols, img.cols, [img.data[p] for p in pivots[(tv, d + dx)]])
+            sol = Matrix.sparse(tgt.cols, img.cols, {
+                r: img.srows[p] for r, p in enumerate(pivots[(tv, d + dx)])
+                if p in img.srows})
             if tgt * sol != img:
                 raise InternalCheckError("span not action-closed")
             per[d] = sol
@@ -924,19 +906,16 @@ def kernel_submodule(f: GradedModuleHom, name="ker"):
     for key, dimk in m.dims.items():
         mat = f.block(*key)
         if mat.rows == 0:
-            spans[key] = [list(v) for v in Matrix.identity(dimk).data]
+            spans[key] = [{j: 1} for j in range(dimk)]
         else:
             spans[key] = mat.kernel_basis()
     return submodule(m, spans, name=name)
 
 
 def image_spans(f: GradedModuleHom):
-    spans = {}
-    for key in f.blocks:
-        mat = f.blocks[key]
-        cols = [mat.column(j) for j in range(mat.cols)]
-        spans[key] = cols
-    return spans
+    """Per-block spanning vectors of the image: the nonzero columns."""
+    return {key: list(mat.transpose().srows.values())
+            for key, mat in f.blocks.items()}
 
 
 def quotient_module(m: GradedModule, spans: dict, name="quot"):
@@ -948,27 +927,18 @@ def quotient_module(m: GradedModule, spans: dict, name="quot"):
     alg = m.algebra
     reducers = {}
     for key, dimk in m.dims.items():
-        vecs = spans.get(key, [])
-        if vecs:
-            mat = Matrix(len(vecs), dimk, vecs)
-            R, piv = mat.rref()
-        else:
-            R, piv = Matrix(0, dimk), []
-        free = [j for j in range(dimk) if j not in set(piv)]
-        # projection: ambient coords -> free coords after reduction
-        proj = Matrix.zero(len(free), dimk)
-        for r_i, j in enumerate(free):
-            proj.data[r_i][j] = 1
+        vecs = spans.get(key)
+        R, piv = Matrix(len(vecs), dimk, vecs).rref() if vecs else (None, [])
+        free = {j: q_i for q_i, j in enumerate(sorted(set(range(dimk)) - set(piv)))}
+        # projection: ambient coords -> free coords after reduction; it sends
+        # e_pc to -sum over free j of R[r][j] e_j, and lift sends e_j back
+        proj = {q_i: {j: 1} for j, q_i in free.items()}
         for r_i, pc in enumerate(piv):
-            for q_i, j in enumerate(free):
-                c = R.data[r_i][j]
-                if c:
-                    proj.data[q_i][pc] = -c
-        # proj sends e_pc to -sum over free of R[r][j]; lift sends free coord to e_j
-        lift = Matrix.zero(dimk, len(free))
-        for q_i, j in enumerate(free):
-            lift.data[j][q_i] = 1
-        reducers[key] = (proj, lift)
+            for j, c in R.srows[r_i].items():
+                if j != pc:
+                    proj[free[j]][pc] = -c
+        reducers[key] = (Matrix.sparse(len(free), dimk, proj),
+                         Matrix.sparse(dimk, len(free), {j: {q_i: 1} for j, q_i in free.items()}))
     dims = {key: reducers[key][0].rows for key in m.dims if reducers[key][0].rows}
     action = {}
     for x in range(alg.num_vertices, alg.dim):
@@ -1012,8 +982,7 @@ def radical_span(m: GradedModule):
         sv, tv, dx = alg.source[x], alg.target[x], alg.degree[x]
         for (v, d) in m.dims:
             if v == sv and (tv, d + dx) in m.dims:
-                cols = m.act_element(a, d).transpose().data
-                spans[(tv, d + dx)].extend(col for col in cols if any(col))
+                spans[(tv, d + dx)].extend(m.act_element(a, d).transpose().srows.values())
     return spans
 
 
@@ -1024,9 +993,7 @@ def top_data(m: GradedModule):
     for key in m.blocks():
         dimk = m.dims[key]
         for j in complement_basis(spans.get(key, []), dimk):
-            vec = [0] * dimk
-            vec[j] = 1
-            gens.append((key, vec))
+            gens.append((key, [int(i == j) for i in range(dimk)]))
     return gens
 
 
@@ -1040,7 +1007,7 @@ def socle_spans(m: GradedModule):
         for a in alg.arrows():
             x = next(iter(a))
             if alg.source[x] == v and (alg.target[x], d + alg.degree[x]) in m.dims:
-                stacked.extend(m.act_element(a, d).data)
+                stacked.extend(m.act_element(a, d).srows.values())
         out[(v, d)] = Matrix(len(stacked), dimk, stacked).kernel_basis()
     return {k: v for k, v in out.items() if v}
 
@@ -1125,7 +1092,7 @@ def _socle_info(alg: GradedAlgebra):
                 "algebra is not basic self-injective in the supported sense"
             )
         [(key, [vec])] = spans.items()
-        info[v] = {b: c for b, c in zip(P.basis_index[key], vec) if c}
+        info[v] = {P.basis_index[key][i]: c for i, c in sorted(vec.items())}
     alg.memo["socle_info"] = info
     return info
 
@@ -1144,7 +1111,7 @@ def injective_envelope(m: GradedModule):
     for key in sorted(soc, key=lambda vd: (vd[1], str(vd[0]))):
         for vec in soc[key]:
             tags.append(key)
-            socle.append({key: vec})
+            socle.append({key: [vec.get(i, 0) for i in range(m.dims[key])]})
     I = DirectSum(alg, [dual_of_left_projective(alg, v, d) for (v, d) in tags])
     constraints = [(x, I.embed(k, generator(part, *key)))
                    for k, (x, part, key) in enumerate(zip(socle, I.parts, tags))]
@@ -1260,15 +1227,10 @@ def is_indecomposable(m: GradedModule):
     E, table = endomorphism_table(m)
     ne = len(E)
     # trace form (i, j) -> tr(L_{b_i b_j}) on End(M); kernel = radical in char 0
-    gram = Matrix(ne, ne)
-    for i in range(ne):
-        for j in range(ne):
-            prod = table[(i, j)]
-            tr = 0
-            for k, c in prod.items():
-                for l in range(ne):
-                    tr += c * table[(k, l)].get(l, 0)
-            gram.data[i][j] = tr
+    gram = Matrix.from_entries(ne, ne, {
+        (i, j): sum(c * table[(k, l)].get(l, 0)
+                    for k, c in table[(i, j)].items() for l in range(ne))
+        for i in range(ne) for j in range(ne)})
     rad_dim = len(gram.kernel_basis())
     head = ne - rad_dim
     return head == 1, ne, head
@@ -1409,10 +1371,13 @@ def dump_module(m: GradedModule, name=None) -> str:
     lines = [f"module {name or m.name or 'M'} over {alg.name}"]
     for (v, d) in m.blocks():
         lines.append(f"space {v} {d} {m.dims[(v, d)]}")
-    for x in sorted(m.action, key=lambda i: alg.labels[i]):
-        for d in sorted(m.action[x]):
-            mat = m.action[x][d]
-            body = ";".join(",".join(str(e) for e in row) for row in mat.data)
+    action = m.action
+    for x in sorted(action, key=lambda i: alg.labels[i]):
+        for d in sorted(action[x]):
+            mat = action[x][d]
+            rows = (mat.srows.get(i, {}) for i in range(mat.rows))
+            body = ";".join(",".join(str(r.get(j, 0)) for j in range(mat.cols))
+                            for r in rows)
             lines.append(f"action {alg.labels[x]} {d} matrix {body}")
     lines.append("end")
     return "\n".join(lines)

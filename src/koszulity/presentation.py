@@ -150,26 +150,16 @@ def build_algebra(
         for i, (seq, _t) in enumerate(plist):
             index[tuple(a.name for a in seq)] = i
         n = len(plist)
-        span_rows = _ideal_span_rows(paths, rel_data, l, index, n)
-        if span_rows:
-            mat = Matrix(len(span_rows), n, span_rows)
-            R, pivots = mat.rref()
-        else:
-            R, pivots = Matrix(0, n), []
+        span_rows = _ideal_span_rows(paths, rel_data, l, index)
+        R, pivots = Matrix(len(span_rows), n, span_rows).rref() if span_rows else (None, [])
         pivset = set(pivots)
         surv = [plist[i] for i in range(n) if i not in pivset]
         # reduction of an arbitrary length-l path to surviving classes
         red = {}
         for r_i, pc in enumerate(pivots):
             key = tuple(a.name for a in plist[pc][0])
-            expansion = []
-            for j in range(n):
-                if j in pivset:
-                    continue
-                c = R.data[r_i][j]
-                if c:
-                    expansion.append((-c, tuple(a.name for a in plist[j][0])))
-            red[key] = expansion
+            red[key] = [(-c, tuple(a.name for a in plist[j][0]))
+                        for j, c in sorted(R.srows[r_i].items()) if j not in pivset]
         reduce_maps[l] = red
         survivors_by_len.append(surv)
         if not surv:
@@ -260,8 +250,9 @@ def build_algebra(
     return alg
 
 
-def _ideal_span_rows(paths, rel_data, l, index, n):
-    """Rows spanning the length-l component of the ideal, in path coordinates."""
+def _ideal_span_rows(paths, rel_data, l, index):
+    """Sparse rows spanning the length-l component of the ideal, in path
+    coordinates."""
     rows = []
     for rl, rsrc, rtgt, terms in rel_data:
         if rl > l:
@@ -276,11 +267,12 @@ def _ideal_span_rows(paths, rel_data, l, index, n):
                     qsrc = qseq[0].source if qseq else _qt
                     if qsrc != rtgt:
                         continue
-                    row = [0] * n
+                    row = {}
                     for coeff, mid in terms:
-                        key = tuple(a.name for a in pseq + mid + qseq)
-                        row[index[key]] += coeff
-                    if any(row):
+                        k = index[tuple(a.name for a in pseq + mid + qseq)]
+                        row[k] = row.get(k, 0) + coeff
+                    row = {k: exact(c) for k, c in row.items() if c}
+                    if row:
                         rows.append(row)
     return rows
 
@@ -449,12 +441,7 @@ def recover_presentation(alg, max_length: int = 24):
             if not cur:
                 break
             continue
-        rows = []
-        for i, p in enumerate(cur):
-            row = [0] * nb
-            for k, c in p[2].items():
-                row[k] = c
-            rows.append(row)
+        rows = [p[2] for p in cur]
         if rows:
             m = Matrix(len(rows), nb, rows)
             kernel = m.transpose().kernel_basis()
@@ -473,12 +460,10 @@ def recover_presentation(alg, max_length: int = 24):
                                   for c, pp in r.terms]))
             idx = {tuple(a.name for a in seq): i
                    for i, (seq, _t) in enumerate(path_lists[length])}
-            implied = _ideal_span_rows(path_lists, rel_data, length, idx,
-                                       len(cur))
-            span = EchelonBasis(implied)
+            span = EchelonBasis(_ideal_span_rows(path_lists, rel_data, length, idx))
             for v in kernel:
                 if span.add(v):
-                    terms = tuple((c, cur[i][0]) for i, c in enumerate(v) if c)
+                    terms = tuple((c, cur[i][0]) for i, c in sorted(v.items()))
                     relations.append(Relation(terms))
         alive = any(any(c for c in p[2].values()) for p in cur)
         if not cur or not alive:

@@ -6,8 +6,9 @@ place each: `MinimalResolution` and `MinimalCoresolution` keep the minimal
 of Omega^k M or Omega^{-k} M reads them off these two records.
 
 A term of a projective resolution is a formal direct sum of shifted
-projectives e_v Lambda<d>. As a `DirectSum` it builds the dense
-block-diagonal action of its parts when it is constructed. A map
+projectives e_v Lambda<d>. As a `DirectSum` it holds only its parts, and
+builds the block-diagonal action of a basis element when it is asked for
+it. A map
 between formal projectives is a matrix of algebra elements: entry (l, k)
 lies in e_{v_l} Lambda e_{v_k} and acts by left multiplication on the k-th
 generator. Hom(P, N) is then a direct sum of blocks of N and the induced
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import EchelonBasis, Matrix
+from .linalg import EchelonBasis, Matrix, assemble, exact
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import modules as mo
 
@@ -70,13 +71,15 @@ class MinimalResolution:
     d_i is the kernel inclusion Omega^i M -> P_{i-1} after the cover epi
     P_i -> Omega^i M; a zero syzygy gets the rank-0 cover, and the
     resolution stops there. Only the last inclusion is kept, and past
-    degree 0 the epis are not kept: `cover` builds them again.
+    degree 0 the epis are not kept: `cover` builds them again. The formal
+    columns of the d_i are read off on first use of `diff_cols`: the
+    syzygy walks, which read only `syzygy` and `cover`, never build them.
     """
 
     def __init__(self, m: mo.GradedModule):
         self.module = m
         self.terms = []       # FormalProjective per homological degree
-        self.diff_cols = []   # diff_cols[i]: columns of d_{i+1} : P_{i+1} -> P_i
+        self._cols = []       # the formal columns built so far, see diff_cols
         self.diff_homs = [None]  # explicit homs, diff_homs[i] for i>=1
         self.eps = None
         self.syzygies = [m]   # syzygies[i] = Omega^i M
@@ -97,13 +100,21 @@ class MinimalResolution:
         if i == 0:
             self.eps = epi
         else:
-            dhom = self._last_incl.compose(epi)
-            self.diff_homs.append(dhom)
-            self.diff_cols.append([self.terms[-1].element_to_formal(
-                dhom.apply(P.generator_element(k))) for k in range(P.rank)])
+            self.diff_homs.append(self._last_incl.compose(epi))
         self.terms.append(P)
         self._last_incl = incl
         self.syzygies.append(K)
+
+    @property
+    def diff_cols(self):
+        """diff_cols[i]: the formal columns of d_{i+1} : P_{i+1} -> P_i,
+        one per generator of P_{i+1}, for every differential built so far."""
+        while len(self._cols) < len(self.diff_homs) - 1:
+            i = len(self._cols) + 1
+            dhom, P = self.diff_homs[i], self.terms[i]
+            self._cols.append([self.terms[i - 1].element_to_formal(
+                dhom.apply(P.generator_element(k))) for k in range(P.rank)])
+        return self._cols
 
     def syzygy(self, k: int) -> mo.GradedModule:
         """Omega^k M; the zero module past a finite resolution's end."""
@@ -177,9 +188,9 @@ def delta_matrix(res: MinimalResolution, n: mo.GradedModule, i: int, j: int):
     """Matrix of f -> f o d_{i+1} on the Hom-complex coordinates."""
     src_layout, src_total = _hom_complex_frame(res, n, i, j)
     tgt_layout, tgt_total = _hom_complex_frame(res, n, i + 1, j)
-    mat = Matrix.zero(tgt_total, src_total)
     if i + 1 >= len(res.terms):
-        return mat
+        return Matrix.zero(tgt_total, src_total)
+    cells = {}
     cols = res.diff_cols[i]  # columns of d_{i+1}: P_{i+1} -> P_i (see extend())
     for c, col in enumerate(cols):
         key_c, off_c, size_c = tgt_layout[c]
@@ -195,11 +206,9 @@ def delta_matrix(res: MinimalResolution, n: mo.GradedModule, i: int, j: int):
                 unit = [0] * size_k
                 unit[s] = 1
                 img = n.apply_element({key_k: unit}, lam)
-                vec = img.get(key_c)
-                if vec:
-                    for t, val in enumerate(vec):
-                        mat.data[off_c + t][off_k + s] += val
-    return mat
+                for t, val in enumerate(img.get(key_c, ())):
+                    cells[off_c + t, off_k + s] = val
+    return Matrix.from_entries(tgt_total, src_total, cells)
 
 
 @dataclass
@@ -207,7 +216,7 @@ class ExtGroup:
     i: int
     j: int
     dim: int
-    reps: list          # cocycles as coordinate vectors
+    reps: list          # cocycles as sparse coordinate vectors
     layout: list
     total: int
     _basis: EchelonBasis = None  # coboundaries, then reps
@@ -227,36 +236,33 @@ def ext_group(res: MinimalResolution, n: mo.GradedModule, i: int, j: int) -> Ext
     if total == 0:
         return ExtGroup(i, j, 0, [], layout, 0, EchelonBasis(), 0)
     d_out = delta_matrix(res, n, i, j)
-    cocycles = d_out.kernel_basis() if d_out.rows else [
-        [1 if t == s else 0 for t in range(total)]
-        for s in range(total)
-    ]
+    cocycles = d_out.kernel_basis() if d_out.rows else [{s: 1} for s in range(total)]
     basis = EchelonBasis()
     if i >= 1:
-        d_in = delta_matrix(res, n, i - 1, j)
-        for c in range(d_in.cols):
-            basis.add(d_in.column(c))
+        for col in delta_matrix(res, n, i - 1, j).transpose().srows.values():
+            basis.add(col)
     brank = basis.rank
     reps = [z for z in cocycles if basis.add(z)]
     return ExtGroup(i, j, basis.rank - brank, reps, layout, total, basis, brank)
 
 
 def cocycle_values(res: MinimalResolution, eg: ExtGroup, vec):
-    """Cocycle coordinate vector -> list of N-elements per generator of P_i."""
+    """Sparse cocycle coordinate vector -> list of N-elements per generator
+    of P_i."""
     out = []
-    for k, (key, off, size) in enumerate(eg.layout):
-        comp = list(vec[off: off + size])
+    for key, off, size in eg.layout:
+        comp = [vec.get(off + t, 0) for t in range(size)]
         out.append({key: comp} if any(comp) else {})
     return out
 
 
 def values_to_vec(eg: ExtGroup, values):
-    vec = [0] * eg.total
-    for k, (key, off, size) in enumerate(eg.layout):
-        comp = values[k].get(key)
-        if comp:
-            for t, val in enumerate(comp):
-                vec[off + t] = val
+    """Inverse of `cocycle_values`: the sparse coordinate vector."""
+    vec = {}
+    for k, (key, off, _size) in enumerate(eg.layout):
+        for t, val in enumerate(values[k].get(key, ())):
+            if val:
+                vec[off + t] = val if type(val) is int else exact(val)
     return vec
 
 
@@ -333,24 +339,10 @@ def ungraded_ext_dim(m: mo.GradedModule, n: mo.GradedModule, i: int) -> int:
             tot_t = dims.get((tv, 0), 0)
             if not tot_s or not tot_t:
                 continue
-            mat = Matrix.zero(tot_t, tot_s)
-            nz = False
-            for (v, d) in mod.blocks():
-                if v != sv:
-                    continue
-                sub = mod.act(x, d)
-                if sub.rows == 0 or sub.cols == 0 or sub.is_zero():
-                    continue
-                r0 = offs.get((tv, d + dx))
-                if r0 is None:
-                    continue
-                c0 = offs[(v, d)]
-                for r in range(sub.rows):
-                    for c in range(sub.cols):
-                        if sub.data[r][c]:
-                            mat.data[r0 + r][c0 + c] = sub.data[r][c]
-                            nz = True
-            if nz:
+            mat = assemble(tot_t, tot_s, [
+                (mod.act(x, d), offs[(tv, d + dx)], offs[(v, d)])
+                for (v, d) in mod.blocks() if v == sv and (tv, d + dx) in offs])
+            if not mat.is_zero():
                 action[x] = {0: mat}
         return mo.GradedModule(ualg, dims, action, name=mod.name + "_u")
 
@@ -390,9 +382,11 @@ class CocycleLift:
         self.stages = []  # stages[m] = columns of g_m
 
     def ensure(self, m_max: int):
+        # stage m reads the source's P_{p+m} and d_{p+m}, and the target's
+        # P_m, P_{m-1} and d_m
         alg = self.src_res.module.algebra
-        self.src_res.extend(self.p + m_max + 1)
-        self.tgt_res.extend(m_max + 1)
+        self.src_res.extend(self.p + m_max)
+        self.tgt_res.extend(m_max)
         while len(self.stages) <= m_max:
             m = len(self.stages)
             src_fp = self.src_res.terms[self.p + m]

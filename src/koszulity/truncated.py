@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import EchelonBasis, Matrix, candidate_combinations, kernel_vectors
+from .linalg import (EchelonBasis, Matrix, _axpy, assemble, candidate_combinations,
+                     exact, kernel_vectors)
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import resolution as rs
 
@@ -178,6 +179,7 @@ class TruncatedAlgebraMorphism:
         self.domain = domain
         self.codomain = codomain
         self.mats = mats  # d -> Matrix (codomain.dim(d) x domain.dim(d))
+        self._cols = {}   # d -> (mats[d], its columns), for apply
 
     def mat(self, d: int) -> Matrix:
         m = self.mats.get(d)
@@ -187,16 +189,17 @@ class TruncatedAlgebraMorphism:
 
     def apply(self, d: int, vec: dict) -> dict:
         m = self.mat(d)
+        hit = self._cols.get(d)
+        if hit is None or hit[0] is not m:
+            hit = self._cols[d] = (m, m.transpose().srows)
         out = {}
         for j, c in vec.items():
-            for i in range(m.rows):
-                x = m.data[i][j]
-                if x:
-                    s = out.get(i, 0) + c * x
-                    if s:
-                        out[i] = s
-                    else:
-                        out.pop(i, None)
+            for i, x in hit[1].get(j, {}).items():
+                s = out.get(i, 0) + c * x
+                if s:
+                    out[i] = s
+                else:
+                    out.pop(i, None)
         return out
 
     def is_identity(self) -> bool:
@@ -311,25 +314,14 @@ def induced_veronese_automorphism(G, phi: TruncatedAlgebraMorphism, r: int,
         n = GV.dim(i)
         if not n:
             continue
-        mat = Matrix.zero(n, n)
+        pieces = []
         pos = 0
-        offsets = {}
         for j in range(r):
             for k in range(r):
                 d = r * i + k - j
-                cnt = G.dim(d)
-                offsets[(j, k)] = pos
-                pos += cnt
-        for j in range(r):
-            for k in range(r):
-                d = r * i + k - j
-                sub = phi.mat(d)
-                off = offsets[(j, k)]
-                for a in range(sub.rows):
-                    for b in range(sub.cols):
-                        if sub.data[a][b]:
-                            mat.data[off + a][off + b] = sub.data[a][b]
-        mats[i] = mat
+                pieces.append((phi.mat(d), pos, pos))
+                pos += G.dim(d)
+        mats[i] = assemble(n, n, pieces)
     return TruncatedAlgebraMorphism(GV, GV, mats)
 
 
@@ -542,10 +534,8 @@ def find_graded_iso(G1, G2, phi0: Matrix, vertex_map, rng=None,
                                reason="no bimodule maps in degree 1")
     last_reason = "no candidate extended to an isomorphism"
     for vec in candidate_combinations(space, rng, GRADED_ISO_SAMPLES):
-        F = Matrix.zero(G2.dim(1), n1)
-        for c, x in vec.items():
-            i, j = divmod(c, n1)
-            F.data[i][j] = x
+        F = Matrix.from_entries(G2.dim(1), n1,
+                                {divmod(c, n1): x for c, x in vec.items()})
         if not F.is_invertible():
             continue
         cand = TruncatedAlgebraMorphism(G1, G2, {0: phi0, 1: F})
@@ -564,7 +554,7 @@ def _degree_one_space(G1, G2, phi0: Matrix):
     n1 = G1.dim(1)
     equations = EchelonBasis()
     for u in range(G1.dim(0)):
-        pu = {i: row[u] for i, row in enumerate(phi0.data) if row[u]}
+        pu = {i: row[u] for i, row in sorted(phi0.srows.items()) if u in row}
         # phi0(u)'s left and right actions on degree 1: i2 -> [(j2, coef)]
         left, right = {}, {}
         for j2 in range(n1):
@@ -576,11 +566,10 @@ def _degree_one_space(G1, G2, phi0: Matrix):
             for prod, act in ((G1.mult(0, {u: 1}, 1, {x: 1}), left),
                               (G1.mult(1, {x: 1}, 0, {u: 1}), right)):
                 for i2 in range(n1):
-                    row = {i2 * n1 + z: cz for z, cz in prod.items()}
-                    for j2, c in act.get(i2, ()):
-                        col = j2 * n1 + x
-                        row[col] = row.get(col, 0) - c
-                    equations.add(row)
+                    row = {i2 * n1 + z: exact(cz) for z, cz in prod.items()}
+                    _axpy(row, 1, {j2 * n1 + x: c for j2, c in act.get(i2, ())})
+                    if row:
+                        equations.add(row)
     return kernel_vectors(equations.rows, n1 * n1)
 
 
@@ -599,11 +588,9 @@ def _extend_and_check(G1, G2, cand: TruncatedAlgebraMorphism, cutoff):
                 prod = G1.mult(d - 1, {x: 1}, 1, {y: 1})
                 if not prod:
                     continue
-                lhs = [prod.get(k, 0) for k in range(nd)]
                 img = G2.mult(d - 1, cand.apply(d - 1, {x: 1}),
                               1, cand.apply(1, {y: 1}))
-                rhs = [img.get(k, 0) for k in range(G2.dim(d))]
-                pairs.append((lhs, rhs))
+                pairs.append((prod, img))
         if not pairs:
             return f"degree {d} not generated by degree 1"
         P = Matrix(len(pairs), nd, [p[0] for p in pairs])

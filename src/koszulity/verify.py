@@ -153,7 +153,7 @@ def dual_phi0_from_pp(pp: hd.PreprojectiveData, a0: GradedAlgebra,
     G = pp.algebra
     if G.dim(0) != n0:
         raise InputError("degree-0 dimensions differ")
-    mat = Matrix.zero(n0, G.dim(0))
+    cells = {}
     pos_of_vertex = {v: i for i, v in enumerate(a0.vertices)}
     for (d, u, v, c), col in pp.index.items():
         if d:
@@ -164,8 +164,8 @@ def dual_phi0_from_pp(pp: hd.PreprojectiveData, a0: GradedAlgebra,
         h = mo.GradedModuleHom(summands[i], summands[j], dict(lm.blocks))
         coords = ext0_coordinates(dual, i, j, h)
         for cc, coeff in enumerate(coords):
-            mat.data[dual.index[(0, i, j, cc)]][col] = coeff
-    return mat
+            cells[dual.index[(0, i, j, cc)], col] = coeff
+    return Matrix.from_entries(n0, G.dim(0), cells)
 
 
 def verify_trivext_dual(a0: GradedAlgebra, n: int, d_max: int = 5,
@@ -266,7 +266,7 @@ def _phi0_blocks(bdata: ko.StableEndData, dual: tr.DualData, target,
     follow the basis order of the preprojective algebra."""
     n0 = target.dim(0)
     G = pp.algebra
-    mat = Matrix.zero(n0, G.dim(0))
+    cells = {}
     lookup = {}
     for p, (s_tag, t_tag, lab) in enumerate(target.basis.get(0, [])):
         lookup[lab] = p
@@ -286,8 +286,8 @@ def _phi0_blocks(bdata: ko.StableEndData, dual: tr.DualData, target,
             p = lookup.get(lab)
             if p is None:
                 raise InputError("block label missing in the Veronese")
-            mat.data[p][col] = coeff
-    return mat
+            cells[p, col] = coeff
+    return Matrix.from_entries(n0, G.dim(0), cells)
 
 
 # ---------------------------------------------------------------------------

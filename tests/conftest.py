@@ -1,10 +1,11 @@
 import os
+from fractions import Fraction
 
 import pytest
 
 from koszulity.presentation import Quiver, Arrow, Relation, build_algebra
 from koszulity.algebra import trivial_extension
-from koszulity.linalg import (EchelonBasis, Matrix, candidate_combinations,
+from koszulity.linalg import (EchelonBasis, Matrix, candidate_combinations, exact,
                               kernel_vectors, solve_combination)
 from koszulity import modules as mo
 
@@ -13,6 +14,95 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def data_path(name):
     return os.path.join(DATA, name)
+
+
+def sparse(vec):
+    """The sparse vector {index: entry} of a dense list, normalised."""
+    return {c: exact(x) for c, x in enumerate(vec) if x}
+
+
+class DenseMatrix:
+    """Reference `Matrix`: the dense row-list container the package used
+    before its rows became sparse, with elimination by dense Gauss-Jordan.
+
+    Rows are lists of normalised entries; `rref` reduces column by column
+    over every cell, and `kernel_basis`, `solve_matrix` and `inverse` read
+    the dense reduced rows. Tests compare `Matrix` with it.
+    """
+
+    def __init__(self, rows, cols, data):
+        self.rows, self.cols = rows, cols
+        self.data = [[exact(x) for x in row] for row in data]
+        assert len(self.data) == rows and all(len(r) == cols for r in self.data)
+
+    @staticmethod
+    def of(m):
+        return DenseMatrix(m.rows, m.cols, m.data)
+
+    def __mul__(self, other):
+        assert self.cols == other.rows
+        return DenseMatrix(self.rows, other.cols, [
+            [sum((a * other.data[k][j] for k, a in enumerate(row)), 0)
+             for j in range(other.cols)] for row in self.data])
+
+    def apply(self, vec):
+        return [sum((a * v for a, v in zip(row, vec)), 0) for row in self.data]
+
+    def transpose(self):
+        return DenseMatrix(self.cols, self.rows,
+                           [[row[j] for row in self.data] for j in range(self.cols)])
+
+    def hstack(self, other):
+        return DenseMatrix(self.rows, self.cols + other.cols,
+                           [a + b for a, b in zip(self.data, other.data)])
+
+    def rref(self):
+        data = [row[:] for row in self.data]
+        pivots = []
+        for c in range(self.cols):
+            r = len(pivots)
+            pr = next((i for i in range(r, self.rows) if data[i][c]), None)
+            if pr is None:
+                continue
+            data[r], data[pr] = data[pr], data[r]
+            data[r] = [exact(Fraction(x) / data[r][c]) for x in data[r]]
+            for i in range(self.rows):
+                f = data[i][c]
+                if i != r and f:
+                    data[i] = [exact(a - f * b) for a, b in zip(data[i], data[r])]
+            pivots.append(c)
+        return DenseMatrix(self.rows, self.cols, data), pivots
+
+    def kernel_basis(self):
+        """One dense vector per free column fc: 1 there, -R[r][fc] at the
+        pivot of each reduced row r."""
+        R, pivots = self.rref()
+        out = []
+        for fc in (c for c in range(self.cols) if c not in pivots):
+            v = [0] * self.cols
+            v[fc] = 1
+            for r, pc in enumerate(pivots):
+                v[pc] = -R.data[r][fc]
+            out.append(v)
+        return out
+
+    def solve_matrix(self, B):
+        R, pivots = self.hstack(B).rref()
+        if any(p >= self.cols for p in pivots):
+            return None
+        X = [[0] * B.cols for _ in range(self.cols)]
+        for r, pc in enumerate(pivots):
+            X[pc] = R.data[r][self.cols:]
+        return DenseMatrix(self.cols, B.cols, X)
+
+    def inverse(self):
+        if self.rows != self.cols:
+            return None
+        eye = [[int(i == j) for j in range(self.rows)] for i in range(self.rows)]
+        R, pivots = self.hstack(DenseMatrix(self.rows, self.rows, eye)).rref()
+        if pivots != list(range(self.rows)):
+            return None
+        return DenseMatrix(self.rows, self.cols, [row[self.cols:] for row in R.data])
 
 
 def hom_space_with_constraints(m, n, constraints):
@@ -164,7 +254,7 @@ def hom_kernel_by_generating_set(m, n):
                         for k in range(n.block_dim(sv, d)):
                             col = off + k * cols + j
                             row[col] = row.get(col, 0) - a_n.data[i][k]
-                    equations.add(row)
+                    equations.add({c: x for c, x in row.items() if x})
     return layout, kernel_vectors(equations.rows, total) if total else []
 
 
@@ -175,7 +265,7 @@ def radical_span_by_radical_basis(m):
     for r in m.algebra.radical_basis():
         for key, i in m.basis_elements():
             for k2, vec in m.apply_element(m.unit_vector(key, i), r).items():
-                spans[k2].append(vec)
+                spans[k2].append(sparse(vec))
     return spans
 
 
@@ -199,7 +289,7 @@ def socle_spans_by_radical_basis(m):
         if stacked:
             out[key] = Matrix(len(stacked), dimk, stacked).kernel_basis()
         else:
-            out[key] = [list(v) for v in Matrix.identity(dimk).data]
+            out[key] = [{i: 1} for i in range(dimk)]
     return {k: v for k, v in out.items() if v}
 
 
@@ -220,7 +310,7 @@ def socle_degrees_by_radical_basis(alg):
         stacked.extend(rm)
     out = []
     for vec in Matrix(len(stacked), n, stacked).kernel_basis():
-        out.extend(sorted({alg.degree[i] for i, c in enumerate(vec) if c}))
+        out.extend(sorted({alg.degree[i] for i in vec}))
     return out
 
 
@@ -369,8 +459,7 @@ def graded_iso_space_dense(G1, G2, phi0):
                 for j2 in range(n1):
                     row[j2 * n1 + x] -= G2.mult(1, {j2: 1}, 0, pu).get(i2, 0)
                 rows.append(row)
-    space = Matrix(len(rows), unknowns, rows).kernel_basis()
-    return [{c: x for c, x in enumerate(vec) if x} for vec in space]
+    return Matrix(len(rows), unknowns, rows).kernel_basis()
 
 
 def is_isomorphic_by_flatten(m, n, rng=None):

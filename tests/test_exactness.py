@@ -87,8 +87,8 @@ def test_div_is_exact():
     lambda: Matrix.from_rows([[2.0]]),
     lambda: Matrix.identity(2).scale(0.5),
     lambda: Matrix.identity(2).apply([1, 0.5]),
-    lambda: EchelonBasis([[1, 0.25]]),
-    lambda: EchelonBasis([[1, 0]]).contains({1: 0.5}),
+    lambda: EchelonBasis([{0: 1, 1: 0.25}]),
+    lambda: EchelonBasis([{0: 1}]).contains({1: 0.5}),
 ], ids=["exact", "exact-integral", "matrix", "from-rows", "scale", "apply",
         "echelon-add", "echelon-contains"])
 def test_float_raises(make):
@@ -120,7 +120,7 @@ def test_elimination_keeps_ints_ints():
     R, piv = Matrix.from_rows([[-1, 2, 1], [1, -1, 0]]).rref()
     assert R.data == [[1, 0, 1], [0, 1, 1]] and piv == [0, 1]
     assert all(type(x) is int for row in R.data for x in row)
-    basis = EchelonBasis([[Fraction(1, 2), 1], [Fraction(1, 3), 1]])
+    basis = EchelonBasis([{0: Fraction(1, 2), 1: 1}, {0: Fraction(1, 3), 1: 1}])
     entries = [x for row in basis.rows.values() for x in row.values()]
     entries += [x for combo in basis.combos.values() for x in combo.values()]
     assert all(type(x) is int or x.denominator != 1 for x in entries)

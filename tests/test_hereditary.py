@@ -19,12 +19,12 @@ from conftest import (hom_space_with_constraints, linear_combination,
 
 def cartan_matrix(alg):
     n = alg.num_vertices
-    c = Matrix.zero(n, n)
+    c = [[Fraction(0)] * n for _ in range(n)]
     for i in range(alg.dim):
         u = alg.vertex_pos[alg.source[i]]
         v = alg.vertex_pos[alg.target[i]]
-        c.data[u][v] += Fraction(1)
-    return c
+        c[u][v] += 1
+    return Matrix(n, n, c)
 
 
 def inverse_translate_dims(alg, dim_vec):
@@ -304,11 +304,10 @@ def dense_injections_projections(total):
     for part, off in zip(total.parts, total.offsets):
         inj, prj = {}, {}
         for key, m in part.dims.items():
-            inj[key] = Matrix.zero(total.dims[key], m)
-            prj[key] = Matrix.zero(m, total.dims[key])
-            for i in range(m):
-                inj[key].data[off[key] + i][i] = 1
-                prj[key].data[i][off[key] + i] = 1
+            inj[key] = Matrix.from_entries(total.dims[key], m,
+                                           {(off[key] + i, i): 1 for i in range(m)})
+            prj[key] = Matrix.from_entries(m, total.dims[key],
+                                           {(i, off[key] + i): 1 for i in range(m)})
         injections.append(mo.GradedModuleHom(part, total, inj))
         projections.append(mo.GradedModuleHom(total, part, prj))
     return injections, projections

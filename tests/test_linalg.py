@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from koszulity.linalg import (EchelonBasis, Matrix, candidate_combinations,
                               kernel_vectors, solve_combination)
 
+from conftest import DenseMatrix, sparse
+
 
 def M(rows):
     return Matrix.from_rows(rows)
@@ -14,27 +16,8 @@ def M(rows):
 
 def dense_rref(m):
     """Column-by-column dense Gauss-Jordan: the reference for Matrix.rref."""
-    data = [row[:] for row in m.data]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = next((i for i in range(r, nr) if data[i][c]), None)
-        if pr is None:
-            continue
-        data[r], data[pr] = data[pr], data[r]
-        inv = Fraction(1, data[r][c])
-        data[r] = [x * inv for x in data[r]]
-        rowr = data[r]
-        for i in range(nr):
-            f = data[i][c]
-            if i != r and f:
-                data[i] = [a - f * b for a, b in zip(data[i], rowr)]
-        pivots.append(c)
-        r += 1
-    return data, pivots
+    R, pivots = DenseMatrix.of(m).rref()
+    return R.data, pivots
 
 
 def dense_rank(rows, cols):
@@ -114,7 +97,7 @@ def test_rank_nullity(m):
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate(m):
     for v in m.kernel_basis():
-        assert all(x == 0 for x in m.apply(v))
+        assert all(x == 0 for x in m.apply([v.get(c, 0) for c in range(m.cols)]))
 
 
 @given(matrices(), st.data())
@@ -134,7 +117,7 @@ def test_rref_preserves_row_space(m):
     assert R.rank() == m.rank() == len(piv)
     # every original row is in the row space of the reduced matrix
     for row in m.data:
-        assert EchelonBasis(R.data).contains(row)
+        assert EchelonBasis(R.srows.values()).contains(sparse(row))
 
 
 # Rationals with many zeros, so that zero rows and columns, dependent rows
@@ -185,9 +168,8 @@ def test_kernel_vectors_match_dense_rref(m):
             if ref[r][fc]:
                 v[pc] = -ref[r][fc]
         expected.append(v)
-    assert kernel_vectors(EchelonBasis(m.data).rows, m.cols) == expected
-    assert m.kernel_basis() == [[v.get(c, Fraction(0)) for c in range(m.cols)]
-                                for v in expected]
+    assert kernel_vectors(EchelonBasis(m.srows.values()).rows, m.cols) == expected
+    assert m.kernel_basis() == expected
 
 
 @given(rational_matrices())
@@ -197,14 +179,14 @@ def test_echelon_add_is_true_exactly_when_rank_grows(m):
     kept = []
     for k, row in enumerate(m.data):
         grows = dense_rank(m.data[:k + 1], m.cols) > dense_rank(m.data[:k], m.cols)
-        assert basis.add(row) is grows
+        assert basis.add(sparse(row)) is grows
         if grows:
             kept.append(row)
     assert basis.rank == len(kept) == m.rank()
     # every row lies in the span, with coordinates in the kept rows
     for row in m.data:
-        assert basis.contains(row)
-        coords = basis.coords(row)
+        assert basis.contains(sparse(row))
+        coords = basis.coords(sparse(row))
         assert [sum((c * v[j] for c, v in zip(coords, kept)), Fraction(0))
                 for j in range(m.cols)] == row
 
@@ -213,10 +195,10 @@ def test_echelon_add_is_true_exactly_when_rank_grows(m):
 @settings(max_examples=60, deadline=None)
 def test_echelon_coords_none_outside_span(m, data):
     vec = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
-    basis = EchelonBasis(m.data)
+    basis = EchelonBasis(m.srows.values())
     inside = dense_rank(m.data + [vec], m.cols) == dense_rank(m.data, m.cols)
-    assert basis.contains(vec) is inside
-    assert (basis.coords(vec) is not None) is inside
+    assert basis.contains(sparse(vec)) is inside
+    assert (basis.coords(sparse(vec)) is not None) is inside
 
 
 def dense_solve(m, b):
@@ -235,7 +217,7 @@ def dense_solve(m, b):
 @given(rational_matrices(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_solve_combination_matches_dense_solve(m, data):
-    cols = [m.column(j) for j in range(m.cols)]
+    cols = [[row[j] for row in m.data] for j in range(m.cols)]
     # dependent columns: combinations of columns drawn before them
     for coeffs in data.draw(st.lists(st.lists(rationals, max_size=len(cols)),
                                      max_size=3)):
@@ -249,15 +231,15 @@ def test_solve_combination_matches_dense_solve(m, data):
     else:
         b = data.draw(st.lists(rationals, min_size=a.rows, max_size=a.rows))
     expected = dense_solve(a, b)
-    assert solve_combination(cols, b) == expected
+    assert solve_combination(list(map(sparse, cols)), sparse(b)) == expected
     assert a.solve(b) == expected
 
 
 def test_echelon_accepts_sparse_dicts():
-    basis = EchelonBasis([{0: 1, 2: 2}, [0, 1, 0]])
-    assert not basis.add({0: Fraction(2), 1: 3, 2: 4})
+    basis = EchelonBasis([{0: 1, 2: 2}, {1: 1}])
+    assert not basis.add({0: 2, 1: 3, 2: 4})
     assert basis.coords({0: 1, 1: 1, 2: 2}) == [Fraction(1), Fraction(1)]
-    assert basis.add({2: 1, 1: 0})
+    assert basis.add({2: 1})
     assert basis.rank == 3
 
 
@@ -275,10 +257,6 @@ def random_int_combination(vectors, rng, lo=-5, hi=5):
                 if x:
                     out[i] += c * x
     return out
-
-
-def sparse(vec):
-    return {c: x for c, x in enumerate(vec) if x}
 
 
 @given(rational_matrices(), st.integers(min_value=0, max_value=2**32),
@@ -319,20 +297,65 @@ def test_ext_group_reps_match_dense_greedy_selection(delta_a4, t_summands):
                 assert eg.reps == []
                 continue
             d_out = rs.delta_matrix(res, T, i, j)
-            cocycles = d_out.kernel_basis() if d_out.rows else [
+            cocycles = [[v.get(t, 0) for t in range(eg.total)]
+                        for v in d_out.kernel_basis()] if d_out.rows else [
                 [Fraction(int(t == s)) for t in range(eg.total)]
                 for s in range(eg.total)]
             span = []
             if i >= 1:
-                d_in = rs.delta_matrix(res, T, i - 1, j)
-                span = [d_in.column(c) for c in range(d_in.cols)]
+                span = rs.delta_matrix(res, T, i - 1, j).transpose().data
             reps = []
             for z in cocycles:
                 if dense_rank(span + [z], eg.total) > dense_rank(span, eg.total):
                     reps.append(z)
                     span.append(z)
-            assert eg.reps == reps
+            assert eg.reps == [sparse(z) for z in reps]
             assert eg.dim == len(reps)
             for k, z in enumerate(reps):
-                assert eg.reduce(z) == [Fraction(int(c == k))
+                assert eg.reduce(sparse(z)) == [Fraction(int(c == k))
                                         for c in range(len(reps))]
+
+
+@st.composite
+def sparse_products(draw, max_dim=6):
+    """Matrices A (r x k), B (k x c) and C (r x c), with a vector v of
+    length k, all with many zero entries."""
+    r, k, c = (draw(st.integers(min_value=0, max_value=max_dim)) for _ in range(3))
+
+    def mat(rows, cols):
+        return Matrix(rows, cols, draw(st.lists(
+            st.lists(rationals, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
+    return mat(r, k), mat(k, c), mat(r, c), draw(st.lists(rationals, min_size=k,
+                                                          max_size=k))
+
+
+def same(m, ref):
+    """Whether sparse m and dense ref hold the same matrix, or are both None."""
+    if m is None or ref is None:
+        return m is ref
+    return (m.rows, m.cols, m.data) == (ref.rows, ref.cols, ref.data)
+
+
+@given(sparse_products())
+@settings(max_examples=200, deadline=None)
+def test_sparse_matrix_matches_dense_reference(mats):
+    a, b, c, v = mats
+    da, db, dc = map(DenseMatrix.of, (a, b, c))
+    assert same(a * b, da * db)
+    assert a.apply(v) == da.apply(v)
+    assert same(a.transpose(), da.transpose())
+    assert same(a.hstack(c), da.hstack(dc))
+    R, piv = a.rref()
+    dR, dpiv = da.rref()
+    assert same(R, dR) and piv == dpiv
+    assert same(a.solve_matrix(c), da.solve_matrix(dc))
+    assert [[x.get(j, 0) for j in range(a.cols)] for x in a.kernel_basis()] \
+        == da.kernel_basis()
+    for m, dm in ((a, da), (a * a.transpose(), da * da.transpose())):
+        assert same(m.inverse(), dm.inverse())
+    # every stored entry is a normalised nonzero, in a nonzero row
+    for m in (a * b, a.hstack(c), R, a.transpose()):
+        assert all(row and all(x and (type(x) is int or x.denominator != 1)
+                               for x in row.values()) for row in m.srows.values())

@@ -1,9 +1,11 @@
 """Memory bounds of whole commands, each run in a fresh interpreter.
 
-The Hom and graded-isomorphism linear systems are kept as sparse vectors;
-only a map that is applied is built as dense matrices. These tests bound
-what a command may hold at its peak, so a dense constraint row or a dense
-Hom basis coming back fails here.
+The Hom and graded-isomorphism linear systems are kept as sparse vectors,
+and every `Matrix` holds only its nonzero entries. A direct sum, such as a
+term of a resolution, builds its block-diagonal action on demand and holds
+none. These tests bound what a command may hold at its peak, so a dense
+constraint row, a dense Hom basis, dense matrices or held term actions
+coming back fail here.
 """
 
 import json
@@ -57,7 +59,11 @@ def traced_peak(argv):
     # keeping every one
     (["ext", "--algebra", f"{DATA}/a4.alg", "--trivext", "--n", "2",
       "--i-max", "12", *EXT_MODULES], 3.8),
-], ids=["characterization-a4", "trivext-dual-kron-d4", "ext-a4-i12"])
+    # about 17.4 MiB with sparse matrices and no held term actions; 31.3 MiB
+    # with dense matrices and each term's dense block-diagonal action held
+    (["ext", "--algebra", f"{DATA}/a4.alg", "--trivext", "--n", "2",
+      "--i-max", "30", *EXT_MODULES], 21.0),
+], ids=["characterization-a4", "trivext-dual-kron-d4", "ext-a4-i12", "ext-a4-i30"])
 def test_traced_peak_is_bounded(argv, bound_mib):
     code, peak = traced_peak(argv)
     assert code == 0

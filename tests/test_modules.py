@@ -177,7 +177,7 @@ def old_injective_envelope(m):
     for w in alg.vertices:
         p = mo.projective_module(alg, w)
         [((v, sd), [vec])] = mo.socle_spans(p).items()
-        socle_of[v] = (w, sd, dict(zip(p.basis_index[(v, sd)], vec)))
+        socle_of[v] = (w, sd, {p.basis_index[(v, sd)][i]: c for i, c in vec.items()})
     soc = mo.socle_spans(m)
     parts, constraints = [], []
     for key in sorted(soc, key=lambda vd: (vd[1], str(vd[0]))):
@@ -185,7 +185,7 @@ def old_injective_envelope(m):
         for vec in soc[key]:
             p = mo.projective_module(alg, w, key[1] - sd)
             parts.append(p)
-            constraints.append(({key: vec},
+            constraints.append(({key: [vec.get(i, 0) for i in range(m.dims[key])]},
                                 p.apply_element(mo.generator(p, w, key[1] - sd), elt)))
     I = mo.DirectSum(alg, parts)
     return hom_space_with_constraints(

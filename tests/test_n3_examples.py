@@ -1,15 +1,23 @@
-"""An n = 3 example, end to end through the command line.
+"""The n = 3 examples, end to end through the command line.
 
 lin4r2 is linear A4 modulo the square of its radical, Iyama's A^(3)_2:
 3-representation finite, of global dimension 3 ("Cluster tilting for higher
-Auslander algebras", Adv. Math. 226, 2011). Every check here is one
-homological degree deeper than at n = 2.
+Auslander algebras", Adv. Math. 226, 2011). beil3 is the Beilinson algebra
+of P^3, 3-representation infinite. Every check here is one homological
+degree deeper than at n = 2.
 """
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 from koszulity.cli import main
 from conftest import data_path
 
 LIN4R2 = data_path("lin4r2.alg")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -53,3 +61,20 @@ def test_lin4r2_trivext_dual_agrees(capsys):
     assert out[:3] == ["verify trivext-dual: agree",
                        "left:  Pi_4(A) dims {0: 7, 1: 1, 2: 0, 3: 0}",
                        "right: dual dims {0: 7, 1: 1, 2: 0, 3: 0}"]
+
+
+def test_beil3_is_3_rep_infinite_to_depth_1():
+    # The Beilinson algebra of P^3 (56-dimensional) is 3-RI
+    # (Herschend-Iyama-Oppermann, Adv. Math. 252, 2014). The child runs
+    # under a 2 GiB address-space cap: dense module actions took 173 MiB
+    # here, and one step deeper passed 2 GiB.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, 2 * 1024 ** 3))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "koszulity.cli", "nrep", "--algebra",
+         data_path("beil3.alg"), "--mode", "infinite", "--n", "3", "--depth", "1"],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+        timeout=300, preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["infinite check (n = 3): pass", "depth: 1"]

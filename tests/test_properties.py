@@ -12,6 +12,9 @@ from koszulity import resolution as rs
 from koszulity import koszul as ko
 from koszulity.algebra import degree_zero_part
 from koszulity.frobenius import frobenius_analysis
+from koszulity.linalg import EchelonBasis
+
+from conftest import sparse
 
 
 def random_module(alg, rng, max_parts=2):
@@ -41,9 +44,8 @@ def random_module(alg, rng, max_parts=2):
                     if img:
                         keep = False
                         for k2, v2 in img.items():
-                            from koszulity.linalg import EchelonBasis
-
-                            if not EchelonBasis(spans.get(k2, [])).contains(v2):
+                            span = EchelonBasis(map(sparse, spans.get(k2, [])))
+                            if not span.contains(sparse(v2)):
                                 keep = True
                         if keep:
                             stack.append(img)

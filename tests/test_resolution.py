@@ -249,3 +249,32 @@ def test_resolution_stops_after_rank_zero_term(delta_a4):
     _check_differentials(res)
     assert rs.projective_dimension_upto(P, 5)[0] == 0
     assert rs.projective_dimension_upto(mo.zero_module(delta_a4), 5)[0] == -1
+
+
+def test_cocycle_lift_extends_only_the_terms_it_reads(dualnum):
+    # the simple of the dual numbers has a resolution that does not stop, so
+    # every extend step adds a term: stage m reads P_{p+m} of the source and
+    # P_m of the target, and nothing further is built
+    k = simple(dualnum)
+    res = rs.MinimalResolution(k)
+    e1 = rs.ext_group(res, k, 1, 1)
+    vals = rs.cocycle_values(res, e1, e1.reps[0])
+    for m in range(4):
+        src, tgt = rs.MinimalResolution(k), rs.MinimalResolution(k)
+        lift = rs.CocycleLift(src, tgt, 1, vals).ensure(m)
+        assert (len(src.terms), len(tgt.terms), len(lift.stages)) == (m + 2, m + 1, m + 1)
+
+
+def test_syzygy_walk_builds_no_formal_columns(t_summands, monkeypatch):
+    built = []
+    to_formal = mo.FormalProjective.element_to_formal
+    monkeypatch.setattr(mo.FormalProjective, "element_to_formal",
+                        lambda fp, elem: built.append(fp) or to_formal(fp, elem))
+    res = rs.MinimalResolution(mo.DirectSum(t_summands[0].algebra, t_summands))
+    res.syzygy(5)
+    res.cover(4)
+    assert built == []
+    # the first read builds the columns of every differential so far
+    assert len(res.diff_cols) == len(res.terms) - 1 == 4
+    assert len(built) == sum(fp.rank for fp in res.terms[1:])
+    _check_differentials(res)
