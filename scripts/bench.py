@@ -22,7 +22,9 @@ a "same work" statement read off the runs.
 
 Last, each of DEEP_WINDOWS, seven deep CLI windows, runs DEEP_RUNS times
 per side, each run in a fresh interpreter under a CHILD_AS_CAP address-space
-cap and alternating which side goes first. The file records the wall time,
+cap and alternating which side goes first. Both sides read the windows'
+input files from HEAD's tree, so a data file the change adds is measured on
+the parent too. The file records the wall time,
 the peak RSS (reaped with wait4) and the exit code of every run, and whether
 both sides printed the same stdout. After writing the file, the script exits 1 if any run, timed or
 traced, was not correct, or if a deep window's stdout differs between the
@@ -149,15 +151,18 @@ def run_cli(tree: Path, argv) -> tuple:
 
 
 def deep_windows(trees: dict) -> dict:
-    """DEEP_RUNS alternating runs per side of each deep window."""
+    """DEEP_RUNS alternating runs per side of each deep window, with the
+    input files of the change's tree."""
     out = {}
     for name, argv in DEEP_WINDOWS.items():
+        inputs = [str(trees["change"] / a) if a.startswith("tests/data/") else a
+                  for a in argv]
         runs = []
         for k in range(DEEP_RUNS):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             record, stdout = {"first": order[0]}, {}
             for side in order:
-                record[side], stdout[side] = run_cli(trees[side], argv)
+                record[side], stdout[side] = run_cli(trees[side], inputs)
             record["stdout_equal"] = stdout["parent"] == stdout["change"]
             runs.append(record)
             print(f"deep {name} run {k}: " + ", ".join(
