@@ -20,15 +20,15 @@ workload, at seed 0, records whether it was correct and the exact work
 counts of WORK_COUNTS, and names the counts that differ between the sides:
 a "same work" statement read off the runs.
 
-Last, each of DEEP_WINDOWS, seven deep CLI windows, runs DEEP_RUNS times
-per side, each run in a fresh interpreter under a CHILD_AS_CAP address-space
-cap and alternating which side goes first. Both sides read the windows'
-input files from HEAD's tree, so a data file the change adds is measured on
-the parent too. The file records the wall time,
+Last, each of DEEP_WINDOWS, seven deep CLI windows and one start-up window,
+runs DEEP_RUNS times per side, each run in a fresh interpreter under a
+CHILD_AS_CAP address-space cap and alternating which side goes first. Both
+sides read the windows' input files from HEAD's tree, so a data file the
+change adds is measured on the parent too. The file records the wall time,
 the peak RSS (reaped with wait4) and the exit code of every run, and whether
-both sides printed the same stdout. After writing the file, the script exits 1 if any run, timed or
-traced, was not correct, or if a deep window's stdout differs between the
-sides.
+both sides printed the same stdout. After writing the file, the script exits
+1 if any run, timed or traced, was not correct, or if a deep window's stdout
+differs between the sides.
 
 The script changes nothing under `perfbench/`; it only reads the last line
 run.py prints.
@@ -74,6 +74,9 @@ DEEP_WINDOWS = {
                                "--i-max", "4", "--depth", "3"],
     "beil3-nrep-depth1": ["nrep", "--algebra", "tests/data/beil3.alg", "--mode",
                           "infinite", "--n", "3", "--depth", "1"],
+    # about 10 ms of work: wall time and peak RSS are almost all start-up
+    "x3-nrepfin-char": ["verify", "nrepfin-char", "--algebra", "tests/data/x3.alg",
+                        "--module", "tests/data/k_x3.mod", "--n", "1"],
 }
 DEEP_RUNS = 3
 # Address-space cap of each deep-window child, so a run that outgrows it

@@ -14,8 +14,6 @@ product is composition of maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .linalg import EchelonBasis, Matrix
 
 
@@ -36,32 +34,44 @@ def parse_number(field: str, line: str, conv=int):
         raise InputError(f"not a number: {field!r} in line {line!r}") from None
 
 
-@dataclass
 class GradedAlgebra:
-    name: str
-    num_vertices: int
-    labels: list
-    source: list
-    target: list
-    degree: list
-    table: dict  # (i, j) -> {k: coefficient}; absent key means zero product
-    generator_labels: list | None = None
-    path_witness: dict | None = None
-    vertices: list = field(default=None)
-    # Derived data built on first use (radical, arrows, projectives,
-    # injectives, socles); not part of the algebra's value.
-    memo: dict = field(default_factory=dict, init=False, compare=False,
-                       repr=False)
-
-    def __post_init__(self):
-        if self.vertices is None:
-            self.vertices = list(range(1, self.num_vertices + 1))
-        if len(self.vertices) != self.num_vertices:
+    def __init__(self, name: str, num_vertices: int, labels: list, source: list,
+                 target: list, degree: list, table: dict,
+                 generator_labels: list | None = None,
+                 path_witness: dict | None = None, vertices: list | None = None):
+        self.name = name
+        self.num_vertices = num_vertices
+        self.labels = labels
+        self.source = source
+        self.target = target
+        self.degree = degree
+        self.table = table  # (i, j) -> {k: coefficient}; absent key means zero product
+        self.generator_labels = generator_labels
+        self.path_witness = path_witness
+        if vertices is None:
+            vertices = list(range(1, num_vertices + 1))
+        if len(vertices) != num_vertices:
             raise InputError("vertex list length mismatch")
-        self.index_of = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self.index_of) != len(self.labels):
+        self.vertices = vertices
+        # Derived data built on first use (radical, arrows, projectives,
+        # injectives, socles); not part of the algebra's value.
+        self.memo = {}
+        self.index_of = {lab: i for i, lab in enumerate(labels)}
+        if len(self.index_of) != len(labels):
             raise InputError("duplicate basis labels")
-        self.vertex_pos = {v: i for i, v in enumerate(self.vertices)}
+        self.vertex_pos = {v: i for i, v in enumerate(vertices)}
+
+    def _value(self) -> tuple:
+        return (self.name, self.num_vertices, self.labels, self.source,
+                self.target, self.degree, self.table, self.generator_labels,
+                self.path_witness, self.vertices)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    __hash__ = None
 
     # -- basic access ----------------------------------------------------
 

@@ -13,11 +13,20 @@ import random
 import sys
 
 from .algebra import InputError, degree_zero_part, trivial_extension
-from .frobenius import frobenius_analysis
 from .presentation import dump_algebra, parse_algebra_file
 
 # Each command handler imports the modules it runs, so that start-up loads
 # only those. The imports above serve loading an algebra and `build`.
+
+
+def __getattr__(name):
+    # `cli.frobenius_analysis` stays readable, as frobenius's current binding,
+    # but frobenius.py loads only when it is read or `build` runs.
+    if name == "frobenius_analysis":
+        from .frobenius import frobenius_analysis
+        return frobenius_analysis
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # The theorems `verify` checks, one verifier each in `verify.py`.
 THEOREMS = ("characterization", "nrepfin-char", "param-consistency",
@@ -76,6 +85,7 @@ def _emit(args, text_lines, payload, exit_code: int) -> int:
 
 
 def cmd_build(args) -> int:
+    from .frobenius import frobenius_analysis
     from .resolution import gldim_upto
 
     alg, base = _load_algebra(args)

@@ -10,8 +10,6 @@ identity works as mu for some admissible f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import Matrix, candidate_combinations
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 
@@ -119,16 +117,20 @@ def identity_morphism(alg: GradedAlgebra) -> GradedAlgebraMorphism:
     )
 
 
-@dataclass
 class FrobeniusReport:
-    is_frobenius: bool
-    a: int | None = None
-    symmetric: bool = False
-    mu: GradedAlgebraMorphism | None = None
-    mu_vertex_permutation: dict | None = None
-    functional: dict | None = None
-    probabilistic: bool = False
-    reason: str = ""
+    def __init__(self, is_frobenius: bool, a: int | None = None,
+                 symmetric: bool = False, mu: GradedAlgebraMorphism | None = None,
+                 mu_vertex_permutation: dict | None = None,
+                 functional: dict | None = None, probabilistic: bool = False,
+                 reason: str = ""):
+        self.is_frobenius = is_frobenius
+        self.a = a
+        self.symmetric = symmetric
+        self.mu = mu
+        self.mu_vertex_permutation = mu_vertex_permutation
+        self.functional = functional
+        self.probabilistic = probabilistic
+        self.reason = reason
 
 
 def _pairing_block_dims_match(alg: GradedAlgebra, a: int) -> bool:

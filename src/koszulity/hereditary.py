@@ -22,8 +22,6 @@ application of the functor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import modules as mo
 from . import resolution as rs
@@ -131,11 +129,11 @@ def identify_injective(a: GradedAlgebra, m: mo.GradedModule, rng=None):
 # injective resolutions (ungraded) and complexes
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BoundedComplex:
-    algebra: GradedAlgebra
-    terms: dict          # cohomological degree -> module
-    diffs: dict          # degree -> hom terms[d] -> terms[d+1]
+    def __init__(self, algebra: GradedAlgebra, terms: dict, diffs: dict):
+        self.algebra = algebra
+        self.terms = terms        # cohomological degree -> module
+        self.diffs = diffs        # degree -> hom terms[d] -> terms[d+1]
 
     def validate(self):
         for d, h in self.diffs.items():
@@ -145,13 +143,15 @@ class BoundedComplex:
         return True
 
 
-@dataclass
 class CohomologyData:
-    module: mo.GradedModule
-    cycles: mo.GradedModule
-    incl: mo.GradedModuleHom      # cycles -> term
-    proj: mo.GradedModuleHom      # cycles -> H
-    section: mo.GradedModuleHom   # H -> cycles, a blockwise right inverse of proj
+    def __init__(self, module: mo.GradedModule, cycles: mo.GradedModule,
+                 incl: mo.GradedModuleHom, proj: mo.GradedModuleHom,
+                 section: mo.GradedModuleHom):
+        self.module = module
+        self.cycles = cycles
+        self.incl = incl          # cycles -> term
+        self.proj = proj          # cycles -> H
+        self.section = section    # H -> cycles, a blockwise right inverse of proj
 
 
 def complex_cohomology(cx: BoundedComplex):
@@ -174,13 +174,14 @@ def cohomology_dims(cx: BoundedComplex) -> dict:
             if data.module.dim}
 
 
-@dataclass
 class ComplexResolution:
     """Bounded complex of labeled injective sums quasi-isomorphic to a
     bounded complex, together with the comparison chain map."""
-    terms: dict      # position -> LabeledSum
-    diffs: dict      # position -> hom terms[p] -> terms[p+1]
-    qis: dict        # position -> hom (original term -> terms[p])
+
+    def __init__(self, terms: dict, diffs: dict, qis: dict):
+        self.terms = terms        # position -> LabeledSum
+        self.diffs = diffs        # position -> hom terms[p] -> terms[p+1]
+        self.qis = qis            # position -> hom (original term -> terms[p])
 
     def as_complex(self, algebra) -> BoundedComplex:
         return BoundedComplex(algebra, dict(self.terms), dict(self.diffs))
@@ -213,21 +214,24 @@ def injective_resolution_module(m: mo.GradedModule, pos: int,
 # the inverse Nakayama step
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Piece:
     """A stalk module placed at cohomological degree -shift (i.e. M[shift])."""
-    module: mo.GradedModule
-    shift: int = 0
-    step_data: object = None
+
+    def __init__(self, module: mo.GradedModule, shift: int = 0,
+                 step_data: object = None):
+        self.module = module
+        self.shift = shift
+        self.step_data = step_data
 
 
-@dataclass
 class StepData:
-    n: int
-    resolution: ComplexResolution  # of the stalk, at position -shift
-    complex: BoundedComplex        # nu_n^{-1} of the stalk, before splitting
-    cohomology: dict               # position -> CohomologyData
-    result_pieces: dict            # position (absolute) -> output piece
+    def __init__(self, n: int, resolution: ComplexResolution,
+                 complex: BoundedComplex, cohomology: dict, result_pieces: dict):
+        self.n = n
+        self.resolution = resolution  # of the stalk, at position -shift
+        self.complex = complex        # nu_n^{-1} of the stalk, before splitting
+        self.cohomology = cohomology  # position -> CohomologyData
+        self.result_pieces = result_pieces  # position (absolute) -> output piece
 
 
 def nu_inverse_step(a: GradedAlgebra, piece: Piece, n: int, cap: int = 32):
@@ -339,25 +343,30 @@ def transport_stalk_hom(a: GradedAlgebra, h: mo.GradedModuleHom,
 # representation type
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Orbit:
-    projective: object           # vertex label
-    m: int | None = None
-    endpoint: object = None      # vertex label of the injective reached
-    modules: list = field(default_factory=list)
-    h_tables: list = field(default_factory=list)
+    def __init__(self, projective: object, m: int | None = None,
+                 endpoint: object = None, modules: list | None = None,
+                 h_tables: list | None = None):
+        self.projective = projective  # vertex label
+        self.m = m
+        self.endpoint = endpoint      # vertex label of the injective reached
+        self.modules = [] if modules is None else modules
+        self.h_tables = [] if h_tables is None else h_tables
 
 
-@dataclass
 class NRepReport:
-    mode: str                   # "finite" or "infinite"
-    n: int
-    verdict: bool | None        # None = inconclusive (cap hit)
-    orbits: list = field(default_factory=list)
-    depth: int | None = None
-    reason: str = ""
-    probabilistic: bool = False
-    fail_at: tuple | None = None
+    def __init__(self, mode: str, n: int, verdict: bool | None,
+                 orbits: list | None = None, depth: int | None = None,
+                 reason: str = "", probabilistic: bool = False,
+                 fail_at: tuple | None = None):
+        self.mode = mode              # "finite" or "infinite"
+        self.n = n
+        self.verdict = verdict        # None = inconclusive (cap hit)
+        self.orbits = [] if orbits is None else orbits
+        self.depth = depth
+        self.reason = reason
+        self.probabilistic = probabilistic
+        self.fail_at = fail_at
 
     def as_dict(self):
         return {
@@ -490,13 +499,14 @@ def derived_nu_inverse_power(a: GradedAlgebra, start: mo.GradedModule,
 # higher preprojective algebras
 # ---------------------------------------------------------------------------
 
-@dataclass
 class PreprojectiveData:
-    algebra: TruncatedGradedAlgebra
-    chains: dict       # vertex -> list of Piece per degree (single-stalk)
-    n: int
-    index: dict        # (degree, u, v, c) -> position in the degree's basis
-    flags: list = field(default_factory=list)
+    def __init__(self, algebra: TruncatedGradedAlgebra, chains: dict, n: int,
+                 index: dict, flags: list | None = None):
+        self.algebra = algebra
+        self.chains = chains      # vertex -> list of Piece per degree (single-stalk)
+        self.n = n
+        self.index = index        # (degree, u, v, c) -> position in the degree's basis
+        self.flags = [] if flags is None else flags
 
 
 def _transport_step(a: GradedAlgebra, h: mo.GradedModuleHom, src: Piece,

@@ -9,7 +9,6 @@ standing assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .linalg import Matrix
 from .algebra import (GradedAlgebra, InputError, InternalCheckError,
@@ -34,14 +33,16 @@ COHERENCE_ASSUMPTION = (
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass
 class KoszulReport:
-    verdict: str                    # "pass" / "fail" / "inconclusive"
-    window: dict = field(default_factory=dict)
-    counterexample: tuple | None = None    # (i, j, dim)
-    probabilistic: bool = False
-    citations: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    def __init__(self, verdict: str, window: dict | None = None,
+                 counterexample: tuple | None = None, probabilistic: bool = False,
+                 citations: list | None = None, details: dict | None = None):
+        self.verdict = verdict              # "pass" / "fail" / "inconclusive"
+        self.window = {} if window is None else window
+        self.counterexample = counterexample  # (i, j, dim)
+        self.probabilistic = probabilistic
+        self.citations = [] if citations is None else citations
+        self.details = {} if details is None else details
 
     @property
     def passed(self) -> bool:
@@ -60,19 +61,21 @@ class KoszulReport:
         return out
 
 
-@dataclass
 class AlmostParams:
-    l: list
-    g: list
-    m: list
-    sigma: list
-    pi: list                        # pi[i] = image summand index (0-based)
-    mu_perm: list
-    a: int
-    n: int
-    sigma_R: dict = field(default_factory=dict)   # (i, j) -> value
-    m_table: dict = field(default_factory=dict)   # (i, j) -> m_{i,j}
-    sigma_L: dict = field(default_factory=dict)   # (i, j) -> summand index
+    def __init__(self, l: list, g: list, m: list, sigma: list, pi: list,
+                 mu_perm: list, a: int, n: int, sigma_R: dict | None = None,
+                 m_table: dict | None = None, sigma_L: dict | None = None):
+        self.l = l
+        self.g = g
+        self.m = m
+        self.sigma = sigma
+        self.pi = pi                    # pi[i] = image summand index (0-based)
+        self.mu_perm = mu_perm
+        self.a = a
+        self.n = n
+        self.sigma_R = {} if sigma_R is None else sigma_R  # (i, j) -> value
+        self.m_table = {} if m_table is None else m_table  # (i, j) -> m_{i,j}
+        self.sigma_L = {} if sigma_L is None else sigma_L  # (i, j) -> summand index
 
     def as_dict(self):
         return {"m": list(self.m), "sigma": list(self.sigma),
@@ -225,13 +228,13 @@ def omega(record, k: int) -> mo.GradedModule:
     return out
 
 
-@dataclass
 class TTilde:
-    parts: list          # modules X^{(s,i)} = Omega^{-n i} T^s <i>
-    tags: list           # (s, i)
-    chains: list         # rs.MinimalCoresolution per summand
-    n: int
-    a: int
+    def __init__(self, parts: list, tags: list, chains: list, n: int, a: int):
+        self.parts = parts        # modules X^{(s,i)} = Omega^{-n i} T^s <i>
+        self.tags = tags          # (s, i)
+        self.chains = chains      # rs.MinimalCoresolution per summand
+        self.n = n
+        self.a = a
 
 
 def build_t_tilde(alg: GradedAlgebra, summands, n: int, a: int) -> TTilde:
@@ -283,14 +286,14 @@ def rigidity_check(alg: GradedAlgebra, tilde: TTilde, l_bound: int | None = None
                         citations=[GENERATION_ASSUMPTION])
 
 
-@dataclass
 class StableEndData:
-    algebra: GradedAlgebra
-    reps: dict           # (a_tag_idx, b_tag_idx) -> list of hom reps
-    reducers: dict
-    tilde: TTilde
-    index: dict          # (a_tag_idx, b_tag_idx, rep) -> basis index of B
-    gamma: dict | None = None    # basis index -> (degree, coords) in the dual
+    def __init__(self, algebra: GradedAlgebra, reps: dict, tilde: TTilde,
+                 index: dict, gamma: dict | None = None):
+        self.algebra = algebra
+        self.reps = reps          # (a_tag_idx, b_tag_idx) -> list of hom reps
+        self.tilde = tilde
+        self.index = index        # (a_tag_idx, b_tag_idx, rep) -> basis index of B
+        self.gamma = gamma        # basis index -> (degree, coords) in the dual
 
 
 def stable_endomorphism_algebra(alg: GradedAlgebra, tilde: TTilde,
@@ -367,7 +370,7 @@ def stable_endomorphism_algebra(alg: GradedAlgebra, tilde: TTilde,
         vertices=list(tags),
     )
     B.validate()
-    return StableEndData(B, reps, reducers, tilde, index)
+    return StableEndData(B, reps, tilde, index)
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +489,11 @@ def gamma_block_map(bdata: StableEndData, dual: tr.DualData, rng=None):
 # mu permutation of summands
 # ---------------------------------------------------------------------------
 
-@dataclass
 class MuPermutation:
-    perm: list            # 0-based images
-    certificates: list    # iso twist(T^s, mu) -> T^{perm(s)}
-    identity: bool
+    def __init__(self, perm: list, certificates: list, identity: bool):
+        self.perm = perm                  # 0-based images
+        self.certificates = certificates  # iso twist(T^s, mu) -> T^{perm(s)}
+        self.identity = identity
 
 
 def mu_permutation(summands, mu: GradedAlgebraMorphism, rng=None) -> MuPermutation:
@@ -523,12 +526,13 @@ def mu_permutation(summands, mu: GradedAlgebraMorphism, rng=None) -> MuPermutati
 # classic almost-Koszul detection
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ClassicAlmostReport:
-    verdict: str          # "almost", "koszul", "none", "inapplicable"
-    g: int | None = None
-    l: int | None = None
-    bound: int = 0
+    def __init__(self, verdict: str, g: int | None = None, l: int | None = None,
+                 bound: int = 0):
+        self.verdict = verdict    # "almost", "koszul", "none", "inapplicable"
+        self.g = g
+        self.l = l
+        self.bound = bound
 
 
 def check_classic_almost_koszul(alg: GradedAlgebra, bound: int = 12
@@ -564,16 +568,19 @@ def check_classic_almost_koszul(alg: GradedAlgebra, bound: int = 12
 # almost graded n-self-orthogonality and (n, m_i, sigma_i)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AlmostReport:
-    verdict: str
-    l: list = None
-    g: list = None
-    targets: list = None
-    counterexample: tuple | None = None
-    probabilistic: bool = False
-    anomalies: list = field(default_factory=list)
-    window: dict = field(default_factory=dict)
+    def __init__(self, verdict: str, l: list = None, g: list = None,
+                 targets: list = None, counterexample: tuple | None = None,
+                 probabilistic: bool = False, anomalies: list | None = None,
+                 window: dict | None = None):
+        self.verdict = verdict
+        self.l = l
+        self.g = g
+        self.targets = targets
+        self.counterexample = counterexample
+        self.probabilistic = probabilistic
+        self.anomalies = [] if anomalies is None else anomalies
+        self.window = {} if window is None else window
 
 
 def check_almost_self_orthogonal(alg: GradedAlgebra, summands, n: int,

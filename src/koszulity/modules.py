@@ -9,7 +9,6 @@ columns; the right action of x*y is rho(y) o rho(x).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .linalg import (EchelonBasis, Matrix, _axpy, _inexact, assemble,
@@ -1167,12 +1166,13 @@ def stable_hom(m: GradedModule, n: GradedModule, prefer=None):
     return qdim, reps, reducer
 
 
-@dataclass
 class IsoVerdict:
-    isomorphic: bool | None  # None = probably not (probabilistic)
-    certified: bool
-    certificate: object = None
-    reason: str = ""
+    def __init__(self, isomorphic: bool | None, certified: bool,
+                 certificate: object = None, reason: str = ""):
+        self.isomorphic = isomorphic  # None = probably not (probabilistic)
+        self.certified = certified
+        self.certificate = certificate
+        self.reason = reason
 
     @property
     def probabilistic(self) -> bool:

@@ -12,37 +12,33 @@ as not finite dimensional within the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import Matrix, exact
 from .algebra import GradedAlgebra, InputError, parse_number
 
 
-@dataclass(frozen=True)
 class Arrow:
-    name: str
-    source: int
-    target: int
-    degree: int
+    def __init__(self, name: str, source: int, target: int, degree: int):
+        self.name = name
+        self.source = source
+        self.target = target
+        self.degree = degree
 
 
-@dataclass(frozen=True)
 class Quiver:
-    num_vertices: int
-    arrows: tuple
-
-    def __post_init__(self):
+    def __init__(self, num_vertices: int, arrows: tuple):
         seen = set()
-        for a in self.arrows:
+        for a in arrows:
             if a.name in seen:
                 raise InputError(f"duplicate arrow name {a.name!r}")
             seen.add(a.name)
-            if not (1 <= a.source <= self.num_vertices):
+            if not (1 <= a.source <= num_vertices):
                 raise InputError(f"arrow {a.name!r}: bad source {a.source}")
-            if not (1 <= a.target <= self.num_vertices):
+            if not (1 <= a.target <= num_vertices):
                 raise InputError(f"arrow {a.name!r}: bad target {a.target}")
             if a.degree < 0:
                 raise InputError(f"arrow {a.name!r}: negative degree")
+        self.num_vertices = num_vertices
+        self.arrows = arrows
 
     def arrow(self, name: str) -> Arrow:
         for a in self.arrows:
@@ -51,11 +47,11 @@ class Quiver:
         raise InputError(f"unknown arrow {name!r}")
 
 
-@dataclass(frozen=True)
 class Relation:
     """Sum of scalar multiples of parallel paths, each path a tuple of arrow names."""
 
-    terms: tuple  # of (coefficient, tuple[str, ...])
+    def __init__(self, terms: tuple):
+        self.terms = terms  # of (coefficient, tuple[str, ...])
 
     def validate(self, quiver: Quiver):
         if not self.terms:

@@ -17,8 +17,6 @@ maps are right actions, which keeps Ext computations small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import EchelonBasis, Matrix, assemble, exact
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import modules as mo
@@ -211,16 +209,17 @@ def delta_matrix(res: MinimalResolution, n: mo.GradedModule, i: int, j: int):
     return Matrix.from_entries(tgt_total, src_total, cells)
 
 
-@dataclass
 class ExtGroup:
-    i: int
-    j: int
-    dim: int
-    reps: list          # cocycles as sparse coordinate vectors
-    layout: list
-    total: int
-    _basis: EchelonBasis = None  # coboundaries, then reps
-    _brank: int = 0
+    def __init__(self, i: int, j: int, dim: int, reps: list, layout: list,
+                 total: int, _basis: EchelonBasis = None, _brank: int = 0):
+        self.i = i
+        self.j = j
+        self.dim = dim
+        self.reps = reps          # cocycles as sparse coordinate vectors
+        self.layout = layout
+        self.total = total
+        self._basis = _basis      # coboundaries, then reps
+        self._brank = _brank
 
     def reduce(self, vec):
         """Coordinates of a cocycle's class in the chosen basis."""
@@ -266,13 +265,14 @@ def values_to_vec(eg: ExtGroup, values):
     return vec
 
 
-@dataclass
 class ExtTable:
-    i_max: int
-    j_min: int
-    j_max: int
-    dims: dict          # (i, j) -> dimension
-    groups: dict        # (i, j) -> ExtGroup
+    def __init__(self, i_max: int, j_min: int, j_max: int, dims: dict,
+                 groups: dict):
+        self.i_max = i_max
+        self.j_min = j_min
+        self.j_max = j_max
+        self.dims = dims          # (i, j) -> dimension
+        self.groups = groups      # (i, j) -> ExtGroup
 
     def dim(self, i, j):
         return self.dims.get((i, j), 0)
@@ -450,11 +450,11 @@ def yoneda_product(value_module: mo.GradedModule,
 # global dimension and tilting modules
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GldimResult:
-    value: int | None     # exact value when determined, else None
-    exceeded: bool        # True when all we know is gldim >= bound + 1
-    bound: int
+    def __init__(self, value: int | None, exceeded: bool, bound: int):
+        self.value = value        # exact value when determined, else None
+        self.exceeded = exceeded  # True when all we know is gldim >= bound + 1
+        self.bound = bound
 
     def __str__(self):
         if self.exceeded:
@@ -489,15 +489,16 @@ def projective_dimension_upto(m: mo.GradedModule, bound: int):
     return None, res
 
 
-@dataclass
 class TiltingReport:
-    is_tilting: bool
-    pd: int | None = None
-    ext_checked_upto: int = 0
-    coresolution_mults: list = None
-    reason: str = ""
-    probabilistic: bool = False
-    inconclusive: bool = False
+    def __init__(self, is_tilting: bool, pd: int | None = None,
+                 coresolution_mults: list = None, reason: str = "",
+                 probabilistic: bool = False, inconclusive: bool = False):
+        self.is_tilting = is_tilting
+        self.pd = pd
+        self.coresolution_mults = coresolution_mults
+        self.reason = reason
+        self.probabilistic = probabilistic
+        self.inconclusive = inconclusive
 
 
 def decompose_in_add(m: mo.GradedModule, summands, rng=None):
@@ -553,8 +554,7 @@ def tilting_module_check(a0: GradedAlgebra, summands, pd_cap: int = 16,
                              reason=f"projective dimension exceeds cap {pd_cap}")
     for i in range(1, pd + 1):
         if ext_group(res, T, i, 0).dim:
-            return TiltingReport(False, pd=pd, ext_checked_upto=i,
-                                 reason=f"Ext^{i}(T,T) nonzero")
+            return TiltingReport(False, pd=pd, reason=f"Ext^{i}(T,T) nonzero")
     # coresolution 0 -> A -> T^0 -> ... -> T^l -> 0
     current = mo.regular_module(a0)
     mults = []
@@ -566,22 +566,20 @@ def tilting_module_check(a0: GradedAlgebra, summands, pd_cap: int = 16,
             mults.append(found)
             break
         if step > cap:
-            return TiltingReport(False, pd=pd, ext_checked_upto=pd,
-                                 inconclusive=True,
+            return TiltingReport(False, pd=pd, inconclusive=True,
                                  reason=f"coresolution cap {cap} exceeded")
         homs = mo.hom_space(current, T)
         if not homs:
-            return TiltingReport(False, pd=pd, ext_checked_upto=pd,
+            return TiltingReport(False, pd=pd,
                                  reason="no maps into add T; regular module "
                                         "does not embed")
         total = mo.DirectSum(a0, [T] * len(homs))
         univ = mo.place(current, total,
                         [(h, {}, off) for h, off in zip(homs, total.offsets)])
         if not univ.is_injective():
-            return TiltingReport(False, pd=pd, ext_checked_upto=pd,
+            return TiltingReport(False, pd=pd,
                                  reason="universal map into add T not injective")
         mults.append(len(homs))
         current, _ = mo.cokernel(univ)
         step += 1
-    return TiltingReport(True, pd=pd, ext_checked_upto=pd,
-                         coresolution_mults=mults)
+    return TiltingReport(True, pd=pd, coresolution_mults=mults)

@@ -8,8 +8,6 @@ convention as GradedAlgebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import (EchelonBasis, Matrix, _axpy, assemble, candidate_combinations,
                      exact, kernel_vectors)
 from .algebra import GradedAlgebra, InputError, InternalCheckError
@@ -383,14 +381,15 @@ def twist_algebra(G: TruncatedGradedAlgebra,
 # the Koszul-type dual
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DualData:
-    algebra: TruncatedGradedAlgebra
-    resolutions: list          # per summand
-    groups: dict               # (s, s', degree) -> ExtGroup
-    summands: list             # the modules
-    index: dict                # (degree, s, s', class number) -> basis index
-    n: int
+    def __init__(self, algebra: TruncatedGradedAlgebra, resolutions: list,
+                 groups: dict, summands: list, index: dict, n: int):
+        self.algebra = algebra
+        self.resolutions = resolutions  # per summand
+        self.groups = groups            # (s, s', degree) -> ExtGroup
+        self.summands = summands        # the modules
+        self.index = index              # (degree, s, s', class number) -> basis index
+        self.n = n
 
 
 def koszul_dual(alg: GradedAlgebra, summands, n: int, d_max: int,
@@ -485,13 +484,14 @@ def koszul_dual(alg: GradedAlgebra, summands, n: int, d_max: int,
 # explicit graded isomorphism search (degree-1 generated)
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GradedIsoReport:
-    found: bool
-    dims_equal: bool
-    morphism: TruncatedAlgebraMorphism | None = None
-    reason: str = ""
-    probabilistic: bool = False
+    def __init__(self, found: bool,
+                 morphism: TruncatedAlgebraMorphism | None = None,
+                 reason: str = "", probabilistic: bool = False):
+        self.found = found
+        self.morphism = morphism
+        self.reason = reason
+        self.probabilistic = probabilistic
 
 
 def bigraded_dims_equal(G1, G2, vertex_map, upto=None) -> bool:
@@ -517,21 +517,20 @@ def find_graded_iso(G1, G2, phi0: Matrix, vertex_map, rng=None,
     cutoff = min(G1.cutoff, G2.cutoff) if upto is None else upto
     dims_ok = bigraded_dims_equal(G1, G2, vertex_map, upto=cutoff)
     if not dims_ok:
-        return GradedIsoReport(False, False, reason="bigraded dimensions differ")
+        return GradedIsoReport(False, reason="bigraded dimensions differ")
     n0, n1 = G1.dim(0), G1.dim(1)
     if G2.dim(0) != n0 or G2.dim(1) != n1:
-        return GradedIsoReport(False, False, reason="dimension mismatch")
+        return GradedIsoReport(False, reason="dimension mismatch")
     if n1 == 0:
         mats = {0: phi0}
         cand = TruncatedAlgebraMorphism(G1, G2, mats)
         ok = _extend_and_check(G1, G2, cand, cutoff)
         if ok is True:
-            return GradedIsoReport(True, True, morphism=cand)
-        return GradedIsoReport(False, True, reason=str(ok))
+            return GradedIsoReport(True, morphism=cand)
+        return GradedIsoReport(False, reason=str(ok))
     space = _degree_one_space(G1, G2, phi0)
     if not space:
-        return GradedIsoReport(False, True,
-                               reason="no bimodule maps in degree 1")
+        return GradedIsoReport(False, reason="no bimodule maps in degree 1")
     last_reason = "no candidate extended to an isomorphism"
     for vec in candidate_combinations(space, rng, GRADED_ISO_SAMPLES):
         F = Matrix.from_entries(G2.dim(1), n1,
@@ -541,9 +540,9 @@ def find_graded_iso(G1, G2, phi0: Matrix, vertex_map, rng=None,
         cand = TruncatedAlgebraMorphism(G1, G2, {0: phi0, 1: F})
         ok = _extend_and_check(G1, G2, cand, cutoff)
         if ok is True:
-            return GradedIsoReport(True, True, morphism=cand)
+            return GradedIsoReport(True, morphism=cand)
         last_reason = str(ok)
-    return GradedIsoReport(False, True, reason=last_reason,
+    return GradedIsoReport(False, reason=last_reason,
                            probabilistic=len(space) > 1)
 
 

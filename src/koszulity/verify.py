@@ -9,7 +9,6 @@ hit or a probabilistic step could not certify).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .linalg import Matrix
 from .algebra import GradedAlgebra, InputError, trivial_extension
@@ -21,16 +20,20 @@ from . import koszul as ko
 from . import hereditary as hd
 
 
-@dataclass
 class VerifyReport:
-    theorem: str
-    agree: bool | None          # None = inconclusive
-    left: object = None
-    right: object = None
-    bounds: dict = field(default_factory=dict)
-    probabilistic: bool = False
-    details: dict = field(default_factory=dict)
-    citations: list = field(default_factory=list)
+    def __init__(self, theorem: str, agree: bool | None, left: object = None,
+                 right: object = None, bounds: dict | None = None,
+                 probabilistic: bool = False, details: dict | None = None,
+                 citations: list | None = None, params: object = None):
+        self.theorem = theorem
+        self.agree = agree          # None = inconclusive
+        self.left = left
+        self.right = right
+        self.bounds = {} if bounds is None else bounds
+        self.probabilistic = probabilistic
+        self.details = {} if details is None else details
+        self.citations = [] if citations is None else citations
+        self.params = params
 
     @property
     def exit_code(self) -> int:
@@ -38,8 +41,6 @@ class VerifyReport:
         if self.agree is None or (not self.agree and self.probabilistic):
             return 3
         return 0 if self.agree else 1
-
-    params: object = None
 
     def as_dict(self):
         return {

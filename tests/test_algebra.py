@@ -23,6 +23,13 @@ def test_equality_ignores_memoized_data():
     a.arrows()
     a.radical_degree_zero()
     assert a == b and b == a
+    with pytest.raises(TypeError):
+        hash(a)
+    # one changed structure constant is a different algebra
+    c = parse_algebra_file(data_path("a4.alg"))[0]
+    key = next(iter(c.table))
+    c.table[key] = {k: 2 * x for k, x in c.table[key].items()}
+    assert c != b and b != c
 
 
 def test_trivial_extension_of_field(point):

@@ -254,7 +254,7 @@ def test_nrep_probabilistic_no_is_inconclusive(capsys, monkeypatch):
      ["nrepfin-char", "--algebra", "x3.alg", "--module", "k_x3.mod",
       "--n", "1"]),
     (tr, "find_graded_iso",
-     lambda *args, **kw: tr.GradedIsoReport(False, True, probabilistic=True),
+     lambda *args, **kw: tr.GradedIsoReport(False, probabilistic=True),
      ["trivext-dual", "--algebra", "kron.alg", "--n", "1",
       "--degree-max", "2"]),
 ], ids=["nrepfin-char", "trivext-dual"])

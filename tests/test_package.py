@@ -3,7 +3,10 @@
 `import koszulity` loads no submodule: each public name resolves in its home
 module on first use. Each command loads only the modules it runs; this
 matters most when no bytecode cache is written, since every loaded module
-is then compiled from source at start-up.
+is then compiled from source at start-up. The package's records are plain
+classes with written-out constructors, not `dataclasses`, so start-up
+generates and compiles no code of its own and never loads `dataclasses` or
+the `inspect` module it imports.
 """
 
 import importlib
@@ -17,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import koszulity
-from koszulity import modules
+from koszulity import hereditary, koszul, modules, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = "tests/data"
@@ -97,24 +100,26 @@ if argv is not None:
 else:
     import koszulity
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.startswith("koszulity."))]))
+                               if m.startswith("koszulity.")),
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
 
 
 def loaded_modules(argv):
-    """Exit code and koszulity modules loaded by one command in a fresh
-    interpreter; argv None only imports the package."""
+    """Exit code, koszulity modules loaded and which of `dataclasses` and
+    `inspect` got loaded, by one command in a fresh interpreter; argv None
+    only imports the package."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(argv)], cwd=ROOT,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, names = json.loads(proc.stdout.splitlines()[-1])
-    return code, {name.split(".", 1)[1] for name in names}
+    code, names, codegen = json.loads(proc.stdout.splitlines()[-1])
+    return code, {name.split(".", 1)[1] for name in names}, codegen
 
 
 def test_bare_import_loads_no_submodule():
-    assert loaded_modules(None) == (None, set())
+    assert loaded_modules(None) == (None, set(), [])
 
 
 @pytest.mark.parametrize("argv, left_out", [
@@ -122,15 +127,43 @@ def test_bare_import_loads_no_submodule():
      {"truncated", "koszul", "hereditary", "verify"}),
     (["ext", "--algebra", f"{DATA}/a4.alg", "--trivext", "--n", "2",
       "--i-max", "2", "--M", f"{DATA}/T1.mod", "--N", f"{DATA}/T2.mod"],
-     {"truncated", "koszul", "hereditary", "verify"}),
+     {"frobenius", "truncated", "koszul", "hereditary", "verify"}),
     (["veronese", "--algebra", f"{DATA}/x3.alg", "--r", "2",
       "--degree-max", "3"],
-     {"koszul", "hereditary", "verify"}),
+     {"frobenius", "koszul", "hereditary", "verify"}),
     (["nrep", "--algebra", f"{DATA}/a2.alg", "--mode", "finite", "--n", "1"],
-     {"koszul", "verify"}),
-], ids=["build", "ext", "veronese", "nrep"])
+     {"frobenius", "koszul", "verify"}),
+    (["verify", "nrepfin-char", "--algebra", f"{DATA}/x3.alg", "--module",
+      f"{DATA}/k_x3.mod", "--n", "1"],
+     set()),
+], ids=["build", "ext", "veronese", "nrep", "verify"])
 def test_command_loads_only_its_modules(argv, left_out):
-    code, loaded = loaded_modules(argv)
+    code, loaded, codegen = loaded_modules(argv)
     assert code == 0
     assert "cli" in loaded
     assert not loaded & left_out, sorted(loaded & left_out)
+    assert codegen == []
+
+
+# Records whose container fields default to empty, with constructor arguments.
+RECORDS = [
+    (koszul.KoszulReport, ("pass",), ("window", "citations", "details")),
+    (koszul.AlmostParams, ([], [], [], [], [], [], 1, 1),
+     ("sigma_R", "m_table", "sigma_L")),
+    (hereditary.Orbit, (1,), ("modules", "h_tables")),
+    (hereditary.NRepReport, ("finite", 1, True), ("orbits",)),
+    (hereditary.PreprojectiveData, (None, {}, 1, {}), ("flags",)),
+    (koszul.AlmostReport, ("pass",), ("anomalies", "window")),
+    (verify.VerifyReport, ("serre-identity", True),
+     ("bounds", "details", "citations")),
+]
+
+
+@pytest.mark.parametrize("record, args, containers", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_record_defaults_are_fresh_per_instance(record, args, containers):
+    # a record's default container belongs to that record alone
+    first, second = record(*args), record(*args)
+    for name in containers:
+        mine, theirs = getattr(first, name), getattr(second, name)
+        assert not mine and not theirs and mine is not theirs, name
