@@ -22,7 +22,10 @@ a "same work" statement read off the runs.
 
 Last, each of DEEP_WINDOWS, seven deep CLI windows and one start-up window,
 runs DEEP_RUNS times per side, each run in a fresh interpreter under a
-CHILD_AS_CAP address-space cap and alternating which side goes first. Both
+CHILD_AS_CAP address-space cap and alternating which side goes first. Every
+deep-window run sets PYTHONHASHSEED to DEEP_HASH_SEED, so both sides iterate
+their sets and dicts of strings in the same order and a window's time does
+not move with a random string-hash seed. Both
 sides read the windows' input files from HEAD's tree, so a data file the
 change adds is measured on the parent too. The file records the wall time,
 the peak RSS (reaped with wait4) and the exit code of every run, and whether
@@ -78,7 +81,9 @@ DEEP_WINDOWS = {
     "x3-nrepfin-char": ["verify", "nrepfin-char", "--algebra", "tests/data/x3.alg",
                         "--module", "tests/data/k_x3.mod", "--n", "1"],
 }
-DEEP_RUNS = 3
+DEEP_RUNS = 5
+# String-hash seed of every deep-window child, the same on both sides.
+DEEP_HASH_SEED = "0"
 # Address-space cap of each deep-window child, so a run that outgrows it
 # fails alone instead of exhausting the machine.
 CHILD_AS_CAP = 3 * 1024 ** 3
@@ -136,9 +141,9 @@ def cap_child() -> None:
 
 def run_cli(tree: Path, argv) -> tuple:
     """(costs, stdout) of `python3 -m koszulity.cli argv` in a fresh
-    interpreter in tree, under CHILD_AS_CAP; the child is reaped with wait4
-    for its rusage."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    interpreter in tree, under CHILD_AS_CAP and DEEP_HASH_SEED; the child is
+    reaped with wait4 for its rusage."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED=DEEP_HASH_SEED)
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "koszulity.cli", *argv],
                             cwd=tree, env=env, stdin=subprocess.DEVNULL,
@@ -172,7 +177,8 @@ def deep_windows(trees: dict) -> dict:
                 f"{side} wall_s {record[side]['wall_s']:.3f}" for side in SIDES),
                 file=sys.stderr)
         out[name] = {
-            "command": "python3 -m koszulity.cli " + " ".join(argv),
+            "command": f"PYTHONHASHSEED={DEEP_HASH_SEED} python3 -m koszulity.cli "
+                       + " ".join(argv),
             "median": {side: {m: statistics.median(r[side][m] for r in runs)
                               for m in ("wall_s", "peak_rss_mb")}
                        for side in SIDES},

@@ -7,10 +7,16 @@ exact; there is no tolerance anywhere in the package. All elimination runs
 through `EchelonBasis`, which keeps sparse rows ({column: value}) in reduced
 echelon form, normalised, as vectors are added one at a time, in the manner
 of structured Gaussian elimination. `Matrix` is the container the rest of
-the package builds, multiplies and solves with. It holds the same sparse
-rows, its nonzero ones only, so a product or a solve reads nonzero entries
-only and `EchelonBasis` takes the rows as they are. Matrices are treated as
+the package builds and multiplies with. It holds the same sparse rows, its
+nonzero ones only, so a product reads nonzero entries only and
+`EchelonBasis` takes the rows as they are. Matrices are treated as
 immutable once constructed (no method mutates `self`).
+
+Every linear solve is `solve_columns`: it eliminates the columns of a
+system once and reads each of a batch of right-hand sides off that basis,
+with 0 for the unknown of each column that depends on earlier ones.
+`Matrix.solve_matrix`, `Matrix.inverse` and the module solves (preimages
+under a map, maps into injectives) are built on it.
 
 A sparse vector, for `EchelonBasis` and the functions below, is a dict
 {index: entry} of nonzero entries, each normalised by `exact`.
@@ -108,13 +114,6 @@ class Matrix:
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix.sparse(n, n, {i: {i: 1} for i in range(n)})
-
-    @staticmethod
-    def from_rows(rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        if not rows:
-            return Matrix(0, 0)
-        return Matrix(len(rows), len(rows[0]), rows)
 
     # -- basics --------------------------------------------------------
 
@@ -224,15 +223,6 @@ class Matrix:
                     col[i] = x
         return Matrix.sparse(self.cols, self.rows, srows)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        srows = dict(self.srows)
-        c0 = self.cols
-        for i, row in other.srows.items():
-            srows[i] = {**srows.get(i, {}), **{c0 + j: x for j, x in row.items()}}
-        return Matrix.sparse(self.rows, self.cols + other.cols, srows)
-
     # -- elimination ----------------------------------------------------
 
     def rref(self):
@@ -260,43 +250,23 @@ class Matrix:
         return kernel_vectors({pc: R.srows[r] for r, pc in enumerate(pivots)},
                               self.cols)
 
-    def solve(self, b):
-        """Solve self @ x = b exactly; returns a list or None if inconsistent."""
-        if len(b) != self.rows:
-            raise ValueError("rhs length mismatch")
-        cols = self.transpose().srows
-        target = Matrix(1, self.rows, [b]).srows.get(0, {})
-        return solve_combination([cols.get(j, {}) for j in range(self.cols)], target)
-
-    def _right_block(self, B: "Matrix"):
-        """(pivots, X) of the rref of [self | B]: X holds each reduced row's
-        B part, keyed by the row's pivot."""
-        R, pivots = self.hstack(B).rref()
-        c0 = self.cols
-        X = {}
-        for r, pc in enumerate(pivots):
-            row = {j - c0: x for j, x in R.srows[r].items() if j >= c0}
-            if row:
-                X[pc] = row
-        return pivots, X
-
     def solve_matrix(self, B: "Matrix"):
-        """Solve self @ X = B columnwise; returns Matrix or None."""
+        """X with self @ X = B, or None when a column of B is outside the
+        column space: `solve_columns` on the columns of self and of B."""
         if B.rows != self.rows:
             raise ValueError("shape mismatch")
-        pivots, X = self._right_block(B)
-        if pivots and pivots[-1] >= self.cols:
+        cols = self.transpose().srows
+        rhs = B.transpose().srows
+        xs = solve_columns([cols.get(j, {}) for j in range(self.cols)], rhs.values())
+        if xs is None:
             return None
-        return Matrix.sparse(self.cols, B.cols, X)
+        return Matrix.sparse(B.cols, self.cols, dict(zip(rhs, xs))).transpose()
 
     def inverse(self):
         """Exact inverse, or None when not square or singular."""
         if self.rows != self.cols:
             return None
-        pivots, X = self._right_block(Matrix.identity(self.rows))
-        if pivots != list(range(self.rows)):
-            return None
-        return Matrix.sparse(self.rows, self.cols, X)
+        return self.solve_matrix(Matrix.identity(self.rows))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -393,14 +363,15 @@ class EchelonBasis:
         return not self._reduce(vec)[0]
 
     def coords(self, vec):
-        """Coordinates of vec in the accepted vectors, or None outside the span."""
+        """Coordinates of vec in the accepted vectors, sparse ({k: c} with
+        k the index of an accepted vector), or None outside the span."""
         v, taken = self._reduce(vec)
         if v:
             return None
         out = {}
         for p, x in taken:
             _axpy(out, -x, self.combos[p])
-        return [out.get(k, 0) for k in range(self.rank)]
+        return out
 
 
 def kernel_vectors(rows: dict, cols: int):
@@ -420,20 +391,25 @@ def kernel_vectors(rows: dict, cols: int):
     return list(vecs.values())
 
 
-def solve_combination(vectors, target):
-    """Coefficients c with sum_k c[k] vectors[k] = target, or None.
+def solve_columns(columns, targets):
+    """Coefficients x with sum_k x[k] columns[k] = t, one for each t of
+    targets, or None when some target is outside the span of the columns.
 
-    A vector that depends on earlier ones gets coefficient 0. This is the
-    solution of the column system that sets every non-pivot unknown to 0.
-    Vectors and target are sparse.
+    The package's one solve. The columns are eliminated once, and each
+    target is read off that basis with `EchelonBasis.coords`. A column that
+    depends on earlier ones gets coefficient 0, so x is the solution of the
+    column system that sets every non-pivot unknown to 0. Columns, targets
+    and the solutions x are sparse.
     """
     basis = EchelonBasis()
-    kept = [basis.add(vec) for vec in vectors]
-    coords = basis.coords(target)
-    if coords is None:
-        return None
-    found = iter(coords)
-    return [next(found) if k else 0 for k in kept]
+    kept = [k for k, col in enumerate(columns) if basis.add(col)]
+    out = []
+    for target in targets:
+        coords = basis.coords(target)
+        if coords is None:
+            return None
+        out.append({kept[i]: c for i, c in coords.items()})
+    return out
 
 
 def complement_basis(sub_rows, amb_dim: int):

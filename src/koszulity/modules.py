@@ -13,7 +13,7 @@ from types import MappingProxyType
 
 from .linalg import (EchelonBasis, Matrix, _axpy, _inexact, assemble,
                      candidate_combinations, complement_basis, exact,
-                     kernel_vectors)
+                     kernel_vectors, solve_columns)
 from .algebra import GradedAlgebra, InputError, InternalCheckError, parse_number
 
 
@@ -667,51 +667,48 @@ def solve_hom_factorization(p: GradedModuleHom, v: GradedModuleHom):
 
     v's domain must be a FormalProjective. Hom(e_w Lambda<d>, N) is
     N_(w,d), so u is fixed by where it sends the generators: each goes to
-    a preimage under p of v's value there.
+    a preimage under p of v's value there, all solved at once.
     """
     P = v.domain
-    pieces = []
-    for k, (part, off) in enumerate(zip(P.parts, P.offsets)):
-        x = solve_preimage(p, v.apply(P.generator_element(k)))
-        if x is None:
-            return None
-        pieces.append((map_from_projective(part, p.domain, x), off, {}))
-    return place(P, p.domain, pieces)
+    xs = solve_preimages(p, [v.apply(P.generator_element(k)) for k in range(len(P.parts))])
+    if xs is None:
+        return None
+    return place(P, p.domain, [(map_from_projective(part, p.domain, x), off, {})
+                               for part, off, x in zip(P.parts, P.offsets, xs)])
 
 
 def post_invert_mono(iota: GradedModuleHom, w: GradedModuleHom):
     """v with iota o v = w (image of w inside the mono's image)."""
     blocks = {}
-    for key in w.domain.dims:
-        mat = w.block(*key)
-        ib = iota.block(*key)
-        if ib.cols == 0:
-            if not mat.is_zero():
-                raise InternalCheckError("image escapes the submodule")
-            continue
-        sol = ib.solve_matrix(mat)
+    for key, mat in w.blocks.items():
+        sol = iota.block(*key).solve_matrix(mat)
         if sol is None:
             raise InternalCheckError("image escapes the submodule")
-        if not sol.is_zero():
-            blocks[key] = sol
+        blocks[key] = sol
     return GradedModuleHom(w.domain, iota.domain, blocks)
 
 
-def solve_preimage(h: GradedModuleHom, target: dict):
-    """Solve h(x) = target blockwise; None if no solution."""
-    out = {}
-    for key, vec in target.items():
+def solve_preimages(h: GradedModuleHom, targets):
+    """[x with h(x) = t for t in targets], elements as dicts, or None when
+    some target is outside the image. Each block of h is eliminated once,
+    for every target's vector there, by `solve_columns`."""
+    rhs = {}
+    for t, elem in enumerate(targets):
+        for key, vec in elem.items():
+            vec = {i: exact(x) for i, x in enumerate(vec) if x}
+            if vec:
+                rhs.setdefault(key, {})[t] = vec
+    sols = {}
+    for key, vecs in rhs.items():
         blk = h.block(*key)
-        if blk.cols == 0:
-            if any(vec):
-                return None
-            continue
-        sol = blk.solve(list(vec))
-        if sol is None:
+        cols = blk.transpose().srows
+        xs = solve_columns([cols.get(j, {}) for j in range(blk.cols)], vecs.values())
+        if xs is None:
             return None
-        if any(sol):
-            out[key] = sol
-    return out
+        for t, x in zip(vecs, xs):
+            sols[t, key] = [x.get(j, 0) for j in range(blk.cols)]
+    return [{key: sols[t, key] for key in elem if (t, key) in sols}
+            for t, elem in enumerate(targets)]
 
 
 def zero_hom(m, n) -> GradedModuleHom:
@@ -809,43 +806,43 @@ def solve_map_into_injectives(m: GradedModule, tgt: DirectSum, socles, constrain
     part j is `map_into_injective` for a functional phi on M_(w,s), and its
     psi_b coordinate at elem is phi(elem . b). Each (constraint, psi_b) pair
     is one linear equation in phi. The columns of that system depend only
-    on (w, s), so they are eliminated once per distinct socle block, and
-    each part reads its phi off with `EchelonBasis.coords`, 0 on columns
-    that depend on earlier ones. The assembled map is checked against every
-    prescribed value.
+    on (w, s), so the parts are grouped by socle block and each group is
+    one `solve_columns`, with one right-hand side per part. The assembled
+    map is checked against every prescribed value.
     """
-    systems = {}
-    pieces = []
-    for j, ((w, s), part) in enumerate(zip(socles, tgt.parts)):
-        if (w, s) not in systems:
-            index = {}
-            columns = [{} for _ in range(m.block_dim(w, s))]
-            for k, (elem, _image) in enumerate(constraints):
-                for key, vec in elem.items():
-                    for r_i, b in enumerate(part.basis_index.get(key, [])):
-                        for i, y in enumerate(m.act(b, key[1]).apply(vec)):
-                            if y:
-                                columns[i][index.setdefault((k, key, r_i), len(index))] = exact(y)
-            basis = EchelonBasis()
-            kept = [basis.add(col) for col in columns]
-            systems[w, s] = index, basis, kept
-        index, basis, kept = systems[w, s]
-        values = {}
-        for k, (_elem, image) in enumerate(constraints):
-            for key, vec in tgt.component(j, image).items():
-                for r_i, y in enumerate(vec):
-                    if y:
-                        row = index.get((k, key, r_i))
-                        if row is None:
-                            return None  # no column reaches this value
-                        values[row] = exact(y)
-        coords = basis.coords(values)
-        if coords is None:
+    groups = {}
+    for j, key in enumerate(socles):
+        groups.setdefault(key, []).append(j)
+    phis = {}
+    for (w, s), js in groups.items():
+        part = tgt.parts[js[0]]  # every part of the group is D(Lambda e_w)<s>
+        index = {}
+        columns = [{} for _ in range(m.block_dim(w, s))]
+        for k, (elem, _image) in enumerate(constraints):
+            for key, vec in elem.items():
+                for r_i, b in enumerate(part.basis_index.get(key, [])):
+                    for i, y in enumerate(m.act(b, key[1]).apply(vec)):
+                        if y:
+                            columns[i][index.setdefault((k, key, r_i), len(index))] = exact(y)
+        targets = []
+        for j in js:
+            values = {}
+            for k, (_elem, image) in enumerate(constraints):
+                for key, vec in tgt.component(j, image).items():
+                    for r_i, y in enumerate(vec):
+                        if y:
+                            row = index.get((k, key, r_i))
+                            if row is None:
+                                return None  # no column reaches this value
+                            values[row] = exact(y)
+            targets.append(values)
+        xs = solve_columns(columns, targets)
+        if xs is None:
             return None
-        found = iter(coords)
-        phi = [next(found) if k else 0 for k in kept]
-        pieces.append((map_into_injective(m, part, w, phi), {}, tgt.offsets[j]))
-    out = place(m, tgt, pieces)
+        for j, x in zip(js, xs):
+            phis[j] = [x.get(i, 0) for i in range(len(columns))]
+    out = place(m, tgt, [(map_into_injective(m, part, w, phis[j]), {}, tgt.offsets[j])
+                         for j, ((w, _s), part) in enumerate(zip(socles, tgt.parts))])
     for elem, image in constraints:
         if out.apply(elem) != {key: vec for key, vec in image.items() if any(vec)}:
             raise InternalCheckError("map into injectives misses a prescribed value")
@@ -1161,7 +1158,7 @@ def stable_hom(m: GradedModule, n: GradedModule, prefer=None):
         coords = basis.coords(hom_flatten(h, layout))
         if coords is None:
             raise InternalCheckError("hom outside computed span")
-        return coords[frank:]
+        return [coords.get(k, 0) for k in range(frank, basis.rank)]
 
     return qdim, reps, reducer
 
@@ -1216,7 +1213,7 @@ def endomorphism_table(m: GradedModule):
             sol = basis.coords(hom_flatten(hi.compose(hj), layout))
             if sol is None:
                 raise InternalCheckError("End(M) not closed under composition")
-            table[(i, j)] = {k: c for k, c in enumerate(sol) if c}
+            table[(i, j)] = sol
     return E, table
 
 

@@ -17,7 +17,7 @@ maps are right actions, which keeps Ext computations small.
 
 from __future__ import annotations
 
-from .linalg import EchelonBasis, Matrix, assemble, exact
+from .linalg import EchelonBasis, Matrix, assemble, exact, solve_columns
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import modules as mo
 
@@ -226,7 +226,7 @@ class ExtGroup:
         coords = self._basis.coords(vec)
         if coords is None:
             raise InternalCheckError("cocycle outside computed span")
-        return coords[self._brank:]
+        return [coords.get(k, 0) for k in range(self._brank, self._basis.rank)]
 
 
 def ext_group(res: MinimalResolution, n: mo.GradedModule, i: int, j: int) -> ExtGroup:
@@ -266,13 +266,11 @@ def values_to_vec(eg: ExtGroup, values):
 
 
 class ExtTable:
-    def __init__(self, i_max: int, j_min: int, j_max: int, dims: dict,
-                 groups: dict):
+    def __init__(self, i_max: int, j_min: int, j_max: int, dims: dict):
         self.i_max = i_max
         self.j_min = j_min
         self.j_max = j_max
         self.dims = dims          # (i, j) -> dimension
-        self.groups = groups      # (i, j) -> ExtGroup
 
     def dim(self, i, j):
         return self.dims.get((i, j), 0)
@@ -288,23 +286,16 @@ class ExtTable:
 
 
 def ext_table(res: MinimalResolution, n: mo.GradedModule, i_max: int,
-              j_min: int, j_max: int, cross_check=None) -> ExtTable:
-    """Bigraded Ext dims with representatives.
-
-    cross_check: optional callable (i, j, dim) for the stable-hom comparison.
-    """
+              j_min: int, j_max: int) -> ExtTable:
+    """Bigraded Ext dims over the window; the groups are not kept."""
     res.extend(i_max + 1)
     dims = {}
-    groups = {}
     for i in range(i_max + 1):
         for j in range(j_min, j_max + 1):
-            eg = ext_group(res, n, i, j)
-            if eg.dim:
-                dims[(i, j)] = eg.dim
-            groups[(i, j)] = eg
-            if cross_check is not None:
-                cross_check(i, j, eg.dim)
-    return ExtTable(i_max, j_min, j_max, dims, groups)
+            dim = ext_group(res, n, i, j).dim
+            if dim:
+                dims[(i, j)] = dim
+    return ExtTable(i_max, j_min, j_max, dims)
 
 
 def hom_window(res: MinimalResolution, n: mo.GradedModule, i: int):
@@ -389,30 +380,22 @@ class CocycleLift:
         self.tgt_res.extend(m_max)
         while len(self.stages) <= m_max:
             m = len(self.stages)
-            src_fp = self.src_res.terms[self.p + m]
-            tgt_fp = self.tgt_res.terms[m]
-            cols = []
+            # every generator of the source term is lifted in one solve
+            rank = self.src_res.terms[self.p + m].rank
             if m == 0:
-                eps = self.tgt_res.eps
-                for k in range(src_fp.rank):
-                    val = self.values[k]
-                    pre = mo.solve_preimage(eps, val)
-                    if pre is None:
-                        raise InternalCheckError("cocycle value misses augmentation")
-                    cols.append(tgt_fp.element_to_formal(pre))
+                pres = mo.solve_preimages(self.tgt_res.eps, self.values[:rank])
+                if pres is None:
+                    raise InternalCheckError("cocycle value misses augmentation")
             else:
-                prev_cols = self.stages[m - 1]
-                d_src = self.src_res.diff_cols[self.p + m - 1]
-                d_tgt_hom = self.tgt_res.diff_homs[m]
-                rhs_cols = compose_formal(alg, prev_cols, d_src)
+                rhs_cols = compose_formal(alg, self.stages[m - 1],
+                                          self.src_res.diff_cols[self.p + m - 1])
                 prev_tgt_fp = self.tgt_res.terms[m - 1]
-                for k in range(src_fp.rank):
-                    rhs = prev_tgt_fp.formal_to_element(rhs_cols[k])
-                    pre = mo.solve_preimage(d_tgt_hom, rhs)
-                    if pre is None:
-                        raise InternalCheckError("chain lifting failed (not a cycle)")
-                    cols.append(tgt_fp.element_to_formal(pre))
-            self.stages.append(cols)
+                pres = mo.solve_preimages(self.tgt_res.diff_homs[m], [
+                    prev_tgt_fp.formal_to_element(col) for col in rhs_cols[:rank]])
+                if pres is None:
+                    raise InternalCheckError("chain lifting failed (not a cycle)")
+            self.stages.append([self.tgt_res.terms[m].element_to_formal(pre)
+                                for pre in pres])
         return self
 
 
@@ -511,18 +494,16 @@ def decompose_in_add(m: mo.GradedModule, summands, rng=None):
         return [0] * len(summands)
     keys = sorted({k for s in summands for k in s.dims}
                   | set(m.dims), key=lambda vd: (vd[1], str(vd[0])))
-    cols = []
-    for s in summands:
-        cols.append([s.block_dim(*k) for k in keys])
-    target = [m.block_dim(*k) for k in keys]
-    matr = Matrix(len(keys), len(summands),
-                  [[cols[c][r] for c in range(len(summands))]
-                   for r in range(len(keys))])
-    sol = matr.solve(target)
-    if sol is None:
+
+    def dims(x):
+        return {r: d for r, d in enumerate(x.block_dim(*k) for k in keys) if d}
+
+    sols = solve_columns([dims(s) for s in summands], [dims(m)])
+    if sols is None:
         return None
     mults = []
-    for x in sol:
+    for c in range(len(summands)):
+        x = sols[0].get(c, 0)
         if x.denominator != 1 or x < 0:
             return None
         mults.append(int(x))

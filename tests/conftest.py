@@ -6,7 +6,7 @@ import pytest
 from koszulity.presentation import Quiver, Arrow, Relation, build_algebra
 from koszulity.algebra import trivial_extension
 from koszulity.linalg import (EchelonBasis, Matrix, candidate_combinations, exact,
-                              kernel_vectors, solve_combination)
+                              kernel_vectors)
 from koszulity import modules as mo
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -114,10 +114,21 @@ def hom_space_with_constraints(m, n, constraints):
     """
     basis = mo.hom_space(m, n)
     index = {}
-    coeffs = solve_combination([flat_values([h.apply(x) for x, _ in constraints], index)
+    coeffs = dense_combination([flat_values([h.apply(x) for x, _ in constraints], index)
                                 for h in basis],
-                               flat_values([y for _, y in constraints], index))
+                               flat_values([y for _, y in constraints], index), index)
     return None if coeffs is None else linear_combination(m, n, basis, coeffs)
+
+
+def dense_combination(columns, target, index):
+    """Coefficients c with sum_k c[k] columns[k] = target, or None, by
+    `DenseMatrix.solve_matrix`: the non-pivot unknowns are 0. The sparse
+    columns and target are indexed by index's values."""
+    rows = len(index)
+    a = DenseMatrix(rows, len(columns), [[col.get(r, 0) for col in columns]
+                                         for r in range(rows)])
+    x = a.solve_matrix(DenseMatrix(rows, 1, [[target.get(r, 0)] for r in range(rows)]))
+    return None if x is None else [row[0] for row in x.data]
 
 
 def flat_values(elems, index) -> dict:
@@ -151,9 +162,9 @@ def hom_factorization_by_system(p, v):
     basis = mo.hom_space(v.domain, p.domain)
     gens = mo.generator_elements(v.domain)
     index = {}
-    coeffs = solve_combination([flat_values([p.apply(h.apply(x)) for x in gens], index)
+    coeffs = dense_combination([flat_values([p.apply(h.apply(x)) for x in gens], index)
                                 for h in basis],
-                               flat_values([v.apply(x) for x in gens], index))
+                               flat_values([v.apply(x) for x in gens], index), index)
     return None if coeffs is None else linear_combination(v.domain, p.domain, basis, coeffs)
 
 
@@ -317,7 +328,7 @@ def socle_degrees_by_radical_basis(alg):
 def cohomology_by_vectors(cx):
     """Reference `hd.complex_cohomology`, as {degree: H module}: the
     preimage of each boundary under the cycle inclusion, one
-    `mo.solve_preimage` per basis vector of the previous term."""
+    `mo.solve_preimages` call per basis vector of the previous term."""
     out = {}
     for d, term in cx.terms.items():
         dout = cx.diffs.get(d)
@@ -328,9 +339,9 @@ def cohomology_by_vectors(cx):
         din = cx.diffs.get(d - 1)
         if din is not None:
             for key, i in din.domain.basis_elements():
-                pre = mo.solve_preimage(incl, din.apply(din.domain.unit_vector(key, i)))
+                pre = mo.solve_preimages(incl, [din.apply(din.domain.unit_vector(key, i))])
                 assert pre is not None, "boundary is not a cycle"
-                for k2, sol in pre.items():
+                for k2, sol in pre[0].items():
                     spans.setdefault(k2, []).append(sol)
         out[d] = mo.quotient_module(K, spans)[0]
     return out

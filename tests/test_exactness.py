@@ -84,7 +84,7 @@ def test_div_is_exact():
     lambda: exact(0.1),
     lambda: exact(1.0),
     lambda: Matrix(1, 2, [[1, 0.5]]),
-    lambda: Matrix.from_rows([[2.0]]),
+    lambda: Matrix(1, 1, [[2.0]]),
     lambda: Matrix.identity(2).scale(0.5),
     lambda: Matrix.identity(2).apply([1, 0.5]),
     lambda: EchelonBasis([{0: 1, 1: 0.25}]),
@@ -117,7 +117,7 @@ def test_float_raises_in_module_element(delta_a4, t_summands):
 
 def test_elimination_keeps_ints_ints():
     # pivots +-1 divide nothing; a pivot 2 makes halves, and 2 * 1/2 is 1
-    R, piv = Matrix.from_rows([[-1, 2, 1], [1, -1, 0]]).rref()
+    R, piv = Matrix(2, 3, [[-1, 2, 1], [1, -1, 0]]).rref()
     assert R.data == [[1, 0, 1], [0, 1, 1]] and piv == [0, 1]
     assert all(type(x) is int for row in R.data for x in row)
     basis = EchelonBasis([{0: Fraction(1, 2), 1: 1}, {0: Fraction(1, 3), 1: 1}])

@@ -5,13 +5,13 @@ from itertools import islice
 from hypothesis import assume, given, settings, strategies as st
 
 from koszulity.linalg import (EchelonBasis, Matrix, candidate_combinations,
-                              kernel_vectors, solve_combination)
+                              kernel_vectors, solve_columns)
 
 from conftest import DenseMatrix, sparse
 
 
 def M(rows):
-    return Matrix.from_rows(rows)
+    return Matrix(len(rows), len(rows[0]), rows)
 
 
 def dense_rref(m):
@@ -57,16 +57,16 @@ def test_kernel_rank_one_row():
 
 
 def test_solve_identity():
-    assert Matrix.identity(2).solve([3, 5]) == [Fraction(3), Fraction(5)]
+    assert Matrix.identity(2).solve_matrix(M([[3], [5]])) == M([[3], [5]])
 
 
 def test_solve_consistent_rank_one():
-    x = M([[1, 2], [2, 4]]).solve([1, 2])
-    assert x is not None and x[0] + 2 * x[1] == 1
+    x = M([[1, 2], [2, 4]]).solve_matrix(M([[1], [2]]))
+    assert x is not None and x.data[0][0] + 2 * x.data[1][0] == 1
 
 
 def test_solve_inconsistent():
-    assert M([[1, 2], [2, 4]]).solve([1, 0]) is None
+    assert M([[1, 2], [2, 4]]).solve_matrix(M([[1], [0]])) is None
 
 
 def test_inverse():
@@ -84,7 +84,7 @@ def matrices(draw, max_dim=5):
     c = draw(st.integers(min_value=1, max_value=max_dim))
     data = draw(st.lists(st.lists(small_entries, min_size=c, max_size=c),
                          min_size=r, max_size=r))
-    return Matrix.from_rows(data)
+    return Matrix(r, c, data)
 
 
 @given(matrices())
@@ -104,10 +104,10 @@ def test_kernel_vectors_annihilate(m):
 @settings(max_examples=60, deadline=None)
 def test_solve_exact(m, data):
     x = data.draw(st.lists(small_entries, min_size=m.cols, max_size=m.cols))
-    b = m.apply([Fraction(v) for v in x])
-    sol = m.solve(b)
+    b = Matrix(m.rows, 1, [[y] for y in m.apply([Fraction(v) for v in x])])
+    sol = m.solve_matrix(b)
     assert sol is not None
-    assert m.apply(sol) == b
+    assert m * sol == b
 
 
 @given(matrices())
@@ -187,7 +187,7 @@ def test_echelon_add_is_true_exactly_when_rank_grows(m):
     for row in m.data:
         assert basis.contains(sparse(row))
         coords = basis.coords(sparse(row))
-        assert [sum((c * v[j] for c, v in zip(coords, kept)), Fraction(0))
+        assert [sum((c * kept[k][j] for k, c in coords.items()), Fraction(0))
                 for j in range(m.cols)] == row
 
 
@@ -224,21 +224,31 @@ def test_solve_combination_matches_dense_solve(m, data):
         cols.append([sum((c * col[i] for c, col in zip(coeffs, cols)), Fraction(0))
                      for i in range(m.rows)])
     a = Matrix(m.rows, len(cols), [[col[i] for col in cols] for i in range(m.rows)])
-    # a right-hand side in the column span, or an arbitrary (often inconsistent) one
-    if data.draw(st.booleans()):
-        x = data.draw(st.lists(rationals, min_size=a.cols, max_size=a.cols))
-        b = a.apply(x)
-    else:
-        b = data.draw(st.lists(rationals, min_size=a.rows, max_size=a.rows))
-    expected = dense_solve(a, b)
-    assert solve_combination(list(map(sparse, cols)), sparse(b)) == expected
-    assert a.solve(b) == expected
+    # right-hand sides in the column span, or arbitrary (often inconsistent) ones
+    rhs = []
+    for inside in data.draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+        if inside:
+            x = data.draw(st.lists(rationals, min_size=a.cols, max_size=a.cols))
+            rhs.append(a.apply(x))
+        else:
+            rhs.append(data.draw(st.lists(rationals, min_size=a.rows, max_size=a.rows)))
+    expected = [dense_solve(a, b) for b in rhs]
+    consistent = None not in expected
+    columns = list(map(sparse, cols))
+    for b, x in zip(rhs, expected):
+        assert solve_columns(columns, [sparse(b)]) == (None if x is None else [sparse(x)])
+    assert solve_columns(columns, map(sparse, rhs)) == (
+        [sparse(x) for x in expected] if consistent else None)
+    # the same batch as one matrix equation, a @ X = B
+    X = a.solve_matrix(Matrix(a.rows, len(rhs), [list(row) for row in zip(*rhs)]))
+    assert (None if X is None else X.data) == (
+        [list(row) for row in zip(*expected)] if consistent else None)
 
 
 def test_echelon_accepts_sparse_dicts():
     basis = EchelonBasis([{0: 1, 2: 2}, {1: 1}])
     assert not basis.add({0: 2, 1: 3, 2: 4})
-    assert basis.coords({0: 1, 1: 1, 2: 2}) == [Fraction(1), Fraction(1)]
+    assert basis.coords({0: 1, 1: 1, 2: 2}) == {0: 1, 1: 1}
     assert basis.add({2: 1})
     assert basis.rank == 3
 
@@ -346,7 +356,6 @@ def test_sparse_matrix_matches_dense_reference(mats):
     assert same(a * b, da * db)
     assert a.apply(v) == da.apply(v)
     assert same(a.transpose(), da.transpose())
-    assert same(a.hstack(c), da.hstack(dc))
     R, piv = a.rref()
     dR, dpiv = da.rref()
     assert same(R, dR) and piv == dpiv
@@ -356,6 +365,6 @@ def test_sparse_matrix_matches_dense_reference(mats):
     for m, dm in ((a, da), (a * a.transpose(), da * da.transpose())):
         assert same(m.inverse(), dm.inverse())
     # every stored entry is a normalised nonzero, in a nonzero row
-    for m in (a * b, a.hstack(c), R, a.transpose()):
+    for m in (a * b, R, a.transpose()):
         assert all(row and all(x and (type(x) is int or x.denominator != 1)
                                for x in row.values()) for row in m.srows.values())

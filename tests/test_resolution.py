@@ -235,6 +235,27 @@ def test_differentials_match_formal_columns(delta_a4, t_summands, delta_kron):
         _check_differentials(res)
 
 
+def test_batched_preimages_match_one_target_calls(delta_a4, t_summands, kron):
+    # every basis vector's image under eps and under each differential,
+    # solved in one batch and one target at a time
+    modules = [mo.DirectSum(delta_a4, t_summands),
+               mo.DirectSum(kron, [mo.simple_module(kron, v) for v in kron.vertices])]
+    for m in modules:
+        res = rs.MinimalResolution(m).extend(4)
+        for d, h in enumerate([res.eps, *res.diff_homs[1:]]):
+            targets = [h.apply(h.domain.unit_vector(key, i))
+                       for key, i in h.domain.basis_elements()]
+            got = mo.solve_preimages(h, targets)
+            assert got == [mo.solve_preimages(h, [t])[0] for t in targets]
+            assert [h.apply(x) for x in got] == targets
+            if d:
+                # a minimal resolution's image lies in the radical, so a
+                # generator of the codomain is outside it
+                outside = h.codomain.generator_element(0)
+                assert mo.solve_preimages(h, [outside]) is None
+                assert mo.solve_preimages(h, targets[:1] + [outside] + targets[1:]) is None
+
+
 def test_resolution_stops_after_rank_zero_term(delta_a4):
     res = rs.MinimalResolution(mo.zero_module(delta_a4)).extend(5)
     assert [t.rank for t in res.terms] == [0]
