@@ -20,7 +20,7 @@ workload, at seed 0, records whether it was correct and the exact work
 counts of WORK_COUNTS, and names the counts that differ between the sides:
 a "same work" statement read off the runs.
 
-Last, each of DEEP_WINDOWS, seven deep CLI windows and one start-up window,
+Last, each of DEEP_WINDOWS, eight deep CLI windows and one start-up window,
 runs DEEP_RUNS times per side, each run in a fresh interpreter under a
 CHILD_AS_CAP address-space cap and alternating which side goes first. Every
 deep-window run sets PYTHONHASHSEED to DEEP_HASH_SEED, so both sides iterate
@@ -77,6 +77,9 @@ DEEP_WINDOWS = {
                                "--i-max", "4", "--depth", "3"],
     "beil3-nrep-depth1": ["nrep", "--algebra", "tests/data/beil3.alg", "--mode",
                           "infinite", "--n", "3", "--depth", "1"],
+    # elements of large direct sums flow through covers, lifts and transport
+    "beil3-preprojective-d1": ["preprojective", "--algebra", "tests/data/beil3.alg",
+                               "--n", "3", "--degree-max", "1"],
     # about 10 ms of work: wall time and peak RSS are almost all start-up
     "x3-nrepfin-char": ["verify", "nrepfin-char", "--algebra", "tests/data/x3.alg",
                         "--module", "tests/data/k_x3.mod", "--n", "1"],

@@ -23,6 +23,7 @@ application of the functor.
 from __future__ import annotations
 
 from .algebra import GradedAlgebra, InputError, InternalCheckError
+from .linalg import Matrix
 from . import modules as mo
 from . import resolution as rs
 from .truncated import TruncatedGradedAlgebra
@@ -37,11 +38,16 @@ def injective_module(a: GradedAlgebra, v) -> mo.GradedModule:
     return mo.dual_of_left_projective(a, v, 0)
 
 
+def _coordinates(ix, coeffs) -> dict:
+    """The sparse vector of coeffs = {basis element: c} on the basis ix."""
+    return {j: coeffs[b] for j, b in enumerate(ix) if coeffs.get(b)}
+
+
 def left_mult_hom(a: GradedAlgebra, v, w, coeffs) -> mo.GradedModuleHom:
     """e_v A -> e_w A, p -> x p, for x in e_w A e_v given by coeffs."""
     Q = mo.projective_module(a, w)
-    x = [coeffs.get(b, 0) for b in Q.basis_index.get((v, 0), [])]
-    return mo.map_from_projective(mo.projective_module(a, v), Q, {(v, 0): x})
+    x = _coordinates(Q.basis_index.get((v, 0), []), coeffs)
+    return mo.map_from_projective(mo.projective_module(a, v), Q, {(v, 0): x} if x else {})
 
 
 def dual_right_mult_hom(a: GradedAlgebra, v, w, coeffs) -> mo.GradedModuleHom:
@@ -49,7 +55,7 @@ def dual_right_mult_hom(a: GradedAlgebra, v, w, coeffs) -> mo.GradedModuleHom:
     psi_b goes to the sum over c of psi_b(c x) psi_c. Its functional on
     D(Ae_v)_(w,0) is psi -> psi(x)."""
     I = injective_module(a, v)
-    phi = [coeffs.get(b, 0) for b in I.basis_index.get((w, 0), [])]
+    phi = _coordinates(I.basis_index.get((w, 0), []), coeffs)
     return mo.map_into_injective(I, injective_module(a, w), w, phi)
 
 
@@ -73,8 +79,9 @@ def projective_to_injective_hom(a: GradedAlgebra, v, w, h: mo.GradedModuleHom):
 
     h is left multiplication by x = h(e_v), an element of e_w A e_v.
     """
-    x = h.apply(mo.generator(h.domain, v)).get((v, 0), [])
-    coeffs = {b: c for b, c in zip(h.codomain.basis_index.get((v, 0), []), x) if c}
+    x = h.apply(mo.generator(h.domain, v)).get((v, 0), {})
+    ix = h.codomain.basis_index.get((v, 0), [])
+    coeffs = {ix[j]: c for j, c in x.items()}
     if left_mult_hom(a, v, w, coeffs).blocks != h.blocks:
         raise InternalCheckError("projective hom outside the left-mult span")
     return dual_right_mult_hom(a, v, w, coeffs)
@@ -94,16 +101,28 @@ class LabeledSum(mo.DirectSum):
 def transport_sum_hom(src: LabeledSum, tgt: LabeledSum, h: mo.GradedModuleHom,
                       src_to: LabeledSum, tgt_to: LabeledSum):
     """Move a hom between sums of one kind to the sums of the other kind on
-    the same labels, part by part: injectives to projectives or back."""
+    the same labels, part by part: injectives to projectives or back.
+
+    Each nonzero entry of h goes to the component between the parts its
+    column and row lie in, so only the nonzero components are built."""
     move = (injective_to_projective_hom if src.kind == "inj"
             else projective_to_injective_hom)
+    comps = {}
+    for key, mat in h.blocks.items():
+        for r, row in mat.srows.items():
+            j, r_j = tgt.locate(key, r)
+            for c, x in row.items():
+                i, c_i = src.locate(key, c)
+                srows = comps.setdefault((i, j), {}).setdefault(key, {})
+                srows.setdefault(r_j, {})[c_i] = x
     pieces = []
-    for i, (v, p, off_p) in enumerate(zip(src.labels, src.parts, src.offsets)):
-        for j, (w, q, off_q) in enumerate(zip(tgt.labels, tgt.parts, tgt.offsets)):
-            comp = mo.slice_hom(h, p, off_p, q, off_q)
-            if not comp.is_zero():
-                pieces.append((move(src.algebra, v, w, comp),
-                               src_to.offsets[i], tgt_to.offsets[j]))
+    for (i, j), blocks in sorted(comps.items()):
+        p, q = src.parts[i], tgt.parts[j]
+        comp = mo.GradedModuleHom(p, q, {
+            key: Matrix.sparse(q.dims[key], p.dims[key], srows)
+            for key, srows in blocks.items()})
+        pieces.append((move(src.algebra, src.labels[i], tgt.labels[j], comp),
+                       src_to.offsets[i], tgt_to.offsets[j]))
     return mo.place(src_to, tgt_to, pieces)
 
 
@@ -607,14 +626,13 @@ def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
                 for key2, vec2 in h.apply(h.domain.unit_vector((w, 0), c2)).items():
                     if key2[1] != 0:
                         raise InternalCheckError("product value off degree 0")
-                    for t, x in enumerate(vec2):
-                        if x:
-                            pk = (d1 + d2, u, key2[0], t)
-                            if pk not in index:
-                                raise InternalCheckError(
-                                    "nonzero product lands in a shifted piece"
-                                )
-                            entry[index[pk]] = x
+                    for t, x in sorted(vec2.items()):
+                        pk = (d1 + d2, u, key2[0], t)
+                        if pk not in index:
+                            raise InternalCheckError(
+                                "nonzero product lands in a shifted piece"
+                            )
+                        entry[index[pk]] = x
                 if entry:
                     products[((d1, i_f), (d2, i_g))] = entry
     G = TruncatedGradedAlgebra(name, d_max, list(a.vertices), basis, products,

@@ -824,7 +824,7 @@ def build_mu_bar(alg: GradedAlgebra, dual: tr.DualData,
     inv_vperm = {w: v for v, w in vperm.items()}
 
     def rekey_values(vals):
-        return [{(inv_vperm[v], d): list(vec) for (v, d), vec in val.items()}
+        return [{(inv_vperm[v], d): vec for (v, d), vec in val.items()}
                 for val in vals]
 
     twisted = {}

@@ -18,8 +18,11 @@ with 0 for the unknown of each column that depends on earlier ones.
 `Matrix.solve_matrix`, `Matrix.inverse` and the module solves (preimages
 under a map, maps into injectives) are built on it.
 
-A sparse vector, for `EchelonBasis` and the functions below, is a dict
-{index: entry} of nonzero entries, each normalised by `exact`.
+A sparse vector, for `EchelonBasis`, `Matrix.apply` and the functions
+below, is a dict {index: entry} of nonzero entries, each normalised by
+`exact`. A module element is one such vector per (vertex, degree) block,
+{(v, d): {index: entry}}, with no empty block, and acts through
+`Matrix.apply`.
 
 The randomized isomorphism searches all draw their candidates from one
 lazy stream, `candidate_combinations`: the basis, its sum, then random
@@ -137,17 +140,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self.srows
 
-    def submatrix(self, r0: int, c0: int, nr: int, nc: int) -> "Matrix":
-        """The nr x nc block whose corner is at (r0, c0)."""
-        srows = {}
-        for i in range(nr):
-            row = self.srows.get(r0 + i)
-            if row:
-                sub = {j - c0: x for j, x in row.items() if c0 <= j < c0 + nc}
-                if sub:
-                    srows[i] = sub
-        return Matrix.sparse(nr, nc, srows)
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -193,23 +185,25 @@ class Matrix:
                 srows[i] = row
         return Matrix.sparse(self.rows, other.cols, srows)
 
-    def apply(self, vec):
-        """Matrix times column vector (vector given and returned as a list).
+    def apply(self, vec: dict) -> dict:
+        """Matrix times a sparse column vector, returned sparse.
 
-        Module elements act through here; a float in vec raises.
+        Module elements act through here; a float in vec raises, and so
+        does an index at or past cols (ValueError).
         """
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        if float in map(type, vec):
+        if float in map(type, vec.values()):
             raise _inexact(vec)
-        out = [0] * self.rows
+        if vec and max(vec) >= self.cols:
+            raise ValueError("vector index out of range")
+        out = {}
         for i, row in self.srows.items():
             s = 0
             for j, a in row.items():
-                v = vec[j]
-                if v:
+                v = vec.get(j)
+                if v is not None:
                     s += a * v
-            out[i] = s
+            if s:
+                out[i] = s if type(s) is int else exact(s)
         return out
 
     def transpose(self) -> "Matrix":

@@ -2,8 +2,14 @@
 
 A module stores a dimension for each (vertex, degree) block and, for each
 non-idempotent algebra basis element x, matrices mapping the
-(source(x), d) block into the (target(x), d + deg x) block. Vectors are
-columns; the right action of x*y is rho(y) o rho(x).
+(source(x), d) block into the (target(x), d + deg x) block; the right
+action of x*y is rho(y) o rho(x).
+
+An element of a module is a dict {(v, d): {index: entry}}: for each block
+it touches, the sparse vector of its nonzero coordinates there, each
+normalised by `exact`, and no empty block. Maps, covers, envelopes and the
+chain lifts of resolutions all take and give elements in this one form,
+and a matrix acts on a block's vector through `Matrix.apply`.
 """
 
 from __future__ import annotations
@@ -115,21 +121,14 @@ class GradedModule:
                     continue
                 if x < alg.num_vertices:
                     # an idempotent acts as the identity on its own blocks
-                    if float in map(type, vec):
+                    if float in map(type, vec.values()):
                         raise _inexact(vec)
                     img = vec
                 else:
-                    mat = self.act(x, d)
-                    if mat.rows == 0 or mat.cols == 0:
-                        continue
-                    img = mat.apply(vec)
-                key = (tv, d + dx)
-                if key not in out:
-                    out[key] = [0] * self.block_dim(tv, d + dx)
-                acc = out[key]
-                for i, val in enumerate(img):
-                    acc[i] += c * val
-        return {k: v for k, v in out.items() if any(v)}
+                    img = self.act(x, d).apply(vec)
+                if img:
+                    _axpy(out.setdefault((tv, d + dx), {}), -c, img)
+        return {k: v for k, v in out.items() if v}
 
     def basis_elements(self):
         """All (block, index) pairs in deterministic order."""
@@ -140,9 +139,7 @@ class GradedModule:
         return out
 
     def unit_vector(self, block, i) -> dict:
-        vec = [0] * self.dims[block]
-        vec[i] = 1
-        return {block: vec}
+        return {block: {i: 1}}
 
     # -- validation ----------------------------------------------------------
 
@@ -314,7 +311,8 @@ class DirectSum(GradedModule):
     block: part k's block at key fills the rows from offsets[k][key] on.
 
     Maps into, out of and between sums are written at these offsets by
-    `place` and read back by `slice_hom`; the empty sum is the zero module.
+    `place`, and `locate` finds the part a row lies in; the empty sum is
+    the zero module.
     The action is the parts' actions placed block-diagonally. It is built
     on each read and never held, so a sum holds no more than its parts.
     """
@@ -354,20 +352,34 @@ class DirectSum(GradedModule):
             (p.act(x, d), off[tgt], off[src])
             for p, off in zip(self.parts, self.offsets) if src in off and tgt in off])
 
+    def locate(self, key, i):
+        """(k, r): row i of the sum's block key is row r of part k's."""
+        found = self.memo.get(("locate", key))
+        if found is None:
+            ks = [k for k, off in enumerate(self.offsets) if key in off]
+            found = self.memo[("locate", key)] = (
+                ks, [self.offsets[k][key] for k in ks])
+        ks, starts = found
+        pos = bisect_right(starts, i) - 1
+        return ks[pos], i - starts[pos]
+
     def embed(self, k: int, elem: dict) -> dict:
         """The element elem of part k as an element of the sum."""
-        out = {}
-        for key, vec in elem.items():
-            row = out[key] = [0] * self.dims[key]
-            off = self.offsets[k][key]
-            row[off:off + len(vec)] = vec
-        return out
+        off = self.offsets[k]
+        return {key: {off[key] + i: x for i, x in vec.items()}
+                for key, vec in elem.items()}
 
     def component(self, k: int, elem: dict) -> dict:
         """Part k's coordinates of an element of the sum."""
         part, off = self.parts[k], self.offsets[k]
-        return {key: vec[off[key]:off[key] + part.dims[key]]
-                for key, vec in elem.items() if key in off}
+        out = {}
+        for key, vec in elem.items():
+            if key in off:
+                lo, hi = off[key], off[key] + part.dims[key]
+                sub = {i - lo: x for i, x in vec.items() if lo <= i < hi}
+                if sub:
+                    out[key] = sub
+        return out
 
 
 def shift_module(m: GradedModule, j: int) -> GradedModule:
@@ -475,11 +487,8 @@ class GradedModuleHom:
     def apply(self, elem: dict) -> dict:
         out = {}
         for key, vec in elem.items():
-            mat = self.block(*key)
-            if mat.rows == 0:
-                continue
-            img = mat.apply(vec)
-            if any(img):
+            img = self.block(*key).apply(vec)
+            if img:
                 out[key] = img
         return out
 
@@ -689,15 +698,13 @@ def post_invert_mono(iota: GradedModuleHom, w: GradedModuleHom):
 
 
 def solve_preimages(h: GradedModuleHom, targets):
-    """[x with h(x) = t for t in targets], elements as dicts, or None when
-    some target is outside the image. Each block of h is eliminated once,
-    for every target's vector there, by `solve_columns`."""
+    """[x with h(x) = t for t in targets], or None when some target is
+    outside the image. Each block of h is eliminated once, for every
+    target's vector there, by `solve_columns`."""
     rhs = {}
     for t, elem in enumerate(targets):
         for key, vec in elem.items():
-            vec = {i: exact(x) for i, x in enumerate(vec) if x}
-            if vec:
-                rhs.setdefault(key, {})[t] = vec
+            rhs.setdefault(key, {})[t] = vec
     sols = {}
     for key, vecs in rhs.items():
         blk = h.block(*key)
@@ -705,10 +712,8 @@ def solve_preimages(h: GradedModuleHom, targets):
         xs = solve_columns([cols.get(j, {}) for j in range(blk.cols)], vecs.values())
         if xs is None:
             return None
-        for t, x in zip(vecs, xs):
-            sols[t, key] = [x.get(j, 0) for j in range(blk.cols)]
-    return [{key: sols[t, key] for key in elem if (t, key) in sols}
-            for t, elem in enumerate(targets)]
+        sols.update(((t, key), x) for t, x in zip(vecs, xs))
+    return [{key: sols[t, key] for key in elem} for t, elem in enumerate(targets)]
 
 
 def zero_hom(m, n) -> GradedModuleHom:
@@ -732,15 +737,6 @@ def place(domain, codomain, pieces) -> GradedModuleHom:
         for key, ps in blocks.items()})
 
 
-def slice_hom(h: GradedModuleHom, domain, cols, codomain, rows) -> GradedModuleHom:
-    """The piece of h from the summand domain, at column offsets cols, to
-    the summand codomain, at row offsets rows: what `place` wrote there."""
-    return GradedModuleHom(domain, codomain, {
-        key: mat.submatrix(rows.get(key, 0), cols.get(key, 0),
-                           codomain.block_dim(*key), domain.block_dim(*key))
-        for key, mat in h.blocks.items()})
-
-
 # ---------------------------------------------------------------------------
 # maps out of projectives
 # ---------------------------------------------------------------------------
@@ -748,9 +744,7 @@ def slice_hom(h: GradedModuleHom, domain, cols, codomain, rows) -> GradedModuleH
 def generator(p: GradedModule, v, shift: int = 0) -> dict:
     """The element e_v of e_v Lambda<shift> or of D(Lambda e_v)<shift>."""
     block = (v, shift)
-    vec = [0] * p.dims[block]
-    vec[p.basis_index[block].index(p.algebra.idempotent_index(v))] = 1
-    return {block: vec}
+    return {block: {p.basis_index[block].index(p.algebra.idempotent_index(v)): 1}}
 
 
 def map_from_projective(p: GradedModule, n: GradedModule, elem: dict) -> GradedModuleHom:
@@ -765,7 +759,7 @@ def map_from_projective(p: GradedModule, n: GradedModule, elem: dict) -> GradedM
             continue
         blocks[key] = Matrix.from_entries(rows, len(ix), {
             (r_i, c_i): val for c_i, b in enumerate(ix)
-            for r_i, val in enumerate(n.apply_element(elem, {b: 1}).get(key, ()))})
+            for r_i, val in n.apply_element(elem, {b: 1}).get(key, {}).items()})
     return GradedModuleHom(p, n, blocks)
 
 
@@ -776,7 +770,8 @@ def map_from_projective(p: GradedModule, n: GradedModule, elem: dict) -> GradedM
 def map_into_injective(m: GradedModule, q: GradedModule, w, phi) -> GradedModuleHom:
     """The map m -> q = D(Lambda e_w)<s> with x -> sum_b phi(x . b) psi_b.
 
-    phi is a functional on m_(w,s), given as a list. Hom(M, D(Lambda e_w)<s>)
+    phi is a functional on m_(w,s), a sparse vector {index: entry}.
+    Hom(M, D(Lambda e_w)<s>)
     is D(M_(w,s)), so this is every such map. The row of psi_b in block
     (u, d) is phi^T act(b, d), since x . b lies in m_(w,s).
     """
@@ -789,8 +784,9 @@ def map_into_injective(m: GradedModule, q: GradedModule, w, phi) -> GradedModule
         for r_i, b in enumerate(ix):
             row = {}
             for k, arow in m.act(b, d).srows.items():
-                if phi[k]:
-                    _axpy(row, -phi[k], arow)
+                c = phi.get(k)
+                if c:
+                    _axpy(row, -c, arow)
             if row:
                 srows[r_i] = row
         blocks[(u, d)] = Matrix.sparse(len(ix), cols, srows)
@@ -821,30 +817,27 @@ def solve_map_into_injectives(m: GradedModule, tgt: DirectSum, socles, constrain
         for k, (elem, _image) in enumerate(constraints):
             for key, vec in elem.items():
                 for r_i, b in enumerate(part.basis_index.get(key, [])):
-                    for i, y in enumerate(m.act(b, key[1]).apply(vec)):
-                        if y:
-                            columns[i][index.setdefault((k, key, r_i), len(index))] = exact(y)
+                    for i, y in m.act(b, key[1]).apply(vec).items():
+                        columns[i][index.setdefault((k, key, r_i), len(index))] = y
         targets = []
         for j in js:
             values = {}
             for k, (_elem, image) in enumerate(constraints):
                 for key, vec in tgt.component(j, image).items():
-                    for r_i, y in enumerate(vec):
-                        if y:
-                            row = index.get((k, key, r_i))
-                            if row is None:
-                                return None  # no column reaches this value
-                            values[row] = exact(y)
+                    for r_i, y in vec.items():
+                        row = index.get((k, key, r_i))
+                        if row is None:
+                            return None  # no column reaches this value
+                        values[row] = y
             targets.append(values)
         xs = solve_columns(columns, targets)
         if xs is None:
             return None
-        for j, x in zip(js, xs):
-            phis[j] = [x.get(i, 0) for i in range(len(columns))]
+        phis.update(zip(js, xs))
     out = place(m, tgt, [(map_into_injective(m, part, w, phis[j]), {}, tgt.offsets[j])
                          for j, ((w, _s), part) in enumerate(zip(socles, tgt.parts))])
     for elem, image in constraints:
-        if out.apply(elem) != {key: vec for key, vec in image.items() if any(vec)}:
+        if out.apply(elem) != image:
             raise InternalCheckError("map into injectives misses a prescribed value")
     return out
 
@@ -985,12 +978,8 @@ def radical_span(m: GradedModule):
 def top_data(m: GradedModule):
     """Generators of M/M.rad: list of (block, lift-vector in M coords)."""
     spans = radical_span(m)
-    gens = []
-    for key in m.blocks():
-        dimk = m.dims[key]
-        for j in complement_basis(spans.get(key, []), dimk):
-            gens.append((key, [int(i == j) for i in range(dimk)]))
-    return gens
+    return [(key, {j: 1}) for key in m.blocks()
+            for j in complement_basis(spans.get(key, []), m.dims[key])]
 
 
 def socle_spans(m: GradedModule):
@@ -1032,11 +1021,9 @@ class FormalProjective(DirectSum):
         """Decompose an explicit element into algebra elements per generator."""
         out = [{} for _ in self.gens]
         for key, vec in elem.items():
-            for comp, part, off in zip(out, self.parts, self.offsets):
-                if key in off:
-                    for b, c in zip(part.basis_index[key], vec[off[key]:]):
-                        if c:
-                            comp[b] = c
+            for i, c in vec.items():
+                k, r = self.locate(key, i)
+                out[k][self.parts[k].basis_index[key][r]] = c
         return [comp or _ZERO_ENTRY for comp in out]
 
     def formal_to_element(self, column) -> dict:
@@ -1047,10 +1034,12 @@ class FormalProjective(DirectSum):
             for b, c in comp.items():
                 if alg.source[b] != v:
                     raise InternalCheckError("formal entry outside projective")
-                key = (alg.target[b], alg.degree[b] + d)
-                vec = elem.setdefault(key, [0] * self.dims[key])
-                vec[off[key] + part.basis_index[key].index(b)] += c
-        return {k: v for k, v in elem.items() if any(v)}
+                if c:
+                    # each (generator, basis element) has its own coordinate
+                    key = (alg.target[b], alg.degree[b] + d)
+                    elem.setdefault(key, {})[off[key] + part.basis_index[key].index(b)] = (
+                        c if type(c) is int else exact(c))
+        return elem
 
 
 def projective_cover(m: GradedModule):
@@ -1107,7 +1096,7 @@ def injective_envelope(m: GradedModule):
     for key in sorted(soc, key=lambda vd: (vd[1], str(vd[0]))):
         for vec in soc[key]:
             tags.append(key)
-            socle.append({key: [vec.get(i, 0) for i in range(m.dims[key])]})
+            socle.append({key: vec})
     I = DirectSum(alg, [dual_of_left_projective(alg, v, d) for (v, d) in tags])
     constraints = [(x, I.embed(k, generator(part, *key)))
                    for k, (x, part, key) in enumerate(zip(socle, I.parts, tags))]

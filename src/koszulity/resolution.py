@@ -17,7 +17,9 @@ maps are right actions, which keeps Ext computations small.
 
 from __future__ import annotations
 
-from .linalg import EchelonBasis, Matrix, assemble, exact, solve_columns
+from bisect import bisect_right
+
+from .linalg import EchelonBasis, Matrix, _axpy, assemble, solve_columns
 from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import modules as mo
 
@@ -201,10 +203,8 @@ def delta_matrix(res: MinimalResolution, n: mo.GradedModule, i: int, j: int):
             if size_k == 0:
                 continue
             for s in range(size_k):
-                unit = [0] * size_k
-                unit[s] = 1
-                img = n.apply_element({key_k: unit}, lam)
-                for t, val in enumerate(img.get(key_c, ())):
+                img = n.apply_element({key_k: {s: 1}}, lam)
+                for t, val in img.get(key_c, {}).items():
                     cells[off_c + t, off_k + s] = val
     return Matrix.from_entries(tgt_total, src_total, cells)
 
@@ -248,21 +248,19 @@ def ext_group(res: MinimalResolution, n: mo.GradedModule, i: int, j: int) -> Ext
 def cocycle_values(res: MinimalResolution, eg: ExtGroup, vec):
     """Sparse cocycle coordinate vector -> list of N-elements per generator
     of P_i."""
-    out = []
-    for key, off, size in eg.layout:
-        comp = [vec.get(off + t, 0) for t in range(size)]
-        out.append({key: comp} if any(comp) else {})
+    starts = [off for _key, off, _size in eg.layout]
+    out = [{} for _ in eg.layout]
+    for c, x in vec.items():
+        k = bisect_right(starts, c) - 1
+        key, off, _size = eg.layout[k]
+        out[k].setdefault(key, {})[c - off] = x
     return out
 
 
 def values_to_vec(eg: ExtGroup, values):
     """Inverse of `cocycle_values`: the sparse coordinate vector."""
-    vec = {}
-    for k, (key, off, _size) in enumerate(eg.layout):
-        for t, val in enumerate(values[k].get(key, ())):
-            if val:
-                vec[off + t] = val if type(val) is int else exact(val)
-    return vec
+    return {off + t: x for (key, off, _size), val in zip(eg.layout, values)
+            for t, x in val.get(key, {}).items()}
 
 
 class ExtTable:
@@ -413,19 +411,11 @@ def yoneda_product(value_module: mo.GradedModule,
     out = []
     for col in cols:
         acc = {}
-        for l, lam in enumerate(col):
-            if not lam:
-                continue
-            val = f_values[l]
-            if not val:
-                continue
-            img = value_module.apply_element(val, lam)
-            for key, vec in img.items():
-                if key not in acc:
-                    acc[key] = [0] * len(vec)
-                for t, x in enumerate(vec):
-                    acc[key][t] += x
-        out.append({k: v for k, v in acc.items() if any(v)})
+        for lam, val in zip(col, f_values):
+            if lam and val:
+                for key, vec in value_module.apply_element(val, lam).items():
+                    _axpy(acc.setdefault(key, {}), -1, vec)
+        out.append({k: v for k, v in acc.items() if v})
     return out
 
 

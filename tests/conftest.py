@@ -105,6 +105,21 @@ class DenseMatrix:
         return DenseMatrix(self.rows, self.cols, [row[self.cols:] for row in R.data])
 
 
+def dense_injections_projections(total):
+    """The identity-block injections and projections of a DirectSum."""
+    injections, projections = [], []
+    for part, off in zip(total.parts, total.offsets):
+        inj, prj = {}, {}
+        for key, m in part.dims.items():
+            inj[key] = Matrix.from_entries(total.dims[key], m,
+                                           {(off[key] + i, i): 1 for i in range(m)})
+            prj[key] = Matrix.from_entries(m, total.dims[key],
+                                           {(i, off[key] + i): 1 for i in range(m)})
+        injections.append(mo.GradedModuleHom(part, total, inj))
+        projections.append(mo.GradedModuleHom(total, part, prj))
+    return injections, projections
+
+
 def hom_space_with_constraints(m, n, constraints):
     """Reference solve over a full Hom basis: a hom m -> n with prescribed
     values, constraints = [(elem, image), ...], or None if there is none.
@@ -136,9 +151,8 @@ def flat_values(elems, index) -> dict:
     out = {}
     for k, elem in enumerate(elems):
         for key, vec in elem.items():
-            for i, x in enumerate(vec):
-                if x:
-                    out[index.setdefault((k, key, i), len(index))] = x
+            for i, x in vec.items():
+                out[index.setdefault((k, key, i), len(index))] = x
     return out
 
 
@@ -276,7 +290,7 @@ def radical_span_by_radical_basis(m):
     for r in m.algebra.radical_basis():
         for key, i in m.basis_elements():
             for k2, vec in m.apply_element(m.unit_vector(key, i), r).items():
-                spans[k2].append(sparse(vec))
+                spans[k2].append(vec)
     return spans
 
 
@@ -292,8 +306,8 @@ def socle_spans_by_radical_basis(m):
             for i in range(dimk):
                 img = m.apply_element(m.unit_vector(key, i), r)
                 for k2, vec in img.items():
-                    rows = per_target.setdefault(k2, [[0] * dimk for _ in vec])
-                    for r_i, val in enumerate(vec):
+                    rows = per_target.setdefault(k2, [[0] * dimk for _ in range(m.dims[k2])])
+                    for r_i, val in vec.items():
                         rows[r_i][i] = val
             for rows in per_target.values():
                 stacked.extend(rows)
@@ -546,7 +560,7 @@ def preprojective_products_by_restart(a, pp):
             comp = transport(d1, u, v, c1, d2).compose(basis_hom(d2, v, w, c2))
             val = comp.apply(mo.generator(comp.domain, w))
             entry = {index[(d1 + d2, u, key[0], t)]: x
-                     for key, vec in val.items() for t, x in enumerate(vec) if x}
+                     for key, vec in val.items() for t, x in vec.items()}
             if entry:
                 products[((d1, i_f), (d2, i_g))] = entry
     return products

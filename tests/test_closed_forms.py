@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (hom_factorization_by_system, kernel_spans, linear_combination,
-                      submodule_by_solve)
+                      sparse, submodule_by_solve)
 from koszulity import modules as mo
 from koszulity import resolution as rs
 from koszulity.algebra import InternalCheckError
@@ -44,8 +44,8 @@ def random_map_from(P, n, data):
     random element of n in its block."""
     pieces = []
     for (key, part, off) in zip(P.gens, P.parts, P.offsets):
-        vec = data.draw(st.lists(st.integers(-2, 2), min_size=n.block_dim(*key),
-                                 max_size=n.block_dim(*key)))
+        vec = sparse(data.draw(st.lists(st.integers(-2, 2), min_size=n.block_dim(*key),
+                                        max_size=n.block_dim(*key))))
         pieces.append((mo.map_from_projective(part, n, {key: vec} if vec else {}), off, {}))
     return mo.place(P, n, pieces)
 

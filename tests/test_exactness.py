@@ -86,7 +86,7 @@ def test_div_is_exact():
     lambda: Matrix(1, 2, [[1, 0.5]]),
     lambda: Matrix(1, 1, [[2.0]]),
     lambda: Matrix.identity(2).scale(0.5),
-    lambda: Matrix.identity(2).apply([1, 0.5]),
+    lambda: Matrix.identity(2).apply({0: 1, 1: 0.5}),
     lambda: EchelonBasis([{0: 1, 1: 0.25}]),
     lambda: EchelonBasis([{0: 1}]).contains({1: 0.5}),
 ], ids=["exact", "exact-integral", "matrix", "from-rows", "scale", "apply",
@@ -102,15 +102,12 @@ def test_float_raises_in_module_element(delta_a4, t_summands):
     key = m.blocks()[0]
     x = next(x for x in range(alg.num_vertices, alg.dim)
              if alg.source[x] == key[0] and m.act(x, key[1]).rows)
-    elem = {key: [0] * m.dims[key]}
-    elem[key][0] = 0.5
+    elem = {key: {0: 0.5}}
     with pytest.raises(InternalCheckError):
         m.apply_element(elem, {x: 1})
-    elem[key][0] = 1
     with pytest.raises(InternalCheckError):
-        m.apply_element(elem, {x: 0.5})
+        m.apply_element({key: {0: 1}}, {x: 0.5})
     # an idempotent acts without a matrix, and still refuses floats
-    elem[key][0] = 0.5
     with pytest.raises(InternalCheckError):
         m.apply_element(elem, {alg.idempotent_index(key[0]): 1})
 

@@ -9,8 +9,8 @@ from koszulity.algebra import InternalCheckError
 from koszulity.linalg import Matrix
 from koszulity import modules as mo
 from koszulity import hereditary as hd
-from conftest import (hom_space_with_constraints, linear_combination,
-                      preprojective_products_by_restart)
+from conftest import (DenseMatrix, dense_injections_projections, hom_space_with_constraints,
+                      linear_combination, preprojective_products_by_restart, sparse)
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,7 @@ def inverse_translate_dims(alg, dim_vec):
     Cartan matrix: -C^T C^{-1} applied to the dimension vector."""
     c = cartan_matrix(alg)
     op = (c.transpose() * c.inverse()).scale(-1)
-    return op.apply(dim_vec)
+    return DenseMatrix.of(op).apply(dim_vec)
 
 
 def knitting_expected_dims(alg, d_max):
@@ -94,9 +94,8 @@ def test_nu_inverse_transport_composition(a2, a4, kron):
                             for i, c in x.items():
                                 for z, cz in a.mult_basis(i, b).items():
                                     want[z] = want.get(z, 0) + c * cz
-                            got = {z: val for z, val in zip(
-                                proj.codomain.basis_index.get(key, []),
-                                img.get(key, [])) if val}
+                            ix = proj.codomain.basis_index.get(key, [])
+                            got = {ix[t]: val for t, val in img.get(key, {}).items()}
                             assert got == {z: c for z, c in want.items() if c}
                     moved = hd.injective_to_projective_hom(a, v, w, inj)
                     assert moved.blocks == proj.blocks
@@ -278,8 +277,14 @@ def test_serre_rhs_nonhereditary_base(a4):
     assert table[(0, 0)] == a4.dim
 
 
-def nonzero_part(elem):
-    return {key: vec for key, vec in elem.items() if any(vec)}
+def bumped(image, key, i):
+    """The element image with entry i of block key raised by 1."""
+    out = {k: dict(vec) for k, vec in image.items()}
+    vec = out.setdefault(key, {})
+    vec[i] = vec.get(i, 0) + 1
+    if not vec[i]:
+        del vec[i]
+    return {k: vec for k, vec in out.items() if vec}
 
 
 @pytest.fixture(scope="module")
@@ -298,28 +303,14 @@ def injective_sums():
     return get
 
 
-def dense_injections_projections(total):
-    """The identity-block injections and projections of a DirectSum."""
-    injections, projections = [], []
-    for part, off in zip(total.parts, total.offsets):
-        inj, prj = {}, {}
-        for key, m in part.dims.items():
-            inj[key] = Matrix.from_entries(total.dims[key], m,
-                                           {(off[key] + i, i): 1 for i in range(m)})
-            prj[key] = Matrix.from_entries(m, total.dims[key],
-                                           {(i, off[key] + i): 1 for i in range(m)})
-        injections.append(mo.GradedModuleHom(part, total, inj))
-        projections.append(mo.GradedModuleHom(total, part, prj))
-    return injections, projections
-
-
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_place_and_slice_match_dense_injections(a4, kron, delta_a4, data):
     # random part-level components between labeled sums: placing them at
-    # the offsets gives the sum of inj_j o comp o proj_i, slicing gives
-    # each component back, and the embedded and restricted elements agree
-    # with the dense injections and projections
+    # the offsets gives the sum of inj_j o comp o proj_i, the dense
+    # projections and injections read each component back, the embedded
+    # and restricted elements agree with them, and over a degree-0 base
+    # transport moves each component by the Nakayama closed forms
     alg = data.draw(st.sampled_from([a4, kron, delta_a4]))
     src, tgt = [hd.LabeledSum(alg, data.draw(st.lists(st.sampled_from(alg.vertices),
                                                       max_size=3)),
@@ -342,9 +333,7 @@ def test_place_and_slice_match_dense_injections(a4, kron, delta_a4, data):
     assert placed.blocks == ref.blocks
     assert placed.check_commutes()
     for (i, j), h in comps.items():
-        got = mo.slice_hom(placed, src.parts[i], src.offsets[i],
-                           tgt.parts[j], tgt.offsets[j])
-        assert got.blocks == h.blocks
+        assert tgt_prj[j].compose(placed).compose(src_inj[i]).blocks == h.blocks
     if src.parts:
         assert src.name == "(+)".join(p.name for p in src.parts)
     else:
@@ -355,7 +344,17 @@ def test_place_and_slice_match_dense_injections(a4, kron, delta_a4, data):
             assert src.embed(k, x) == src_inj[k].apply(x)
             y = placed.apply(src.embed(k, x))
             for j, q in enumerate(tgt.parts):
-                assert nonzero_part(tgt.component(j, y)) == tgt_prj[j].apply(y)
+                assert tgt.component(j, y) == tgt_prj[j].apply(y)
+    if alg is not delta_a4 and src.kind == tgt.kind:
+        other = "inj" if src.kind == "proj" else "proj"
+        move = (hd.projective_to_injective_hom if src.kind == "proj"
+                else hd.injective_to_projective_hom)
+        src_to, tgt_to = (hd.LabeledSum(alg, s.labels, other) for s in (src, tgt))
+        want = mo.place(src_to, tgt_to, [
+            (move(alg, src.labels[i], tgt.labels[j], h), src_to.offsets[i], tgt_to.offsets[j])
+            for (i, j), h in comps.items() if not h.is_zero()])
+        moved = hd.transport_sum_hom(src, tgt, placed, src_to, tgt_to)
+        assert moved.blocks == want.blocks
 
 
 @given(st.data())
@@ -385,18 +384,16 @@ def test_map_into_injectives_matches_constrained_hom_solve(a4, kron, delta_a4,
     constraints = []
     for _ in range(data.draw(st.integers(0, 3))):
         key = data.draw(st.sampled_from(blocks))
-        vec = [Fraction(x) for x in data.draw(st.lists(
-            st.integers(-2, 2), min_size=m.dims[key], max_size=m.dims[key]))]
-        elem = {key: vec}
+        vec = sparse(data.draw(st.lists(
+            st.integers(-2, 2), min_size=m.dims[key], max_size=m.dims[key])))
+        elem = {key: vec} if vec else {}
         constraints.append((elem, h.apply(elem)))
     perturbed = constraints and data.draw(st.booleans())
     if perturbed:
         key = data.draw(st.sampled_from(tgt.blocks()))
         i = data.draw(st.integers(0, tgt.dims[key] - 1))
         elem, image = constraints[0]
-        vec = list(image.get(key, [Fraction(0)] * tgt.dims[key]))
-        vec[i] += 1
-        constraints[0] = (elem, {**image, key: vec})
+        constraints[0] = (elem, bumped(image, key, i))
     ref = hom_space_with_constraints(m, tgt, constraints)
     got = mo.solve_map_into_injectives(m, tgt, socles, constraints)
     event(f"perturbed={bool(perturbed)} solvable={got is not None} "
@@ -407,7 +404,7 @@ def test_map_into_injectives_matches_constrained_hom_solve(a4, kron, delta_a4,
     if got is not None:
         assert got.check_commutes()
         for elem, image in constraints:
-            assert got.apply(elem) == nonzero_part(image)
+            assert got.apply(elem) == image
 
 
 def test_map_into_injectives_one_system_per_socle_block(a4):
@@ -427,9 +424,7 @@ def test_map_into_injectives_one_system_per_socle_block(a4):
     assert got is not None and got.check_commutes()
     # the second part's value at a basis vector of (2, 0) moved by one
     x = m.unit_vector((2, 0), 0)
-    vec = list(h.apply(x).get((2, 0), [0] * tgt.dims[(2, 0)]))
-    vec[tgt.offsets[1][(2, 0)]] += 1
-    bad = [(y, {**image, (2, 0): vec}) if y == x else (y, image)
+    bad = [(y, bumped(image, (2, 0), tgt.offsets[1][(2, 0)])) if y == x else (y, image)
            for y, image in constraints]
     assert hom_space_with_constraints(m, tgt, bad) is None
     assert mo.solve_map_into_injectives(m, tgt, socles, bad) is None

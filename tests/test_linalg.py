@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import islice
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from koszulity.linalg import (EchelonBasis, Matrix, candidate_combinations,
@@ -97,14 +98,14 @@ def test_rank_nullity(m):
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate(m):
     for v in m.kernel_basis():
-        assert all(x == 0 for x in m.apply([v.get(c, 0) for c in range(m.cols)]))
+        assert m.apply(v) == {}
 
 
 @given(matrices(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_solve_exact(m, data):
     x = data.draw(st.lists(small_entries, min_size=m.cols, max_size=m.cols))
-    b = Matrix(m.rows, 1, [[y] for y in m.apply([Fraction(v) for v in x])])
+    b = Matrix(m.rows, 1, [{0: y} for y in DenseMatrix.of(m).apply(x)])
     sol = m.solve_matrix(b)
     assert sol is not None
     assert m * sol == b
@@ -229,7 +230,7 @@ def test_solve_combination_matches_dense_solve(m, data):
     for inside in data.draw(st.lists(st.booleans(), min_size=1, max_size=4)):
         if inside:
             x = data.draw(st.lists(rationals, min_size=a.cols, max_size=a.cols))
-            rhs.append(a.apply(x))
+            rhs.append(DenseMatrix.of(a).apply(x))
         else:
             rhs.append(data.draw(st.lists(rationals, min_size=a.rows, max_size=a.rows)))
     expected = [dense_solve(a, b) for b in rhs]
@@ -328,7 +329,7 @@ def test_ext_group_reps_match_dense_greedy_selection(delta_a4, t_summands):
 
 @st.composite
 def sparse_products(draw, max_dim=6):
-    """Matrices A (r x k), B (k x c) and C (r x c), with a vector v of
+    """Matrices A (r x k), B (k x c) and C (r x c), with a dense vector v of
     length k, all with many zero entries."""
     r, k, c = (draw(st.integers(min_value=0, max_value=max_dim)) for _ in range(3))
 
@@ -354,7 +355,9 @@ def test_sparse_matrix_matches_dense_reference(mats):
     a, b, c, v = mats
     da, db, dc = map(DenseMatrix.of, (a, b, c))
     assert same(a * b, da * db)
-    assert a.apply(v) == da.apply(v)
+    assert a.apply(sparse(v)) == sparse(da.apply(v))
+    with pytest.raises(ValueError):
+        a.apply({**sparse(v), a.cols: 1})
     assert same(a.transpose(), da.transpose())
     R, piv = a.rref()
     dR, dpiv = da.rref()

@@ -55,14 +55,15 @@ def traced_peak(argv):
     # about 2.5 MiB with sparse constraint rows; 4.9 MiB with dense ones
     (["verify", "trivext-dual", "--algebra", f"{DATA}/kron.alg", "--n", "1",
       "--degree-max", "4"], 3.8),
-    # about 3.7 MiB keeping one kernel inclusion per resolution; 3.9 MiB
-    # keeping every one
+    # about 1.5 MiB when each Ext group is dropped once its dimension is
+    # read; 2.6 MiB keeping every group
     (["ext", "--algebra", f"{DATA}/a4.alg", "--trivext", "--n", "2",
-      "--i-max", "12", *EXT_MODULES], 3.8),
-    # about 17.4 MiB with sparse matrices and no held term actions; 31.3 MiB
-    # with dense matrices and each term's dense block-diagonal action held
+      "--i-max", "12", *EXT_MODULES], 2.2),
+    # about 6.6 MiB with sparse matrices, no held term actions and no held
+    # Ext groups; 17.4 MiB keeping every group, 31.3 MiB with dense
+    # matrices and each term's dense block-diagonal action held
     (["ext", "--algebra", f"{DATA}/a4.alg", "--trivext", "--n", "2",
-      "--i-max", "30", *EXT_MODULES], 21.0),
+      "--i-max", "30", *EXT_MODULES], 9.0),
 ], ids=["characterization-a4", "trivext-dual-kron-d4", "ext-a4-i12", "ext-a4-i30"])
 def test_traced_peak_is_bounded(argv, bound_mib):
     code, peak = traced_peak(argv)

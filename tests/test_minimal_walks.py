@@ -66,7 +66,7 @@ def test_covers_match_the_cover_data_route(name, request):
         k = mo.simple_module(alg, 1)
         mods = [k, mo.cokernel(mo.map_from_projective(
             mo.projective_module(alg, 1, 2), mo.projective_module(alg, 1),
-            {(1, 2): [1]}))[0]]
+            {(1, 2): {0: 1}}))[0]]
     else:
         mods = request.getfixturevalue("t_summands")
     for m in mods:

@@ -14,7 +14,7 @@ from koszulity.algebra import degree_zero_part
 from koszulity.frobenius import frobenius_analysis
 from koszulity.linalg import EchelonBasis
 
-from conftest import sparse
+from conftest import DenseMatrix, sparse
 
 
 def random_module(alg, rng, max_parts=2):
@@ -29,8 +29,8 @@ def random_module(alg, rng, max_parts=2):
         for _ in range(rng.randint(0, 2)):
             keys = sorted(total.dims, key=str)
             key = keys[rng.randrange(len(keys))]
-            vec = [Fraction(rng.randint(-2, 2)) for _ in range(total.dims[key])]
-            if not any(vec):
+            vec = sparse([Fraction(rng.randint(-2, 2)) for _ in range(total.dims[key])])
+            if not vec:
                 continue
             elem = {key: vec}
             # close under the action to make an honest submodule span
@@ -38,14 +38,14 @@ def random_module(alg, rng, max_parts=2):
             while stack:
                 cur = stack.pop()
                 for k2, v2 in cur.items():
-                    spans.setdefault(k2, []).append(list(v2))
+                    spans.setdefault(k2, []).append(v2)
                 for x in range(alg.num_vertices, alg.dim):
                     img = total.apply_element(cur, {x: Fraction(1)})
                     if img:
                         keep = False
                         for k2, v2 in img.items():
-                            span = EchelonBasis(map(sparse, spans.get(k2, [])))
-                            if not span.contains(sparse(v2)):
+                            span = EchelonBasis(spans.get(k2, []))
+                            if not span.contains(v2):
                                 keep = True
                         if keep:
                             stack.append(img)
@@ -165,8 +165,9 @@ def test_block_structure_bug_trap_never_fires(delta_a2, a2_summands, x3,
 
 
 def dense_action(m, elem, coeffs):
-    """Reference for `apply_element`: every basis element, idempotents too,
-    acts through its dense matrix `act`."""
+    """Reference for `apply_element` on an element given by dense lists:
+    every basis element, idempotents too, acts through its dense matrix
+    `act`. Returns the sparse element."""
     alg = m.algebra
     out = {}
     for x, c in coeffs.items():
@@ -175,9 +176,9 @@ def dense_action(m, elem, coeffs):
                 continue
             key = (alg.target[x], d + alg.degree[x])
             acc = out.setdefault(key, [0] * m.block_dim(*key))
-            for i, val in enumerate(m.act(x, d).apply(vec)):
+            for i, val in enumerate(DenseMatrix.of(m.act(x, d)).apply(vec)):
                 acc[i] += c * val
-    return {k: v for k, v in out.items() if any(v)}
+    return {k: sparse(v) for k, v in out.items() if any(v)}
 
 
 @given(st.integers(min_value=0, max_value=2 ** 16), st.data())
@@ -198,7 +199,8 @@ def test_apply_element_matches_dense_action(delta_a4, delta_kron, seed, data):
         # every idempotent on one of the element's vertices acts too
         for v in {v for v, _d in keys}:
             coeffs.setdefault(alg.idempotent_index(v), 1)
-        assert m.apply_element(elem, coeffs) == dense_action(m, elem, coeffs)
+        got = m.apply_element({k: sparse(v) for k, v in elem.items() if any(v)}, coeffs)
+        assert got == dense_action(m, elem, coeffs)
 
 
 @given(st.integers(min_value=-3, max_value=3),
