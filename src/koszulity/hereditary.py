@@ -56,7 +56,7 @@ def dual_right_mult_hom(a: GradedAlgebra, v, w, coeffs) -> mo.GradedModuleHom:
     D(Ae_v)_(w,0) is psi -> psi(x)."""
     I = injective_module(a, v)
     phi = _coordinates(I.basis_index.get((w, 0), []), coeffs)
-    return mo.map_into_injective(I, injective_module(a, w), w, phi)
+    return mo.map_into_injective(I, injective_module(a, w), w, [phi])[0]
 
 
 def injective_to_projective_hom(a: GradedAlgebra, v, w, h: mo.GradedModuleHom):
@@ -272,20 +272,21 @@ def nu_inverse_step(a: GradedAlgebra, piece: Piece, n: int, cap: int = 32):
     return list(result.values()), {d: p.module.dim for d, p in result.items()}
 
 
-def _lift_stalk_map_into_injectives(res: ComplexResolution,
-                                    psi0: mo.GradedModuleHom, jterms: dict,
-                                    jdiffs: dict):
-    """Chain maps Psi_p: res.terms[p] -> jterms[p], keyed by position, for
-    the resolution res of a stalk M at position lo, with Psi_lo o mono = psi0
-    and the usual commutation squares.
+def _lift_stalk_map_into_injectives(res: ComplexResolution, psi0s: list,
+                                    jterms: dict, jdiffs: dict):
+    """Chain maps Psi_p: res.terms[p] -> jterms[p], one for each psi0 of
+    psi0s, for the resolution res of a stalk M at position lo, with
+    Psi_lo o mono = psi0 and the usual commutation squares. Returns
+    {position: [Psi_p per psi0]}.
 
     Psi_p is prescribed on d(x) for the generators x of the previous term
     (on mono(x) for the generators x of M, at p = lo) and solved into the
     injective sum jterms[p] by `mo.solve_map_into_injectives`, one
-    functional per summand, without a Hom basis. Any solution will do: a
-    lift into a complex of injectives is unique up to homotopy, so the maps
-    it induces on cohomology do not depend on the choice. A position with no
-    target term gets no map.
+    functional per summand, without a Hom basis. Every lift prescribes
+    values at the same elements, so each position is one solve for all of
+    them. Any solution will do: a lift into a complex of injectives is
+    unique up to homotopy, so the maps it induces on cohomology do not
+    depend on the choice. A position with no target term gets no map.
     """
     ((lo, mono),) = res.qis.items()
     chain = {}
@@ -295,38 +296,40 @@ def _lift_stalk_map_into_injectives(res: ComplexResolution,
         if tgt is None:
             # the commutation square must be trivially satisfiable
             if prev is not None and (p - 1) in jdiffs:
-                leak = jdiffs[p - 1].compose(prev)
-                if not leak.is_zero():
+                if any(not jdiffs[p - 1].compose(u).is_zero() for u in prev):
                     raise InternalCheckError("chain lift leaks past the complex")
             prev = None
             continue
-        constraints = []
         if p == lo:
-            for x in mo.generator_elements(mono.domain):
-                constraints.append((mono.apply(x), psi0.apply(x)))
+            gens = mo.generator_elements(mono.domain)
+            elems = [mono.apply(x) for x in gens]
+            images = [[psi0.apply(x) for x in gens] for psi0 in psi0s]
         else:
-            dsrc = res.diffs[p - 1]
+            gens = mo.generator_elements(res.terms[p - 1])
+            elems = [res.diffs[p - 1].apply(x) for x in gens]
             dj = jdiffs.get(p - 1)
-            for x in mo.generator_elements(res.terms[p - 1]):
-                val = {}
-                if dj is not None and prev is not None:
-                    val = dj.apply(prev.apply(x))
-                constraints.append((dsrc.apply(x), val))
-        u = mo.solve_map_into_injectives(res.terms[p], tgt,
-                                         [(w, 0) for w in tgt.labels], constraints)
-        if u is None:
+            if dj is None or prev is None:
+                images = [[{} for _ in gens] for _ in psi0s]
+            else:
+                images = [[dj.apply(u.apply(x)) for x in gens] for u in prev]
+        prev = mo.solve_map_into_injectives(res.terms[p], tgt,
+                                            [(w, 0) for w in tgt.labels], elems, images)
+        if prev is None:
             raise InternalCheckError("stalk lift into injective complex failed")
-        chain[p] = prev = u
+        chain[p] = prev
     return chain
 
 
-def transport_stalk_hom(a: GradedAlgebra, h: mo.GradedModuleHom,
-                        src_piece: Piece, tgt_piece: Piece):
-    """nu_n^{-1}(h) for same-shift single-stalk pieces already stepped.
+def transport_stalk_homs(a: GradedAlgebra, homs: list, src_piece: Piece,
+                         tgt_piece: Piece, pos: int):
+    """The component at position pos of nu_n^{-1}(h) for each h of homs, all
+    from the module of src_piece to that of tgt_piece: same-shift
+    single-stalk pieces already stepped. Returns one hom between the result
+    pieces at pos per h, or [] when every such component is zero.
 
-    Both stalks are resolved at the same position, so the chain lift of h is
-    keyed by position, and the resolution term behind output position p sits
-    at p + n. Returns {position: hom between the result pieces there}.
+    Both stalks are resolved at the same position, so the chain lifts of
+    the homs are keyed by position and solved together, and the resolution
+    term behind output position pos sits at pos + n.
     """
     if src_piece.shift != tgt_piece.shift:
         raise InternalCheckError("transport requires equal shifts")
@@ -334,28 +337,22 @@ def transport_stalk_hom(a: GradedAlgebra, h: mo.GradedModuleHom,
     td: StepData = tgt_piece.step_data
     if sd is None or td is None:
         raise InternalCheckError("pieces must be stepped before transport")
+    if pos not in sd.result_pieces or pos not in td.result_pieces:
+        return []
     sres, tres = sd.resolution, td.resolution
     ((_pos, tmono),) = tres.qis.items()
-    chain = _lift_stalk_map_into_injectives(sres, tmono.compose(h),
+    chain = _lift_stalk_map_into_injectives(sres, [tmono.compose(h) for h in homs],
                                             tres.terms, tres.diffs)
-    out = {}
-    for pos in sd.result_pieces:
-        if pos not in td.result_pieces:
-            continue
-        csrc = sd.cohomology[pos]
-        ctgt = td.cohomology[pos]
-        q = pos + sd.n
-        u = chain.get(q)
-        if u is None:
-            out[pos] = mo.zero_hom(csrc.module, ctgt.module)
-            continue
+    csrc, ctgt, q = sd.cohomology[pos], td.cohomology[pos], pos + sd.n
+    outs = []
+    for u in chain.get(q, ()):
         moved = transport_sum_hom(sres.terms[q], tres.terms[q], u,
                                   sd.complex.terms[pos], td.complex.terms[pos])
         # the chain map sends boundaries to boundaries, so any section works
         cycles = mo.post_invert_mono(
             ctgt.incl, moved.compose(csrc.incl).compose(csrc.section))
-        out[pos] = ctgt.proj.compose(cycles)
-    return out
+        outs.append(ctgt.proj.compose(cycles))
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -522,34 +519,11 @@ class PreprojectiveData:
     def __init__(self, algebra: TruncatedGradedAlgebra, chains: dict, n: int,
                  index: dict, flags: list | None = None):
         self.algebra = algebra
-        self.chains = chains      # vertex -> list of Piece per degree (single-stalk)
+        self.chains = chains      # vertex -> list of Piece per degree (single-stalk,
+                                  # step data cleared)
         self.n = n
         self.index = index        # (degree, u, v, c) -> position in the degree's basis
         self.flags = [] if flags is None else flags
-
-
-def _transport_step(a: GradedAlgebra, h: mo.GradedModuleHom, src: Piece,
-                    tgt: Piece, nxt_src: Piece, nxt_tgt: Piece, flags: list):
-    """One orbit step: h: src.module -> tgt.module goes to nu_n^{-1}(h):
-    nxt_src.module -> nxt_tgt.module."""
-    zero = mo.zero_hom(nxt_src.module, nxt_tgt.module)
-    if (h.is_zero() or nxt_src.module.is_zero() or nxt_tgt.module.is_zero()
-            or src.shift != tgt.shift):
-        return zero
-    comps = transport_stalk_hom(a, h, src, tgt)
-    if nxt_src.shift != nxt_tgt.shift:
-        # the image can only be a shifted-degree class; certify that no such
-        # class exists, else record a completeness flag
-        delta = nxt_src.shift - nxt_tgt.shift
-        if delta > 0:
-            eres = rs.MinimalResolution(nxt_src.module)
-            if rs.ext_group(eres, nxt_tgt.module, delta, 0).dim:
-                flags.append(
-                    f"dropped a possible degree-{delta} extension "
-                    f"component in orbit transport"
-                )
-        return zero
-    return comps.get(-nxt_src.shift, zero)
 
 
 def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
@@ -605,40 +579,74 @@ def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
     # block, so f . g is column c2 of the (w, 0) block of T^{d2}(f).
     products = {}
     unit = {}
-    flags = []
+    flags = []  # ((d1, i_f, d2), degree) of each possible class dropped
     for u in a.vertices:
         piece0 = chains[u][0]
         gen_pos = piece0.module.basis_index[(u, 0)].index(
             a.idempotent_index(u))
         unit[index[(0, u, u, gen_pos)]] = 1
 
+    # running lists ((d1, u, v), [(i_f, T^{d2}(f))]) for the basis homs f of
+    # a block that a later d2 still reads, with nonzero transports; one step
+    # transports a block's homs together. At d2 = 0 a block lists (i_f, c1).
+    running = {}
     for (d1, u, v, c1), i_f in index.items():
-        target = chains[u][d1].module
-        h = mo.map_from_projective(mo.projective_module(a, v), target,
-                                   target.unit_vector((v, 0), c1))
-        last = max(d2 for d2 in range(d_max + 1 - d1) if (d2, v) in homs)
-        for d2 in range(last + 1):
-            if d2:
-                h = _transport_step(a, h, chains[v][d2 - 1], chains[u][d1 + d2 - 1],
-                                    chains[v][d2], chains[u][d1 + d2], flags)
+        running.setdefault((d1, u, v), []).append((i_f, c1))
+    running = running.items()
+    for d2 in range(d_max + 1):
+        stepped = []
+        for (d1, u, v), group in running:
+            if not d2:
+                target = chains[u][d1].module
+                group = [(i_f, mo.map_from_projective(mo.projective_module(a, v), target,
+                                                      target.unit_vector((v, 0), c1)))
+                         for i_f, c1 in group]
+            else:
+                src, tgt = chains[v][d2 - 1], chains[u][d1 + d2 - 1]
+                nxt_src, nxt_tgt = chains[v][d2], chains[u][d1 + d2]
+                if (nxt_src.module.is_zero() or nxt_tgt.module.is_zero()
+                        or src.shift != tgt.shift):
+                    continue
+                delta = nxt_src.shift - nxt_tgt.shift
+                if delta:
+                    # the image can only be a shifted-degree class; certify
+                    # that no such class exists, else flag each f
+                    if delta > 0 and rs.ext_group(rs.MinimalResolution(nxt_src.module),
+                                                  nxt_tgt.module, delta, 0).dim:
+                        flags += [((d1, i_f, d2), delta) for i_f, _h in group]
+                    continue
+                outs = transport_stalk_homs(a, [h for _i_f, h in group], src, tgt,
+                                            -nxt_src.shift)
+                group = [(i_f, h) for (i_f, _h), h in zip(group, outs) if not h.is_zero()]
             for w, c2, i_g in homs.get((d2, v), ()):
-                entry = {}
-                for key2, vec2 in h.apply(h.domain.unit_vector((w, 0), c2)).items():
-                    if key2[1] != 0:
-                        raise InternalCheckError("product value off degree 0")
-                    for t, x in sorted(vec2.items()):
-                        pk = (d1 + d2, u, key2[0], t)
-                        if pk not in index:
-                            raise InternalCheckError(
-                                "nonzero product lands in a shifted piece"
-                            )
-                        entry[index[pk]] = x
-                if entry:
-                    products[((d1, i_f), (d2, i_g))] = entry
+                for i_f, h in group:
+                    entry = {}
+                    for key2, vec2 in h.apply(h.domain.unit_vector((w, 0), c2)).items():
+                        if key2[1] != 0:
+                            raise InternalCheckError("product value off degree 0")
+                        for t, x in sorted(vec2.items()):
+                            pk = (d1 + d2, u, key2[0], t)
+                            if pk not in index:
+                                raise InternalCheckError(
+                                    "nonzero product lands in a shifted piece"
+                                )
+                            entry[index[pk]] = x
+                    if entry:
+                        products[((d1, i_f), (d2, i_g))] = entry
+            if group and any((k, v) in homs for k in range(d2 + 1, d_max + 1 - d1)):
+                stepped.append(((d1, u, v), group))
+        running = stepped
+        if d2:
+            # a degree-k piece is a source only at step k + 1 and a target
+            # only up to it, so its step data has no reader left
+            for u in a.vertices:
+                chains[u][d2 - 1].step_data = None
     G = TruncatedGradedAlgebra(name, d_max, list(a.vertices), basis, products,
                                unit)
     G.check()
-    return PreprojectiveData(G, chains, n, index, flags)
+    return PreprojectiveData(G, chains, n, index, [
+        f"dropped a possible degree-{delta} extension component in orbit transport"
+        for _at, delta in sorted(flags)])
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +705,8 @@ def injective_resolution_of_complex(cx: BoundedComplex,
     delta = cx.diffs.get(lo)
     if delta is None:
         raise InternalCheckError("missing differential out of the lowest term")
-    psi = _lift_stalk_map_into_injectives(res, sub.qis[lo + 1].compose(delta),
-                                          sub.terms, sub.diffs)
+    psi = {p: u for p, (u,) in _lift_stalk_map_into_injectives(
+        res, [sub.qis[lo + 1].compose(delta)], sub.terms, sub.diffs).items()}
 
     # the cone term at p is I = res.terms[p + 1] (+) J = sub.terms[p], so J
     # sits at the offsets I.dims; the differential is [[-d_I, 0], [psi, d_J]]

@@ -767,62 +767,64 @@ def map_from_projective(p: GradedModule, n: GradedModule, elem: dict) -> GradedM
 # maps into injectives
 # ---------------------------------------------------------------------------
 
-def map_into_injective(m: GradedModule, q: GradedModule, w, phi) -> GradedModuleHom:
-    """The map m -> q = D(Lambda e_w)<s> with x -> sum_b phi(x . b) psi_b.
-
-    phi is a functional on m_(w,s), a sparse vector {index: entry}.
-    Hom(M, D(Lambda e_w)<s>)
-    is D(M_(w,s)), so this is every such map. The row of psi_b in block
-    (u, d) is phi^T act(b, d), since x . b lies in m_(w,s).
+def map_into_injective(m: GradedModule, q: GradedModule, w, phis) -> list:
+    """The maps m -> q = D(Lambda e_w)<s>, x -> sum_b phi(x . b) psi_b, one
+    for each functional phi on m_(w,s) in phis (sparse vectors): all of
+    Hom(M, D(Lambda e_w)<s>) = D(M_(w,s)). The row of psi_b in block (u, d)
+    is phi^T act(b, d), since x . b lies in m_(w,s); each act(b, d) is read
+    once for every phi.
     """
-    blocks = {}
+    blocks = [{} for _ in phis]
     for (u, d), ix in q.basis_index.items():
         cols = m.block_dim(u, d)
         if not cols:
             continue
-        srows = {}
+        srows = [{} for _ in phis]
         for r_i, b in enumerate(ix):
-            row = {}
-            for k, arow in m.act(b, d).srows.items():
-                c = phi.get(k)
-                if c:
-                    _axpy(row, -c, arow)
-            if row:
-                srows[r_i] = row
-        blocks[(u, d)] = Matrix.sparse(len(ix), cols, srows)
-    return GradedModuleHom(m, q, blocks)
+            act = m.act(b, d).srows
+            for phi, rows in zip(phis, srows):
+                row = {}
+                for k, arow in act.items():
+                    c = phi.get(k)
+                    if c:
+                        _axpy(row, -c, arow)
+                if row:
+                    rows[r_i] = row
+        for out, rows in zip(blocks, srows):
+            out[(u, d)] = Matrix.sparse(len(ix), cols, rows)
+    return [GradedModuleHom(m, q, out) for out in blocks]
 
 
-def solve_map_into_injectives(m: GradedModule, tgt: DirectSum, socles, constraints):
-    """A map m -> tgt with prescribed values, or None if there is none.
+def solve_map_into_injectives(m: GradedModule, tgt: DirectSum, socles, elems, images):
+    """Maps m -> tgt with prescribed values, one per list of images, or None
+    when some list has no map.
 
-    Part j of tgt is D(Lambda e_w)<s> with (w, s) = socles[j], and
-    constraints = [(elem, image), ...]: elem an element dict of m, image one
-    of tgt. Hom(M, D(Lambda e_w)<s>) is D(M_(w,s)), so the component into
-    part j is `map_into_injective` for a functional phi on M_(w,s), and its
-    psi_b coordinate at elem is phi(elem . b). Each (constraint, psi_b) pair
-    is one linear equation in phi. The columns of that system depend only
-    on (w, s), so the parts are grouped by socle block and each group is
-    one `solve_columns`, with one right-hand side per part. The assembled
-    map is checked against every prescribed value.
+    Part j of tgt is D(Lambda e_w)<s> with (w, s) = socles[j], elems are
+    element dicts of m, and map b sends elems[k] to images[b][k]. The
+    component into part j is `map_into_injective` for a functional phi on
+    M_(w,s), whose psi_b coordinate at elem is phi(elem . b): one equation
+    in phi per (elem, psi_b). The columns depend only on (w, s) and elems,
+    so each socle block is one `solve_columns` and one `map_into_injective`
+    for every part and map. Each map is checked against its values.
     """
     groups = {}
     for j, key in enumerate(socles):
         groups.setdefault(key, []).append(j)
-    phis = {}
+    comps = {}
     for (w, s), js in groups.items():
         part = tgt.parts[js[0]]  # every part of the group is D(Lambda e_w)<s>
         index = {}
         columns = [{} for _ in range(m.block_dim(w, s))]
-        for k, (elem, _image) in enumerate(constraints):
+        for k, elem in enumerate(elems):
             for key, vec in elem.items():
                 for r_i, b in enumerate(part.basis_index.get(key, [])):
                     for i, y in m.act(b, key[1]).apply(vec).items():
                         columns[i][index.setdefault((k, key, r_i), len(index))] = y
+        cells = [(b, j) for b in range(len(images)) for j in js]
         targets = []
-        for j in js:
+        for b, j in cells:
             values = {}
-            for k, (_elem, image) in enumerate(constraints):
+            for k, image in enumerate(images[b]):
                 for key, vec in tgt.component(j, image).items():
                     for r_i, y in vec.items():
                         row = index.get((k, key, r_i))
@@ -833,12 +835,11 @@ def solve_map_into_injectives(m: GradedModule, tgt: DirectSum, socles, constrain
         xs = solve_columns(columns, targets)
         if xs is None:
             return None
-        phis.update(zip(js, xs))
-    out = place(m, tgt, [(map_into_injective(m, part, w, phis[j]), {}, tgt.offsets[j])
-                         for j, ((w, _s), part) in enumerate(zip(socles, tgt.parts))])
-    for elem, image in constraints:
-        if out.apply(elem) != image:
-            raise InternalCheckError("map into injectives misses a prescribed value")
+        comps.update(zip(cells, map_into_injective(m, part, w, xs)))
+    out = [place(m, tgt, [(comps[b, j], {}, tgt.offsets[j]) for j in range(len(socles))])
+           for b in range(len(images))]
+    if any(u.apply(x) != y for u, ys in zip(out, images) for x, y in zip(elems, ys)):
+        raise InternalCheckError("map into injectives misses a prescribed value")
     return out
 
 
@@ -1098,9 +1099,8 @@ def injective_envelope(m: GradedModule):
             tags.append(key)
             socle.append({key: vec})
     I = DirectSum(alg, [dual_of_left_projective(alg, v, d) for (v, d) in tags])
-    constraints = [(x, I.embed(k, generator(part, *key)))
-                   for k, (x, part, key) in enumerate(zip(socle, I.parts, tags))]
-    mono = solve_map_into_injectives(m, I, tags, constraints)
+    images = [I.embed(k, generator(part, *key)) for k, (part, key) in enumerate(zip(I.parts, tags))]
+    (mono,) = solve_map_into_injectives(m, I, tags, socle, [images]) or [None]
     if mono is None:
         raise InternalCheckError("socle embedding does not extend to the module")
     if not mono.is_injective():

@@ -430,41 +430,28 @@ def koszul_dual(alg: GradedAlgebra, summands, n: int, d_max: int,
         for c, coeff in enumerate(eg.reduce(vec)):
             if coeff:
                 unit[index[(0, s, s, c)]] = coeff
-    # products by chain lifting; cache lifts per (class rep)
-    lifts = {}
-
-    def get_lift(s, s2, d):
-        key = (s, s2, d)
-        if key not in lifts:
-            eg = groups[key]
-            lifted = []
-            for rep in eg.reps:
-                vals = rs.cocycle_values(resolutions[s], eg, rep)
-                lifted.append(rs.CocycleLift(resolutions[s], resolutions[s2],
-                                             n * d, vals))
-            lifts[key] = lifted
-        return lifts[key]
-
+    # products by chain lifting: the classes g of one group are lifted once
+    # and read by every f that follows them, then dropped
     products = {}
-    for d1 in range(d_max + 1):
-        for d2 in range(d_max + 1 - d1):
-            for s in range(t):          # g: T^s -> translated T^{s'}
-                for s2 in range(t):
-                    egg = groups[(s, s2, d2)]
-                    if not egg.dim:
-                        continue
-                    glifts = get_lift(s, s2, d2)
+    for d2 in range(d_max + 1):
+        for s in range(t):              # g: T^s -> translated T^{s'}
+            for s2 in range(t):
+                egg = groups[(s, s2, d2)]
+                if not egg.dim:
+                    continue
+                glifts = [rs.CocycleLift(resolutions[s], resolutions[s2], n * d2,
+                                         rs.cocycle_values(resolutions[s], egg, rep))
+                          for rep in egg.reps]
+                for d1 in range(d_max + 1 - d2):
                     for s3 in range(t):  # f: T^{s2} -> translated T^{s3}
                         egf = groups[(s2, s3, d1)]
-                        if not egf.dim:
-                            continue
                         eg_out = groups[(s, s3, d1 + d2)]
                         for cf in range(egf.dim):
                             fvals = rs.cocycle_values(resolutions[s2], egf,
                                                       egf.reps[cf])
-                            for cg in range(egg.dim):
+                            for cg, glift in enumerate(glifts):
                                 pv = rs.yoneda_product(summands[s3], n * d1,
-                                                       fvals, glifts[cg])
+                                                       fvals, glift)
                                 vec = rs.values_to_vec(eg_out, pv)
                                 coords = eg_out.reduce(vec)
                                 entry = {}

@@ -520,13 +520,22 @@ def preprojective_products_by_restart(a, pp):
     step 0 along the orbit chains for d2 steps, compose with g and evaluate
     at the generator e_w.
 
-    The package transports each f once, one step at a time, and reads every
-    product with it off a column of the running transport; tests compare
-    the two.
+    The orbit chains are stepped here with `hd.nu_inverse_step` from the
+    projectives, so the reference reads none of pp's chains. The package
+    transports the basis homs of a block together, one step at a time, and
+    reads every product off a column of the running transport; tests
+    compare the two.
     """
     from koszulity import hereditary as hd
 
-    chains, index = pp.chains, pp.index
+    index = pp.index
+    chains = {}
+    for v in a.vertices:
+        chains[v] = [hd.Piece(mo.projective_module(a, v), 0)]
+        for _ in range(pp.algebra.cutoff):
+            outs, _dims = hd.nu_inverse_step(a, chains[v][-1], pp.n)
+            assert len(outs) <= 1
+            chains[v].append(outs[0] if outs else hd.Piece(mo.zero_module(a), 0))
     lifts = {}
 
     def basis_hom(d, u, v, c):
@@ -547,8 +556,8 @@ def preprojective_products_by_restart(a, pp):
                         or nxt_src.shift != nxt_tgt.shift):
                     h = zero
                 else:
-                    h = hd.transport_stalk_hom(a, h, src, tgt).get(
-                        -nxt_src.shift, zero)
+                    outs = hd.transport_stalk_homs(a, [h], src, tgt, -nxt_src.shift)
+                    h = outs[0] if outs else zero
             lifts[key] = h
         return lifts[key]
 

@@ -377,34 +377,38 @@ def test_map_into_injectives_matches_constrained_hom_solve(a4, kron, delta_a4,
                                 min_size=1, max_size=3))
     tgt = injective_sums(alg, socles)
     basis = mo.hom_space(m, tgt)
-    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
-                                max_size=len(basis)))
-    h = linear_combination(m, tgt, basis, coeffs)
+    homs = [linear_combination(m, tgt, basis, data.draw(st.lists(
+        st.integers(-3, 3), min_size=len(basis), max_size=len(basis))))
+        for _ in range(data.draw(st.integers(1, 3)))]
     blocks = m.blocks()
-    constraints = []
+    elems = []
     for _ in range(data.draw(st.integers(0, 3))):
         key = data.draw(st.sampled_from(blocks))
         vec = sparse(data.draw(st.lists(
             st.integers(-2, 2), min_size=m.dims[key], max_size=m.dims[key])))
-        elem = {key: vec} if vec else {}
-        constraints.append((elem, h.apply(elem)))
-    perturbed = constraints and data.draw(st.booleans())
+        elems.append({key: vec} if vec else {})
+    images = [[h.apply(x) for x in elems] for h in homs]
+    perturbed = elems and data.draw(st.booleans())
     if perturbed:
         key = data.draw(st.sampled_from(tgt.blocks()))
         i = data.draw(st.integers(0, tgt.dims[key] - 1))
-        elem, image = constraints[0]
-        constraints[0] = (elem, bumped(image, key, i))
-    ref = hom_space_with_constraints(m, tgt, constraints)
-    got = mo.solve_map_into_injectives(m, tgt, socles, constraints)
+        ys = images[data.draw(st.integers(0, len(homs) - 1))]
+        ys[0] = bumped(ys[0], key, i)
+    refs = [hom_space_with_constraints(m, tgt, list(zip(elems, ys))) for ys in images]
+    got = mo.solve_map_into_injectives(m, tgt, socles, elems, images)
     event(f"perturbed={bool(perturbed)} solvable={got is not None} "
-          f"shifted={any(s for _w, s in socles)}")
-    assert (got is None) == (ref is None)
+          f"shifted={any(s for _w, s in socles)} maps={len(homs)}")
+    assert (got is None) == any(ref is None for ref in refs)
     if not perturbed:
         assert got is not None
     if got is not None:
-        assert got.check_commutes()
-        for elem, image in constraints:
-            assert got.apply(elem) == image
+        for u, ys in zip(got, images):
+            assert u.check_commutes()
+            assert [u.apply(x) for x in elems] == ys
+        # a batch gives each list of values the map a lone solve gives it
+        assert [u.blocks for u in got] == [
+            mo.solve_map_into_injectives(m, tgt, socles, elems, [ys])[0].blocks
+            for ys in images]
 
 
 def test_map_into_injectives_one_system_per_socle_block(a4):
@@ -416,18 +420,21 @@ def test_map_into_injectives_one_system_per_socle_block(a4):
     tgt = mo.DirectSum(a4, [mo.dual_of_left_projective(a4, w, s) for w, s in socles])
     basis = mo.hom_space(m, tgt)
     h = linear_combination(m, tgt, basis, list(range(1, len(basis) + 1)))
-    constraints = [(x, h.apply(x)) for x in
-                   (m.unit_vector(key, i) for key, i in m.basis_elements())]
+    elems = [m.unit_vector(key, i) for key, i in m.basis_elements()]
+    constraints = [(x, h.apply(x)) for x in elems]
     assert any(tgt.component(0, y) != tgt.component(1, y) for _x, y in constraints)
     assert hom_space_with_constraints(m, tgt, constraints) is not None
-    got = mo.solve_map_into_injectives(m, tgt, socles, constraints)
-    assert got is not None and got.check_commutes()
+    got = mo.solve_map_into_injectives(m, tgt, socles, elems, [[y for _x, y in constraints]])
+    assert got is not None and got[0].check_commutes()
     # the second part's value at a basis vector of (2, 0) moved by one
     x = m.unit_vector((2, 0), 0)
     bad = [(y, bumped(image, (2, 0), tgt.offsets[1][(2, 0)])) if y == x else (y, image)
            for y, image in constraints]
     assert hom_space_with_constraints(m, tgt, bad) is None
-    assert mo.solve_map_into_injectives(m, tgt, socles, bad) is None
+    assert mo.solve_map_into_injectives(m, tgt, socles, elems, [[y for _x, y in bad]]) is None
+    # one unsolvable list of values fails the whole batch
+    assert mo.solve_map_into_injectives(
+        m, tgt, socles, elems, [[y for _x, y in constraints], [y for _x, y in bad]]) is None
 
 
 # nu_n^{-1} power tables, a Serre table and Pi_{n+1} dumps as computed when

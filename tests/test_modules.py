@@ -75,10 +75,10 @@ def test_map_into_injective_commutes(request):
                 q = mo.dual_of_left_projective(alg, w, s)
                 [gen] = mo.generator(q, w, s)[(w, s)]
                 n = m.block_dim(w, s)
-                for _ in range(3):
-                    phi = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                           for _ in range(n)]
-                    f = mo.map_into_injective(m, q, w, sparse(phi))
+                phis = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                         for _ in range(n)] for _ in range(3)]
+                homs = mo.map_into_injective(m, q, w, [sparse(phi) for phi in phis])
+                for phi, f in zip(phis, homs):
                     assert f.check_commutes()
                     for i in range(n):
                         assert f.block(w, s).data[gen][i] == phi[i]
@@ -93,9 +93,8 @@ def test_map_into_injective_spans_hom_space(request):
                 q = mo.dual_of_left_projective(alg, w, s)
                 n = m.block_dim(w, s)
                 layout, _ = mo.hom_frame(m, q)
-                closed = EchelonBasis(
-                    mo.hom_flatten(mo.map_into_injective(m, q, w, {k: 1}), layout)
-                    for k in range(n))
+                closed = EchelonBasis(mo.hom_flatten(h, layout) for h in
+                                      mo.map_into_injective(m, q, w, [{k: 1} for k in range(n)]))
                 solved = [mo.hom_flatten(h, layout) for h in mo.hom_space(m, q)]
                 assert closed.rank == len(solved) == n
                 assert all(closed.contains(h) for h in solved)
@@ -107,7 +106,7 @@ def test_place_into_sum_places_components(delta_a4, t_summands):
     m = t_summands[0]
     rng = random.Random(1)
     homs = [mo.map_into_injective(
-        m, q, w, sparse([Fraction(rng.randint(-2, 2)) for _ in range(m.block_dim(w, 0))]))
+        m, q, w, [sparse([Fraction(rng.randint(-2, 2)) for _ in range(m.block_dim(w, 0))])])[0]
         for q, w in zip(parts, (1, 3, 3))]
     f = mo.place(m, total, [(h, {}, off) for h, off in zip(homs, total.offsets)])
     assert f.check_commutes()

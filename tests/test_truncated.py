@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -53,6 +54,25 @@ def test_quasi_veronese_dim_formula(delta_a4, t_summands):
             expected = sum(G.dim(r * i + k - j)
                            for j in range(r) for k in range(r))
             assert GV.dim(i) == expected
+
+
+# Dual dumps as computed when the product loop lifted the classes g once
+# per (d1, d2) pair and kept every lift to the end; lifting each class of
+# degree d2 once, with d2 outermost, reproduces them exactly
+PINNED_DUAL_SHA256 = {
+    "kron-trivext": "4c08860b2e856cd0dc9ea97fc9f77ad5d8fc5084cc49770546e2b629435ce527",
+    "a4-T1-T4": "c7b209935e0b93f85276f5e9e62014824fe6c4078ae3f130f172e82fca554eb2",
+    "dualnum": "48662fdcf782c87f138f321b884ef44258f44ef9bb61332c92d4b8fb6f18c01e",
+}
+
+
+def test_dual_tables_are_pinned(delta_kron, kron_summands, delta_a4, t_summands,
+                                dualnum):
+    for name, args in (("kron-trivext", (delta_kron, kron_summands, 2, 4)),
+                       ("a4-T1-T4", (delta_a4, t_summands, 2, 5)),
+                       ("dualnum", (dualnum, [mo.simple_module(dualnum, 1, 0)], 1, 6))):
+        dump = tr.koszul_dual(*args).algebra.dump()
+        assert hashlib.sha256(dump.encode()).hexdigest() == PINNED_DUAL_SHA256[name], name
 
 
 def test_quasi_veronese_cutoff_guard(dualnum):
