@@ -20,7 +20,7 @@ workload, at seed 0, records whether it was correct and the exact work
 counts of WORK_COUNTS, and names the counts that differ between the sides:
 a "same work" statement read off the runs.
 
-Last, each of DEEP_WINDOWS, eight deep CLI windows and one start-up window,
+Last, each of DEEP_WINDOWS, nine deep CLI windows and one start-up window,
 runs DEEP_RUNS times per side, each run in a fresh interpreter under a
 CHILD_AS_CAP address-space cap and alternating which side goes first. Every
 deep-window run sets PYTHONHASHSEED to DEEP_HASH_SEED, so both sides iterate
@@ -72,6 +72,9 @@ DEEP_WINDOWS = {
                           "infinite", "--n", "2"],
     "beil2-trivext-dual-d2": ["verify", "trivext-dual", "--algebra",
                               "tests/data/beil2.alg", "--n", "2", "--degree-max", "2"],
+    # the deepest window of the two product tables: Pi_3 dims 15, 96, 258, 501
+    "beil2-trivext-dual-d3": ["verify", "trivext-dual", "--algebra",
+                              "tests/data/beil2.alg", "--n", "2", "--degree-max", "3"],
     "beil2-characterization": ["verify", "characterization", "--algebra",
                                "tests/data/beil2.alg", "--trivext", "--n", "3",
                                "--i-max", "4", "--depth", "3"],

@@ -26,7 +26,7 @@ from .algebra import GradedAlgebra, InputError, InternalCheckError
 from .linalg import Matrix
 from . import modules as mo
 from . import resolution as rs
-from .truncated import TruncatedGradedAlgebra
+from .truncated import TruncatedGradedAlgebra, store_product
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +631,7 @@ def preprojective_algebra(a: GradedAlgebra, n: int, d_max: int,
                                     "nonzero product lands in a shifted piece"
                                 )
                             entry[index[pk]] = x
-                    if entry:
-                        products[((d1, i_f), (d2, i_g))] = entry
+                    store_product(products, (d1, i_f, d2, i_g), entry)
             if group and any((k, v) in homs for k in range(d2 + 1, d_max + 1 - d1)):
                 stepped.append(((d1, u, v), group))
         running = stepped

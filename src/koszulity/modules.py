@@ -369,18 +369,6 @@ class DirectSum(GradedModule):
         return {key: {off[key] + i: x for i, x in vec.items()}
                 for key, vec in elem.items()}
 
-    def component(self, k: int, elem: dict) -> dict:
-        """Part k's coordinates of an element of the sum."""
-        part, off = self.parts[k], self.offsets[k]
-        out = {}
-        for key, vec in elem.items():
-            if key in off:
-                lo, hi = off[key], off[key] + part.dims[key]
-                sub = {i - lo: x for i, x in vec.items() if lo <= i < hi}
-                if sub:
-                    out[key] = sub
-        return out
-
 
 def shift_module(m: GradedModule, j: int) -> GradedModule:
     """M<j> with M<j>_i = M_{i-j}: an element of degree d moves to degree d+j."""
@@ -805,8 +793,20 @@ def solve_map_into_injectives(m: GradedModule, tgt: DirectSum, socles, elems, im
     M_(w,s), whose psi_b coordinate at elem is phi(elem . b): one equation
     in phi per (elem, psi_b). The columns depend only on (w, s) and elems,
     so each socle block is one `solve_columns` and one `map_into_injective`
-    for every part and map. Each map is checked against its values.
+    for every part and map. Each image is split into its parts once, by
+    `DirectSum.locate` on its nonzeros. Each map is checked against its
+    values.
     """
+    split = []  # split[b][k]: {j: part j's coordinates of images[b][k]}
+    for ys in images:
+        split.append([])
+        for image in ys:
+            parts = {}
+            for key, vec in image.items():
+                for i, y in vec.items():
+                    j, r = tgt.locate(key, i)
+                    parts.setdefault(j, {}).setdefault(key, {})[r] = y
+            split[-1].append(parts)
     groups = {}
     for j, key in enumerate(socles):
         groups.setdefault(key, []).append(j)
@@ -824,8 +824,8 @@ def solve_map_into_injectives(m: GradedModule, tgt: DirectSum, socles, elems, im
         targets = []
         for b, j in cells:
             values = {}
-            for k, image in enumerate(images[b]):
-                for key, vec in tgt.component(j, image).items():
+            for k, parts in enumerate(split[b]):
+                for key, vec in parts.get(j, {}).items():
                     for r_i, y in vec.items():
                         row = index.get((k, key, r_i))
                         if row is None:

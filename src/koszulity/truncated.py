@@ -14,10 +14,35 @@ from .algebra import GradedAlgebra, InputError, InternalCheckError
 from . import resolution as rs
 
 
+def store_product(products: dict, key: tuple, terms: dict) -> None:
+    """Insert the product terms {k: c} at key = (d1, i, d2, j) of a flat
+    product table: one term as the pair (k, c), several as the dict, and a
+    zero product not at all."""
+    if len(terms) == 1:
+        products[key] = next(iter(terms.items()))
+    elif terms:
+        products[key] = terms
+
+
+def product_terms(value) -> dict:
+    """The product {k: c} of a flat table entry; None (absent) is zero."""
+    if type(value) is tuple:
+        return {value[0]: value[1]}
+    return value or {}
+
+
 class TruncatedGradedAlgebra:
+    """A graded algebra truncated at a degree cutoff, as a product table.
+
+    basis: {d: [(src, tgt, label), ...]}; unit: {i: c} in degree-0
+    coordinates. products is one flat dict keyed by (d1, i, d2, j), the
+    product of basis element i of degree d1 with basis element j of degree
+    d2: a one-term product k with coefficient c is stored as the pair
+    (k, c), a product of several terms as the dict {k: c}, and a zero
+    product is not stored. `store_product` writes an entry in this layout.
+    """
+
     def __init__(self, name, cutoff, vertices, basis, products, unit):
-        """basis: {d: [(src, tgt, label), ...]}; products: {((d1,i1),(d2,i2)): {i3: c}};
-        unit: {i: c} in degree-0 coordinates."""
         self.name = name
         self.cutoff = cutoff
         self.vertices = list(vertices)
@@ -50,15 +75,16 @@ class TruncatedGradedAlgebra:
             for j, c2 in v2.items():
                 if not c2:
                     continue
-                prod = self.products.get(((d1, i), (d2, j)))
-                if prod:
-                    c = c1 * c2
-                    for k, ck in prod.items():
-                        s = out.get(k, 0) + c * ck
-                        if s:
-                            out[k] = s
-                        else:
-                            out.pop(k, None)
+                prod = self.products.get((d1, i, d2, j))
+                if prod is None:
+                    continue
+                c = c1 * c2
+                for k, ck in (prod,) if type(prod) is tuple else prod.items():
+                    s = out.get(k, 0) + c * ck
+                    if s:
+                        out[k] = s
+                    else:
+                        out.pop(k, None)
         return out
 
     def check(self):
@@ -70,12 +96,12 @@ class TruncatedGradedAlgebra:
         and b has the tags (source a, target b). The products ab and bc are
         read from the table, so each triple costs two multiplications.
         """
-        for ((d1, i), (d2, j)), prod in self.products.items():
+        for (d1, i, d2, j), prod in self.products.items():
             s1, t1, _ = self.basis[d1][i]
             s2, t2, _ = self.basis[d2][j]
-            if t1 != s2 and prod:
+            if t1 != s2:
                 raise InternalCheckError("non-composable product stored")
-            for k in prod:
+            for k in product_terms(prod):
                 s3, t3, _ = self.basis[d1 + d2][k]
                 if (s3, t3) != (s1, t2):
                     raise InternalCheckError("product tags wrong")
@@ -97,9 +123,9 @@ class TruncatedGradedAlgebra:
                     for i, (_s, ta, _l) in enumerate(self.basis.get(da, [])):
                         for j in starting.get((db, ta), []):
                             tb = self.basis[db][j][1]
-                            ab = self.products.get(((da, i), (db, j)), {})
+                            ab = product_terms(self.products.get((da, i, db, j)))
                             for k in starting.get((dc, tb), []):
-                                bc = self.products.get(((db, j), (dc, k)), {})
+                                bc = product_terms(self.products.get((db, j, dc, k)))
                                 lhs = self.mult(da + db, ab, dc, {k: 1})
                                 rhs = self.mult(da, {i: 1}, db + dc, bc)
                                 if lhs != rhs:
@@ -124,11 +150,8 @@ class TruncatedGradedAlgebra:
         for d in range(self.cutoff + 1):
             for (s, t, lab) in self.basis.get(d, []):
                 lines.append(f"basis {d} {s} {t} {lab}")
-        for ((d1, i), (d2, j)) in sorted(self.products,
-                                         key=lambda p: (p[0][0], p[0][1], p[1][0], p[1][1])):
-            prod = self.products[((d1, i), (d2, j))]
-            if not prod:
-                continue
+        for (d1, i, d2, j) in sorted(self.products):
+            prod = product_terms(self.products[(d1, i, d2, j)])
             l1 = self.basis[d1][i][2]
             l2 = self.basis[d2][j][2]
             terms = " + ".join(
@@ -158,11 +181,8 @@ def truncate_algebra(alg: GradedAlgebra, cutoff: int) -> TruncatedGradedAlgebra:
         d2, j1 = index_map[j]
         if d1 + d2 > cutoff:
             continue
-        entry = {}
-        for k, c in prod.items():
-            dk, k1 = index_map[k]
-            entry[k1] = c
-        products[((d1, i1), (d2, j1))] = entry
+        store_product(products, (d1, i1, d2, j1),
+                      {index_map[k][1]: c for k, c in prod.items()})
     unit = {}
     for v in range(alg.num_vertices):
         unit[index_map[v][1]] = 1
@@ -284,13 +304,9 @@ def quasi_veronese(G: TruncatedGradedAlgebra, r: int) -> TruncatedGradedAlgebra:
                 continue
             d1 = r * i1 + k1 - j1
             d2 = r * i2 + k2 - j2
-            prod = G.products.get(((d1, idx1), (d2, idx2)))
-            if not prod:
-                continue
-            entry = {}
-            for k, c in prod.items():
-                entry[index[(i1 + i2, j1, k2, k)]] = c
-            products[((i1, p1), (i2, p2))] = entry
+            prod = product_terms(G.products.get((d1, idx1, d2, idx2)))
+            store_product(products, (i1, p1, i2, p2),
+                          {index[(i1 + i2, j1, k2, k)]: c for k, c in prod.items()})
     unit = {}
     for j in range(r):
         for idx, c in G.unit.items():
@@ -370,9 +386,7 @@ def twist_algebra(G: TruncatedGradedAlgebra,
             for i in range(G.dim(d1)):
                 xi = powers[d2].apply(d1, {i: 1})
                 for j in range(G.dim(d2)):
-                    entry = G.mult(d1, xi, d2, {j: 1})
-                    if entry:
-                        products[((d1, i), (d2, j))] = entry
+                    store_product(products, (d1, i, d2, j), G.mult(d1, xi, d2, {j: 1}))
     return TruncatedGradedAlgebra(f"{G.name}_tw", G.cutoff, G.vertices,
                                   basis, products, G.unit)
 
@@ -458,10 +472,8 @@ def koszul_dual(alg: GradedAlgebra, summands, n: int, d_max: int,
                                 for c, coeff in enumerate(coords):
                                     if coeff:
                                         entry[index[(d1 + d2, s, s3, c)]] = coeff
-                                if entry:
-                                    i_f = index[(d1, s2, s3, cf)]
-                                    i_g = index[(d2, s, s2, cg)]
-                                    products[((d1, i_f), (d2, i_g))] = entry
+                                store_product(products, (d1, index[(d1, s2, s3, cf)],
+                                                         d2, index[(d2, s, s2, cg)]), entry)
     G = TruncatedGradedAlgebra(name, d_max, list(range(t)), basis, products, unit)
     G.check()
     return DualData(G, resolutions, groups, list(summands), index, n)

@@ -7,7 +7,7 @@ from koszulity.presentation import Quiver, Arrow, Relation, build_algebra
 from koszulity.algebra import trivial_extension
 from koszulity.linalg import (EchelonBasis, Matrix, candidate_combinations, exact,
                               kernel_vectors)
-from koszulity import modules as mo
+from koszulity import modules as mo, truncated as tr
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -570,8 +570,7 @@ def preprojective_products_by_restart(a, pp):
             val = comp.apply(mo.generator(comp.domain, w))
             entry = {index[(d1 + d2, u, key[0], t)]: x
                      for key, vec in val.items() for t, x in vec.items()}
-            if entry:
-                products[((d1, i_f), (d2, i_g))] = entry
+            tr.store_product(products, (d1, i_f, d2, i_g), entry)
     return products
 
 

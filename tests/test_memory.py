@@ -57,12 +57,12 @@ def traced_peak(argv):
     # about 1.3 MiB with sparse Hom kernels; 4.4 MiB with a dense Hom basis
     (["verify", "characterization", "--algebra", f"{DATA}/a4.alg", "--trivext",
       *TILTING, "--n", "2", "--i-max", "6"], 2.0),
-    # about 1.97 MiB when each orbit step's data and each class's chain
-    # lift die after their last reader; 2.63 MiB holding both to the end of
-    # their builders, 2.32 MiB holding only the step data, 2.27 MiB only the
-    # lifts, 4.9 MiB with dense constraint rows
+    # about 1.36 MiB with flat product tables, a (k, c) pair per one-term
+    # product; 1.97 MiB with nested tables ({(d1, i), (d2, j)}: {k: c}),
+    # 2.63 MiB also holding each orbit step's data and each class's chain
+    # lift to the end of their builders, 4.9 MiB with dense constraint rows
     (["verify", "trivext-dual", "--algebra", f"{DATA}/kron.alg", "--n", "1",
-      "--degree-max", "4"], 2.2),
+      "--degree-max", "4"], 1.6),
     # about 1.5 MiB when each Ext group is dropped once its dimension is
     # read; 2.6 MiB keeping every group
     (["ext", "--algebra", f"{DATA}/a4.alg", "--trivext", "--n", "2",

@@ -7,10 +7,12 @@ of P^3, 3-representation infinite. Every check here is one homological
 degree deeper than at n = 2.
 """
 
+import json
 import os
 import resource
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 from koszulity.cli import main
@@ -18,6 +20,10 @@ from conftest import data_path
 
 LIN4R2 = data_path("lin4r2.alg")
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def cap_2gib():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, 2 * 1024 ** 3))
 
 
 def run(capsys, *argv):
@@ -68,13 +74,41 @@ def test_beil3_is_3_rep_infinite_to_depth_1():
     # (Herschend-Iyama-Oppermann, Adv. Math. 252, 2014). The child runs
     # under a 2 GiB address-space cap: dense module actions took 173 MiB
     # here, and one step deeper passed 2 GiB.
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, 2 * 1024 ** 3))
-
     proc = subprocess.run(
         [sys.executable, "-m", "koszulity.cli", "nrep", "--algebra",
          data_path("beil3.alg"), "--mode", "infinite", "--n", "3", "--depth", "1"],
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
-        timeout=300, preexec_fn=cap)
+        timeout=300, preexec_fn=cap_2gib)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["infinite check (n = 3): pass", "depth: 1"]
+
+
+# Bigraded dimensions of Pi_4(beil3) up to degree 1, built in a child.
+BEIL3_PREPROJECTIVE = """
+import json, sys
+from koszulity import hereditary as hd
+from koszulity.presentation import parse_algebra_file
+G = hd.preprojective_algebra(parse_algebra_file(sys.argv[1])[0], 3, 1).algebra
+print(json.dumps([[d, s, t, n] for d in range(2)
+                  for (s, t), n in sorted(G.bigraded_dims(d).items())]))
+"""
+
+
+def test_beil3_preprojective_matches_closed_form():
+    # Pi_4 of beil3: the (s, t) block of degree d has dimension
+    # C(4d + t - s + 3, 3), or 0 when 4d + t - s < 0. This is the largest
+    # product table tier-1 builds; the child runs under a 2 GiB
+    # address-space cap.
+    proc = subprocess.run(
+        [sys.executable, "-c", BEIL3_PREPROJECTIVE, data_path("beil3.alg")],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+        timeout=300, preexec_fn=cap_2gib)
+    assert proc.returncode == 0, proc.stderr
+    blocks = {d: {} for d in range(2)}
+    for d, s, t, n in json.loads(proc.stdout):
+        blocks[d][(s, t)] = n
+    for d in range(2):
+        assert blocks[d] == {
+            (s, t): comb(4 * d + t - s + 3, 3)
+            for s in (1, 2, 3, 4) for t in (1, 2, 3, 4) if 4 * d + t - s >= 0}
+    assert [sum(blocks[d].values()) for d in range(2)] == [56, 680]

@@ -161,12 +161,12 @@ def full_check(G):
     """The structural checks with associativity tested on every triple of
     basis elements, composable or not, by multiplying basis vectors: the
     reference for TruncatedGradedAlgebra.check."""
-    for ((d1, i), (d2, j)), prod in G.products.items():
+    for (d1, i, d2, j), prod in G.products.items():
         s1, t1, _ = G.basis[d1][i]
         s2, t2, _ = G.basis[d2][j]
-        if t1 != s2 and prod:
+        if t1 != s2:
             raise InternalCheckError("non-composable product stored")
-        for k in prod:
+        for k in tr.product_terms(prod):
             s3, t3, _ = G.basis[d1 + d2][k]
             if (s3, t3) != (s1, t2):
                 raise InternalCheckError("product tags wrong")
@@ -227,15 +227,15 @@ def test_check_agrees_with_full_triple_loop_on_perturbations(checked_algebras):
                 for i, (s1, t1, _) in enumerate(G.basis.get(d1, [])):
                     for j, (s2, t2, _) in enumerate(G.basis.get(d2, [])):
                         if t1 == s2:
-                            options += [((d1, i), (d2, j), k) for k, tags
+                            options += [((d1, i, d2, j), k) for k, tags
                                         in enumerate(G.tags(d1 + d2))
                                         if tags == (s1, t2)]
         messages = set()
-        for a, b, k in rng.sample(options, min(30, len(options))):
+        for key, k in rng.sample(options, min(30, len(options))):
             products = dict(G.products)
-            entry = dict(products.get((a, b), {}))
+            entry = dict(tr.product_terms(products.pop(key, None)))
             entry[k] = entry.get(k, 0) + 1
-            products[(a, b)] = entry
+            tr.store_product(products, key, {k: c for k, c in entry.items() if c})
             bad = with_products(G, products)
             expected = outcome(full_check, bad)
             assert outcome(tr.TruncatedGradedAlgebra.check, bad) == expected
@@ -253,7 +253,7 @@ def test_check_rejects_non_composable_product(checked_algebras):
             for i, (_s1, t1, _) in enumerate(G.basis.get(d1, []))
             for j, (s2, _t2, _) in enumerate(G.basis.get(d2, []))
             if t1 != s2 and G.dim(d1 + d2))
-        bad = with_products(G, {**G.products, ((d1, i), (d2, j)): {0: Fraction(1)}})
+        bad = with_products(G, {**G.products, (d1, i, d2, j): (0, Fraction(1))})
         for check in (full_check, tr.TruncatedGradedAlgebra.check):
             with pytest.raises(InternalCheckError, match="non-composable product stored"):
                 check(bad)
@@ -281,6 +281,112 @@ def test_check_multiplies_twice_per_composable_triple(checked_algebras):
             del G.mult
         assert composable
         assert len(calls) == 2 * sum(G.dims().values()) + 2 * composable
+
+
+def change_of_basis(G, rng):
+    """G in the basis e'_i = sum_k P_d[k][i] e_k, with P_d random, unit lower
+    triangular on each tag class of degree d and 0 across tag classes, so
+    every e'_i keeps the tags of e_i. Returns (H, P, P^-1) with H built
+    through `store_product`; its products mostly have several terms."""
+    from koszulity.linalg import Matrix
+
+    P, Pinv = {}, {}
+    for d in range(G.cutoff + 1):
+        entries = {}
+        tags = G.tags(d)
+        for i, ti in enumerate(tags):
+            entries[(i, i)] = 1
+            for k in range(i + 1, len(tags)):
+                if tags[k] == ti:
+                    entries[(k, i)] = rng.randint(-2, 2)
+        P[d] = Matrix.from_entries(G.dim(d), G.dim(d), entries)
+        Pinv[d] = P[d].inverse()
+    products = {}
+    for d1 in range(G.cutoff + 1):
+        for d2 in range(G.cutoff + 1 - d1):
+            for i in range(G.dim(d1)):
+                for j in range(G.dim(d2)):
+                    old = G.mult(d1, P[d1].apply({i: 1}), d2, P[d2].apply({j: 1}))
+                    tr.store_product(products, (d1, i, d2, j), Pinv[d1 + d2].apply(old))
+    H = tr.TruncatedGradedAlgebra(G.name, G.cutoff, G.vertices, G.basis, products,
+                                  Pinv[0].apply(G.unit))
+    return H, P, Pinv
+
+
+def test_several_term_products(kron, delta_kron, kron_summands):
+    from koszulity import hereditary as hd
+
+    rng = random.Random(0)
+    for G in (hd.preprojective_algebra(kron, 1, 3).algebra,
+              tr.koszul_dual(delta_kron, kron_summands, 2, 2).algebra):
+        H, P, Pinv = change_of_basis(G, rng)
+        several = [key for key, prod in H.products.items() if type(prod) is dict]
+        assert len(several) > len(H.products) // 4
+        assert all(len(H.products[key]) > 1 for key in several)
+        # mult against the product of G carried through the change of basis
+        for d1 in range(H.cutoff + 1):
+            for d2 in range(H.cutoff + 1 - d1):
+                for _ in range(10):
+                    x = {i: rng.randint(-3, 3) for i in range(H.dim(d1))}
+                    y = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                         for j in range(H.dim(d2))}
+                    x = {i: c for i, c in x.items() if c}
+                    y = {j: c for j, c in y.items() if c}
+                    expected = Pinv[d1 + d2].apply(
+                        G.mult(d1, P[d1].apply(x), d2, P[d2].apply(y)))
+                    assert H.mult(d1, x, d2, y) == expected
+        assert H.check() is True and full_check(H) is True
+        # dropping one term of a several-term product: the pruned check and
+        # the full triple loop fail alike
+        for key in rng.sample(several, 10):
+            entry = dict(H.products[key])
+            entry.pop(rng.choice(sorted(entry)))
+            products = dict(H.products)
+            tr.store_product(products, key, entry)
+            bad = with_products(H, products)
+            expected = outcome(full_check, bad)
+            assert isinstance(expected, str)
+            assert outcome(tr.TruncatedGradedAlgebra.check, bad) == expected
+        # the dump does not depend on the order the table was filled in
+        dump = H.dump()
+        assert " + " in dump and dump == H.dump()
+        assert with_products(H, dict(reversed(H.products.items()))).dump() == dump
+
+
+def test_builders_store_no_zero_product_or_one_term_dict(kron, delta_kron, kron_summands,
+                                                         a2, delta_a2, a2_summands,
+                                                         dualnum, x3, nak2):
+    from koszulity import hereditary as hd, koszul as ko
+    from koszulity.frobenius import frobenius_analysis
+
+    x3_dual = tr.koszul_dual(x3, [mo.simple_module(x3, 1, 0)], 1, 8).algebra
+    s = [mo.simple_module(nak2, v, 0) for v in nak2.vertices]
+    dual = tr.koszul_dual(nak2, s, 1, 3)
+    fr = frobenius_analysis(nak2)
+    md = ko.mu_permutation(s, fr.mu, rng=random.Random(0))
+    phi = ko.build_mu_bar(nak2, dual, fr.mu, md, rng=random.Random(0))
+    built = [
+        hd.preprojective_algebra(kron, 1, 4).algebra,
+        tr.truncate_algebra(delta_kron, 2),
+        tr.koszul_dual(delta_kron, kron_summands, 2, 3).algebra,
+        hd.preprojective_algebra(a2, 1, 3).algebra,
+        tr.koszul_dual(delta_a2, a2_summands, 2, 3).algebra,
+        poly_ring_truncation(dualnum, cutoff=5),
+        tr.truncate_algebra(dualnum, 1),
+        tr.quasi_veronese(x3_dual, 2),
+        tr.quasi_veronese(x3_dual, 3),
+        tr.quasi_veronese(tr.truncate_algebra(x3, 3), 2),
+        tr.twist_algebra(dual.algebra, phi),
+    ]
+    for G in built:
+        assert G.products, G.name
+        for key, prod in G.products.items():
+            assert len(key) == 4 and all(type(x) is int for x in key), G.name
+            if type(prod) is tuple:
+                assert len(prod) == 2 and prod[1], (G.name, key)
+            else:
+                assert type(prod) is dict and len(prod) > 1, (G.name, key)
+                assert all(prod.values()), (G.name, key)
 
 
 def trivext_dual_pair(a0, n, d_max):
